@@ -50,8 +50,8 @@ class RunConfig:
         if self.train_composition not in COMPOSITIONS:
             raise ConfigError(
                 f"train_composition must be one of {COMPOSITIONS}, got {self.train_composition!r}")
-        if not (0.0 <= self.test_fraction < 1.0):
-            raise ConfigError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
+        if not (0.0 < self.test_fraction < 1.0):
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not (0.0 < self.selection_threshold <= 1.0):
             raise ConfigError(
                 f"selection_threshold must be in (0, 1], got {self.selection_threshold}")

@@ -193,17 +193,3 @@ def paired_t_test(a, b) -> TTestResult:
         return TTestResult(t=None, p=None, df=n - 1, zero_variance=True)
     t = float(d.mean()) / (sd / math.sqrt(n))
     return TTestResult(t=t, p=t_sf_two_sided(t, n - 1), df=n - 1, zero_variance=False)
-
-
-def paired_runs(runner, config_a, config_b, seeds):
-    """Run two configurations over the same seeds; pairing is by seed.
-
-    runner(config, seed) must return a MetricsReport-like object (or a dict
-    of metric name to value). Returns (reports_a, reports_b) aligned lists.
-    """
-    reports_a = []
-    reports_b = []
-    for seed in seeds:
-        reports_a.append(runner(config_a, seed))
-        reports_b.append(runner(config_b, seed))
-    return reports_a, reports_b

@@ -42,13 +42,26 @@ class GradientBoostedTrees:
             raise SingleClass("boosting needs both classes in the training set")
         self.f0 = math.log(pbar / (1.0 - pbar))
         f = np.full(len(y), self.f0)
+        fitted = np.empty(len(y))
         self.trees = []
         for _ in range(self.n_rounds):
             p = _sigmoid(f)
-            tree = grow_regression_tree(x, y - p, p * (1.0 - p), self.max_depth)
-            f += self.learning_rate * tree.predict(x)
+            tree = grow_regression_tree(x, y - p, p * (1.0 - p), self.max_depth, fitted)
+            f += self.learning_rate * fitted
             self.trees.append(tree)
         return self
+
+    def prefix(self, n_rounds: int) -> "GradientBoostedTrees":
+        """The model a fit with n_rounds <= self.n_rounds returns. Rounds
+        are deterministic and never look ahead, so it is this model cut
+        to its first n_rounds trees, bit for bit."""
+        model = GradientBoostedTrees(n_rounds, self.learning_rate, self.max_depth)
+        if model.n_rounds > self.n_rounds:
+            raise ValueError(f"prefix of {model.n_rounds} rounds from a "
+                             f"{self.n_rounds}-round model")
+        model.f0 = self.f0
+        model.trees = self.trees[:model.n_rounds]
+        return model
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         f = np.full(len(x), self.f0)

@@ -1,4 +1,8 @@
-"""Bagged Gini trees with vote-fraction scoring."""
+"""Bagged Gini trees with vote-fraction scoring.
+
+fit grows all trees in lockstep through grow_classification_forest;
+grow_classification_tree stays exported as the one-tree entry point.
+"""
 
 import math
 from typing import Optional
@@ -6,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from ..rng import stream
-from .tree import Tree, grow_classification_tree
+from .tree import Tree, grow_classification_forest, grow_classification_tree  # noqa: F401
 
 
 class RandomForest:
@@ -24,13 +28,11 @@ class RandomForest:
         y = np.asarray(y, dtype=np.int64)
         n, m = x.shape
         max_features = max(1, int(math.sqrt(m)))
-        self.trees = []
-        for t in range(self.n_trees):
-            rng = stream(seed, "tree", t)
-            rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            self.trees.append(
-                grow_classification_tree(x[rows], y[rows], self.max_depth,
-                                         max_features, rng))
+        rngs = [stream(seed, "tree", t) for t in range(self.n_trees)]
+        samples = [rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+                   for rng in rngs]
+        self.trees = grow_classification_forest(x, y, samples, self.max_depth,
+                                                max_features, rngs)
         return self
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:

@@ -53,16 +53,23 @@ DEFAULT_GRIDS = {
 
 
 def grid_search_cv(fit_fn, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
-                   k: int = 5, seed: int = 0):
+                   k: int = 5, seed: int = 0, nested: str = None):
     """Mean balanced accuracy over k stratified folds for every grid point.
 
     fit_fn(params, x, y, seed) -> fitted model with predict_score.
     Returns (best_params, scores) where scores[i] aligns with the i-th
     canonical grid point. Fold membership is shared across grid points;
     per-(point, fold) training seeds derive from the master seed.
+
+    nested names a parameter whose smaller values are prefixes of a fit
+    at its largest value, whatever the seed: model.prefix(value) must
+    return the model fit_fn would. Grid points that differ only in that
+    parameter then share one fit per fold, at the grid's largest value.
     """
     folds = stratified_kfold(y, k, derive_seed(seed, "cv-folds"))
     all_rows = np.arange(len(y))
+    values = dict(grid.params).get(nested)
+    shared = {}
     scores = []
     best = None
     for gi, params in enumerate(grid.points()):
@@ -70,8 +77,15 @@ def grid_search_cv(fit_fn, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
         for fi, fold in enumerate(folds):
             val = np.array(fold, dtype=np.int64)
             train = np.setdiff1d(all_rows, val)
-            model = fit_fn(params, x[train], y[train],
-                           derive_seed(seed, "grid", gi, "fold", fi))
+            fit_seed = derive_seed(seed, "grid", gi, "fold", fi)
+            if values is None:
+                model = fit_fn(params, x[train], y[train], fit_seed)
+            else:
+                key = (tuple(v for name, v in params.items() if name != nested), fi)
+                if key not in shared:
+                    shared[key] = fit_fn({**params, nested: max(values)},
+                                         x[train], y[train], fit_seed)
+                model = shared[key].prefix(params[nested])
             pred = (model.predict_score(x[val]) >= 0.5).astype(np.int64)
             rep = metrics(confusion_from_predictions(y[val], pred))
             fold_scores.append(rep.balanced_accuracy)

@@ -29,6 +29,10 @@ _CLASSES = {
     "mlp": Mlp,
 }
 
+# Kinds whose fits nest in one parameter: a gbt fit's first n trees are
+# the n-round fit, so a grid search fits each fold once per other params.
+_NESTED = {"gbt": "n_rounds"}
+
 
 def build_model(kind: str, params: dict):
     if kind not in _CLASSES:
@@ -95,7 +99,8 @@ def train_with_grid(kind: str, x: np.ndarray, y: np.ndarray, feature_names,
     """Grid search + refit on all rows. Returns (TrainedModel, best, scores)."""
     if grid is None:
         grid = DEFAULT_GRIDS[kind]
-    best, scores = grid_search_cv(fit_kind(kind), x, y, grid, k=k, seed=seed)
+    best, scores = grid_search_cv(fit_kind(kind), x, y, grid, k=k, seed=seed,
+                                  nested=_NESTED.get(kind))
     final = build_model(kind, best).fit(x, y, derive_seed(seed, "final-fit"))
     model = TrainedModel(kind=kind, hyperparams=best, inner=final,
                          feature_names=tuple(feature_names), seed=seed)

@@ -74,11 +74,6 @@ class Volume3D:
         object.__setattr__(self, "origin", _f32(self.origin))
         object.__setattr__(self, "intensities", data)
 
-    @property
-    def voxel_volume(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz
-
 
 @dataclass(frozen=True)
 class MaskVolume:

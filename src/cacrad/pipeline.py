@@ -22,7 +22,7 @@ from .errors import (
     TooFewPairs,
     TooFewRows,
 )
-from .eval import confusion_from_predictions, metrics, paired_t_test
+from .eval import MetricsReport, confusion_from_predictions, metrics, paired_t_test
 from .features import ExtractionConfig, extract_all
 from .features.catalog import FEATURE_NAMES
 from .learn.model import MODEL_KINDS, train_with_grid
@@ -217,15 +217,12 @@ def run_train_eval(cfg: RunConfig) -> dict:
     }
     _write_json(out / "run_report.json", report)
 
-    lines = ["model,seed," + ",".join(
-        ("accuracy", "balanced_accuracy", "sensitivity", "specificity", "ppv", "f1", "npv"))]
+    lines = ["model,seed," + ",".join(MetricsReport.CSV_COLUMNS)]
     for run in runs:
         for kind in cfg.models:
             row = run["models"][kind]["metrics"]
             cells = [kind, str(run["seed"])]
-            cells += [_metric_csv_cell(row[c]) for c in
-                      ("accuracy", "balanced_accuracy", "sensitivity",
-                       "specificity", "ppv", "f1", "npv")]
+            cells += [_metric_csv_cell(row[c]) for c in MetricsReport.CSV_COLUMNS]
             lines.append(",".join(cells))
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
     return report

@@ -92,6 +92,15 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_zero_test_fraction_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("test_fraction = 0\n")
+    assert main(["train-eval", "--config", str(cfg), "--manifest", "x.csv",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "test_fraction" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_data_error(tmp_path, capsys):
     assert main(["extract", "--manifest", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path)]) == 3

@@ -104,6 +104,14 @@ def test_validation_errors():
             apply_overrides(RunConfig(), **kw)
 
 
+def test_zero_test_fraction_rejected():
+    # zero test rows would fail only after the whole grid search
+    with pytest.raises(ConfigError, match="test_fraction"):
+        apply_overrides(RunConfig(), test_fraction=0.0)
+    with pytest.raises(ConfigError, match="test_fraction"):
+        parse_config_text("test_fraction = 0\n")
+
+
 def test_apply_overrides_skips_none():
     base = RunConfig(seed=5)
     out = apply_overrides(base, seed=None, out="elsewhere")

@@ -11,7 +11,16 @@ from cacrad.learn.model import (
     train_with_grid,
 )
 from cacrad.learn.svm import LinearSvm
-from cacrad.learn.tree import _gini_best_split, _sse_best_split
+from cacrad.learn.tree import (
+    _gini_best_split,
+    _gini_best_splits,
+    _pad,
+    _sse_best_split,
+    grow_classification_forest,
+    grow_classification_tree,
+    grow_regression_tree,
+)
+from cacrad.rng import stream
 
 SMALL_GRIDS = {
     "random_forest": HyperGrid.of(n_trees=(20,), max_depth=(4,)),
@@ -213,6 +222,130 @@ def test_split_none_on_constant_block():
     y = np.array([0, 1, 0, 1, 0, 1])
     assert _gini_best_split(x, y) is None
     assert _sse_best_split(x, y.astype(np.float64)) is None
+
+
+def test_batched_gini_matches_per_node_reference():
+    rng = np.random.default_rng(31)
+    x = rng.integers(0, 4, size=(50, 9)).astype(np.float64)
+    x[:, 3] = 1.5                                   # constant column
+    x[:, 7] = x[:, 1]                               # duplicated column
+    x[40:] = x[0]                                   # ten identical rows
+    y = rng.integers(0, 2, size=50).astype(np.int64)
+    xp = np.vstack([x, np.full((1, 9), np.inf)])
+    yp = np.append(y, 0)
+    for trial in range(40):
+        n_cand = int(rng.integers(1, 10))
+        row_lists, cands = [], []
+        for _ in range(int(rng.integers(1, 12))):
+            size = int(rng.choice([2, 2, 3, int(rng.integers(2, 60))]))
+            pool = np.arange(40, 50) if rng.random() < 0.15 else np.arange(50)
+            row_lists.append(rng.choice(pool, size=size))  # repeats, like a bootstrap
+            cands.append(np.sort(rng.permutation(9)[:n_cand]))
+        rows, real = _pad(row_lists, [len(r) for r in row_lists], len(x))
+        f, thr, found = _gini_best_splits(xp, yp, rows, real, np.array(cands))
+        for j, (node_rows, cand) in enumerate(zip(row_lists, cands)):
+            ref = _gini_best_split(x[np.ix_(node_rows, cand)], y[node_rows])
+            if ref is None:
+                assert not found[j], trial
+            else:
+                assert found[j], trial
+                assert (int(f[j]), float(thr[j])) == (int(cand[ref[0]]), ref[1]), trial
+
+
+def test_lockstep_forest_equals_trees_grown_alone():
+    x, y = golden_matrix(True)
+    samples = [stream(5, "boot", t).integers(0, len(y), size=len(y)) for t in range(6)]
+    together = grow_classification_forest(x, y, samples, None, 3,
+                                          [stream(5, "tree", t) for t in range(6)])
+    for t, rows in enumerate(samples):
+        alone = grow_classification_tree(x[rows], y[rows], None, 3, stream(5, "tree", t))
+        assert together[t].to_dict() == alone.to_dict()
+
+
+def test_regression_tree_reports_training_leaf_values():
+    x, y = golden_matrix(False)
+    residual = y - np.linspace(0.2, 0.8, len(y))
+    fitted = np.empty(len(y))
+    tree = grow_regression_tree(x, residual, np.full(len(y), 0.21), 3, fitted)
+    assert fitted.tobytes() == tree.predict(x).tobytes()
+
+
+def test_gbt_prefix_is_the_shorter_fit():
+    x, y = golden_matrix(False)
+    long = build_model("gbt", {"n_rounds": 9, "max_depth": 2}).fit(x, y, seed=0)
+    short = build_model("gbt", {"n_rounds": 4, "max_depth": 2}).fit(x, y, seed=1)
+    assert long.prefix(4).to_dict() == short.to_dict()
+    with pytest.raises(ValueError):
+        short.prefix(5)
+
+
+# Fingerprints and CV scores recorded with every tree grown on its own and
+# every grid point fitted on its own; lockstep forests and nested gbt grid
+# fits must reproduce them bit for bit.
+GOLDEN_GRIDS = {
+    "random_forest": HyperGrid.of(n_trees=(4, 7), max_depth=(2, None)),
+    "gbt": HyperGrid.of(n_rounds=(3, 8, 5), learning_rate=(0.1, 0.3), max_depth=(2, 3)),
+}
+
+GOLDEN = {
+    ("random_forest", False): (
+        "d4f799665fdc53684a58739fd74680e76fe52638f32a919e343581d730cc065d",
+        [0.7, 0.675, 0.65, 0.7749999999999999]),
+    ("random_forest", True): (
+        "1e789a17b18dfa48129373c910ba4de81c056a77c57e79a9629f5ff8ddae92dc",
+        [0.575, 0.55, 0.5750000000000001, 0.425]),
+    ("gbt", False): (
+        "d99582585482b4d724da7be7c58b7ef770ef6789440f4a0b31d74f2e41b3cf60",
+        [0.675, 0.725, 0.675, 0.7000000000000001, 0.675, 0.675,
+         0.7250000000000001, 0.7000000000000001, 0.625, 0.7000000000000001,
+         0.7000000000000001, 0.675]),
+    ("gbt", True): (
+        "93bfec1acde495150dd034d4d8439f8000190a26eae13ebb56fb64239585152f",
+        [0.55, 0.525, 0.5499999999999999, 0.5, 0.55, 0.45, 0.47500000000000003,
+         0.475, 0.475, 0.5, 0.5, 0.45]),
+}
+
+
+def golden_matrix(shuffle):
+    """40 x 9 with tied values, a duplicated and a constant column."""
+    rng = np.random.default_rng(2025)
+    x = np.round(rng.normal(size=(40, 9)), 1)
+    x[:, 6] = x[:, 2]
+    x[:, 8] = 0.5
+    y = (x[:, 0] + x[:, 2] + rng.normal(scale=0.7, size=40) > 0).astype(np.int64)
+    if shuffle:
+        y = y[rng.permutation(40)]
+    return x, y
+
+
+@pytest.mark.parametrize("kind,shuffle", sorted(GOLDEN))
+def test_tree_models_match_golden_fingerprints(kind, shuffle):
+    x, y = golden_matrix(shuffle)
+    names = tuple(f"f{k}" for k in range(x.shape[1]))
+    model, _, scores = train_with_grid(kind, x, y, names, seed=11,
+                                       grid=GOLDEN_GRIDS[kind], k=4)
+    fingerprint, golden_scores = GOLDEN[(kind, shuffle)]
+    assert model.fingerprint == fingerprint
+    assert scores == golden_scores
+
+
+def test_gbt_grid_fits_each_fold_once_per_nested_group():
+    x, y = golden_matrix(False)
+    fits = []
+
+    def fit_fn(params, xt, yt, seed):
+        fits.append(params["n_rounds"])
+        return build_model("gbt", params).fit(xt, yt, seed)
+
+    # the default gbt grid's shape (2 x 2 x 2 points, 5 folds), fewer rounds
+    grid = HyperGrid.of(n_rounds=(4, 8), learning_rate=(0.1, 0.3), max_depth=(2, 3))
+    best, scores = grid_search_cv(fit_fn, x, y, grid, k=5, seed=3)
+    assert len(fits) == 40 and sum(fits) == 240
+    fits.clear()
+    best_nested, scores_nested = grid_search_cv(fit_fn, x, y, grid, k=5, seed=3,
+                                                nested="n_rounds")
+    assert len(fits) == 20 and sum(fits) == 160
+    assert scores_nested == scores and best_nested == best
 
 
 def test_mlp_pack_unpack_round_trip():
