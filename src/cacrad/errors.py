@@ -84,6 +84,10 @@ class EmptyMask(DataError):
     """Mask has no true voxels; subject should be excluded."""
 
 
+class TooManyGrayLevels(DataError):
+    """Discretization left more gray levels than the texture matrices may hold."""
+
+
 # --- selection / tables -----------------------------------------------------
 
 class TooFewRows(DegenerateCohortError):

@@ -16,12 +16,11 @@ _EDGE_MIDPOINTS = (CORNER_OFFSETS[EDGE_PAIRS[:, 0]] + CORNER_OFFSETS[EDGE_PAIRS[
 
 def triangulate_mask(labels: np.ndarray, spacing) -> np.ndarray:
     """Triangle soup (n_tri, 3 vertices, xyz mm) of the padded 0.5-isosurface."""
-    padded = np.zeros(tuple(d + 2 for d in labels.shape), dtype=np.float64)
-    padded[1:-1, 1:-1, 1:-1] = labels
-    cx, cy, cz = (d - 1 for d in padded.shape)
-    case = np.zeros((cx, cy, cz), dtype=np.int64)
+    outside = np.pad(labels, 1) < 0.5
+    cx, cy, cz = (d - 1 for d in outside.shape)
+    case = np.zeros((cx, cy, cz), dtype=np.uint8)
     for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
-        case |= (padded[ox:ox + cx, oy:oy + cy, oz:oz + cz] < 0.5).astype(np.int64) << bit
+        case |= outside[ox:ox + cx, oy:oy + cy, oz:oz + cz].astype(np.uint8) << bit
     active = np.argwhere((case > 0) & (case < 255))
     rows = TRI_EDGES[case[active[:, 0], active[:, 1], active[:, 2]]]
     tris = []
@@ -48,28 +47,41 @@ def mesh_volume_area(tri: np.ndarray):
 
 def surface_voxels(labels: np.ndarray) -> np.ndarray:
     """Indices of mask voxels with at least one missing face neighbor."""
-    interior = np.ones(labels.shape, dtype=bool)
-    for axis in range(3):
-        shifted = np.zeros_like(labels)
-        sl = [slice(None)] * 3
-        sr = [slice(None)] * 3
-        sl[axis] = slice(1, None)
-        sr[axis] = slice(None, -1)
-        shifted[tuple(sl)] = labels[tuple(sr)]
-        interior &= shifted
-        shifted = np.zeros_like(labels)
-        shifted[tuple(sr)] = labels[tuple(sl)]
-        interior &= shifted
+    p = np.pad(labels, 1)
+    interior = (p[:-2, 1:-1, 1:-1] & p[2:, 1:-1, 1:-1] & p[1:-1, :-2, 1:-1]
+                & p[1:-1, 2:, 1:-1] & p[1:-1, 1:-1, :-2] & p[1:-1, 1:-1, 2:])
     return np.argwhere(labels & ~interior)
 
 
+def _line_ends(idx: np.ndarray, axes) -> np.ndarray:
+    """Rows of the integer points idx (n, 3) not strictly between two
+    others on a line along any of the given axes.
+
+    Seen from any other point, one end of such a point's line lies farther
+    along the one coordinate they differ in, so the point is never an end
+    of the farthest pair; rounding is monotone, so the computed maximum
+    over the kept points is unchanged, bit for bit.
+    """
+    keep = np.ones(len(idx), dtype=bool)
+    for axis in axes:
+        rest = [j for j in range(3) if j != axis]
+        order = np.lexsort((idx[:, axis], *(idx[:, j] for j in rest)))
+        line = idx[order][:, rest]
+        same = np.all(line[1:] == line[:-1], axis=1)
+        keep[order[1:-1][same[:-1] & same[1:]]] = False
+    return idx[keep]
+
+
 def _max_pairwise(points: np.ndarray, chunk: int = 2048) -> float:
+    """Largest distance between two rows of points; squares are summed in axis order."""
     if len(points) < 2:
         return 0.0
     best = 0.0
     for lo in range(0, len(points), chunk):
-        block = points[lo:lo + chunk]
-        d2 = ((block[:, None, :] - points[None, lo:, :]) ** 2).sum(axis=2)
+        d2 = 0.0
+        for col in points.T:
+            diff = col[lo:lo + chunk, None] - col[None, lo:]
+            d2 = d2 + diff * diff
         best = max(best, float(d2.max()))
     return float(np.sqrt(best))
 
@@ -83,16 +95,14 @@ def shape_features(labels: np.ndarray, spacing) -> dict:
     tri = triangulate_mask(labels, sp)
     vol, area = mesh_volume_area(tri)
 
-    surf = surface_voxels(labels).astype(np.float64) * sp
-    max3d = _max_pairwise(surf)
+    surf = surface_voxels(labels)
+    max3d = _max_pairwise(_line_ends(surf, (0, 1, 2)) * sp)
     max2d = {}
     for plane, axis in (("XY", 2), ("XZ", 1), ("YZ", 0)):
-        keep = [0, 1, 2]
-        keep.remove(axis)
-        best = 0.0
-        for level in np.unique(surf[:, axis]):
-            best = max(best, _max_pairwise(surf[surf[:, axis] == level][:, keep]))
-        max2d[plane] = best
+        keep = [k for k in range(3) if k != axis]
+        ends = _line_ends(surf, keep)
+        max2d[plane] = max(_max_pairwise(ends[ends[:, axis] == level][:, keep] * sp[keep])
+                           for level in np.unique(ends[:, axis]))
 
     centers = np.argwhere(labels).astype(np.float64) * sp
     centered = centers - centers.mean(axis=0)

@@ -90,6 +90,12 @@ class Tree:
         )
 
 
+def _midpoint(lo, hi):
+    """Midpoint of lo < hi, or lo where it rounds to hi (adjacent doubles)."""
+    mid = (lo + hi) / 2.0
+    return np.where(mid >= hi, lo, mid)
+
+
 def _first_min_split(cost: np.ndarray, xs: np.ndarray, n: int):
     """First strict minimum over (column, sorted position) of a cost block.
 
@@ -102,8 +108,7 @@ def _first_min_split(cost: np.ndarray, xs: np.ndarray, n: int):
     f, i = divmod(flat, n - 1)
     if not np.isfinite(by_col[f, i]):
         return None
-    thr = (xs[i, f] + xs[i + 1, f]) / 2.0
-    return int(f), float(thr)
+    return int(f), float(_midpoint(xs[i, f], xs[i + 1, f]))
 
 
 def _gini_best_split(xb: np.ndarray, y: np.ndarray):
@@ -214,7 +219,7 @@ def _gini_best_splits(xp: np.ndarray, yp: np.ndarray, rows: np.ndarray,
     cost = np.where(valid, cost, np.inf).reshape(nb, -1)
     first = np.argmin(cost, axis=1)
     f, i = np.divmod(first, width - 1)
-    thr = (xs[b, f, i] + xs[b, f, i + 1]) / 2.0
+    thr = _midpoint(xs[b, f, i], xs[b, f, i + 1])
     return cand[b, f], thr, np.isfinite(cost[b, first])
 
 

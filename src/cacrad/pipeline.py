@@ -31,12 +31,12 @@ from .manifest import ContrastGroup, load_manifest
 from .nifti import MaskVolume, read_nifti
 from .rng import derive_seed, stream
 from .selection import correlation_filter
-from .table import attach_cohort, read_features_csv, write_features_csv
+from .table import attach_cohort, read_features_csv, write_features_csv, write_text_atomic
 from .embeddings import load_embeddings
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _extraction_config(cfg: RunConfig) -> ExtractionConfig:
@@ -224,7 +224,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
             cells = [kind, str(run["seed"])]
             cells += [_metric_csv_cell(row[c]) for c in MetricsReport.CSV_COLUMNS]
             lines.append(",".join(cells))
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    write_text_atomic(out / "metrics.csv", "\n".join(lines) + "\n")
     return report
 
 

@@ -5,12 +5,12 @@ an integer gray level per voxel in 1..Ng. Levels derive from ROI voxels
 only, never from the surrounding volume.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    BadRange,
     BadSpacing,
     DimMismatch,
     EmptyRoi,
@@ -42,7 +42,6 @@ class DiscretizedRoi:
     spacing: tuple
     bounds: tuple  # ((x0,x1),(y0,y1),(z0,z1)) inclusive
     volume_dims: tuple = None
-    _grid_cache: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.levels) == 0:
@@ -58,16 +57,18 @@ class DiscretizedRoi:
         """Levels on the dense bounding-box grid, 0 outside the ROI.
 
         Returns (grid, offset) where voxel ``indices[k]`` sits at
-        ``grid[tuple(indices[k] - offset)]``.
+        ``grid[tuple(indices[k] - offset)]``. Built once per ROI.
         """
-        if not self._grid_cache:
-            (x0, x1), (y0, y1), (z0, z1) = self.bounds
-            grid = np.zeros((x1 - x0 + 1, y1 - y0 + 1, z1 - z0 + 1), dtype=np.int32)
-            off = np.array([x0, y0, z0])
-            rel = self.indices - off
-            grid[rel[:, 0], rel[:, 1], rel[:, 2]] = self.levels
-            self._grid_cache.append((grid, off))
-        return self._grid_cache[0]
+        return self._dense_grid
+
+    @cached_property
+    def _dense_grid(self):
+        (x0, x1), (y0, y1), (z0, z1) = self.bounds
+        grid = np.zeros((x1 - x0 + 1, y1 - y0 + 1, z1 - z0 + 1), dtype=np.int32)
+        off = np.array([x0, y0, z0])
+        rel = self.indices - off
+        grid[rel[:, 0], rel[:, 1], rel[:, 2]] = self.levels
+        return grid, off
 
 
 def apply_mask(vol: Volume3D, mask: MaskVolume) -> MaskedRoi:
@@ -83,10 +84,11 @@ def apply_mask(vol: Volume3D, mask: MaskVolume) -> MaskedRoi:
     return MaskedRoi(indices=idx, values=values, spacing=vol.spacing, volume_dims=vol.dims)
 
 
-def _bounds(indices):
-    lo = indices.min(axis=0)
-    hi = indices.max(axis=0)
-    return tuple((int(lo[k]), int(hi[k])) for k in range(3))
+def _discretized(roi: MaskedRoi, levels: np.ndarray) -> DiscretizedRoi:
+    lo, hi = roi.indices.min(axis=0), roi.indices.max(axis=0)
+    return DiscretizedRoi(indices=roi.indices, levels=levels, ng=int(levels.max()),
+                          spacing=roi.spacing, volume_dims=roi.volume_dims,
+                          bounds=tuple((int(lo[k]), int(hi[k])) for k in range(3)))
 
 
 def discretize_fixed_width(roi: MaskedRoi, bin_width: float) -> DiscretizedRoi:
@@ -97,14 +99,7 @@ def discretize_fixed_width(roi: MaskedRoi, bin_width: float) -> DiscretizedRoi:
         raise EmptyRoi("cannot discretize an empty ROI")
     lo = roi.values.min()
     levels = np.floor((roi.values - lo) / bin_width).astype(np.int64) + 1
-    return DiscretizedRoi(
-        indices=roi.indices,
-        levels=levels,
-        ng=int(levels.max()),
-        spacing=roi.spacing,
-        bounds=_bounds(roi.indices),
-        volume_dims=roi.volume_dims,
-    )
+    return _discretized(roi, levels)
 
 
 def discretize_fixed_count(roi: MaskedRoi, n_bins: int) -> DiscretizedRoi:
@@ -121,28 +116,7 @@ def discretize_fixed_count(roi: MaskedRoi, n_bins: int) -> DiscretizedRoi:
         w = (hi - lo) / n_bins
         levels = np.floor((roi.values - lo) / w).astype(np.int64) + 1
         levels = np.minimum(levels, n_bins)
-    return DiscretizedRoi(
-        indices=roi.indices,
-        levels=levels,
-        ng=int(levels.max()),
-        spacing=roi.spacing,
-        bounds=_bounds(roi.indices),
-        volume_dims=roi.volume_dims,
-    )
-
-
-def clip_and_rescale(vol: Volume3D, lo: float, hi: float) -> Volume3D:
-    """Clamp to [lo, hi] then scale linearly to [0, 1]."""
-    if not lo < hi:
-        raise BadRange(f"need lo < hi, got [{lo}, {hi}]")
-    out = (np.clip(vol.intensities, lo, hi) - lo) / (hi - lo)
-    return Volume3D(
-        dims=vol.dims,
-        spacing=vol.spacing,
-        intensities=out,
-        orientation=vol.orientation,
-        origin=vol.origin,
-    )
+    return _discretized(roi, levels)
 
 
 def _target_dims(dims, spacing, target):

@@ -6,6 +6,8 @@ back in from the cohort manifest by subject id.
 """
 
 import csv
+import io
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -86,13 +88,27 @@ class FeatureTable:
                         dtype=np.int64)
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write text beside path and move it into place, so an interrupted
+    run leaves the old file or the whole new one, never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_features_csv(path, subject_ids, feature_names, matrix) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subject_id", *feature_names])
-        for sid, row in zip(subject_ids, matrix):
-            w.writerow([sid, *[repr(float(v)) for v in row]])
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["subject_id", *feature_names])
+    for sid, row in zip(subject_ids, matrix):
+        w.writerow([sid, *[repr(float(v)) for v in row]])
+    write_text_atomic(path, buf.getvalue())
 
 
 def read_features_csv(path):

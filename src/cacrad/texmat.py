@@ -1,41 +1,32 @@
-"""Gray-level texture matrices by direct neighborhood enumeration.
+"""Gray-level texture matrices as whole-array passes over the dense ROI grid.
 
 All five families share one neighborhood definition: the 26-neighborhood,
-collapsed to 13 unique directions (sign folded) for the ordered families.
-Matrices hold raw integer counts; normalization is the feature layer's job
-so these stay exactly comparable against brute-force oracles.
+collapsed to 13 unique directions (sign folded). ``forward_pairs`` yields
+each direction's grid overlap once for GLCM, GLSZM, GLDM and NGTDM; GLRLM
+reads the grid's lines along each direction laid end to end. Matrices
+hold raw integer counts; normalization is the feature layer's job so
+these stay exactly comparable against brute-force oracles.
 """
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
+from .errors import TooManyGrayLevels
 from .preprocess import DiscretizedRoi
+
+# Largest (13, ng, ng) int64 co-occurrence array compute_glcm allocates:
+# 256 MiB, or ng up to 1606.
+MAX_GLCM_BYTES = 1 << 28
 
 
 def unique_directions():
     """The 13 offsets of the 26-neighborhood with first nonzero component positive."""
-    out = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                d = (dx, dy, dz)
-                first = next((c for c in d if c != 0), 0)
-                if first > 0:
-                    out.append(d)
-    return tuple(out)
+    return tuple(d for d in product((-1, 0, 1), repeat=3) if d > (0, 0, 0))
 
 
 DIRECTIONS_13 = unique_directions()
-
-_NEIGHBORS_26 = tuple(
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) != (0, 0, 0)
-)
 
 
 @dataclass(frozen=True)
@@ -75,125 +66,127 @@ class Ngtdm:
         return self.n / self.valid_count
 
 
-def _overlap(shape, d):
-    """Slice pair (src, dst) such that dst = src + d, both in bounds."""
-    src, dst = [], []
-    for n, delta in zip(shape, d):
-        if abs(delta) >= n:
-            return None
-        if delta >= 0:
-            src.append(slice(0, n - delta))
-            dst.append(slice(delta, n))
-        else:
-            src.append(slice(-delta, n))
-            dst.append(slice(0, n + delta))
-    return tuple(src), tuple(dst)
+def forward_pairs(shape, distance: int = 1):
+    """Yield (src, dst) for each direction d_k of DIRECTIONS_13, in order.
+
+    src and dst are slice tuples into a grid of the given shape such that
+    ``grid[dst]`` holds the neighbours at offset ``distance * d_k`` of
+    ``grid[src]``; both are empty when the offset does not fit. Every
+    unordered neighbour pair appears exactly once.
+    """
+    for d in DIRECTIONS_13:
+        src, dst = [], []
+        for n, c in zip(shape, d):
+            fwd, back = max(c * distance, 0), max(-c * distance, 0)
+            src.append(slice(back, max(n - fwd, 0)))
+            dst.append(slice(fwd, max(n - back, 0)))
+        yield tuple(src), tuple(dst)
 
 
-def compute_glcm(roi: DiscretizedRoi, directions=DIRECTIONS_13, distance: int = 1) -> Glcm:
-    """Symmetric co-occurrence counts at the given offset distance, per direction."""
-    grid, _ = roi.dense_grid()
+def compute_glcm(roi: DiscretizedRoi, distance: int = 1) -> Glcm:
+    """Symmetric co-occurrence counts at the given offset distance, per
+    direction; TooManyGrayLevels, before allocating, past MAX_GLCM_BYTES."""
     ng = roi.ng
-    counts = np.zeros((len(directions), ng, ng), dtype=np.int64)
-    for k, d in enumerate(directions):
-        step = tuple(c * distance for c in d)
-        ov = _overlap(grid.shape, step)
-        if ov is None:
-            continue
-        src, dst = ov
-        a = grid[src]
-        b = grid[dst]
+    nbytes = len(DIRECTIONS_13) * ng * ng * 8
+    if nbytes > MAX_GLCM_BYTES:
+        raise TooManyGrayLevels(f"{ng} gray levels need a {nbytes / 2 ** 30:.1f} GiB GLCM, above "
+                                f"{MAX_GLCM_BYTES >> 20} MiB; widen bin_width or set n_bins")
+    grid, _ = roi.dense_grid()
+    counts = np.zeros((len(DIRECTIONS_13), ng, ng), dtype=np.int64)
+    for k, (src, dst) in enumerate(forward_pairs(grid.shape, distance)):
+        a, b = grid[src], grid[dst]
         valid = (a > 0) & (b > 0)
         np.add.at(counts[k], (a[valid] - 1, b[valid] - 1), 1)
-    counts = counts + counts.transpose(0, 2, 1)
-    return Glcm(counts=counts, directions=tuple(directions), distance=distance)
+        counts[k] += counts[k].T  # numpy buffers the overlap; no second (13, ng, ng) array
+    return Glcm(counts=counts, directions=DIRECTIONS_13, distance=distance)
 
 
-def compute_glrlm(roi: DiscretizedRoi, directions=DIRECTIONS_13) -> Glrlm:
-    """Maximal same-level collinear runs per direction; gaps break runs."""
+def _lines_along(grid, d):
+    """The grid's lines along d laid end to end, each followed by a 0: a
+    shear puts line (u, v) in row (u, v), indexed by the position t on d's
+    first nonzero axis, where d is +1."""
+    a = d.index(1)
+    (nb, db), (nc, dc) = [(grid.shape[j], d[j]) for j in range(3) if j != a]
+    na = grid.shape[a]
+    rows = np.zeros((nb + (na - 1) * abs(db), nc + (na - 1) * abs(dc), na + 1), grid.dtype)
+    b0, c0 = (na - 1) * (db == 1), (na - 1) * (dc == 1)
+    for t, plane in enumerate(np.moveaxis(grid, a, 0)):
+        rows[b0 - db * t:b0 - db * t + nb, c0 - dc * t:c0 - dc * t + nc, t] = plane
+    return rows.ravel()
+
+
+def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
+    """Maximal same-level collinear runs per direction; gaps break runs.
+
+    With the lines along d laid end to end, a run starts at an ROI voxel
+    whose predecessor differs and ends at one whose successor differs.
+    Starts and ends are then both in (line, position) order, so the k-th
+    start and the k-th end bound the same run.
+    """
     grid, _ = roi.dense_grid()
-    ng = roi.ng
-    shape = np.array(grid.shape)
     runs_per_dir = []
-    max_len = 1
-    for d in directions:
-        dvec = np.array(d)
-        # run starts: ROI voxels whose predecessor along d is absent or differs
-        same_prev = np.zeros(grid.shape, dtype=bool)
-        ov = _overlap(grid.shape, d)
-        if ov is not None:
-            src, dst = ov
-            same_prev[dst] = (grid[src] == grid[dst]) & (grid[src] > 0)
-        starts = np.argwhere((grid > 0) & ~same_prev)
-        levels = grid[starts[:, 0], starts[:, 1], starts[:, 2]]
-        lengths = np.ones(len(starts), dtype=np.int64)
-        cur = starts.copy()
-        alive = np.arange(len(starts))
-        while alive.size:
-            nxt = cur[alive] + dvec
-            inb = np.all((nxt >= 0) & (nxt < shape), axis=1)
-            cont = np.zeros(len(alive), dtype=bool)
-            if inb.any():
-                sub = nxt[inb]
-                cont[inb] = grid[sub[:, 0], sub[:, 1], sub[:, 2]] == levels[alive[inb]]
-            lengths[alive[cont]] += 1
-            cur[alive[cont]] = nxt[cont]
-            alive = alive[cont]
-        runs_per_dir.append((levels, lengths))
-        if len(lengths):
-            max_len = max(max_len, int(lengths.max()))
-    counts = np.zeros((len(directions), ng, max_len), dtype=np.int64)
+    for d in DIRECTIONS_13:
+        v = _lines_along(grid, d)
+        change = np.ones(len(v) + 1, dtype=bool)
+        np.not_equal(v[1:], v[:-1], out=change[1:-1])
+        inside = v > 0
+        starts = np.flatnonzero(change[:-1] & inside)
+        ends = np.flatnonzero(change[1:] & inside)
+        runs_per_dir.append((v[starts], ends - starts + 1))
+    max_len = max(int(lengths.max()) for _, lengths in runs_per_dir)
+    counts = np.zeros((len(DIRECTIONS_13), roi.ng, max_len), dtype=np.int64)
     for k, (levels, lengths) in enumerate(runs_per_dir):
         np.add.at(counts[k], (levels - 1, lengths - 1), 1)
-    return Glrlm(counts=counts, directions=tuple(directions))
+    return Glrlm(counts=counts, directions=DIRECTIONS_13)
 
 
 def compute_glszm(roi: DiscretizedRoi) -> Glszm:
-    """Zones: 26-connected components of equal gray level."""
+    """Zones: 26-connected components of equal gray level.
+
+    Components are labelled by hooking and pointer jumping (Shiloach and
+    Vishkin, 1982) over the equal-level neighbour pairs: each round hooks
+    every root onto the smallest root it shares a pair with, then jumps
+    pointers until each voxel points at its root. Every component that
+    still has a pair to another merges each round, so the number of
+    rounds is logarithmic in the ROI size.
+    """
     grid, _ = roi.dense_grid()
-    ng = roi.ng
-    visited = np.zeros(grid.shape, dtype=bool)
-    nx, ny, nz = grid.shape
-    zones = []  # (level, size)
-    for x0, y0, z0 in np.argwhere(grid > 0):
-        if visited[x0, y0, z0]:
-            continue
-        level = grid[x0, y0, z0]
-        size = 0
-        queue = deque([(x0, y0, z0)])
-        visited[x0, y0, z0] = True
-        while queue:
-            x, y, z = queue.popleft()
-            size += 1
-            for dx, dy, dz in _NEIGHBORS_26:
-                u, v, w = x + dx, y + dy, z + dz
-                if 0 <= u < nx and 0 <= v < ny and 0 <= w < nz:
-                    if not visited[u, v, w] and grid[u, v, w] == level:
-                        visited[u, v, w] = True
-                        queue.append((u, v, w))
-        zones.append((int(level), size))
-    max_size = max(s for _, s in zones)
-    counts = np.zeros((ng, max_size), dtype=np.int64)
-    for level, size in zones:
-        counts[level - 1, size - 1] += 1
+    inside = grid > 0
+    ids = np.cumsum(inside).reshape(grid.shape) - 1  # 0..n-1 on ROI voxels
+    u, v = [], []
+    for src, dst in forward_pairs(grid.shape):
+        same = (grid[src] == grid[dst]) & inside[src]
+        u.append(ids[src][same])
+        v.append(ids[dst][same])
+    u, v = np.concatenate(u), np.concatenate(v)
+    parent = np.arange(len(roi))
+    while len(u):
+        # u and v are roots here: hook the larger onto the smaller
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        up = parent[parent]
+        while not np.array_equal(up, parent):
+            parent, up = up, up[up]
+        u, v = parent[u], parent[v]
+        apart = u != v
+        u, v = u[apart], v[apart]
+    roots, sizes = np.unique(parent, return_counts=True)
+    counts = np.zeros((roi.ng, int(sizes.max())), dtype=np.int64)
+    np.add.at(counts, (grid[inside][roots] - 1, sizes - 1), 1)
     return Glszm(counts=counts)
 
 
 def compute_gldm(roi: DiscretizedRoi, alpha: int = 0) -> Gldm:
     """Dependence counts over in-ROI 26-neighbors with |level diff| <= alpha."""
-    grid, off = roi.dense_grid()
+    grid, _ = roi.dense_grid()
     dep = np.zeros(grid.shape, dtype=np.int64)
-    for d in _NEIGHBORS_26:
-        ov = _overlap(grid.shape, d)
-        if ov is None:
-            continue
-        src, dst = ov
-        ok = (grid[src] > 0) & (grid[dst] > 0) & (np.abs(grid[src] - grid[dst]) <= alpha)
+    for src, dst in forward_pairs(grid.shape):
+        a, b = grid[src], grid[dst]
+        ok = (a > 0) & (b > 0) & (np.abs(a - b) <= alpha)
         dep[dst] += ok
-    rel = roi.indices - off
-    deps = dep[rel[:, 0], rel[:, 1], rel[:, 2]]
+        dep[src] += ok
+    deps = dep[grid > 0]
     counts = np.zeros((roi.ng, int(deps.max()) + 1), dtype=np.int64)
-    np.add.at(counts, (roi.levels - 1, deps), 1)
+    np.add.at(counts, (grid[grid > 0] - 1, deps), 1)
     return Gldm(counts=counts, alpha=alpha)
 
 
@@ -203,16 +196,14 @@ def compute_ngtdm(roi: DiscretizedRoi) -> Ngtdm:
     Voxels with no in-ROI neighbor are excluded from both n_i and s_i.
     """
     grid, off = roi.dense_grid()
-    nb_sum = np.zeros(grid.shape, dtype=np.float64)
+    nb_sum = np.zeros(grid.shape, dtype=np.int64)  # grid is 0 outside the ROI
     nb_cnt = np.zeros(grid.shape, dtype=np.int64)
-    for d in _NEIGHBORS_26:
-        ov = _overlap(grid.shape, d)
-        if ov is None:
-            continue
-        src, dst = ov
-        in_roi = grid[src] > 0
-        nb_sum[dst] += np.where(in_roi, grid[src], 0)
-        nb_cnt[dst] += in_roi
+    for src, dst in forward_pairs(grid.shape):
+        a, b = grid[src], grid[dst]
+        nb_sum[dst] += a
+        nb_cnt[dst] += a > 0
+        nb_sum[src] += b
+        nb_cnt[src] += b > 0
     rel = roi.indices - off
     cnt = nb_cnt[rel[:, 0], rel[:, 1], rel[:, 2]]
     tot = nb_sum[rel[:, 0], rel[:, 1], rel[:, 2]]

@@ -30,9 +30,14 @@ def random_level_grid(rng, max_dims=(6, 6, 4), ng_max=5):
     grid = rng.integers(0, ng + 1, size=dims).astype(np.int64)
     if not (grid > 0).any():
         grid[tuple(rng.integers(0, d) for d in dims)] = ng
-    present = grid[grid > 0]
-    # renumber to a dense 1..ng' alphabet so DiscretizedRoi accepts it
-    levels = np.unique(present)
+    return renumber(grid)
+
+
+def renumber(grid):
+    """Levels of a grid with some nonzero voxel renumbered to a dense
+    1..ng' alphabet, so DiscretizedRoi accepts it."""
+    grid = grid.copy()
+    levels = np.unique(grid[grid > 0])
     remap = np.zeros(levels.max() + 1, dtype=np.int64)
     remap[levels] = np.arange(1, len(levels) + 1)
     grid[grid > 0] = remap[grid[grid > 0]]

@@ -13,7 +13,7 @@ from cacrad.features.texture import (
     ngtdm_features,
 )
 from cacrad.nifti import MaskVolume, Volume3D
-from cacrad.preprocess import discretize_fixed_width
+from cacrad.preprocess import discretize_fixed_width, resample_mask_nearest
 from cacrad.texmat import (
     compute_glcm,
     compute_gldm,
@@ -238,3 +238,25 @@ def test_empty_mask_raises():
     vol = Volume3D(dims=dims, spacing=(1, 1, 1), intensities=np.zeros(dims))
     with pytest.raises(EmptyMask):
         extract_all(vol, MaskVolume(dims=dims, labels=np.zeros(dims, bool)))
+
+
+def test_extract_all_resamples_volume_and_mask():
+    rng = np.random.default_rng(17)
+    dims = (10, 10, 8)
+    vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0),
+                   intensities=rng.normal(0.0, 80.0, size=dims))
+    labels = np.zeros(dims, dtype=bool)
+    labels[2:8, 2:8, 2:6] = True
+    mask = MaskVolume(dims=dims, labels=labels)
+    native = extract_all(vol, mask)
+    # a resample onto the native 1 mm grid changes no value
+    same = extract_all(vol, mask, ExtractionConfig(resample_spacing=(1.0, 1.0, 1.0)))
+    assert native.values.tobytes() == same.values.tobytes()
+    # at 2 mm, shape is measured on the nearest-neighbour mask in 2 mm voxels
+    coarse = extract_all(vol, mask, ExtractionConfig(resample_spacing=(2.0, 2.0, 2.0)))
+    kept = resample_mask_nearest(mask, vol.spacing, (2.0, 2.0, 2.0)).labels
+    assert kept.shape == (5, 5, 4) and kept.sum() == 18
+    got = coarse.as_dict()
+    assert got["shape_VoxelVolume"] == 8.0 * 18
+    assert got["shape_Maximum3DDiameter"] == pytest.approx(2.0 * np.sqrt(4 + 4 + 1))
+    assert not np.array_equal(native.values, coarse.values)

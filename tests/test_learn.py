@@ -224,6 +224,23 @@ def test_split_none_on_constant_block():
     assert _sse_best_split(x, y.astype(np.float64)) is None
 
 
+def test_adjacent_doubles_split_with_finite_leaves():
+    # their midpoint rounds to b, so a midpoint threshold would send every
+    # row left and repeat the split forever with max_depth None
+    a, b = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+    assert (a + b) / 2.0 == b
+    x = np.array([[a], [b], [a], [b]])
+    y = np.array([0, 1, 0, 1])
+    gini = grow_classification_tree(x, y, None, None, stream(0, "tree", 0))
+    fitted = np.empty(len(y))
+    sse = grow_regression_tree(x, y - 0.5, np.full(len(y), 0.25), None, fitted)
+    for tree in (gini, sse):
+        assert tree.threshold[0] == a
+        assert len(tree.value) == 3 and np.all(np.isfinite(tree.value))
+    assert gini.predict(x).tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert fitted.tolist() == sse.predict(x).tolist()
+
+
 def test_batched_gini_matches_per_node_reference():
     rng = np.random.default_rng(31)
     x = rng.integers(0, 4, size=(50, 9)).astype(np.float64)

@@ -13,6 +13,7 @@ from cacrad.errors import (
     TooFewRows,
 )
 from cacrad.embeddings import write_embeddings
+from cacrad.nifti import Volume3D, read_nifti, write_nifti
 from cacrad.phantom import generate_cohort
 from cacrad.pipeline import run_extract, run_stats, run_train_eval
 
@@ -77,6 +78,37 @@ def test_extract_skips_bad_subject_and_logs(cohort, tmp_path):
     assert len(report["excluded"]) == 1
     assert report["excluded"][0]["subject_id"] == victim
     assert report["excluded"][0]["error"] in ("BadMagic", "TruncatedFile")
+
+
+def test_extract_excludes_subject_with_too_many_gray_levels(cohort, tmp_path):
+    root, manifest = cohort
+    lines = Path(manifest).read_text().splitlines()
+    for k in range(1, len(lines)):
+        cells = lines[k].split(",")
+        cells[1] = str(root / cells[1])
+        cells[2] = str(root / cells[2])
+        lines[k] = ",".join(cells)
+    cells = lines[1].split(",")
+    vol = read_nifti(cells[1])
+    hu = vol.intensities.copy()
+    inside = np.argwhere(read_nifti(cells[2]).intensities != 0)
+    # a 60000 HU spread at bin_width 25 gives 2401 levels: a 0.6 GiB GLCM
+    hu[tuple(inside[0])], hu[tuple(inside[1])] = -30000.0, 30000.0
+    wide = tmp_path / "wide.nii"
+    write_nifti(Volume3D(dims=vol.dims, spacing=vol.spacing, intensities=hu,
+                         orientation=vol.orientation, origin=vol.origin), wide)
+    cells[1] = str(wide)
+    lines[1] = ",".join(cells)
+    m2 = tmp_path / "manifest.csv"
+    m2.write_text("\n".join(lines) + "\n")
+
+    out = tmp_path / "out"
+    report = run_extract(RunConfig(manifest=str(m2), out=str(out)))
+    assert report["n_extracted"] == 11
+    assert [e["subject_id"] for e in report["excluded"]] == [cells[0]]
+    assert report["excluded"][0]["error"] == "TooManyGrayLevels"
+    assert "2401 gray levels" in report["excluded"][0]["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["extract_report.json", "features.csv"]
 
 
 def test_extract_all_failed_is_fatal(tmp_path):

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacrad.errors import BadRange, BadSpacing, DimMismatch, EmptyRoi, NonPositiveWidth
+from cacrad.errors import BadSpacing, DimMismatch, EmptyRoi, NonPositiveWidth
 from cacrad.nifti import MaskVolume, Volume3D
 from cacrad.preprocess import (
     apply_mask,
-    clip_and_rescale,
     discretize_fixed_count,
     discretize_fixed_width,
     resample_mask_nearest,
@@ -101,17 +100,6 @@ def test_fixed_count_levels_property(vals, n_bins):
     if arr.min() != arr.max():
         # the top of the range lands exactly in the last bin
         assert disc.levels[np.argmax(roi.values)] == disc.ng
-
-
-def test_clip_and_rescale_bounds():
-    vals = np.array([[[-2000.0, -150.0, 0.0, 1500.0, 3000.0]]])
-    out = clip_and_rescale(small_volume(vals), -150.0, 1500.0)
-    got = out.intensities.ravel()
-    assert got[0] == 0.0 and got[1] == 0.0
-    assert got[3] == 1.0 and got[4] == 1.0
-    assert 0.0 < got[2] < 1.0
-    with pytest.raises(BadRange):
-        clip_and_rescale(small_volume(vals), 5.0, 5.0)
 
 
 def test_resample_constant_volume_stays_constant():

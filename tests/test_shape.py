@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cacrad.features.shape import (
+    _line_ends,
+    _max_pairwise,
     mesh_volume_area,
     shape_features,
     surface_voxels,
@@ -110,3 +112,117 @@ def test_axis_lengths_of_elongated_block():
     # uniform block along x: eigenvalue = population variance of 0..17
     var = np.arange(18).var()
     assert f["MajorAxisLength"] == pytest.approx(4 * math.sqrt(var), rel=1e-9)
+
+
+# --- pruned diameter search against the full pairwise scan ---------------
+
+DIAMETERS = ("Maximum3DDiameter", "Maximum2DDiameterXY",
+             "Maximum2DDiameterXZ", "Maximum2DDiameterYZ")
+
+
+def full_scan(points, chunk=2048):
+    """The unpruned pairwise scan, as shape features computed it before."""
+    if len(points) < 2:
+        return 0.0
+    best = 0.0
+    for lo in range(0, len(points), chunk):
+        block = points[lo:lo + chunk]
+        d2 = ((block[:, None, :] - points[None, lo:, :]) ** 2).sum(axis=2)
+        best = max(best, float(d2.max()))
+    return float(np.sqrt(best))
+
+
+def unpruned_diameters(mask, spacing):
+    """Every surface voxel against every other, in 3D and per slice."""
+    surf = surface_voxels(mask).astype(np.float64) * np.asarray(spacing)
+    out = {"Maximum3DDiameter": full_scan(surf)}
+    for plane, axis in (("XY", 2), ("XZ", 1), ("YZ", 0)):
+        keep = [k for k in range(3) if k != axis]
+        out["Maximum2DDiameter" + plane] = max(
+            full_scan(surf[surf[:, axis] == level][:, keep])
+            for level in np.unique(surf[:, axis]))
+    return out
+
+
+def snake_mask(n=12, layers=3):
+    """A one-voxel-wide path winding through every other row and plane."""
+    mask = np.zeros((n, n, 2 * layers - 1), dtype=bool)
+    mask[:, ::2, ::2] = True
+    for z in range(0, mask.shape[2], 2):
+        for y in range(1, n - 1, 2):
+            mask[(n - 1) * ((y // 2 + z // 2) % 2), y, z] = True
+    for z in range(1, mask.shape[2], 2):
+        mask[0, 0, z] = True
+    return mask
+
+
+def diagonal_line_mask(d, length=9):
+    mask = np.zeros((length,) * 3, dtype=bool)
+    start = np.array([length - 1 if c < 0 else 0 for c in d])
+    for t in range(length):
+        mask[tuple(start + t * np.array(d))] = True
+    return mask
+
+
+def adversarial_masks():
+    rng = np.random.default_rng(31)
+    yield "snake", snake_mask()
+    yield "parity", (np.indices((7, 6, 5)).sum(axis=0) % 2).astype(bool)
+    yield "box", np.ones((6, 5, 4), dtype=bool)
+    one = np.zeros((3, 3, 3), dtype=bool)
+    one[1, 1, 1] = True
+    yield "one voxel", one
+    for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1),
+              (1, 0, -1), (0, 1, 1), (0, 1, -1), (1, 1, 1), (1, 1, -1),
+              (1, -1, 1), (1, -1, -1)):
+        yield f"line {d}", diagonal_line_mask(d)
+    for trial in range(4):
+        shape = (22, 20, 14)
+        g = np.indices(shape) - np.array(shape)[:, None, None, None] / 2
+        blob = (g ** 2 / (np.array(shape)[:, None, None, None] / 2.2) ** 2).sum(axis=0) < 1
+        yield f"random {trial}", blob & (rng.random(shape) < 0.3 + 0.2 * trial)
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 0.45, 2.5)])
+def test_pruned_diameters_equal_full_scan(spacing):
+    for name, mask in adversarial_masks():
+        got = shape_features(mask, spacing)
+        want = unpruned_diameters(mask, spacing)
+        for key in DIAMETERS:
+            assert got[key] == want[key], (name, key)
+
+
+def test_line_ends_of_box_surface_are_its_corners():
+    mask = np.zeros((7, 6, 5), dtype=bool)
+    mask[1:6, 1:5, 1:4] = True
+    surf = surface_voxels(mask)
+    ends = _line_ends(surf, (0, 1, 2))
+    assert sorted(map(tuple, ends)) == sorted(
+        (x, y, z) for x in (1, 5) for y in (1, 4) for z in (1, 3))
+    # pruned within each plane, every z slice keeps its four corners
+    in_xy = _line_ends(surf, (0, 1))
+    assert len(in_xy) == 2 * 4 + 1 * 4
+
+
+def test_max_pairwise_matches_full_scan_across_chunks():
+    rng = np.random.default_rng(8)
+    pts = rng.integers(0, 40, size=(300, 3)) * np.array([0.7, 0.45, 1.3])
+    for chunk in (7, 64, 2048):
+        assert _max_pairwise(pts, chunk) == full_scan(pts, chunk)
+    assert _max_pairwise(pts[:1]) == 0.0
+
+
+@pytest.mark.parametrize("extent", [(6, 5, 4), (6, 1, 4), (1, 5, 4), (6, 5, 1)])
+@pytest.mark.parametrize("axes", [(0, 1, 2), (0, 1), (0, 2), (1, 2)])
+def test_line_ends_keeps_exactly_the_points_not_between_two_others(axes, extent):
+    rng = np.random.default_rng(len(axes) * 10 + axes[-1])
+    pts = np.argwhere(rng.random(extent) < 0.5)
+    between = set()
+    for p in map(tuple, pts):
+        for axis in axes:
+            on_line = [q[axis] for q in map(tuple, pts)
+                       if all(q[j] == p[j] for j in range(3) if j != axis)]
+            if min(on_line) < p[axis] < max(on_line):
+                between.add(p)
+    kept = set(map(tuple, _line_ends(pts, axes)))
+    assert kept == set(map(tuple, pts)) - between

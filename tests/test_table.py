@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,21 @@ def test_csv_round_trip_bitwise(tmp_path):
     p2 = tmp_path / "feat2.csv"
     write_features_csv(p2, rids, rnames, rmat)
     assert p2.read_bytes() == p.read_bytes()
+
+
+def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "features.csv"
+    write_features_csv(path, ["a"], ["f0"], np.array([[1.0]]))
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_features_csv(path, ["a", "b"], ["f0"], np.array([[2.0], [3.0]]))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
 
 
 def test_read_errors(tmp_path):

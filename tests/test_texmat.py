@@ -1,18 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cacrad.errors import TooManyGrayLevels
 from cacrad.texmat import (
     DIRECTIONS_13,
+    MAX_GLCM_BYTES,
     compute_glcm,
     compute_gldm,
     compute_glrlm,
     compute_glszm,
     compute_ngtdm,
+    forward_pairs,
     unique_directions,
 )
 
 import oracles
-from conftest import disc_from_grid, random_level_grid
+from conftest import disc_from_grid, random_level_grid, renumber
 
 
 def test_direction_set_matches_independent_enumeration():
@@ -154,3 +159,152 @@ def test_glcm_distance_two(rng):
     m = compute_glcm(disc, distance=2)
     assert oracles.same_counts(
         m.counts, oracles.glcm_counts(grid, disc.ng, list(m.directions), distance=2))
+
+
+# --- vectorized kernels against the voxel-by-voxel oracles ----------------
+
+def snake_grid(n=12, layers=3):
+    """One level-1 zone winding through every other row and plane, with
+    separate level-2 zones between its rows: a path of 233 voxels (at the
+    defaults) whose C-order ids zigzag, so labelling needs several hooking
+    rounds and pointer jumps."""
+    grid = np.zeros((n, n, 2 * layers - 1), dtype=np.int64)
+    path = []
+    for z in range(0, grid.shape[2], 2):
+        rows = range(0, n, 2) if z % 4 == 0 else range(n - 1 - (n - 1) % 2, -1, -2)
+        for k, y in enumerate(rows):
+            xs = range(n) if (k + z // 2) % 2 == 0 else range(n - 1, -1, -1)
+            path.extend((x, y, z) for x in xs)
+    for (x0, y0, z0), (x1, y1, z1) in zip(path, path[1:]):
+        grid[x0, y0, z0] = 1
+        # a turn two rows or planes away needs one connector voxel between
+        if abs(y1 - y0) == 2 or abs(z1 - z0) == 2:
+            grid[x0, (y0 + y1) // 2, (z0 + z1) // 2] = 1
+    grid[path[-1]] = 1
+    grid[:, 1::2, ::2][grid[:, 1::2, ::2] == 0] = 2
+    return grid
+
+
+def parity_grid(shape=(7, 6, 5)):
+    """Eight levels by coordinate parity: every 26-neighbour differs, so
+    every zone is one voxel and every run has length one."""
+    g = np.indices(shape)
+    return (g[0] % 2 + 2 * (g[1] % 2) + 4 * (g[2] % 2) + 1).astype(np.int64)
+
+
+def diagonal_lines_grid(d, length=7):
+    """A level-1 line along d and, one voxel beside it, a level-2 line
+    with a gap in the middle, on an otherwise empty grid."""
+    grid = np.zeros((length + 1,) * 3, dtype=np.int64)
+    start = np.array([length - 1 if c < 0 else 0 for c in d])
+    side = np.zeros(3, dtype=np.int64)
+    side[d.index(0) if 0 in d else 1] = 1
+    for t in range(length):
+        p = start + t * np.array(d)
+        grid[tuple(p)] = 1
+        if t != length // 2:
+            grid[tuple(p + side)] = 2
+    return grid
+
+
+def smooth_random_grid(rng, shape, ng, fill):
+    """Blocky levels (2x2x2 cells of one level) with holes: big zones,
+    long runs, many ties."""
+    coarse = rng.integers(1, ng + 1, size=tuple((s + 1) // 2 for s in shape))
+    grid = np.repeat(np.repeat(np.repeat(coarse, 2, 0), 2, 1), 2, 2)[
+        :shape[0], :shape[1], :shape[2]]
+    grid = grid * (rng.random(shape) < fill)
+    return renumber(grid)
+
+
+def assert_zones_and_runs_match_oracle(grid):
+    disc = disc_from_grid(grid)
+    z = compute_glszm(disc)
+    assert np.array_equal(z.counts, oracles.glszm_counts(grid, disc.ng))
+    r = compute_glrlm(disc)
+    assert np.array_equal(r.counts,
+                          oracles.glrlm_counts(grid, disc.ng, list(r.directions)))
+    return z, r
+
+
+def test_snake_is_one_long_zone():
+    grid = snake_grid()
+    z, _ = assert_zones_and_runs_match_oracle(grid)
+    snake = int((grid == 1).sum())
+    assert snake > 100
+    assert z.counts[0, snake - 1] == 1 and z.counts[0].sum() == 1
+
+
+def test_parity_grid_has_only_single_voxel_zones_and_runs():
+    grid = parity_grid()
+    z, r = assert_zones_and_runs_match_oracle(grid)
+    assert z.counts.shape == (8, 1) and z.counts.sum() == grid.size
+    assert r.counts.shape[2] == 1
+
+
+def test_solid_box_is_one_zone_of_full_runs():
+    grid = np.ones((5, 4, 3), dtype=np.int64)
+    z, r = assert_zones_and_runs_match_oracle(grid)
+    assert z.counts.shape == (1, 60) and z.counts[0, 59] == 1
+    kx = DIRECTIONS_13.index((1, 0, 0))
+    assert r.counts[kx, 0, 4] == 12 and r.counts[kx].sum() == 12
+
+
+def test_one_voxel_roi_matches_oracle():
+    grid = np.zeros((1, 1, 1), dtype=np.int64)
+    grid[0, 0, 0] = 1
+    z, r = assert_zones_and_runs_match_oracle(grid)
+    assert z.counts.shape == (1, 1) and r.counts.shape == (13, 1, 1)
+
+
+@pytest.mark.parametrize("d", DIRECTIONS_13)
+def test_diagonal_lines_match_oracle(d):
+    z, r = assert_zones_and_runs_match_oracle(diagonal_lines_grid(d))
+    k = DIRECTIONS_13.index(d)
+    # the full line is one zone and one run of 7, the broken one two of 3
+    assert r.counts[k, 0, 6] == 1 and r.counts[k, 1, 2] == 2
+    assert z.counts[0, 6] == 1 and z.counts[1, 2] == 2
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_large_random_rois_match_oracle(trial):
+    rng = np.random.default_rng(77 + trial)
+    shape = (20, 18, 14)
+    if trial % 2:
+        grid = smooth_random_grid(rng, shape, ng=3, fill=0.9)
+    else:
+        grid = renumber(rng.integers(0, 3, size=shape))
+    assert 2000 < (grid > 0).sum() <= 5040
+    assert_zones_and_runs_match_oracle(grid)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 2), (4, 3, 2), (2, 5, 1)])
+@pytest.mark.parametrize("distance", [1, 2, 3])
+def test_forward_pairs_cover_each_neighbour_pair_once(shape, distance):
+    ids = np.arange(np.prod(shape)).reshape(shape)
+    got = []
+    for k, (src, dst) in enumerate(forward_pairs(shape, distance)):
+        assert ids[src].shape == ids[dst].shape
+        got += [(k, int(a), int(b)) for a, b in zip(ids[src].ravel(), ids[dst].ravel())]
+    want = []
+    for k, d in enumerate(DIRECTIONS_13):
+        for p in np.ndindex(*shape):
+            q = tuple(p[j] + distance * d[j] for j in range(3))
+            if all(0 <= q[j] < shape[j] for j in range(3)):
+                want.append((k, int(ids[p]), int(ids[q])))
+    assert sorted(got) == sorted(want)
+
+
+def test_glcm_refuses_too_many_gray_levels_before_allocating():
+    grid = np.zeros((2, 1, 1), dtype=np.int64)
+    grid[0, 0, 0], grid[1, 0, 0] = 1, 2000
+    disc = disc_from_grid(grid)
+    assert 13 * 2000 * 2000 * 8 > MAX_GLCM_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyGrayLevels):
+            compute_glcm(disc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
