@@ -33,7 +33,7 @@ class UnsupportedDatatype(DataError):
 
 
 class TruncatedFile(DataError):
-    """File ends before the declared header or voxel data."""
+    """File ends before the declared header or voxel data, or its gzip stream is corrupt."""
 
 
 class NonPositiveSpacing(DataError):

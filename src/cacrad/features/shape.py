@@ -14,8 +14,12 @@ from .mc_tables import CORNER_OFFSETS, EDGE_PAIRS, TRI_EDGES
 _EDGE_MIDPOINTS = (CORNER_OFFSETS[EDGE_PAIRS[:, 0]] + CORNER_OFFSETS[EDGE_PAIRS[:, 1]]) / 2.0
 
 
-def triangulate_mask(labels: np.ndarray, spacing) -> np.ndarray:
-    """Triangle soup (n_tri, 3 vertices, xyz mm) of the padded 0.5-isosurface."""
+def triangulate_mask(labels: np.ndarray, spacing, offset=(0, 0, 0)) -> np.ndarray:
+    """Triangle soup (n_tri, 3 vertices, xyz mm) of the padded 0.5-isosurface.
+
+    offset is the grid index of labels[0, 0, 0]; it is added to each cube's
+    integer index, so a cropped mask gives the whole mask's soup, bit for bit.
+    """
     outside = np.pad(labels, 1) < 0.5
     cx, cy, cz = (d - 1 for d in outside.shape)
     case = np.zeros((cx, cy, cz), dtype=np.uint8)
@@ -23,6 +27,7 @@ def triangulate_mask(labels: np.ndarray, spacing) -> np.ndarray:
         case |= outside[ox:ox + cx, oy:oy + cy, oz:oz + cz].astype(np.uint8) << bit
     active = np.argwhere((case > 0) & (case < 255))
     rows = TRI_EDGES[case[active[:, 0], active[:, 1], active[:, 2]]]
+    active += np.asarray(offset, dtype=active.dtype)
     tris = []
     for t in range(0, 15, 3):
         has = rows[:, t] >= 0
@@ -51,6 +56,16 @@ def surface_voxels(labels: np.ndarray) -> np.ndarray:
     interior = (p[:-2, 1:-1, 1:-1] & p[2:, 1:-1, 1:-1] & p[1:-1, :-2, 1:-1]
                 & p[1:-1, 2:, 1:-1] & p[1:-1, 1:-1, :-2] & p[1:-1, 1:-1, 2:])
     return np.argwhere(labels & ~interior)
+
+
+def _bounding_box(labels: np.ndarray):
+    """Slices of the smallest box holding every mask voxel, and its first corner."""
+    lo, hi = [], []
+    for axis in range(3):
+        hit = np.flatnonzero(labels.any(axis=tuple(j for j in range(3) if j != axis)))
+        lo.append(hit[0])
+        hi.append(hit[-1] + 1)
+    return tuple(map(slice, lo, hi)), np.array(lo)
 
 
 def _line_ends(idx: np.ndarray, axes) -> np.ndarray:
@@ -91,11 +106,15 @@ def shape_features(labels: np.ndarray, spacing) -> dict:
         raise EmptyMask("shape features need at least one mask voxel")
     sp = np.asarray(spacing, dtype=np.float64)
     nvox = int(labels.sum())
+    # The three passes below pad by a voxel of zeros themselves, so the
+    # bounding box is all they need; integer indices get its corner back.
+    box, corner = _bounding_box(labels)
+    labels = labels[box]
 
-    tri = triangulate_mask(labels, sp)
+    tri = triangulate_mask(labels, sp, corner)
     vol, area = mesh_volume_area(tri)
 
-    surf = surface_voxels(labels)
+    surf = surface_voxels(labels) + corner
     max3d = _max_pairwise(_line_ends(surf, (0, 1, 2)) * sp)
     max2d = {}
     for plane, axis in (("XY", 2), ("XZ", 1), ("YZ", 0)):
@@ -104,7 +123,7 @@ def shape_features(labels: np.ndarray, spacing) -> dict:
         max2d[plane] = max(_max_pairwise(ends[ends[:, axis] == level][:, keep] * sp[keep])
                            for level in np.unique(ends[:, axis]))
 
-    centers = np.argwhere(labels).astype(np.float64) * sp
+    centers = (np.argwhere(labels) + corner).astype(np.float64) * sp
     centered = centers - centers.mean(axis=0)
     cov = centered.T @ centered / nvox
     lam = np.linalg.eigvalsh(cov)

@@ -8,6 +8,7 @@ hold raw integer counts; normalization is the feature layer's job so
 these stay exactly comparable against brute-force oracles.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -16,9 +17,10 @@ import numpy as np
 from .errors import TooManyGrayLevels
 from .preprocess import DiscretizedRoi
 
-# Largest (13, ng, ng) int64 co-occurrence array compute_glcm allocates:
-# 256 MiB, or ng up to 1606.
-MAX_GLCM_BYTES = 1 << 28
+# Largest int64 count matrix a texture family allocates: 256 MiB. For the
+# (13, ng, ng) GLCM that is ng up to 1606; the GLRLM (13, ng, longest run)
+# and the GLSZM (ng, largest zone) also grow with the ROI.
+MAX_MATRIX_BYTES = 1 << 28
 
 
 def unique_directions():
@@ -83,16 +85,22 @@ def forward_pairs(shape, distance: int = 1):
         yield tuple(src), tuple(dst)
 
 
+def _count_matrix(shape, name):
+    """Zeroed int64 counts of the given shape, whose axis -2 runs over the
+    gray levels; TooManyGrayLevels, before allocating, past MAX_MATRIX_BYTES."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > MAX_MATRIX_BYTES:
+        raise TooManyGrayLevels(
+            f"{shape[-2]} gray levels need a {nbytes / 2 ** 30:.1f} GiB {name} of shape {shape}, "
+            f"above {MAX_MATRIX_BYTES >> 20} MiB; widen bin_width or set n_bins")
+    return np.zeros(shape, dtype=np.int64)
+
+
 def compute_glcm(roi: DiscretizedRoi, distance: int = 1) -> Glcm:
-    """Symmetric co-occurrence counts at the given offset distance, per
-    direction; TooManyGrayLevels, before allocating, past MAX_GLCM_BYTES."""
+    """Symmetric co-occurrence counts at the given offset distance, per direction."""
     ng = roi.ng
-    nbytes = len(DIRECTIONS_13) * ng * ng * 8
-    if nbytes > MAX_GLCM_BYTES:
-        raise TooManyGrayLevels(f"{ng} gray levels need a {nbytes / 2 ** 30:.1f} GiB GLCM, above "
-                                f"{MAX_GLCM_BYTES >> 20} MiB; widen bin_width or set n_bins")
+    counts = _count_matrix((len(DIRECTIONS_13), ng, ng), "GLCM")
     grid, _ = roi.dense_grid()
-    counts = np.zeros((len(DIRECTIONS_13), ng, ng), dtype=np.int64)
     for k, (src, dst) in enumerate(forward_pairs(grid.shape, distance)):
         a, b = grid[src], grid[dst]
         valid = (a > 0) & (b > 0)
@@ -134,7 +142,7 @@ def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
         ends = np.flatnonzero(change[1:] & inside)
         runs_per_dir.append((v[starts], ends - starts + 1))
     max_len = max(int(lengths.max()) for _, lengths in runs_per_dir)
-    counts = np.zeros((len(DIRECTIONS_13), roi.ng, max_len), dtype=np.int64)
+    counts = _count_matrix((len(DIRECTIONS_13), roi.ng, max_len), "GLRLM")
     for k, (levels, lengths) in enumerate(runs_per_dir):
         np.add.at(counts[k], (levels - 1, lengths - 1), 1)
     return Glrlm(counts=counts, directions=DIRECTIONS_13)
@@ -170,7 +178,7 @@ def compute_glszm(roi: DiscretizedRoi) -> Glszm:
         apart = u != v
         u, v = u[apart], v[apart]
     roots, sizes = np.unique(parent, return_counts=True)
-    counts = np.zeros((roi.ng, int(sizes.max())), dtype=np.int64)
+    counts = _count_matrix((roi.ng, int(sizes.max())), "GLSZM")
     np.add.at(counts, (grid[inside][roots] - 1, sizes - 1), 1)
     return Glszm(counts=counts)
 

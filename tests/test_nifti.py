@@ -3,9 +3,13 @@ import struct
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacrad.errors import (
     BadMagic,
+    CacradError,
     NonPositiveSpacing,
     TruncatedFile,
     UnsupportedDatatype,
@@ -70,6 +74,19 @@ def test_gzip_write_is_byte_stable(tmp_path):
     write_nifti(vol, p1)
     write_nifti(vol, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("dtype", ["int16", "float32", "float64"])
+@pytest.mark.parametrize("byteorder", ["<", ">"])
+def test_gzip_is_the_plain_file_at_the_fast_level(tmp_path, dtype, byteorder):
+    vol = sample_volume(seed=10)
+    packed, plain = tmp_path / "v.nii.gz", tmp_path / "v.nii"
+    write_nifti(vol, packed, dtype=dtype, byteorder=byteorder)
+    write_nifti(vol, plain, dtype=dtype, byteorder=byteorder)
+    raw = packed.read_bytes()
+    # XFL (RFC 1952) 4 means "fastest algorithm"; Python sets it for level 1 only
+    assert raw[8] == 4
+    assert gzip.decompress(raw) == plain.read_bytes()
 
 
 def test_scl_slope_zero_means_unscaled(tmp_path):
@@ -220,3 +237,63 @@ def test_mask_volume_from_volume_binarizes():
 
 def test_header_size_constant_sanity():
     assert HEADER_SIZE == 348
+
+
+# Header fields as (offset, struct code, count): the ones read_nifti parses
+_FIELDS = [(40, "h", 8), (70, "h", 2), (76, "f", 8), (108, "f", 1), (112, "f", 2),
+           (252, "h", 2), (256, "f", 6), (280, "f", 12), (344, "4s", 1)]
+
+
+@st.composite
+def _header_edit(draw):
+    offset, code, count = draw(st.sampled_from(_FIELDS))
+    value = draw({"h": st.sampled_from([-2 ** 15, -1, 0, 1, 7, 8, 2 ** 15 - 1])
+                       | st.integers(-2 ** 15, 2 ** 15 - 1),
+                  "f": st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -1.0,
+                                        3.4e38]) | st.floats(width=32),
+                  "4s": st.sampled_from([b"ni1\0", b"n+2\0"]) | st.binary(min_size=4, max_size=4)}[code])
+    k = draw(st.integers(0, count - 1))
+    return offset + k * struct.calcsize(code), code, value
+
+
+_flips = st.lists(st.tuples(st.integers(0, 2 ** 20), st.integers(1, 255)), max_size=3)
+_cut = st.none() | st.integers(0, 2 ** 20)
+
+
+def _flip_and_cut(raw, flips, cut):
+    for pos, mask in flips:
+        raw[pos % len(raw)] ^= mask
+    return raw if cut is None else raw[:cut % (len(raw) + 1)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Valid files 0.nii to 5.nii: int16, float32, float64, each in < then >."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for k in range(6):
+        write_nifti(sample_volume(seed=11, dims=(5, 4, 3)), root / f"{k}.nii",
+                    dtype=("int16", "float32", "float64")[k // 2], byteorder="<>"[k % 2])
+    return root
+
+
+@hypothesis.seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(which=st.integers(0, 5), edits=st.lists(_header_edit(), max_size=3),
+       flips=_flips, cut=_cut, packed=st.booleans(), packed_flips=_flips,
+       packed_cut=_cut)
+def test_read_nifti_fuzz_raises_only_cacrad_errors(fuzz_dir, which, edits, flips,
+                                                   cut, packed, packed_flips, packed_cut):
+    raw = bytearray((fuzz_dir / f"{which}.nii").read_bytes())
+    for offset, code, value in edits:
+        struct.pack_into("<>"[which % 2] + code, raw, offset, value)
+    raw = _flip_and_cut(raw, flips, cut)
+    path = fuzz_dir / "case.nii"
+    if packed:
+        raw = _flip_and_cut(bytearray(gzip.compress(bytes(raw), mtime=0)),
+                            packed_flips, packed_cut)
+        path = fuzz_dir / "case.nii.gz"
+    path.write_bytes(bytes(raw))
+    try:
+        read_nifti(path)
+    except CacradError:
+        pass

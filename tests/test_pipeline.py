@@ -286,3 +286,35 @@ def test_embeddings_mode(cohort, tmp_path):
     with pytest.raises(ConfigError):
         run_train_eval(RunConfig(manifest=str(manifest), mode="embeddings",
                                  out=str(tmp_path / "x"), **SVM_ONLY))
+
+
+def test_embeddings_mode_filter_drops_near_duplicate_columns(cohort, tmp_path):
+    root, manifest = cohort
+    from cacrad.manifest import load_manifest
+
+    ids = load_manifest(manifest).subject_ids()
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(len(ids), 2))
+    noise = 1e-3 * rng.normal(size=(len(ids), 2))
+    # e1 nearly doubles e0 and e3 nearly negates e2: |r| > 0.99 on any split
+    mat = np.column_stack([base[:, 0], 2.0 * base[:, 0] + noise[:, 0],
+                           base[:, 1], -base[:, 1] + noise[:, 1]])
+    emb_path = tmp_path / "deep_pool.csv"
+    write_embeddings(emb_path, list(ids), mat)
+
+    models = ("linear_svm", "random_forest")
+    cfg = RunConfig(manifest=str(manifest), out=str(tmp_path / "emb_out"),
+                    mode="embeddings", embeddings_csv=str(emb_path),
+                    filter_embeddings=True, seed=1, n_seeds=2, test_fraction=0.25,
+                    models=models, kfold=2,
+                    grid_overrides=SVM_ONLY["grid_overrides"] + (
+                        ("random_forest", (("n_trees", (5,)), ("max_depth", (2,)))),))
+    report = run_train_eval(cfg)
+    assert len(report["runs"]) == 2
+    for run in report["runs"]:
+        assert run["kept_features"] == ["e0", "e2"]
+        assert run["n_features_kept"] == 2
+        assert sorted(run["models"]) == sorted(models)
+    lines = (tmp_path / "emb_out" / "metrics.csv").read_text().splitlines()
+    assert sorted(line.split(",")[:2] for line in lines[1:]) == sorted(
+        [kind, str(seed)] for seed in report["seeds"] for kind in models)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cacrad.features import shape
 from cacrad.features.shape import (
     _line_ends,
     _max_pairwise,
@@ -226,3 +227,51 @@ def test_line_ends_keeps_exactly_the_points_not_between_two_others(axes, extent)
                 between.add(p)
     kept = set(map(tuple, _line_ends(pts, axes)))
     assert kept == set(map(tuple, pts)) - between
+
+
+def border_masks():
+    rng = np.random.default_rng(47)
+    shape = (9, 8, 6)
+    yield "full", np.ones(shape, dtype=bool)
+    for name, corner in (("low corner", (0, 0, 0)), ("high corner", (-1, -1, -1))):
+        one = np.zeros(shape, dtype=bool)
+        one[corner] = True
+        yield name, one
+    for axis in range(3):
+        for end in (0, -1):
+            face = np.zeros(shape, dtype=bool)
+            face[(slice(None),) * axis + (end,)] = True
+            yield f"face {axis} {end}", face
+    high = np.zeros(shape, dtype=bool)
+    high[4:, 3:, 2:] = rng.random((5, 5, 4)) < 0.6
+    yield "high box", high
+    for trial in range(3):
+        yield f"random {trial}", rng.random(shape) < 0.2 + 0.3 * trial
+    for name, mask in adversarial_masks():
+        yield "padded " + name, np.pad(mask, ((3, 0), (0, 2), (1, 1)))
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 0.45, 2.5)])
+def test_bounding_box_crop_equals_uncropped_path(monkeypatch, spacing):
+    cropped = {name: shape_features(mask, spacing) for name, mask in border_masks()}
+    monkeypatch.setattr(shape, "_bounding_box",
+                        lambda labels: ((slice(None),) * 3, np.zeros(3, dtype=np.int64)))
+    for name, mask in border_masks():
+        whole = shape_features(mask, spacing)
+        assert cropped[name].keys() == whole.keys()
+        for key, value in whole.items():
+            assert cropped[name][key] == value, (name, key)
+
+
+def test_cropped_triangle_soup_is_bit_identical():
+    rng = np.random.default_rng(48)
+    mask = np.zeros((10, 9, 7), dtype=bool)
+    mask[3:9, :5, 2:] = rng.random((6, 5, 5)) < 0.5
+    box, corner = shape._bounding_box(mask)
+    assert [(s.start, s.stop) for s in box] == [
+        (int(np.argwhere(mask)[:, k].min()), int(np.argwhere(mask)[:, k].max()) + 1)
+        for k in range(3)]
+    spacing = (0.7, 0.45, 2.5)
+    whole = triangulate_mask(mask, spacing)
+    assert whole.tobytes() == triangulate_mask(mask[box], spacing, corner).tobytes()
+    assert np.array_equal(surface_voxels(mask), surface_voxels(mask[box]) + corner)

@@ -6,7 +6,7 @@ import pytest
 from cacrad.errors import TooManyGrayLevels
 from cacrad.texmat import (
     DIRECTIONS_13,
-    MAX_GLCM_BYTES,
+    MAX_MATRIX_BYTES,
     compute_glcm,
     compute_gldm,
     compute_glrlm,
@@ -299,11 +299,29 @@ def test_glcm_refuses_too_many_gray_levels_before_allocating():
     grid = np.zeros((2, 1, 1), dtype=np.int64)
     grid[0, 0, 0], grid[1, 0, 0] = 1, 2000
     disc = disc_from_grid(grid)
-    assert 13 * 2000 * 2000 * 8 > MAX_GLCM_BYTES
+    assert 13 * 2000 * 2000 * 8 > MAX_MATRIX_BYTES
     tracemalloc.start()
     try:
         with pytest.raises(TooManyGrayLevels):
             compute_glcm(disc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("compute", [compute_glszm, compute_glrlm])
+def test_zone_and_run_matrices_refuse_past_the_bound_before_allocating(compute):
+    # one 2000-voxel zone and run at level 1 and one voxel at level 20000:
+    # a 0.3 GiB GLSZM and a 4.2 GiB GLRLM from a 2001-voxel ROI
+    grid = np.ones((1, 1, 2001), dtype=np.int64)
+    grid[0, 0, -1] = 20000
+    disc = disc_from_grid(grid)
+    assert 20000 * 2000 * 8 > MAX_MATRIX_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyGrayLevels, match="20000 gray levels"):
+            compute(disc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
