@@ -6,13 +6,14 @@ so a report always carries the exact configuration that produced it.
 Grid overrides use dotted keys: ``grid.random_forest.n_trees = 100,300``.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
 from .learn.grid import DEFAULT_GRIDS, HyperGrid
-from .learn.model import MODEL_KINDS
+from .learn.model import MODEL_KINDS, build_model
 
 MODES = ("radiomics", "embeddings")
 COMPOSITIONS = ("mixed", "noncontrast")
@@ -55,8 +56,17 @@ class RunConfig:
         if not (0.0 < self.selection_threshold <= 1.0):
             raise ConfigError(
                 f"selection_threshold must be in (0, 1], got {self.selection_threshold}")
-        if self.bin_width <= 0:
-            raise ConfigError(f"bin_width must be > 0, got {self.bin_width}")
+        if not 0 < self.bin_width < math.inf:
+            raise ConfigError(f"bin_width must be a finite number > 0, got {self.bin_width}")
+        if self.resample_spacing is not None and (
+                len(self.resample_spacing) != 3
+                or not all(0 < s < math.inf for s in self.resample_spacing)):
+            raise ConfigError("resample_spacing must be none or three finite numbers > 0, "
+                              f"got {self.resample_spacing}")
+        if self.glcm_distance < 1:
+            raise ConfigError(f"glcm_distance must be >= 1, got {self.glcm_distance}")
+        if self.gldm_alpha < 0:
+            raise ConfigError(f"gldm_alpha must be >= 0, got {self.gldm_alpha}")
         if self.n_bins is not None and self.n_bins < 1:
             raise ConfigError(f"n_bins must be >= 1, got {self.n_bins}")
         if self.kfold < 2:
@@ -66,11 +76,12 @@ class RunConfig:
         if self.gbt_preset not in GBT_PRESETS:
             raise ConfigError(f"gbt_preset must be one of {GBT_PRESETS}, got {self.gbt_preset!r}")
         bad = [m for m in self.models if m not in MODEL_KINDS]
-        if bad:
-            raise ConfigError(f"unknown models {bad}, expected from {MODEL_KINDS}")
-        for model, _params in self.grid_overrides:
+        if bad or not self.models:
+            raise ConfigError(f"models must name some of {MODEL_KINDS}, got {list(self.models)}")
+        for model, params in self.grid_overrides:
             if model not in MODEL_KINDS:
                 raise ConfigError(f"grid override for unknown model {model!r}")
+            _check_grid(model, params)
         return self
 
     def grid_for(self, kind: str) -> HyperGrid:
@@ -80,6 +91,22 @@ class RunConfig:
         if kind == "gbt" and self.gbt_preset == "alt":
             return DEFAULT_GRIDS["gbt_alt"]
         return DEFAULT_GRIDS[kind]
+
+
+def _check_grid(model: str, params: tuple) -> None:
+    """Grid values are none, true, false or finite numbers > 0, and every
+    grid point builds a model, so a bad override fails before any work."""
+    for name, values in params:
+        for v in values:
+            if v is None or isinstance(v, bool):
+                continue
+            if isinstance(v, str) or not 0 < v < math.inf:
+                raise ConfigError(f"grid.{model}.{name}: {v!r} is not a finite number > 0")
+    try:
+        for point in HyperGrid(params=params).points():
+            build_model(model, point)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid.{model}: {exc}") from exc
 
 
 def _parse_scalar(token: str):

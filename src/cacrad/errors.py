@@ -40,6 +40,10 @@ class NonPositiveSpacing(DataError):
     """Header carries a zero or negative voxel spacing."""
 
 
+class NonFiniteOrientation(DataError):
+    """The sform or qform in use carries a NaN or infinite entry."""
+
+
 class IoFailure(DataError):
     """Underlying OS-level read/write failure."""
 

@@ -42,7 +42,7 @@ class HyperGrid:
 
 # Small by construction so a full 4-model search stays desk-scale.
 # "gbt" and "gbt_alt" are two named presets over the one boosted-trees
-# implementation; pick via config key grid.gbt.preset.
+# implementation; pick via config key gbt_preset.
 DEFAULT_GRIDS = {
     "random_forest": HyperGrid.of(n_trees=(100, 300), max_depth=(4, 8, None)),
     "gbt": HyperGrid.of(n_rounds=(100, 200), learning_rate=(0.1, 0.3), max_depth=(2, 3)),

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     IoFailure,
+    NonFiniteOrientation,
     NonPositiveSpacing,
     TruncatedFile,
     UnsupportedDatatype,
@@ -65,7 +66,7 @@ class Volume3D:
         orient = self.orientation
         orient = np.eye(3) if orient is None else np.asarray(orient, dtype=np.float64)
         norms = np.linalg.norm(orient, axis=0)
-        if orient.shape != (3, 3) or np.any(np.abs(norms - 1.0) > 1e-6):
+        if orient.shape != (3, 3) or not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise ValueError("orientation columns must be unit vectors")
         data = np.asarray(self.intensities, dtype=np.float64)
         if data.size != dims[0] * dims[1] * dims[2]:
@@ -196,6 +197,10 @@ def read_nifti(path) -> Volume3D:
 
     if not np.isfinite(vox_offset):
         raise UnsupportedDatatype(f"{path}: vox_offset {vox_offset}")
+    if sform_code > 0 and not np.all(np.isfinite(srows)):
+        raise NonFiniteOrientation(f"{path}: sform rows {srows.tolist()}")
+    if qform_code > 0 and not np.all(np.isfinite(quat)):
+        raise NonFiniteOrientation(f"{path}: quaternion and offset {quat}")
 
     dtype = np.dtype(bo + _DTYPES[datatype][0])
     nvox = shape[0] * shape[1] * shape[2]

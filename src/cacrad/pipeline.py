@@ -5,6 +5,9 @@ configured output directory, and returns the report dictionary it wrote.
 Reports embed the raw config text so every artifact is self-describing.
 Wall-clock timing lives in a single top-level "timing" key; everything
 else in a report is a pure function of (inputs, config, seed).
+Subjects and seeds are independent items that ``map_ordered`` spreads
+over the CPUs and gathers in order, so no artifact depends on how many
+CPUs the run had.
 """
 
 import json
@@ -29,6 +32,7 @@ from .learn.model import MODEL_KINDS, train_with_grid
 from .learn.split import stratified_split
 from .manifest import ContrastGroup, load_manifest
 from .nifti import MaskVolume, read_nifti
+from .parallel import map_ordered
 from .rng import derive_seed, stream
 from .selection import correlation_filter
 from .table import attach_cohort, read_features_csv, write_features_csv, write_text_atomic
@@ -63,21 +67,26 @@ def run_extract(cfg: RunConfig) -> dict:
     entries = sorted(manifest.entries, key=lambda e: e.subject_id)
     ext_cfg = _extraction_config(cfg)
 
-    ids, rows, excluded = [], [], []
-    for entry in entries:
+    def extract_one(entry):
+        """(feature values, None), or (None, exclusion record)."""
         try:
             vol = read_nifti(entry.volume_path)
             mask = MaskVolume.from_volume(read_nifti(entry.mask_path))
-            vec = extract_all(vol, mask, ext_cfg)
+            return extract_all(vol, mask, ext_cfg).values, None
         except (CacradError, ValueError) as exc:
-            excluded.append({
+            return None, {
                 "subject_id": entry.subject_id,
                 "error": type(exc).__name__,
                 "message": str(exc),
-            })
-            continue
-        ids.append(entry.subject_id)
-        rows.append(vec.values)
+            }
+
+    ids, rows, excluded = [], [], []
+    for entry, (values, exclusion) in zip(entries, map_ordered(extract_one, entries)):
+        if exclusion is not None:
+            excluded.append(exclusion)
+        else:
+            ids.append(entry.subject_id)
+            rows.append(values)
     if not ids:
         raise TooFewRows("every subject failed extraction; nothing to write")
 
@@ -152,8 +161,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
     else:
         seeds = [derive_seed(cfg.seed, "run", i) for i in range(cfg.n_seeds)]
 
-    runs = []
-    for run_seed in seeds:
+    def run_one(run_seed):
         train_rows, test_rows = stratified_split(
             table, cfg.test_fraction, run_seed, test_group=ContrastGroup.NONCONTRAST)
         train_tbl = table.take_rows(train_rows)
@@ -190,7 +198,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
                 "metrics": rep.as_row(),
                 "fingerprint": model.fingerprint,
             }
-        runs.append({
+        return {
             "seed": run_seed,
             "n_train": len(train_rows),
             "n_test": len(test_rows),
@@ -198,7 +206,9 @@ def run_train_eval(cfg: RunConfig) -> dict:
             "n_features_kept": len(kept),
             "kept_features": list(kept),
             "models": model_blocks,
-        })
+        }
+
+    runs = map_ordered(run_one, seeds)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

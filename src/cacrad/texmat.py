@@ -111,9 +111,14 @@ def compute_glcm(roi: DiscretizedRoi, distance: int = 1) -> Glcm:
 
 def _lines_along(grid, d):
     """The grid's lines along d laid end to end, each followed by a 0: a
-    shear puts line (u, v) in row (u, v), indexed by the position t on d's
-    first nonzero axis, where d is +1."""
-    a = d.index(1)
+    shear puts line (u, v) in row (u, v), indexed by the position t on the
+    shortest of d's nonzero axes. Runs along -d are the runs along d, so d
+    is negated where needed for t to step +1 on that axis; the layout then
+    holds at most about 4 (na + 1) / na times the grid's cells, where a
+    first-axis layout grows with the cube of that axis."""
+    a = min((j for j in range(3) if d[j]), key=lambda j: grid.shape[j])
+    if d[a] < 0:
+        d = tuple(-x for x in d)
     (nb, db), (nc, dc) = [(grid.shape[j], d[j]) for j in range(3) if j != a]
     na = grid.shape[a]
     rows = np.zeros((nb + (na - 1) * abs(db), nc + (na - 1) * abs(dc), na + 1), grid.dtype)

@@ -7,6 +7,7 @@ need an end-to-end cohort share module-scoped fixtures.
 
 import functools
 import json
+import os
 import time
 from pathlib import Path
 
@@ -270,8 +271,10 @@ def _strip_timing(doc: dict) -> dict:
 
 @criterion(7, "same master seed reproduces every artifact byte for byte")
 def test_pipeline_determinism(tmp_path, monkeypatch):
+    # two runs on two CPUs, one on one CPU: the same artifacts
     outputs = []
-    for arm in ("first", "second"):
+    for arm, cpus in (("first", 2), ("second", 2), ("one-cpu", 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
         work = tmp_path / arm
         work.mkdir()
         monkeypatch.chdir(work)
@@ -281,7 +284,7 @@ def test_pipeline_determinism(tmp_path, monkeypatch):
                          "--out", "run"]) == 0
         assert cli_main(["train-eval", "--manifest", "cohort/manifest.csv",
                          "--features-csv", "run/features.csv",
-                         "--models", "random_forest",
+                         "--models", "random_forest", "--n-seeds", "2",
                          "--seed", "5", "--out", "out"]) == 0
         outputs.append({
             "features": (work / "run" / "features.csv").read_bytes(),
@@ -291,11 +294,12 @@ def test_pipeline_determinism(tmp_path, monkeypatch):
             "run_report": _strip_timing(json.loads(
                 (work / "out" / "run_report.json").read_text())),
         })
-    a, b = outputs
-    assert a["features"] == b["features"]
-    assert a["metrics"] == b["metrics"]
-    assert a["extract_report"] == b["extract_report"]
-    assert a["run_report"] == b["run_report"]
+    a = outputs[0]
+    for b in outputs[1:]:
+        assert a["features"] == b["features"]
+        assert a["metrics"] == b["metrics"]
+        assert a["extract_report"] == b["extract_report"]
+        assert a["run_report"] == b["run_report"]
 
 
 @criterion(8, "test-row perturbation leaves every fitted artifact unchanged")

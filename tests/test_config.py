@@ -1,4 +1,9 @@
+import math
+
+import hypothesis
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacrad.config import (
     RunConfig,
@@ -8,6 +13,7 @@ from cacrad.config import (
 )
 from cacrad.errors import ConfigError
 from cacrad.learn.grid import DEFAULT_GRIDS
+from cacrad.learn.model import MODEL_KINDS, build_model
 
 
 def test_defaults_validate():
@@ -81,6 +87,17 @@ def test_malformed_lines():
         parse_config_text("grid.nope.alpha = 1\n")
 
 
+@pytest.mark.parametrize("line", [
+    "grid.gbt.bogus = 1", "grid.gbt.n_rounds = abc", "grid.gbt.n_rounds =",
+    "grid.gbt.n_rounds = -1", "grid.random_forest.n_trees = 0",
+    "grid.linear_svm.lam = nan", "grid.mlp.learning_rate = inf", "grid.mlp.epochs = 1,,2"])
+def test_bad_grid_overrides_rejected(line):
+    # each of these used to pass validation and crash in the middle of training
+    with pytest.raises(ConfigError, match="grid."):
+        parse_config_text(line + "\n")
+    assert parse_config_text("grid.random_forest.max_depth = 4, none\n")
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config_text("\n# comment only\n  \nseed = 3\n")
     assert cfg.seed == 3
@@ -98,6 +115,14 @@ def test_validation_errors():
         {"kfold": 1},
         {"n_seeds": 0},
         {"models": ("random_forest", "adaboost")},
+        {"models": ()},
+        {"bin_width": float("nan")},
+        {"bin_width": float("inf")},
+        {"resample_spacing": (1.0, 1.0)},
+        {"resample_spacing": (float("nan"), 1.0, 1.0)},
+        {"resample_spacing": (-1.0, 1.0, 1.0)},
+        {"glcm_distance": 0},
+        {"gldm_alpha": -1},
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
@@ -135,3 +160,58 @@ def test_scalar_parsing_variants():
     assert cfg.resample_spacing == (1.5, 1.5, 3.0)
     assert cfg.label_shuffle is False
     assert cfg.n_bins == 16
+
+
+_KEYS = ["manifest", "mode", "train_composition", "test_fraction", "selection_threshold",
+         "bin_width", "n_bins", "resample_spacing", "glcm_distance", "gldm_alpha", "models",
+         "seed", "out", "features_csv", "embeddings_csv", "n_seeds", "label_shuffle",
+         "kfold", "filter_embeddings", "gbt_preset"]
+_VALUES = ["", "none", "true", "False", "0", "1", "-1", "2", "7", "0.5", "1e400", "-0.0",
+           "nan", "inf", "-inf", "NaN", "0x10", "1_000", "1,2", "1,,2", "(1, 2)", "1;2",
+           "1, 2, 3", "nan,1,1", "1,1,-1", "inf,inf,inf", "radiomics", "embeddings",
+           "mixed", "noncontrast", "alt", "default", "gbt", "random_forest,mlp", ",",
+           "é", "１２", "٣", "Ω,β", " ", "x" * 50, "1" * 5000,
+           "1" + "0" * 400]
+_PARAMS = ["n_trees", "max_depth", "n_rounds", "learning_rate", "lam", "epochs",
+           "hidden_size", "", "bogus", "ß"]
+
+
+@st.composite
+def _config_line(draw):
+    kind = draw(st.integers(0, 4))
+    value = draw(st.sampled_from(_VALUES) | st.text(max_size=12))
+    if kind == 0:
+        key = draw(st.sampled_from(_KEYS))
+    elif kind == 1:
+        model = draw(st.sampled_from(list(MODEL_KINDS) + ["", "svm", "gbt_alt", "ü"]))
+        key = f"grid.{model}.{draw(st.sampled_from(_PARAMS))}"
+    elif kind == 2:
+        key = draw(st.sampled_from(["grid", "grid.gbt", "grid.gbt.n_rounds.x", "grid..x",
+                                    "unknown", "Mode", "seed seed", ""]) | st.text(max_size=8))
+    elif kind == 3:
+        return draw(st.sampled_from(["# comment", "", "   ", "no equals sign", "=", "==",
+                                     "seed = 1 # trailing", "﻿seed = 1"]))
+    else:
+        return draw(st.text(max_size=30))
+    return f"{key} {draw(st.sampled_from(['=', ' = ', '=='])) } {value}"
+
+
+@hypothesis.seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(lines=st.lists(_config_line(), max_size=8))
+def test_parse_config_fuzz_raises_only_config_errors(lines):
+    try:
+        cfg = parse_config_text("\n".join(lines)).validate()
+    except ConfigError:
+        return
+    # an accepted config is usable as it stands: nothing it holds fails later
+    assert math.isfinite(cfg.bin_width) and cfg.bin_width > 0
+    assert cfg.resample_spacing is None or (
+        len(cfg.resample_spacing) == 3
+        and all(math.isfinite(s) and s > 0 for s in cfg.resample_spacing))
+    assert cfg.glcm_distance >= 1 and cfg.gldm_alpha >= 0 and cfg.models
+    for kind in cfg.models:
+        for point in cfg.grid_for(kind).points():
+            assert all(v is None or isinstance(v, bool) or 0 < v < math.inf
+                       for v in point.values())
+            build_model(kind, point)

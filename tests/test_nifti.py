@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cacrad.errors import (
     BadMagic,
     CacradError,
+    NonFiniteOrientation,
     NonPositiveSpacing,
     TruncatedFile,
     UnsupportedDatatype,
@@ -276,16 +277,30 @@ def fuzz_dir(tmp_path_factory):
     return root
 
 
+_NONFINITE = [float("nan"), float("inf"), -float("inf")]
+# a non-finite value in one quaternion/offset (256..) or srow (280..) entry
+_orientation_edit = st.tuples(st.sampled_from([256 + 4 * k for k in range(18)]),
+                              st.sampled_from(_NONFINITE))
+
+
 @hypothesis.seed(20261018)
 @settings(max_examples=300, deadline=None, database=None)
 @given(which=st.integers(0, 5), edits=st.lists(_header_edit(), max_size=3),
+       orientation_edits=st.lists(_orientation_edit, max_size=2),
+       form_codes=st.none() | st.tuples(st.integers(-1, 2), st.integers(-1, 2)),
        flips=_flips, cut=_cut, packed=st.booleans(), packed_flips=_flips,
        packed_cut=_cut)
-def test_read_nifti_fuzz_raises_only_cacrad_errors(fuzz_dir, which, edits, flips,
+def test_read_nifti_fuzz_raises_only_cacrad_errors(fuzz_dir, which, edits,
+                                                   orientation_edits, form_codes, flips,
                                                    cut, packed, packed_flips, packed_cut):
+    bo = "<>"[which % 2]
     raw = bytearray((fuzz_dir / f"{which}.nii").read_bytes())
     for offset, code, value in edits:
-        struct.pack_into("<>"[which % 2] + code, raw, offset, value)
+        struct.pack_into(bo + code, raw, offset, value)
+    for offset, value in orientation_edits:
+        struct.pack_into(bo + "f", raw, offset, value)
+    if form_codes is not None:
+        struct.pack_into(bo + "2h", raw, 252, *form_codes)
     raw = _flip_and_cut(raw, flips, cut)
     path = fuzz_dir / "case.nii"
     if packed:
@@ -294,6 +309,32 @@ def test_read_nifti_fuzz_raises_only_cacrad_errors(fuzz_dir, which, edits, flips
         path = fuzz_dir / "case.nii.gz"
     path.write_bytes(bytes(raw))
     try:
-        read_nifti(path)
+        vol = read_nifti(path)
     except CacradError:
-        pass
+        return
+    assert np.all(np.isfinite(vol.orientation)) and np.all(np.isfinite(vol.origin))
+
+
+@pytest.mark.parametrize("qform_code, sform_code, offset", [
+    (0, 1, 280), (0, 1, 292 + 12), (1, 0, 256 + 4), (1, 0, 256 + 16), (1, 1, 256)])
+@pytest.mark.parametrize("value", _NONFINITE)
+def test_nonfinite_orientation_in_use_is_a_data_error(tmp_path, qform_code, sform_code,
+                                                      offset, value):
+    path = tmp_path / "v.nii"
+    write_nifti(sample_volume(seed=3, dims=(3, 3, 3)), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<2h", raw, 252, qform_code, sform_code)
+    struct.pack_into("<f", raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(NonFiniteOrientation):
+        read_nifti(path)
+    # the same value in the form that is not declared is never read
+    struct.pack_into("<2h", raw, 252, 0 if offset < 280 else 1, 0 if offset >= 280 else 1)
+    path.write_bytes(bytes(raw))
+    assert np.all(np.isfinite(read_nifti(path).orientation))
+
+
+def test_volume_rejects_nan_orientation():
+    with pytest.raises(ValueError, match="unit vectors"):
+        Volume3D(dims=(1, 1, 1), spacing=(1.0, 1.0, 1.0), intensities=[0.0],
+                 orientation=np.diag([np.nan, 1.0, 1.0]))

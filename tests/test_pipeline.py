@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -318,3 +320,85 @@ def test_embeddings_mode_filter_drops_near_duplicate_columns(cohort, tmp_path):
     lines = (tmp_path / "emb_out" / "metrics.csv").read_text().splitlines()
     assert sorted(line.split(",")[:2] for line in lines[1:]) == sorted(
         [kind, str(seed)] for seed in report["seeds"] for kind in models)
+
+
+def _strip_timing(path):
+    doc = json.loads(Path(path).read_text())
+    doc.pop("timing")
+    return doc
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_extract_is_byte_identical_on_one_and_two_cpus(cohort, tmp_path, monkeypatch):
+    root, manifest = cohort
+    lines = Path(manifest).read_text().splitlines()
+    rows = sorted((line.split(",") for line in lines[1:]), key=lambda cells: cells[0])
+    for cells in rows:
+        cells[1], cells[2] = str(root / cells[1]), str(root / cells[2])
+    (tmp_path / "bad.nii").write_bytes(b"not a nifti header")
+    rows[1][2] = str(tmp_path / "bad.nii")  # excluded in the second stripe of two
+    m2 = tmp_path / "manifest.csv"
+    m2.write_text("\n".join([lines[0]] + [",".join(c) for c in rows]) + "\n")
+
+    out, runs = tmp_path / "out", []
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        shutil.rmtree(out, ignore_errors=True)
+        report = run_extract(RunConfig(manifest=str(m2), out=str(out)))
+        runs.append(((out / "features.csv").read_bytes(),
+                     _strip_timing(out / "extract_report.json")))
+    assert runs[0] == runs[1]
+    assert [e["subject_id"] for e in report["excluded"]] == [rows[1][0]]
+    assert report["n_extracted"] == 11
+
+
+def test_train_eval_is_byte_identical_on_one_and_two_cpus(extracted, tmp_path, monkeypatch):
+    root, manifest, features, _ = extracted
+    out, runs = tmp_path / "out", []
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        shutil.rmtree(out, ignore_errors=True)
+        run_train_eval(RunConfig(
+            manifest=str(manifest), out=str(out), features_csv=str(features / "features.csv"),
+            seed=5, n_seeds=3, test_fraction=0.25, models=("linear_svm", "random_forest"),
+            grid_overrides=SVM_ONLY["grid_overrides"] + (
+                ("random_forest", (("n_trees", (5,)), ("max_depth", (2,)))),),
+            kfold=2))
+        runs.append(((out / "metrics.csv").read_bytes(),
+                     _strip_timing(out / "run_report.json")))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]["runs"]) == 3
+
+
+def test_degenerate_seed_in_second_stripe_exits_4_with_the_same_message(
+        extracted, tmp_path, monkeypatch, capsys):
+    import cacrad.pipeline
+    from cacrad.cli import main as cli_main
+    from cacrad.errors import TooFewPerClass
+    from cacrad.rng import derive_seed
+
+    root, manifest, features, _ = extracted
+    split = cacrad.pipeline.stratified_split
+
+    def degenerate_second_seed(table, fraction, seed, **kw):
+        if seed == derive_seed(5, "run", 1):
+            raise TooFewPerClass(f"seed {seed}: class 1 has 1 row, need at least 2")
+        return split(table, fraction, seed, **kw)
+
+    monkeypatch.setattr(cacrad.pipeline, "stratified_split", degenerate_second_seed)
+    cfg = tmp_path / "svm.cfg"
+    cfg.write_text("kfold = 2\ngrid.linear_svm.lam = 0.001\ngrid.linear_svm.epochs = 10\n")
+    errors = []
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        rc = cli_main(["train-eval", "--config", str(cfg), "--manifest", str(manifest),
+                       "--features-csv", str(features / "features.csv"),
+                       "--models", "linear_svm", "--seed", "5", "--n-seeds", "3",
+                       "--out", str(tmp_path / "out")])
+        errors.append((rc, capsys.readouterr().err))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 4 and "class 1 has 1 row" in errors[0][1]
+    assert not (tmp_path / "out").exists()

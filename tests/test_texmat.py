@@ -326,3 +326,27 @@ def test_zone_and_run_matrices_refuse_past_the_bound_before_allocating(compute):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _glrlm_peak(grid):
+    disc = disc_from_grid(grid)
+    disc.dense_grid()
+    tracemalloc.start()
+    try:
+        r = compute_glrlm(disc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return r, peak
+
+
+def test_glrlm_layout_does_not_grow_with_a_long_first_axis():
+    # lines run along each direction's shortest nonzero axis: a (100, 3, 3)
+    # box costs about what the same box laid out as (3, 3, 100) costs
+    rng = np.random.default_rng(5)
+    grid = renumber(rng.integers(0, 3, size=(100, 3, 3)))
+    r, peak = _glrlm_peak(grid)
+    assert np.array_equal(r.counts, oracles.glrlm_counts(grid, int(grid.max()),
+                                                         list(DIRECTIONS_13)))
+    _, peak_t = _glrlm_peak(np.ascontiguousarray(grid.transpose(1, 2, 0)))
+    assert peak <= 2 * peak_t
