@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from ..errors import SingleClass
+from .grid import count_param
 from .tree import Tree, grow_regression_tree
 
 
@@ -26,11 +27,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class GradientBoostedTrees:
     def __init__(self, n_rounds: int = 100, learning_rate: float = 0.1,
                  max_depth: int = 3):
-        if n_rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-        self.n_rounds = int(n_rounds)
+        self.n_rounds = count_param("n_rounds", n_rounds)
         self.learning_rate = float(learning_rate)
-        self.max_depth = int(max_depth)
+        self.max_depth = count_param("max_depth", max_depth)
         self.f0 = 0.0
         self.trees: list = []
 

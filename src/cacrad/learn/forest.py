@@ -10,16 +10,15 @@ from typing import Optional
 import numpy as np
 
 from ..rng import stream
+from .grid import count_param
 from .tree import Tree, grow_classification_forest, grow_classification_tree  # noqa: F401
 
 
 class RandomForest:
     def __init__(self, n_trees: int = 100, max_depth: Optional[int] = None,
                  bootstrap: bool = True):
-        if n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-        self.n_trees = int(n_trees)
-        self.max_depth = max_depth
+        self.n_trees = count_param("n_trees", n_trees)
+        self.max_depth = None if max_depth is None else count_param("max_depth", max_depth)
         self.bootstrap = bool(bootstrap)
         self.trees: list = []
 

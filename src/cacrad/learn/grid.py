@@ -5,6 +5,7 @@ values left to right), and ties in CV score resolve to the earliest
 point, so the winner never depends on evaluation schedule.
 """
 
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -14,6 +15,14 @@ from ..errors import ConfigError
 from ..eval import confusion_from_predictions, metrics
 from ..rng import derive_seed
 from .split import stratified_kfold
+
+
+def count_param(name: str, value) -> int:
+    """A hyperparameter that counts something (trees, rounds, epochs, units,
+    levels): an integer >= 1, never truncated from a fraction."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """One-hidden-layer perceptron trained by full-batch gradient descent.
 
-Parameters live in one flat vector so the analytic gradient can be
-checked against central finite differences. Standardization is internal,
-fitted on the training rows.
+Parameters are stored as one flat vector, so loss_and_grad's analytic
+gradient can be checked against central finite differences; fit steps
+the four parameter arrays directly, with the same float operations.
+Standardization is internal, fitted on the training rows.
 """
 
 import numpy as np
 
 from ..errors import SingleClass
 from ..rng import stream
+from .grid import count_param
 
 
 def _param_shapes(n_in: int, hidden: int):
@@ -30,34 +32,37 @@ def unpack_params(theta: np.ndarray, n_in: int, hidden: int):
     return out
 
 
-def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, hidden: int):
-    """Mean cross-entropy of sigmoid(w2.relu(x w1 + b1) + b2) and its gradient."""
-    n, d = x.shape
-    w1, b1, w2, b2 = unpack_params(theta, d, hidden)
+def _grads(w1, b1, w2, b2, x, y):
+    """Gradient of loss_and_grad's loss as (gw1, gb1, gw2, gb2), and the
+    logits z that the loss is computed from."""
     a = x @ w1 + b1          # (n, h) pre-activation
     h = np.maximum(a, 0.0)   # relu
     z = (h @ w2).ravel() + b2[0]
-    # stable softplus cross-entropy: mean(softplus(z) - y*z)
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
     p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-    dz = (p - y) / n                     # (n,)
+    dz = (p - y) / len(y)                # (n,)
     gw2 = h.T @ dz[:, None]              # (h, 1)
     gb2 = np.array([dz.sum()])
     dh = dz[:, None] * w2.ravel()[None, :]
     da = dh * (a > 0.0)
     gw1 = x.T @ da
     gb1 = da.sum(axis=0)
-    return loss, pack_params(gw1, gb1, gw2, gb2)
+    return (gw1, gb1, gw2, gb2), z
+
+
+def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, hidden: int):
+    """Mean cross-entropy of sigmoid(w2.relu(x w1 + b1) + b2) and its gradient."""
+    grads, z = _grads(*unpack_params(theta, x.shape[1], hidden), x, y)
+    # stable softplus cross-entropy: mean(softplus(z) - y*z)
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    return loss, pack_params(*grads)
 
 
 class Mlp:
     def __init__(self, hidden_size: int = 16, learning_rate: float = 0.1,
                  epochs: int = 300):
-        if hidden_size < 1:
-            raise ValueError(f"hidden_size must be >= 1, got {hidden_size}")
-        self.hidden_size = int(hidden_size)
+        self.hidden_size = count_param("hidden_size", hidden_size)
         self.learning_rate = float(learning_rate)
-        self.epochs = int(epochs)
+        self.epochs = count_param("epochs", epochs)
         self.theta = None
         self.mean = None
         self.sd = None
@@ -87,10 +92,13 @@ class Mlp:
         self.sd = np.where(sd > 0.0, sd, 1.0)
         z = self._standardize(x)
         theta = self.init_params(z.shape[1], self.hidden_size, stream(seed, "mlp"))
+        # theta - learning_rate * grad, part by part in place
+        params = unpack_params(theta, z.shape[1], self.hidden_size)
         for _ in range(self.epochs):
-            _, grad = loss_and_grad(theta, z, y, self.hidden_size)
-            theta = theta - self.learning_rate * grad
-        self.theta = theta
+            grads, _ = _grads(*params, z, y)
+            for param, grad in zip(params, grads):
+                param -= self.learning_rate * grad
+        self.theta = pack_params(*params)
         return self
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:

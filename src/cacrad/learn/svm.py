@@ -12,6 +12,7 @@ import numpy as np
 
 from ..errors import SingleClass
 from ..rng import stream
+from .grid import count_param
 
 
 def _platt_fit(margins: np.ndarray, y01: np.ndarray):
@@ -69,7 +70,7 @@ class LinearSvm:
         if lam <= 0:
             raise ValueError(f"regularization must be positive, got {lam}")
         self.lam = float(lam)
-        self.epochs = int(epochs)
+        self.epochs = count_param("epochs", epochs)
         self.w = None       # includes bias as last component
         self.mean = None
         self.sd = None
@@ -93,17 +94,24 @@ class LinearSvm:
 
         n, m = z.shape
         w = np.zeros(m)
+        step = np.empty(m)
+        # Python lists, ndarray.dot and out= calls skip numpy's per-call
+        # overhead; every float operation is the textbook Pegasos step's
+        rows = list(z)
+        signs = ypm.tolist()
+        lam = self.lam
+        multiply = np.multiply
         rng = stream(seed, "svm")
         t = 0
         for _epoch in range(self.epochs):
-            order = rng.permutation(n)
-            for i in order:
+            for i in rng.permutation(n).tolist():
                 t += 1
-                eta = 1.0 / (self.lam * t)
-                margin = ypm[i] * float(z[i] @ w)
-                w *= (1.0 - eta * self.lam)
+                eta = 1.0 / (lam * t)
+                zi, sign = rows[i], signs[i]
+                margin = sign * float(zi.dot(w))
+                multiply(w, 1.0 - eta * lam, out=w)
                 if margin < 1.0:
-                    w += eta * ypm[i] * z[i]
+                    w += multiply(zi, eta * sign, out=step)
         self.w = w
         self.platt_a, self.platt_b = _platt_fit(z @ w, y01)
         return self

@@ -7,11 +7,28 @@ same stripe, and helpers inherit whatever the caller has loaded. Only
 results cross a pipe. Cap P with ``taskset``; with one CPU, or where
 the affinity set cannot be read or processes cannot be forked, the
 items run in a plain loop and nothing is started.
+
+While helpers run, every process uses one OpenBLAS thread: a second BLAS
+thread spins on the CPU another process of the map needs. The count is
+set in the caller before the fork, so helpers inherit it and never call
+into OpenBLAS themselves, and the caller's count is restored afterwards.
+A helper is killed when its caller dies, also by SIGKILL.
 """
 
+import contextlib
+import ctypes
 import multiprocessing
 import os
 import signal
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+# (getter, setter) names of the thread count in the OpenBLAS builds numpy
+# links: scipy-openblas wheels with 64-bit integers, and plain OpenBLAS
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def _processes(n_items: int) -> int:
@@ -21,6 +38,60 @@ def _processes(n_items: int) -> int:
     except (AttributeError, ValueError):
         return 1
     return max(1, min(cpus, n_items))
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS loaded in this
+    process, or None when none is loaded or it exports neither pair."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_CALLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _die_with(caller: int) -> None:
+    """Have the kernel SIGKILL this process when its parent dies, and exit
+    now if the caller has died already (this process was reparented)."""
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):  # no libc prctl: not Linux
+        pass
+    else:
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong,
+                          ctypes.c_ulong, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != caller:
+        os._exit(1)
 
 
 def _stripe(fn, items, start, step, stop):
@@ -43,8 +114,9 @@ def _stripe(fn, items, start, step, stop):
     return results, None
 
 
-def _help(conn, fn, items, start, step, stop):
+def _help(conn, fn, items, start, step, stop, caller):
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops helpers on Ctrl-C
+    _die_with(caller)
     conn.send(_stripe(fn, items, start, step, stop))
 
 
@@ -64,26 +136,28 @@ def map_ordered(fn, items) -> list:
     ctx = multiprocessing.get_context("fork")
     stop = ctx.RawValue("q", len(items))
     helpers = []
-    try:
-        for h in range(1, n):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_help, args=(send, fn, items, h, n, stop))
-            proc.start()
-            send.close()  # before the next fork, so a dead helper reads as EOF
-            helpers.append((proc, recv))
-        stripes = [_stripe(fn, items, 0, n, stop)]
-        for proc, recv in helpers:
-            try:
-                stripes.append(recv.recv())
-            except EOFError:
+    with _one_blas_thread():
+        try:
+            for h in range(1, n):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_help,
+                                   args=(send, fn, items, h, n, stop, os.getpid()))
+                proc.start()
+                send.close()  # before the next fork, so a dead helper reads as EOF
+                helpers.append((proc, recv))
+            stripes = [_stripe(fn, items, 0, n, stop)]
+            for proc, recv in helpers:
+                try:
+                    stripes.append(recv.recv())
+                except EOFError:
+                    proc.join()
+                    raise ChildProcessError(f"a helper process exited with code "
+                                            f"{proc.exitcode} before sending its results") from None
+        finally:
+            for proc, recv in helpers:
+                proc.terminate()
                 proc.join()
-                raise ChildProcessError(f"a helper process exited with code "
-                                        f"{proc.exitcode} before sending its results") from None
-    finally:
-        for proc, recv in helpers:
-            proc.terminate()
-            proc.join()
-            recv.close()
+                recv.close()
     failures = [failure for _, failure in stripes if failure is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]

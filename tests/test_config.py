@@ -90,9 +90,15 @@ def test_malformed_lines():
 @pytest.mark.parametrize("line", [
     "grid.gbt.bogus = 1", "grid.gbt.n_rounds = abc", "grid.gbt.n_rounds =",
     "grid.gbt.n_rounds = -1", "grid.random_forest.n_trees = 0",
-    "grid.linear_svm.lam = nan", "grid.mlp.learning_rate = inf", "grid.mlp.epochs = 1,,2"])
+    "grid.linear_svm.lam = nan", "grid.mlp.learning_rate = inf", "grid.mlp.epochs = 1,,2",
+    # fractions of counts: int() truncated these (0.5 epochs trained nothing)
+    "grid.mlp.epochs = 0.5", "grid.linear_svm.epochs = 0.4",
+    "grid.random_forest.max_depth = 0.5", "grid.mlp.hidden_size = 1.9",
+    "grid.random_forest.n_trees = 2.7", "grid.gbt.max_depth = 2.5",
+    "grid.gbt.n_rounds = 100, 150.5", "grid.mlp.epochs = true"])
 def test_bad_grid_overrides_rejected(line):
-    # each of these used to pass validation and crash in the middle of training
+    # each of these used to pass validation and crash in the middle of
+    # training, or train a model other than the one reported
     with pytest.raises(ConfigError, match="grid."):
         parse_config_text(line + "\n")
     assert parse_config_text("grid.random_forest.max_depth = 4, none\n")
@@ -214,4 +220,6 @@ def test_parse_config_fuzz_raises_only_config_errors(lines):
         for point in cfg.grid_for(kind).points():
             assert all(v is None or isinstance(v, bool) or 0 < v < math.inf
                        for v in point.values())
-            build_model(kind, point)
+            model = build_model(kind, point)
+            # a count is trained as given, never truncated from a fraction
+            assert all(getattr(model, name) == v for name, v in point.items())

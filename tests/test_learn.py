@@ -335,15 +335,87 @@ def golden_matrix(shuffle):
     return x, y
 
 
-@pytest.mark.parametrize("kind,shuffle", sorted(GOLDEN))
-def test_tree_models_match_golden_fingerprints(kind, shuffle):
+def assert_golden(kind, shuffle, grid, golden):
     x, y = golden_matrix(shuffle)
     names = tuple(f"f{k}" for k in range(x.shape[1]))
-    model, _, scores = train_with_grid(kind, x, y, names, seed=11,
-                                       grid=GOLDEN_GRIDS[kind], k=4)
-    fingerprint, golden_scores = GOLDEN[(kind, shuffle)]
+    model, _, scores = train_with_grid(kind, x, y, names, seed=11, grid=grid, k=4)
+    fingerprint, golden_scores = golden
     assert model.fingerprint == fingerprint
     assert scores == golden_scores
+
+
+@pytest.mark.parametrize("kind,shuffle", sorted(GOLDEN))
+def test_tree_models_match_golden_fingerprints(kind, shuffle):
+    assert_golden(kind, shuffle, GOLDEN_GRIDS[kind], GOLDEN[(kind, shuffle)])
+
+
+# Recorded while Mlp.fit packed its parameters into one vector every epoch
+# and LinearSvm.fit indexed numpy arrays every step; the fast loops must
+# reproduce them bit for bit.
+GOLDEN_ITERATIVE_GRIDS = {
+    "linear_svm": HyperGrid.of(lam=(1e-3, 1e-1), epochs=(3, 10)),
+    "mlp": HyperGrid.of(hidden_size=(3, 8), learning_rate=(0.1, 0.5), epochs=(40,)),
+}
+
+GOLDEN_ITERATIVE = {
+    ("linear_svm", False): (
+        "9eada1e0119cf9f5b317bc7f0782721ae281eb87b0bde1ba4835f90578b2b560",
+        [0.7000000000000001, 0.725, 0.8, 0.7250000000000001]),
+    ("linear_svm", True): (
+        "6ed21455b182a3337a0d6d50a51018a23a65a12c6272ab48253e6dadf60e970a",
+        [0.42500000000000004, 0.55, 0.35000000000000003, 0.425]),
+    ("mlp", False): (
+        "04a3ac2701c1837ff841c2e315f85622952f0ab9fb568657b61e8968754518c0",
+        [0.65, 0.7500000000000001, 0.85, 0.75]),
+    ("mlp", True): (
+        "e9044a72369472508410692789703deb3d30954d623f3c100fec19738d6afc99",
+        [0.37500000000000006, 0.47500000000000003, 0.47500000000000003, 0.5]),
+}
+
+
+@pytest.mark.parametrize("kind,shuffle", sorted(GOLDEN_ITERATIVE))
+def test_iterative_models_match_golden_fingerprints(kind, shuffle):
+    assert_golden(kind, shuffle, GOLDEN_ITERATIVE_GRIDS[kind],
+                  GOLDEN_ITERATIVE[(kind, shuffle)])
+
+
+def standardized(x):
+    sd = x.std(axis=0)
+    return (x - x.mean(axis=0)) / np.where(sd > 0.0, sd, 1.0)
+
+
+@pytest.mark.parametrize("shuffle,hidden,rate,seed", [
+    (False, 5, 0.3, 4), (True, 1, 0.5, 8), (False, 12, 0.05, 0)])
+def test_mlp_fit_is_gradient_descent_on_loss_and_grad(shuffle, hidden, rate, seed):
+    x, y = golden_matrix(shuffle)
+    model = Mlp(hidden_size=hidden, learning_rate=rate, epochs=30).fit(x, y, seed)
+    z = standardized(x)
+    theta = Mlp.init_params(x.shape[1], hidden, stream(seed, "mlp"))
+    for _ in range(30):
+        _, grad = loss_and_grad(theta, z, y.astype(np.float64), hidden)
+        theta = theta - rate * grad
+    assert model.theta.tobytes() == theta.tobytes()
+
+
+@pytest.mark.parametrize("shuffle,lam,epochs,seed", [
+    (False, 1e-2, 4, 9), (True, 1e-4, 3, 1), (False, 1.0, 6, 5)])
+def test_svm_fit_is_the_per_step_pegasos_loop(shuffle, lam, epochs, seed):
+    x, y = golden_matrix(shuffle)
+    model = LinearSvm(lam=lam, epochs=epochs).fit(x, y, seed)
+    z = np.hstack([standardized(x), np.ones((len(x), 1))])
+    ypm = np.where(y == 1, 1.0, -1.0)
+    w = np.zeros(z.shape[1])
+    rng = stream(seed, "svm")
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(len(y)):
+            t += 1
+            eta = 1.0 / (lam * t)
+            margin = ypm[i] * float(z[i] @ w)
+            w *= (1.0 - eta * lam)
+            if margin < 1.0:
+                w += eta * ypm[i] * z[i]
+    assert model.w.tobytes() == w.tobytes()
 
 
 def test_gbt_grid_fits_each_fold_once_per_nested_group():

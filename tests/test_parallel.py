@@ -1,10 +1,18 @@
+import contextlib
+import ctypes
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cacrad
+from cacrad import parallel
 from cacrad.errors import SingleClass, TooFewPerClass
 from cacrad.parallel import map_ordered
 
@@ -163,3 +171,109 @@ def test_helpers_leave_ctrl_c_to_the_caller(cpus):
 
     assert map_ordered(fn, range(4)) == [0, 1, 2, 3]
     assert_no_children()
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, set to 3 for the test."""
+    found = parallel._openblas_threads()
+    if found is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count call")
+    get, put = found
+    before = get()
+    put(3)
+    yield get
+    put(before)
+
+
+def test_pool_processes_run_one_blas_thread(cpus, blas_threads):
+    cpus(3)
+    out = map_ordered(lambda i: (os.getpid(), blas_threads()), range(6))
+    assert [n for _, n in out] == [1] * 6  # the caller's stripe too
+    assert len({pid for pid, _ in out}) == 3
+    assert blas_threads() == 3
+    with pytest.raises(SingleClass):
+        map_ordered(fail_at({4: SingleClass("four")}), range(6))
+    assert blas_threads() == 3
+    assert_no_children()
+
+
+def test_one_process_leaves_blas_threads_alone(cpus, blas_threads):
+    cpus(1)
+    assert map_ordered(lambda i: blas_threads(), range(3)) == [3, 3, 3]
+
+
+def product_bytes(i):
+    a = np.random.default_rng(i).normal(size=(96, 80))
+    return (a.T @ a).tobytes()
+
+
+def test_results_do_not_depend_on_finding_openblas(cpus, monkeypatch):
+    cpus(2)
+    expected = [product_bytes(i) for i in range(5)]
+    assert map_ordered(product_bytes, range(5)) == expected
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: None)
+    assert map_ordered(product_bytes, range(5)) == expected
+    assert_no_children()
+
+
+def test_helper_of_a_caller_already_gone_exits():
+    ctx = multiprocessing.get_context("fork")
+    for caller, code in ((os.getpid(), 0), (os.getpid() + 1, 1)):
+        proc = ctx.Process(target=parallel._die_with, args=(caller,))
+        proc.start()
+        proc.join(10)
+        assert proc.exitcode == code
+
+
+CALLER = """
+import os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+from cacrad.parallel import map_ordered
+caller = os.getpid()
+
+def fn(i):
+    if os.getpid() != caller:
+        with open(sys.argv[1] + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(60)
+
+map_ordered(fn, range(2))
+"""
+
+PR_SET_CHILD_SUBREAPER = 36
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux-only")
+def test_helpers_die_with_a_killed_caller(tmp_path):
+    pid_file = tmp_path / "helper.pid"
+    env = dict(os.environ, PYTHONPATH=str(Path(cacrad.__file__).parents[1]))
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    # an orphaned helper becomes this process's child, so the test can reap it
+    assert prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) == 0
+    caller = subprocess.Popen([sys.executable, "-c", CALLER, str(pid_file)], env=env)
+    helper = None
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists():
+            assert caller.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        helper = int(pid_file.read_text())
+        caller.kill()
+        caller.wait(10)
+        start = time.monotonic()
+        while os.waitpid(helper, os.WNOHANG) == (0, 0):
+            assert time.monotonic() - start < 2, "the helper outlived its caller"
+            time.sleep(0.01)
+        with pytest.raises(ProcessLookupError):  # reaped, not a zombie
+            os.kill(helper, 0)
+    finally:
+        caller.kill()
+        caller.wait(10)
+        if helper is not None:  # the test failed with the helper alive
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(helper, signal.SIGKILL)
+                os.waitpid(helper, 0)
+        prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)
