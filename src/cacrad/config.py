@@ -17,7 +17,6 @@ from .learn.model import MODEL_KINDS, build_model
 
 MODES = ("radiomics", "embeddings")
 COMPOSITIONS = ("mixed", "noncontrast")
-GBT_PRESETS = ("default", "alt")
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,6 @@ class RunConfig:
     label_shuffle: bool = False
     kfold: int = 5
     filter_embeddings: bool = False
-    gbt_preset: str = "default"
     grid_overrides: tuple = ()  # ((model, ((param, values), ...)), ...)
     raw_text: str = field(default="", compare=False)
 
@@ -73,8 +71,6 @@ class RunConfig:
             raise ConfigError(f"kfold must be >= 2, got {self.kfold}")
         if self.n_seeds < 1:
             raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if self.gbt_preset not in GBT_PRESETS:
-            raise ConfigError(f"gbt_preset must be one of {GBT_PRESETS}, got {self.gbt_preset!r}")
         bad = [m for m in self.models if m not in MODEL_KINDS]
         if bad or not self.models:
             raise ConfigError(f"models must name some of {MODEL_KINDS}, got {list(self.models)}")
@@ -88,20 +84,12 @@ class RunConfig:
         for model, params in self.grid_overrides:
             if model == kind:
                 return HyperGrid(params=params)
-        if kind == "gbt" and self.gbt_preset == "alt":
-            return DEFAULT_GRIDS["gbt_alt"]
         return DEFAULT_GRIDS[kind]
 
 
 def _check_grid(model: str, params: tuple) -> None:
-    """Grid values are none, true, false or finite numbers > 0, and every
-    grid point builds a model, so a bad override fails before any work."""
-    for name, values in params:
-        for v in values:
-            if v is None or isinstance(v, bool):
-                continue
-            if isinstance(v, str) or not 0 < v < math.inf:
-                raise ConfigError(f"grid.{model}.{name}: {v!r} is not a finite number > 0")
+    """Every grid point builds a model, so a bad override fails before any
+    work; the model constructors check each value's kind and range."""
     try:
         for point in HyperGrid(params=params).points():
             build_model(model, point)
@@ -154,7 +142,6 @@ _FIELD_PARSERS = {
     "label_shuffle": lambda v: {"true": True, "false": False}[v.strip().lower()],
     "kfold": int,
     "filter_embeddings": lambda v: {"true": True, "false": False}[v.strip().lower()],
-    "gbt_preset": str,
 }
 
 

@@ -12,9 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DimMismatch,
     DuplicateSubject,
-    EmptyCounts,
     MissingFile,
     NonFiniteValue,
     RaggedRow,
@@ -81,14 +79,3 @@ def write_embeddings(path, subject_ids, matrix) -> None:
         w.writerow(["subject_id", *[f"e{k}" for k in range(matrix.shape[1])]])
         for sid, row in zip(subject_ids, matrix):
             w.writerow([sid, *[repr(float(v)) for v in row]])
-
-
-def average_slices(slice_embeddings) -> np.ndarray:
-    """Arithmetic per-dimension mean of per-slice vectors."""
-    vecs = [np.asarray(v, dtype=np.float64) for v in slice_embeddings]
-    if not vecs:
-        raise EmptyCounts("need at least one slice embedding")
-    dim = vecs[0].shape
-    if any(v.shape != dim for v in vecs):
-        raise DimMismatch("slice embeddings must share one dimension")
-    return np.mean(vecs, axis=0)

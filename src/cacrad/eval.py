@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import EmptyCounts, LengthMismatch, TooFewPairs
 
-UNDEFINED = "-"  # table rendering of a flagged metric
-
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -59,9 +57,10 @@ class MetricsReport:
             "npv": self.npv,
         }
 
-    def formatted_row(self) -> dict:
-        return {k: (UNDEFINED if v is None else repr(float(v)))
-                for k, v in self.as_row().items()}
+
+def metric_cell(value) -> str:
+    """Table rendering of one metric: its float repr, or "-" if undefined."""
+    return "-" if value is None else repr(float(value))
 
 
 def _ratio(num: int, den: int) -> Optional[float]:

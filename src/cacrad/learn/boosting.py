@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..errors import SingleClass
-from .grid import count_param
+from .grid import count_param, positive_param
 from .tree import Tree, grow_regression_tree
 
 
@@ -28,7 +28,7 @@ class GradientBoostedTrees:
     def __init__(self, n_rounds: int = 100, learning_rate: float = 0.1,
                  max_depth: int = 3):
         self.n_rounds = count_param("n_rounds", n_rounds)
-        self.learning_rate = float(learning_rate)
+        self.learning_rate = positive_param("learning_rate", learning_rate)
         self.max_depth = count_param("max_depth", max_depth)
         self.f0 = 0.0
         self.trees: list = []

@@ -19,7 +19,9 @@ class RandomForest:
                  bootstrap: bool = True):
         self.n_trees = count_param("n_trees", n_trees)
         self.max_depth = None if max_depth is None else count_param("max_depth", max_depth)
-        self.bootstrap = bool(bootstrap)
+        if not isinstance(bootstrap, bool):
+            raise ValueError(f"bootstrap must be true or false, got {bootstrap!r}")
+        self.bootstrap = bootstrap
         self.trees: list = []
 
     def fit(self, x: np.ndarray, y: np.ndarray, seed: int) -> "RandomForest":

@@ -6,6 +6,7 @@ point, so the winner never depends on evaluation schedule.
 """
 
 import numbers
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -25,6 +26,15 @@ def count_param(name: str, value) -> int:
     return int(value)
 
 
+def positive_param(name: str, value) -> float:
+    """A hyperparameter that scales something (regularization, step size):
+    a finite real > 0, never a flag, a string or nan."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class HyperGrid:
     params: tuple  # ((name, (values...)), ...) in canonical order
@@ -42,20 +52,11 @@ class HyperGrid:
         for combo in product(*(values for _, values in self.params)):
             yield dict(zip(names, combo))
 
-    def n_points(self) -> int:
-        n = 1
-        for _, values in self.params:
-            n *= len(values)
-        return n
-
 
 # Small by construction so a full 4-model search stays desk-scale.
-# "gbt" and "gbt_alt" are two named presets over the one boosted-trees
-# implementation; pick via config key gbt_preset.
 DEFAULT_GRIDS = {
     "random_forest": HyperGrid.of(n_trees=(100, 300), max_depth=(4, 8, None)),
     "gbt": HyperGrid.of(n_rounds=(100, 200), learning_rate=(0.1, 0.3), max_depth=(2, 3)),
-    "gbt_alt": HyperGrid.of(n_rounds=(100, 200), learning_rate=(0.05, 0.1), max_depth=(3, 4)),
     "linear_svm": HyperGrid.of(lam=(1e-4, 1e-3, 1e-2, 1e-1), epochs=(10, 30)),
     "mlp": HyperGrid.of(hidden_size=(8, 16), learning_rate=(0.1, 0.3), epochs=(300,)),
 }

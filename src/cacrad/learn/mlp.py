@@ -10,7 +10,8 @@ import numpy as np
 
 from ..errors import SingleClass
 from ..rng import stream
-from .grid import count_param
+from ..selection import Standardizer
+from .grid import count_param, positive_param
 
 
 def _param_shapes(n_in: int, hidden: int):
@@ -61,14 +62,10 @@ class Mlp:
     def __init__(self, hidden_size: int = 16, learning_rate: float = 0.1,
                  epochs: int = 300):
         self.hidden_size = count_param("hidden_size", hidden_size)
-        self.learning_rate = float(learning_rate)
+        self.learning_rate = positive_param("learning_rate", learning_rate)
         self.epochs = count_param("epochs", epochs)
         self.theta = None
-        self.mean = None
-        self.sd = None
-
-    def _standardize(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.sd
+        self.standardizer = None
 
     @staticmethod
     def init_params(n_in: int, hidden: int, rng: np.random.Generator) -> np.ndarray:
@@ -87,10 +84,8 @@ class Mlp:
         y = np.asarray(y, dtype=np.float64)
         if y.min() == y.max():
             raise SingleClass("mlp needs both classes in the training set")
-        self.mean = x.mean(axis=0)
-        sd = x.std(axis=0)
-        self.sd = np.where(sd > 0.0, sd, 1.0)
-        z = self._standardize(x)
+        self.standardizer = Standardizer.fit(x)
+        z = self.standardizer.apply(x)
         theta = self.init_params(z.shape[1], self.hidden_size, stream(seed, "mlp"))
         # theta - learning_rate * grad, part by part in place
         params = unpack_params(theta, z.shape[1], self.hidden_size)
@@ -102,7 +97,7 @@ class Mlp:
         return self
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
-        z = self._standardize(x)
+        z = self.standardizer.apply(x)
         w1, b1, w2, b2 = unpack_params(self.theta, z.shape[1], self.hidden_size)
         h = np.maximum(z @ w1 + b1, 0.0)
         logits = (h @ w2).ravel() + b2[0]
@@ -114,8 +109,7 @@ class Mlp:
             "learning_rate": repr(self.learning_rate),
             "epochs": self.epochs,
             "theta": [repr(float(v)) for v in self.theta],
-            "mean": [repr(float(v)) for v in self.mean],
-            "sd": [repr(float(v)) for v in self.sd],
+            **self.standardizer.to_dict(),
         }
 
     @classmethod
@@ -123,6 +117,5 @@ class Mlp:
         model = cls(hidden_size=d["hidden_size"],
                     learning_rate=float(d["learning_rate"]), epochs=d["epochs"])
         model.theta = np.array([float(v) for v in d["theta"]])
-        model.mean = np.array([float(v) for v in d["mean"]])
-        model.sd = np.array([float(v) for v in d["sd"]])
+        model.standardizer = Standardizer.from_dict(d)
         return model

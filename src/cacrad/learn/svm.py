@@ -12,7 +12,8 @@ import numpy as np
 
 from ..errors import SingleClass
 from ..rng import stream
-from .grid import count_param
+from ..selection import Standardizer
+from .grid import count_param, positive_param
 
 
 def _platt_fit(margins: np.ndarray, y01: np.ndarray):
@@ -67,28 +68,20 @@ def _platt_fit(margins: np.ndarray, y01: np.ndarray):
 
 class LinearSvm:
     def __init__(self, lam: float = 1e-2, epochs: int = 20):
-        if lam <= 0:
-            raise ValueError(f"regularization must be positive, got {lam}")
-        self.lam = float(lam)
+        self.lam = positive_param("lam", lam)
         self.epochs = count_param("epochs", epochs)
         self.w = None       # includes bias as last component
-        self.mean = None
-        self.sd = None
+        self.standardizer = None
         self.platt_a = 0.0
         self.platt_b = 0.0
-
-    def _standardize(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.sd
 
     def fit(self, x: np.ndarray, y: np.ndarray, seed: int) -> "LinearSvm":
         x = np.asarray(x, dtype=np.float64)
         y01 = np.asarray(y, dtype=np.int64)
         if y01.min() == y01.max():
             raise SingleClass("svm needs both classes in the training set")
-        self.mean = x.mean(axis=0)
-        sd = x.std(axis=0)
-        self.sd = np.where(sd > 0.0, sd, 1.0)
-        z = self._standardize(x)
+        self.standardizer = Standardizer.fit(x)
+        z = self.standardizer.apply(x)
         z = np.hstack([z, np.ones((len(z), 1))])
         ypm = np.where(y01 == 1, 1.0, -1.0)
 
@@ -117,7 +110,7 @@ class LinearSvm:
         return self
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
-        z = self._standardize(np.asarray(x, dtype=np.float64))
+        z = self.standardizer.apply(x)
         return np.hstack([z, np.ones((len(z), 1))]) @ self.w
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
@@ -129,8 +122,7 @@ class LinearSvm:
             "lam": repr(self.lam),
             "epochs": self.epochs,
             "w": [repr(float(v)) for v in self.w],
-            "mean": [repr(float(v)) for v in self.mean],
-            "sd": [repr(float(v)) for v in self.sd],
+            **self.standardizer.to_dict(),
             "platt_a": repr(self.platt_a),
             "platt_b": repr(self.platt_b),
         }
@@ -139,8 +131,7 @@ class LinearSvm:
     def from_dict(cls, d: dict) -> "LinearSvm":
         model = cls(lam=float(d["lam"]), epochs=d["epochs"])
         model.w = np.array([float(v) for v in d["w"]])
-        model.mean = np.array([float(v) for v in d["mean"]])
-        model.sd = np.array([float(v) for v in d["sd"]])
+        model.standardizer = Standardizer.from_dict(d)
         model.platt_a = float(d["platt_a"])
         model.platt_b = float(d["platt_b"])
         return model

@@ -94,10 +94,6 @@ class MaskVolume:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def voxel_count(self) -> int:
-        return int(self.labels.sum())
-
     @classmethod
     def from_volume(cls, vol: Volume3D) -> "MaskVolume":
         # any nonzero voxel counts as in-mask; tolerates label-coded masks

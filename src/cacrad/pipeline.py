@@ -25,7 +25,7 @@ from .errors import (
     TooFewPairs,
     TooFewRows,
 )
-from .eval import MetricsReport, confusion_from_predictions, metrics, paired_t_test
+from .eval import MetricsReport, confusion_from_predictions, metric_cell, metrics, paired_t_test
 from .features import ExtractionConfig, extract_all
 from .features.catalog import FEATURE_NAMES
 from .learn.model import MODEL_KINDS, train_with_grid
@@ -136,10 +136,6 @@ def _load_table(cfg: RunConfig, manifest):
     return table, f"radiomics-{len(names)}", notes
 
 
-def _metric_csv_cell(value) -> str:
-    return "-" if value is None else repr(float(value))
-
-
 def run_train_eval(cfg: RunConfig) -> dict:
     """Split, select, grid-search, fit, and score each configured model.
 
@@ -232,7 +228,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
         for kind in cfg.models:
             row = run["models"][kind]["metrics"]
             cells = [kind, str(run["seed"])]
-            cells += [_metric_csv_cell(row[c]) for c in MetricsReport.CSV_COLUMNS]
+            cells += [metric_cell(row[c]) for c in MetricsReport.CSV_COLUMNS]
             lines.append(",".join(cells))
     write_text_atomic(out / "metrics.csv", "\n".join(lines) + "\n")
     return report

@@ -8,73 +8,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRange, TooFewRows, UnknownColumn
+from .errors import BadRange, TooFewRows
 from .table import FeatureTable
+
+
+@dataclass(frozen=True)
+class Standardizer:
+    """Per-column z-scores: training-row mean and population sd, with a
+    zero sd taken as 1 so a constant column maps to 0."""
+    means: np.ndarray
+    sds: np.ndarray
+
+    @classmethod
+    def fit(cls, x) -> "Standardizer":
+        x = np.asarray(x, dtype=np.float64)
+        sds = x.std(axis=0)
+        return cls(means=x.mean(axis=0), sds=np.where(sds > 0.0, sds, 1.0))
+
+    def apply(self, x) -> np.ndarray:
+        return (np.asarray(x, dtype=np.float64) - self.means) / self.sds
+
+    def to_dict(self) -> dict:
+        return {"mean": [repr(float(v)) for v in self.means],
+                "sd": [repr(float(v)) for v in self.sds]}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Standardizer":
+        return cls(means=np.array([float(v) for v in d["mean"]]),
+                   sds=np.array([float(v) for v in d["sd"]]))
 
 
 def correlation_filter(table: FeatureTable, threshold: float = 0.90) -> list:
     """Greedy keep-first-in-canonical-order filtering on |Pearson r|.
 
-    Zero-variance columns are dropped up front. A column is kept iff its
-    absolute correlation with every already-kept column is strictly below
-    the threshold. Output order follows the table's column order.
+    Constant columns (every z-score 0) are dropped up front. A column is
+    kept iff its absolute correlation with every already-kept column is
+    strictly below the threshold. Output order follows the table's
+    column order.
     """
     if not (0.0 < threshold <= 1.0):
         raise BadRange(f"threshold must be in (0, 1], got {threshold}")
     if table.n_rows < 2:
         raise TooFewRows("correlation needs at least 2 rows")
-    x = table.matrix
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)  # population
-    live = np.flatnonzero(sd > 0.0)
+    z = Standardizer.fit(table.matrix).apply(table.matrix)
+    live = np.flatnonzero(z.any(axis=0))
     if live.size == 0:
         return []
-    z = (x[:, live] - mean[live]) / sd[live]
+    z = z[:, live]
     corr = np.clip(z.T @ z / table.n_rows, -1.0, 1.0)
     kept = []
     for k in range(live.size):
         if all(abs(corr[k, j]) < threshold for j in kept):
             kept.append(k)
     return [table.feature_names[live[k]] for k in kept]
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    columns: tuple
-    means: np.ndarray
-    sds: np.ndarray  # zero-sd columns already substituted with 1
-
-    def to_dict(self) -> dict:
-        return {
-            "columns": list(self.columns),
-            "means": [repr(float(v)) for v in self.means],
-            "sds": [repr(float(v)) for v in self.sds],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(columns=tuple(d["columns"]),
-                   means=np.array([float(v) for v in d["means"]]),
-                   sds=np.array([float(v) for v in d["sds"]]))
-
-
-def fit_standardizer(table: FeatureTable, columns) -> Standardizer:
-    idx = table.column_index(columns)  # raises UnknownColumn
-    x = table.matrix[:, idx]
-    means = x.mean(axis=0)
-    sds = x.std(axis=0)
-    sds = np.where(sds > 0.0, sds, 1.0)
-    return Standardizer(columns=tuple(columns), means=means, sds=sds)
-
-
-def apply_standardizer(std: Standardizer, table: FeatureTable) -> FeatureTable:
-    sub = table.select_columns(std.columns)
-    z = (sub.matrix - std.means) / std.sds
-    return FeatureTable(sub.subject_ids, sub.feature_names, z, sub.labels, sub.groups)
-
-
-def standardize_matrix(std: Standardizer, names, matrix: np.ndarray) -> np.ndarray:
-    """Transform a bare matrix whose columns are exactly std.columns."""
-    if tuple(names) != std.columns:
-        raise UnknownColumn("matrix columns do not match fitted standardizer")
-    return (np.asarray(matrix, dtype=np.float64) - std.means) / std.sds

@@ -30,7 +30,7 @@ from cacrad.learn.mlp import Mlp, loss_and_grad
 from cacrad.manifest import load_manifest
 from cacrad.nifti import MaskVolume, Volume3D, read_nifti, write_nifti
 from cacrad.preprocess import apply_mask, discretize_fixed_width
-from cacrad.selection import correlation_filter, fit_standardizer
+from cacrad.selection import Standardizer, correlation_filter
 from cacrad.table import attach_cohort, read_features_csv
 from cacrad.texmat import (
     compute_glcm,
@@ -316,10 +316,11 @@ def test_leakage_guard(tmp_path):
     features = tmp_path / "run" / "features.csv"
 
     overrides = dict(
-        models=("random_forest", "linear_svm"),
+        models=("random_forest", "linear_svm", "mlp"),
         grid_overrides=(
             ("random_forest", (("n_trees", (20,)), ("max_depth", (4,)))),
             ("linear_svm", (("lam", (0.001,)), ("epochs", (10,)))),
+            ("mlp", (("hidden_size", (4,)), ("learning_rate", (0.3,)), ("epochs", (50,)))),
         ),
         kfold=2, test_fraction=0.25, seed=3,
     )
@@ -354,7 +355,7 @@ def test_leakage_guard(tmp_path):
 
     # the standardizer fitted on training rows is equally untouched
     cohort = load_manifest(manifest, check_paths=False)
-    dicts = []
+    fitted = []
     for path in (features, features2):
         ids, names, matrix = read_features_csv(path)
         table = attach_cohort(ids, names, matrix, cohort)
@@ -362,8 +363,10 @@ def test_leakage_guard(tmp_path):
                                          test_group=ContrastGroup.NONCONTRAST)
         train_tbl = table.take_rows(train_rows)
         kept = correlation_filter(train_tbl, 0.90)
-        dicts.append(fit_standardizer(train_tbl, kept).to_dict())
-    assert dicts[0] == dicts[1]
+        assert kept
+        fitted.append(Standardizer.fit(train_tbl.select_columns(kept).matrix))
+    assert fitted[0].means.tobytes() == fitted[1].means.tobytes()
+    assert fitted[0].sds.tobytes() == fitted[1].sds.tobytes()
 
 
 @criterion(9, "volume io round-trips and parses identically across endianness")

@@ -101,6 +101,21 @@ def test_zero_test_fraction_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "grid.random_forest.bootstrap = 0.5", "grid.linear_svm.lam = true",
+    "grid.mlp.learning_rate = true", "grid.gbt.learning_rate = false",
+    "grid.linear_svm.lam = nan", "grid.mlp.learning_rate = nan",
+    "grid.gbt.learning_rate = nan", "grid.random_forest.bootstrap = nan"])
+def test_wrong_kind_hyperparameter_is_a_config_error(tmp_path, capsys, line):
+    # a wrong kind used to train a model other than the one reported
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["train-eval", "--config", str(cfg), "--manifest", "x.csv",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_data_error(tmp_path, capsys):
     assert main(["extract", "--manifest", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path)]) == 3

@@ -12,7 +12,7 @@ from cacrad.config import (
     parse_config_text,
 )
 from cacrad.errors import ConfigError
-from cacrad.learn.grid import DEFAULT_GRIDS
+from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid
 from cacrad.learn.model import MODEL_KINDS, build_model
 
 
@@ -63,12 +63,16 @@ def test_parse_grid_overrides():
     assert cfg.grid_for("random_forest") == DEFAULT_GRIDS["random_forest"]
 
 
-def test_gbt_preset_switch():
+def test_old_gbt_alt_grid_is_an_override():
+    # the gbt_preset key is gone; three grid.gbt lines give its alt grid
     assert RunConfig().grid_for("gbt") == DEFAULT_GRIDS["gbt"]
-    alt = parse_config_text("gbt_preset = alt\n")
-    assert alt.grid_for("gbt") == DEFAULT_GRIDS["gbt_alt"]
-    with pytest.raises(ConfigError):
-        parse_config_text("gbt_preset = fancy\n").validate()
+    with pytest.raises(ConfigError, match="gbt_preset"):
+        parse_config_text("gbt_preset = alt\n")
+    cfg = parse_config_text("grid.gbt.n_rounds = 100, 200\n"
+                            "grid.gbt.learning_rate = 0.05, 0.1\n"
+                            "grid.gbt.max_depth = 3, 4\n")
+    assert cfg.grid_for("gbt") == HyperGrid.of(
+        n_rounds=(100, 200), learning_rate=(0.05, 0.1), max_depth=(3, 4))
 
 
 def test_unknown_key_reports_line():
@@ -95,7 +99,14 @@ def test_malformed_lines():
     "grid.mlp.epochs = 0.5", "grid.linear_svm.epochs = 0.4",
     "grid.random_forest.max_depth = 0.5", "grid.mlp.hidden_size = 1.9",
     "grid.random_forest.n_trees = 2.7", "grid.gbt.max_depth = 2.5",
-    "grid.gbt.n_rounds = 100, 150.5", "grid.mlp.epochs = true"])
+    "grid.gbt.n_rounds = 100, 150.5", "grid.mlp.epochs = true",
+    # wrong kinds: bool(0.5) and float(true) trained something else
+    "grid.random_forest.bootstrap = 0.5", "grid.random_forest.bootstrap = 1",
+    "grid.linear_svm.lam = true", "grid.mlp.learning_rate = true",
+    "grid.gbt.learning_rate = false", "grid.gbt.learning_rate = nan",
+    "grid.random_forest.bootstrap = none", "grid.linear_svm.lam = 0",
+    "grid.linear_svm.lam = 1" + "0" * 400, "grid.mlp.learning_rate = fast",
+    "grid.gbt.learning_rate = -0.1", "grid.gbt.learning_rate = none"])
 def test_bad_grid_overrides_rejected(line):
     # each of these used to pass validation and crash in the middle of
     # training, or train a model other than the one reported
@@ -171,7 +182,7 @@ def test_scalar_parsing_variants():
 _KEYS = ["manifest", "mode", "train_composition", "test_fraction", "selection_threshold",
          "bin_width", "n_bins", "resample_spacing", "glcm_distance", "gldm_alpha", "models",
          "seed", "out", "features_csv", "embeddings_csv", "n_seeds", "label_shuffle",
-         "kfold", "filter_embeddings", "gbt_preset"]
+         "kfold", "filter_embeddings"]
 _VALUES = ["", "none", "true", "False", "0", "1", "-1", "2", "7", "0.5", "1e400", "-0.0",
            "nan", "inf", "-inf", "NaN", "0x10", "1_000", "1,2", "1,,2", "(1, 2)", "1;2",
            "1, 2, 3", "nan,1,1", "1,1,-1", "inf,inf,inf", "radiomics", "embeddings",
@@ -179,7 +190,7 @@ _VALUES = ["", "none", "true", "False", "0", "1", "-1", "2", "7", "0.5", "1e400"
            "é", "１２", "٣", "Ω,β", " ", "x" * 50, "1" * 5000,
            "1" + "0" * 400]
 _PARAMS = ["n_trees", "max_depth", "n_rounds", "learning_rate", "lam", "epochs",
-           "hidden_size", "", "bogus", "ß"]
+           "hidden_size", "bootstrap", "", "bogus", "ß"]
 
 
 @st.composite
@@ -205,6 +216,10 @@ def _config_line(draw):
 @hypothesis.seed(20261018)
 @settings(max_examples=400, deadline=None, database=None)
 @given(lines=st.lists(_config_line(), max_size=8))
+@hypothesis.example(lines=["grid.random_forest.bootstrap = 0.5"])
+@hypothesis.example(lines=["grid.linear_svm.lam = true"])
+@hypothesis.example(lines=["grid.mlp.learning_rate = true"])
+@hypothesis.example(lines=["grid.gbt.learning_rate = false"])
 def test_parse_config_fuzz_raises_only_config_errors(lines):
     try:
         cfg = parse_config_text("\n".join(lines)).validate()
@@ -221,5 +236,8 @@ def test_parse_config_fuzz_raises_only_config_errors(lines):
             assert all(v is None or isinstance(v, bool) or 0 < v < math.inf
                        for v in point.values())
             model = build_model(kind, point)
-            # a count is trained as given, never truncated from a fraction
-            assert all(getattr(model, name) == v for name, v in point.items())
+            # trained as given: a count never truncated from a fraction, a
+            # flag never taken from a number, a number never from a flag
+            for name, v in point.items():
+                got = getattr(model, name)
+                assert got == v and isinstance(got, bool) == isinstance(v, bool)

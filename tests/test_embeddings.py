@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from cacrad.embeddings import (
-    average_slices,
-    load_embeddings,
-    write_embeddings,
-)
+from cacrad.embeddings import load_embeddings, write_embeddings
 from cacrad.errors import (
-    DimMismatch,
     DuplicateSubject,
-    EmptyCounts,
     MissingFile,
     NonFiniteValue,
     RaggedRow,
@@ -84,13 +78,3 @@ def test_coverage_preserves_manifest_order(tmp_path):
     assert t.coverage(["a", "b", "c", "d"]) == ("a", "c")
     assert t.coverage([]) == ()
 
-
-def test_average_slices():
-    v = average_slices([[1.0, 2.0], [3.0, 6.0]])
-    assert v.tolist() == [2.0, 4.0]
-    single = average_slices([np.array([5.0, 7.0, 9.0])])
-    assert single.tolist() == [5.0, 7.0, 9.0]
-    with pytest.raises(EmptyCounts):
-        average_slices([])
-    with pytest.raises(DimMismatch):
-        average_slices([[1.0, 2.0], [1.0, 2.0, 3.0]])

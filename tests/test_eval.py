@@ -7,6 +7,7 @@ from cacrad.eval import (
     ConfusionCounts,
     betainc_regularized,
     confusion_from_predictions,
+    metric_cell,
     metrics,
     paired_t_test,
     t_sf_two_sided,
@@ -47,7 +48,7 @@ def test_metric_none_flags():
 
 def test_formatted_row_uses_dash():
     rep = metrics(ConfusionCounts(tp=0, fn=0, fp=2, tn=8))
-    row = rep.formatted_row()
+    row = {k: metric_cell(v) for k, v in rep.as_row().items()}
     assert row["sensitivity"] == "-"
     assert row["balanced_accuracy"] == "-"
     assert row["accuracy"] == repr(0.8)

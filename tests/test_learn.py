@@ -49,7 +49,7 @@ def test_separable_blobs_all_kinds(kind):
     pred, score = model.predict(x)
     assert np.array_equal(pred, y), kind
     assert np.all((score >= 0.0) & (score <= 1.0))
-    assert len(scores) == SMALL_GRIDS[kind].n_points()
+    assert len(scores) == len(list(SMALL_GRIDS[kind].points()))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -100,6 +100,12 @@ def test_single_class_refused(kind):
         build_model(kind, params).fit(x, y, seed=0)
 
 
+def test_positive_params_are_floats():
+    assert type(build_model("linear_svm", {"lam": 1}).lam) is float
+    assert type(build_model("gbt", {"learning_rate": 1}).learning_rate) is float
+    assert build_model("random_forest", {"bootstrap": False}).bootstrap is False
+
+
 def test_forest_degrades_to_constant_on_single_class():
     # a forest has no log-odds or margin to blow up; it just votes one way
     x = np.random.default_rng(0).normal(size=(10, 3))
@@ -111,8 +117,8 @@ def test_forest_degrades_to_constant_on_single_class():
 def test_default_grids_cover_all_kinds():
     for kind in MODEL_KINDS:
         assert kind in DEFAULT_GRIDS
-        assert DEFAULT_GRIDS[kind].n_points() >= 2
-    assert "gbt_alt" in DEFAULT_GRIDS
+        assert len(list(DEFAULT_GRIDS[kind].points())) >= 2
+    assert sorted(DEFAULT_GRIDS) == sorted(MODEL_KINDS)
     # canonical enumeration order: first parameter varies slowest
     pts = list(HyperGrid.of(a=(1, 2), b=(10, 20)).points())
     assert pts == [{"a": 1, "b": 10}, {"a": 1, "b": 20},

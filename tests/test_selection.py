@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacrad.errors import BadRange, TooFewRows, UnknownColumn
+from cacrad.errors import BadRange, TooFewRows
 from cacrad.manifest import CacLabel, ContrastGroup
-from cacrad.selection import (
-    Standardizer,
-    apply_standardizer,
-    correlation_filter,
-    fit_standardizer,
-    standardize_matrix,
-)
+from cacrad.selection import Standardizer, correlation_filter
 from cacrad.table import FeatureTable
 
 
@@ -87,49 +81,69 @@ def test_kept_set_pairwise_below_threshold(seed, n, p, threshold):
     assert np.all(np.abs(off) < threshold + 1e-12)
 
 
+def reference_filter(x, names, threshold):
+    """The filter as it z-scored before it shared the Standardizer: live
+    columns only, each by its own mean and population sd."""
+    mean = x.mean(axis=0)
+    sd = x.std(axis=0)
+    live = np.flatnonzero(sd > 0.0)
+    z = (x[:, live] - mean[live]) / sd[live]
+    corr = np.clip(z.T @ z / len(x), -1.0, 1.0)
+    kept = []
+    for k in range(live.size):
+        if all(abs(corr[k, j]) < threshold for j in kept):
+            kept.append(k)
+    return [names[live[k]] for k in kept], corr
+
+
+def test_filter_matches_per_column_z_scores():
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        n, p = int(rng.integers(4, 60)), int(rng.integers(2, 80))
+        x = rng.normal(loc=rng.normal(scale=50.0, size=p), size=(n, p))
+        x[:, rng.integers(p)] = rng.normal()              # one constant column
+        if p > 3:
+            x[:, 1] = 0.999 * x[:, 0] + 1e-3 * x[:, 2]    # a near-duplicate
+        t = table_from_matrix(x)
+        threshold = float(rng.uniform(0.3, 1.0))
+        want, corr = reference_filter(x, t.feature_names, threshold)
+        assert correlation_filter(t, threshold) == want, trial
+        z = Standardizer.fit(x).apply(x)[:, x.std(axis=0) > 0.0]
+        assert np.clip(z.T @ z / n, -1.0, 1.0).tobytes() == corr.tobytes(), trial
+
+
 def test_standardizer_round_trip_and_apply():
     rng = np.random.default_rng(5)
     mat = rng.normal(loc=10.0, scale=4.0, size=(12, 3))
     mat[:, 2] = 7.0  # constant column: sd substituted with 1
-    t = table_from_matrix(mat)
-    std = fit_standardizer(t, ["f0", "f2"])
-    assert std.sds[1] == 1.0
+    std = Standardizer.fit(mat)
+    assert std.sds[2] == 1.0
+    assert std.means.tobytes() == mat.mean(axis=0).tobytes()
+    assert std.sds[:2].tobytes() == mat[:, :2].std(axis=0).tobytes()
 
-    out = apply_standardizer(std, t)
-    assert out.feature_names == ("f0", "f2")
-    assert abs(out.matrix[:, 0].mean()) < 1e-12
-    assert abs(out.matrix[:, 0].std() - 1.0) < 1e-12
-    assert np.all(out.matrix[:, 1] == 0.0)
+    out = std.apply(mat)
+    assert abs(out[:, 0].mean()) < 1e-12
+    assert abs(out[:, 0].std() - 1.0) < 1e-12
+    assert np.all(out[:, 2] == 0.0)
 
-    rt = Standardizer.from_dict(std.to_dict())
-    assert rt.columns == std.columns
+    # the model documents' "mean"/"sd" lists, exact through repr
+    doc = std.to_dict()
+    assert sorted(doc) == ["mean", "sd"]
+    assert doc["mean"] == [repr(float(v)) for v in std.means]
+    rt = Standardizer.from_dict(doc)
     assert rt.means.tobytes() == std.means.tobytes()
     assert rt.sds.tobytes() == std.sds.tobytes()
 
 
-def test_standardize_matrix_checks_columns():
-    t = table_from_matrix(np.random.default_rng(1).normal(size=(6, 2)))
-    std = fit_standardizer(t, ["f0", "f1"])
-    z = standardize_matrix(std, ["f0", "f1"], t.matrix)
-    assert z.shape == (6, 2)
-    with pytest.raises(UnknownColumn):
-        standardize_matrix(std, ["f1", "f0"], t.matrix)
-    with pytest.raises(UnknownColumn):
-        fit_standardizer(t, ["missing"])
-
-
 def test_fit_ignores_rows_not_given():
-    # fitted artifacts depend only on the table passed in: refitting on a
+    # fitted artifacts depend only on the rows passed in: refitting on a
     # subset then applying to held-out rows must not equal a full-table fit
     rng = np.random.default_rng(9)
     mat = rng.normal(size=(20, 2))
-    full = table_from_matrix(mat)
-    train = full.take_rows(range(10))
-    std_train = fit_standardizer(train, ["f0", "f1"])
-    std_full = fit_standardizer(full, ["f0", "f1"])
+    std_train = Standardizer.fit(mat[:10])
+    std_full = Standardizer.fit(mat)
     assert not np.allclose(std_train.means, std_full.means)
     # and the train-fitted transform applied to test rows uses train stats
-    test = full.take_rows(range(10, 20))
-    z = apply_standardizer(std_train, test)
-    manual = (test.matrix - std_train.means) / std_train.sds
-    assert z.matrix.tobytes() == manual.tobytes()
+    z = std_train.apply(mat[10:])
+    manual = (mat[10:] - std_train.means) / std_train.sds
+    assert z.tobytes() == manual.tobytes()
