@@ -68,37 +68,87 @@ def _bounding_box(labels: np.ndarray):
     return tuple(map(slice, lo, hi)), np.array(lo)
 
 
-def _line_ends(idx: np.ndarray, axes) -> np.ndarray:
-    """Rows of the integer points idx (n, 3) not strictly between two
-    others on a line along any of the given axes.
+def _line_interiors(idx: np.ndarray) -> np.ndarray:
+    """(3, n) flags: whether each integer point of idx (n, 3) lies strictly
+    between two others on its line along axis 0, 1 and 2.
 
     Seen from any other point, one end of such a point's line lies farther
     along the one coordinate they differ in, so the point is never an end
     of the farthest pair; rounding is monotone, so the computed maximum
-    over the kept points is unchanged, bit for bit.
+    over the points on no line's inside is unchanged, bit for bit.
     """
-    keep = np.ones(len(idx), dtype=bool)
-    for axis in axes:
-        rest = [j for j in range(3) if j != axis]
-        order = np.lexsort((idx[:, axis], *(idx[:, j] for j in rest)))
-        line = idx[order][:, rest]
-        same = np.all(line[1:] == line[:-1], axis=1)
-        keep[order[1:-1][same[:-1] & same[1:]]] = False
-    return idx[keep]
+    span = idx.max(axis=0) + 1
+    inner = np.zeros((3, len(idx)), dtype=bool)
+    for axis in range(3):
+        u, v = (j for j in range(3) if j != axis)
+        line = idx[:, u] * span[v] + idx[:, v]
+        order = np.argsort(line * span[axis] + idx[:, axis], kind="stable")
+        same = np.diff(line[order]) == 0
+        inner[axis, order[1:-1][same[:-1] & same[1:]]] = True
+    return inner
 
 
-def _max_pairwise(points: np.ndarray, chunk: int = 2048) -> float:
-    """Largest distance between two rows of points; squares are summed in axis order."""
-    if len(points) < 2:
-        return 0.0
+def _max_pairwise(points: np.ndarray, rows: int = 128) -> float:
+    """Largest distance between two rows of points; squares are summed in axis order.
+
+    Each block of `rows` points is scored against itself and every later
+    point in two reused buffers, so no (n, n) array is ever built.
+    """
+    n = len(points)
+    cols = np.ascontiguousarray(points.T)
+    d2_buf = np.empty(min(rows, n) * n)
+    diff_buf = np.empty_like(d2_buf)
     best = 0.0
-    for lo in range(0, len(points), chunk):
-        d2 = 0.0
-        for col in points.T:
-            diff = col[lo:lo + chunk, None] - col[None, lo:]
-            d2 = d2 + diff * diff
+    for lo in range(0, n - 1, rows):
+        hi = min(lo + rows, n)
+        shape = (hi - lo, n - lo)
+        d2 = d2_buf[:shape[0] * shape[1]].reshape(shape)
+        diff = diff_buf[:d2.size].reshape(shape)
+        for axis, col in enumerate(cols):
+            np.subtract(col[lo:hi, None], col[None, lo:], out=diff)
+            if axis == 0:
+                np.multiply(diff, diff, out=d2)
+            else:
+                np.multiply(diff, diff, out=diff)
+                np.add(d2, diff, out=d2)
         best = max(best, float(d2.max()))
     return float(np.sqrt(best))
+
+
+def _max_pairwise_per_slice(levels: np.ndarray, points: np.ndarray, cells: int = 1 << 18) -> float:
+    """Largest distance between two rows of points on the same level.
+
+    Slices are taken smallest first, in blocks of about `cells` pairs padded
+    to the block's largest slice with copies of each slice's first point,
+    which add no distance; a slice past the budget on its own is scanned
+    by _max_pairwise. Squares are summed in axis order, as there.
+    """
+    order = np.argsort(levels, kind="stable")
+    levels, points = levels[order], points[order]
+    starts = np.flatnonzero(np.r_[True, levels[1:] != levels[:-1]])
+    sizes = np.diff(np.r_[starts, len(levels)])
+    by_size = np.argsort(sizes, kind="stable")
+    starts, sizes = starts[by_size], sizes[by_size]
+    best, lo = 0.0, 0
+    while lo < len(sizes):
+        if sizes[lo] ** 2 > cells:
+            best = max(best, _max_pairwise(points[starts[lo]:starts[lo] + sizes[lo]]))
+            lo += 1
+            continue
+        hi = lo + 1
+        while hi < len(sizes) and (hi + 1 - lo) * sizes[hi] ** 2 <= cells:
+            hi += 1
+        t = np.arange(sizes[hi - 1])
+        block = points[starts[lo:hi, None] + np.where(t < sizes[lo:hi, None], t, 0)]
+        d2 = None
+        for axis in range(points.shape[1]):
+            col = block[:, :, axis]
+            diff = col[:, :, None] - col[:, None, :]
+            np.multiply(diff, diff, out=diff)
+            d2 = diff if d2 is None else np.add(d2, diff, out=d2)
+        best = max(best, float(np.sqrt(d2.max())))
+        lo = hi
+    return best
 
 
 def shape_features(labels: np.ndarray, spacing) -> dict:
@@ -115,13 +165,13 @@ def shape_features(labels: np.ndarray, spacing) -> dict:
     vol, area = mesh_volume_area(tri)
 
     surf = surface_voxels(labels) + corner
-    max3d = _max_pairwise(_line_ends(surf, (0, 1, 2)) * sp)
+    inner = _line_interiors(surf)
+    max3d = _max_pairwise(surf[~inner.any(axis=0)] * sp)
     max2d = {}
     for plane, axis in (("XY", 2), ("XZ", 1), ("YZ", 0)):
         keep = [k for k in range(3) if k != axis]
-        ends = _line_ends(surf, keep)
-        max2d[plane] = max(_max_pairwise(ends[ends[:, axis] == level][:, keep] * sp[keep])
-                           for level in np.unique(ends[:, axis]))
+        ends = surf[~inner[keep].any(axis=0)]
+        max2d[plane] = _max_pairwise_per_slice(ends[:, axis], ends[:, keep] * sp[keep])
 
     centers = (np.argwhere(labels) + corner).astype(np.float64) * sp
     centered = centers - centers.mean(axis=0)

@@ -1,7 +1,9 @@
 """Descriptor formulas over the five texture matrices.
 
-GLCM and GLRLM descriptors are computed per direction and arithmetically
-averaged over directions that contain counts. Degenerate 0/0 cases
+GLCM and GLRLM descriptors are computed for a stack of directions at
+once and arithmetically averaged over directions that contain counts;
+every reduction runs over a matrix's own contiguous axes, so each value is
+bit for bit the one a single-matrix computation gives. Degenerate 0/0 cases
 substitute 0, correlation-like cases substitute 1, and the NGTDM
 coarseness guard substitutes 1e6; every return value is finite.
 """
@@ -13,73 +15,130 @@ from ..texmat import Glcm, Gldm, Glrlm, Glszm, Ngtdm
 COARSENESS_GUARD = 1e6
 
 
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum()) + 0.0  # +0.0 avoids -0.0
+# Float64 bytes of one stacked (directions, ng, n) temporary: directions
+# are taken in blocks this large (one matrix at least), so a descriptor
+# pass holds a few such stacks, never (13, ng, ng) ones.
+STACK_BYTES = 1 << 20
 
 
-def _glcm_one(p: np.ndarray, ng: int) -> dict:
+def _segment_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive run of terms, one numpy sum per run.
+
+    A stack's nonzero entries form runs of different lengths, and numpy's
+    pairwise summation groups terms by run length, so each run is summed
+    on its own: every sum is the one-matrix sum, bit for bit.
+    """
+    ends = np.cumsum(lengths)
+    return np.array([terms[a:b].sum() for a, b in zip(ends - lengths, ends)])
+
+
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """Entropy of each matrix of the stack p, over its nonzero entries."""
+    flat = p.reshape(len(p), -1)
+    pos = flat > 0
+    nz = flat[pos]
+    return -_segment_sums(nz * np.log2(nz), pos.sum(axis=1)) + 0.0  # +0.0 avoids -0.0
+
+
+def _at_least_zero(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _direction_blocks(counts: np.ndarray):
+    """The directions of counts (n_dirs, ng, n) that have counts, in order, in
+    blocks of at most STACK_BYTES of float64 (one matrix at least): each
+    block's direction indices and totals."""
+    totals = counts.sum(axis=(1, 2))
+    dirs = np.flatnonzero(totals)
+    per = max(1, STACK_BYTES // (8 * counts[0].size))
+    for lo in range(0, len(dirs), per):
+        yield dirs[lo:lo + per], totals[dirs[lo:lo + per]]
+
+
+def _direction_means(blocks) -> dict:
+    """Per-descriptor mean over every direction of the blocks' (name -> (b,)) dicts."""
+    names = blocks[0].keys()
+    per_dir = np.stack([np.concatenate([b[name] for b in blocks]) for name in names])
+    return dict(zip(names, np.mean(per_dir, axis=1).tolist()))
+
+
+def _mcc(p: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Maximal correlation coefficient of each normalized GLCM of the stack,
+    over its present gray levels; one eigvals call per present-level set."""
+    present = px > 0
+    mcc = np.ones(len(p))
+    groups = {}
+    for k in np.flatnonzero(present.sum(axis=1) >= 2):
+        groups.setdefault(present[k].tobytes(), []).append(k)
+    for ks in groups.values():
+        keep = np.flatnonzero(present[ks[0]])
+        sub = p[np.ix_(ks, keep, keep)]
+        pxs = sub.sum(axis=2)
+        q = (sub / pxs[:, :, None]) @ (sub / pxs[:, None, :]).transpose(0, 2, 1)
+        eig = np.sort(np.linalg.eigvals(q).real, axis=1)
+        mcc[ks] = np.sqrt(_at_least_zero(eig[:, -2]))
+    return mcc
+
+
+def _glcm_block(p: np.ndarray) -> dict:
+    """GLCM descriptors of a stack p (b, ng, ng) of normalized matrices."""
+    b, ng, _ = p.shape
     i = np.arange(1, ng + 1, dtype=np.float64)
     ii = i[:, None]
     jj = i[None, :]
-    px = p.sum(axis=1)  # symmetric matrix: both marginals coincide
-    mu = float((i * px).sum())
-    sig2 = float(((i - mu) ** 2 * px).sum())
+    px = p.sum(axis=2)  # symmetric matrices: both marginals coincide
+    mu = (i * px).sum(axis=1)
+    sig2 = ((i - mu[:, None]) ** 2 * px).sum(axis=1)
 
+    levels = np.arange(1, ng + 1)
     ksum = np.arange(2 * ng + 1, dtype=np.float64)
-    psum = np.zeros(2 * ng + 1)
-    np.add.at(psum, (ii + jj).astype(int).ravel(), p.ravel())
     kdiff = np.arange(ng, dtype=np.float64)
-    pdiff = np.zeros(ng)
-    np.add.at(pdiff, np.abs(ii - jj).astype(int).ravel(), p.ravel())
+    stack = np.arange(b)[:, None, None]
+    psum = np.bincount((np.add.outer(levels, levels) + stack * (2 * ng + 1)).ravel(),
+                       p.ravel(), b * (2 * ng + 1)).reshape(b, 2 * ng + 1)
+    pdiff = np.bincount((np.abs(np.subtract.outer(levels, levels)) + stack * ng).ravel(),
+                        p.ravel(), b * ng).reshape(b, ng)
 
-    autoc = float((ii * jj * p).sum())
-    corr = (autoc - mu * mu) / sig2 if sig2 > 0 else 1.0
-    diff_avg = float((kdiff * pdiff).sum())
+    autoc = (ii * jj * p).sum(axis=(1, 2))
+    corr = np.divide(autoc - mu * mu, sig2, out=np.ones(b), where=sig2 > 0)
+    diff_avg = (kdiff * pdiff).sum(axis=1)
 
-    hx = _entropy(px)
-    hxy = _entropy(p)
-    outer = px[:, None] * px[None, :]
+    hx = _entropies(px)
+    hxy = _entropies(p)
+    outer = px[:, :, None] * px[:, None, :]
     pos = (p > 0) & (outer > 0)
-    hxy1 = float(-(p[pos] * np.log2(outer[pos])).sum())
-    hxy2 = _entropy(outer)
-    imc1 = (hxy - hxy1) / hx if hx > 0 else 0.0
-    imc2 = float(np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - hxy)))))
+    hxy1 = -_segment_sums(p[pos] * np.log2(outer[pos]), pos.sum(axis=(1, 2)))
+    del pos
+    hxy2 = _entropies(outer)
+    del outer
+    imc1 = np.divide(hxy - hxy1, hx, out=np.zeros(b), where=hx > 0)
+    imc2 = np.sqrt(_at_least_zero(1.0 - np.exp(-2.0 * (hxy2 - hxy))))
 
-    present = px > 0
-    if present.sum() < 2:
-        mcc = 1.0
-    else:
-        sub = p[np.ix_(present, present)]
-        pxs = sub.sum(axis=1)
-        q = (sub / pxs[:, None]) @ (sub / pxs[None, :]).T
-        eig = np.sort(np.linalg.eigvals(q).real)
-        mcc = float(np.sqrt(max(0.0, eig[-2])))
-
+    c = ii + jj - 2 * mu[:, None, None]
     return {
         "Autocorrelation": autoc,
-        "ClusterProminence": float(((ii + jj - 2 * mu) ** 4 * p).sum()),
-        "ClusterShade": float(((ii + jj - 2 * mu) ** 3 * p).sum()),
-        "ClusterTendency": float(((ii + jj - 2 * mu) ** 2 * p).sum()),
-        "Contrast": float(((ii - jj) ** 2 * p).sum()),
+        "ClusterProminence": (c ** 4 * p).sum(axis=(1, 2)),
+        "ClusterShade": (c ** 3 * p).sum(axis=(1, 2)),
+        "ClusterTendency": (c ** 2 * p).sum(axis=(1, 2)),
+        "Contrast": ((ii - jj) ** 2 * p).sum(axis=(1, 2)),
         "Correlation": corr,
         "DifferenceAverage": diff_avg,
-        "DifferenceEntropy": _entropy(pdiff),
-        "DifferenceVariance": float(((kdiff - diff_avg) ** 2 * pdiff).sum()),
-        "Id": float((pdiff / (1.0 + kdiff)).sum()),
-        "Idm": float((pdiff / (1.0 + kdiff ** 2)).sum()),
-        "Idmn": float((pdiff / (1.0 + kdiff ** 2 / ng ** 2)).sum()),
-        "Idn": float((pdiff / (1.0 + kdiff / ng)).sum()),
+        "DifferenceEntropy": _entropies(pdiff),
+        "DifferenceVariance": ((kdiff - diff_avg[:, None]) ** 2 * pdiff).sum(axis=1),
+        "Id": (pdiff / (1.0 + kdiff)).sum(axis=1),
+        "Idm": (pdiff / (1.0 + kdiff ** 2)).sum(axis=1),
+        "Idmn": (pdiff / (1.0 + kdiff ** 2 / ng ** 2)).sum(axis=1),
+        "Idn": (pdiff / (1.0 + kdiff / ng)).sum(axis=1),
         "Imc1": imc1,
         "Imc2": imc2,
-        "InverseVariance": float((pdiff[1:] / kdiff[1:] ** 2).sum()),
+        "InverseVariance": (pdiff[:, 1:] / kdiff[1:] ** 2).sum(axis=1),
         "JointAverage": mu,
-        "JointEnergy": float((p ** 2).sum()),
+        "JointEnergy": (p ** 2).sum(axis=(1, 2)),
         "JointEntropy": hxy,
-        "MCC": mcc,
-        "MaximumProbability": float(p.max()),
-        "SumAverage": float((ksum * psum).sum()),
-        "SumEntropy": _entropy(psum),
+        "MCC": _mcc(p, px),
+        "MaximumProbability": p.max(axis=(1, 2)),
+        "SumAverage": (ksum * psum).sum(axis=1),
+        "SumEntropy": _entropies(psum),
         "SumSquares": sig2,
     }
 
@@ -97,56 +156,57 @@ _GLCM_EMPTY = {
 
 
 def glcm_features(m: Glcm) -> dict:
-    ng = m.counts.shape[1]
-    per_dir = []
-    for k in range(m.counts.shape[0]):
-        total = m.counts[k].sum()
-        if total == 0:
-            continue
-        per_dir.append(_glcm_one(m.counts[k] / total, ng))
-    if not per_dir:
+    blocks = [_glcm_block(m.counts[dirs] / totals[:, None, None])
+              for dirs, totals in _direction_blocks(m.counts)]
+    if not blocks:
         # no voxel pair in any direction (e.g. single-voxel region)
         return dict(_GLCM_EMPTY)
-    return {key: float(np.mean([d[key] for d in per_dir])) for key in per_dir[0]}
+    return _direction_means(blocks)
 
 
-def _weighted_family(mat: np.ndarray, row_weights: np.ndarray, col_weights: np.ndarray):
-    """Shared algebra for run/zone/dependence families.
+def _weighted_family(mat: np.ndarray):
+    """Shared algebra for run/zone/dependence families over a stack
+    mat (b, rows, cols) of count matrices, rows and columns weighted 1, 2, ...
 
-    Returns the sums and distribution moments every family reuses;
-    ``nz`` is total entries, ``nw`` total weighted mass (voxel count).
+    Returns, per matrix, the sums and distribution moments every family
+    reuses; ``nz`` is total entries, ``nw`` total weighted mass (voxel count).
     """
-    nz = float(mat.sum())
+    _, rows, cols = mat.shape
+    row_weights = np.arange(1, rows + 1, dtype=np.float64)
+    col_weights = np.arange(1, cols + 1, dtype=np.float64)
+    nz = mat.sum(axis=(1, 2))
     i = row_weights[:, None]
     j = col_weights[None, :]
-    p = mat / nz
-    pi = p.sum(axis=1)
-    pj = p.sum(axis=0)
-    mu_i = float((row_weights * pi).sum())
-    mu_j = float((col_weights * pj).sum())
+    p = mat / nz[:, None, None]
+    pi = p.sum(axis=2)
+    pj = p.sum(axis=1)
+    mu_i = (row_weights * pi).sum(axis=1)
+    mu_j = (col_weights * pj).sum(axis=1)
+
+    def total(x):
+        return x.sum(axis=(1, 2))
+
     return {
         "nz": nz,
-        "nw": float((mat * j).sum()),
-        "low": float((mat / i ** 2).sum()) / nz,
-        "high": float((mat * i ** 2).sum()) / nz,
-        "short": float((mat / j ** 2).sum()) / nz,
-        "long": float((mat * j ** 2).sum()) / nz,
-        "short_low": float((mat / (i ** 2 * j ** 2)).sum()) / nz,
-        "short_high": float((mat * i ** 2 / j ** 2).sum()) / nz,
-        "long_low": float((mat * j ** 2 / i ** 2).sum()) / nz,
-        "long_high": float((mat * (i ** 2) * (j ** 2)).sum()) / nz,
-        "gln": float((mat.sum(axis=1) ** 2).sum()) / nz,
-        "cln": float((mat.sum(axis=0) ** 2).sum()) / nz,
-        "gl_var": float((((row_weights - mu_i) ** 2) * pi).sum()),
-        "col_var": float((((col_weights - mu_j) ** 2) * pj).sum()),
-        "entropy": _entropy(p),
+        "nw": total(mat * j),
+        "low": total(mat / i ** 2) / nz,
+        "high": total(mat * i ** 2) / nz,
+        "short": total(mat / j ** 2) / nz,
+        "long": total(mat * j ** 2) / nz,
+        "short_low": total(mat / (i ** 2 * j ** 2)) / nz,
+        "short_high": total(mat * i ** 2 / j ** 2) / nz,
+        "long_low": total(mat * j ** 2 / i ** 2) / nz,
+        "long_high": total(mat * (i ** 2) * (j ** 2)) / nz,
+        "gln": (mat.sum(axis=2) ** 2).sum(axis=1) / nz,
+        "cln": (mat.sum(axis=1) ** 2).sum(axis=1) / nz,
+        "gl_var": (((row_weights - mu_i[:, None]) ** 2) * pi).sum(axis=1),
+        "col_var": (((col_weights - mu_j[:, None]) ** 2) * pj).sum(axis=1),
+        "entropy": _entropies(p),
     }
 
 
-def _glrlm_one(mat: np.ndarray) -> dict:
-    ng, nr = mat.shape
-    f = _weighted_family(mat, np.arange(1, ng + 1, dtype=np.float64),
-                         np.arange(1, nr + 1, dtype=np.float64))
+def _glrlm_block(mat: np.ndarray) -> dict:
+    f = _weighted_family(mat)
     return {
         "GrayLevelNonUniformity": f["gln"],
         "GrayLevelNonUniformityNormalized": f["gln"] / f["nz"],
@@ -168,16 +228,18 @@ def _glrlm_one(mat: np.ndarray) -> dict:
 
 
 def glrlm_features(m: Glrlm) -> dict:
-    per_dir = [_glrlm_one(m.counts[k].astype(np.float64))
-               for k in range(m.counts.shape[0]) if m.counts[k].sum() > 0]
-    return {key: float(np.mean([d[key] for d in per_dir])) for key in per_dir[0]}
+    return _direction_means([_glrlm_block(m.counts[dirs].astype(np.float64))
+                             for dirs, _ in _direction_blocks(m.counts)])
+
+
+def _one(m) -> dict:
+    """_weighted_family of one count matrix, as floats."""
+    f = _weighted_family(m.counts[None].astype(np.float64))
+    return {key: float(v[0]) for key, v in f.items()}
 
 
 def glszm_features(m: Glszm) -> dict:
-    mat = m.counts.astype(np.float64)
-    ng, ns = mat.shape
-    f = _weighted_family(mat, np.arange(1, ng + 1, dtype=np.float64),
-                         np.arange(1, ns + 1, dtype=np.float64))
+    f = _one(m)
     return {
         "GrayLevelNonUniformity": f["gln"],
         "GrayLevelNonUniformityNormalized": f["gln"] / f["nz"],
@@ -199,11 +261,7 @@ def glszm_features(m: Glszm) -> dict:
 
 
 def gldm_features(m: Gldm) -> dict:
-    mat = m.counts.astype(np.float64)
-    ng, nd = mat.shape
-    # column k counts k dependent neighbors; weight as dependence size k+1
-    f = _weighted_family(mat, np.arange(1, ng + 1, dtype=np.float64),
-                         np.arange(1, nd + 1, dtype=np.float64))
+    f = _one(m)  # column k counts k dependent neighbors: weight k + 1
     return {
         "DependenceEntropy": f["entropy"],
         "DependenceNonUniformity": f["cln"],

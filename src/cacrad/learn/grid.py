@@ -18,11 +18,18 @@ from ..rng import derive_seed
 from .split import stratified_kfold
 
 
+# Largest count a hyperparameter may take. Past it a forest draws one random
+# stream per tree and an mlp holds (features, hidden) weight matrices before
+# any training, so a typo such as 10^12 trees would exhaust memory.
+MAX_COUNT = 10_000
+
+
 def count_param(name: str, value) -> int:
     """A hyperparameter that counts something (trees, rounds, epochs, units,
-    levels): an integer >= 1, never truncated from a fraction."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    levels): an integer from 1 to MAX_COUNT, never truncated from a fraction."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 1 <= value <= MAX_COUNT):
+        raise ValueError(f"{name} must be an integer from 1 to {MAX_COUNT}, got {value!r}")
     return int(value)
 
 

@@ -41,20 +41,21 @@ class Standardizer:
 def correlation_filter(table: FeatureTable, threshold: float = 0.90) -> list:
     """Greedy keep-first-in-canonical-order filtering on |Pearson r|.
 
-    Constant columns (every z-score 0) are dropped up front. A column is
-    kept iff its absolute correlation with every already-kept column is
-    strictly below the threshold. Output order follows the table's
+    Constant columns (max == min on these rows) are dropped up front: a
+    column of equal values can have a tiny nonzero computed sd. A column
+    is kept iff its absolute correlation with every already-kept column
+    is strictly below the threshold. Output order follows the table's
     column order.
     """
     if not (0.0 < threshold <= 1.0):
         raise BadRange(f"threshold must be in (0, 1], got {threshold}")
     if table.n_rows < 2:
         raise TooFewRows("correlation needs at least 2 rows")
-    z = Standardizer.fit(table.matrix).apply(table.matrix)
-    live = np.flatnonzero(z.any(axis=0))
+    x = np.asarray(table.matrix, dtype=np.float64)
+    live = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
     if live.size == 0:
         return []
-    z = z[:, live]
+    z = Standardizer.fit(x).apply(x)[:, live]
     corr = np.clip(z.T @ z / table.n_rows, -1.0, 1.0)
     kept = []
     for k in range(live.size):

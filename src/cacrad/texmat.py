@@ -2,8 +2,10 @@
 
 All five families share one neighborhood definition: the 26-neighborhood,
 collapsed to 13 unique directions (sign folded). ``forward_pairs`` yields
-each direction's grid overlap once for GLCM, GLSZM, GLDM and NGTDM; GLRLM
-reads the grid's lines along each direction laid end to end. Matrices
+each direction's grid overlap once for GLCM, GLSZM and GLDM; GLRLM reads
+the grid's lines along each direction laid end to end, and NGTDM sums
+each voxel's 26 neighbours as one 3x3x3 box sum. Counts go through
+``np.bincount`` over a flat index into the matrix. Matrices
 hold raw integer counts; normalization is the feature layer's job so
 these stay exactly comparable against brute-force oracles.
 """
@@ -85,26 +87,35 @@ def forward_pairs(shape, distance: int = 1):
         yield tuple(src), tuple(dst)
 
 
-def _count_matrix(shape, name):
-    """Zeroed int64 counts of the given shape, whose axis -2 runs over the
-    gray levels; TooManyGrayLevels, before allocating, past MAX_MATRIX_BYTES."""
+def _bounded(shape, name):
+    """The shape of an int64 count matrix whose axis -2 runs over the gray
+    levels; TooManyGrayLevels, before anything is allocated, when the
+    matrix would pass MAX_MATRIX_BYTES."""
     nbytes = 8 * math.prod(shape)
     if nbytes > MAX_MATRIX_BYTES:
         raise TooManyGrayLevels(
             f"{shape[-2]} gray levels need a {nbytes / 2 ** 30:.1f} GiB {name} of shape {shape}, "
             f"above {MAX_MATRIX_BYTES >> 20} MiB; widen bin_width or set n_bins")
-    return np.zeros(shape, dtype=np.int64)
+    return shape
+
+
+def _counts(index, shape):
+    """int64 counts of the given shape: how often each flat index into it occurs."""
+    return np.bincount(index, minlength=math.prod(shape)).reshape(shape)
 
 
 def compute_glcm(roi: DiscretizedRoi, distance: int = 1) -> Glcm:
     """Symmetric co-occurrence counts at the given offset distance, per direction."""
     ng = roi.ng
-    counts = _count_matrix((len(DIRECTIONS_13), ng, ng), "GLCM")
+    shape = _bounded((len(DIRECTIONS_13), ng, ng), "GLCM")
     grid, _ = roi.dense_grid()
+    index = []
     for k, (src, dst) in enumerate(forward_pairs(grid.shape, distance)):
         a, b = grid[src], grid[dst]
         valid = (a > 0) & (b > 0)
-        np.add.at(counts[k], (a[valid] - 1, b[valid] - 1), 1)
+        index.append((k * ng + a[valid] - 1) * ng + b[valid] - 1)
+    counts = _counts(np.concatenate(index), shape)
+    for k in range(len(DIRECTIONS_13)):
         counts[k] += counts[k].T  # numpy buffers the overlap; no second (13, ng, ng) array
     return Glcm(counts=counts, directions=DIRECTIONS_13, distance=distance)
 
@@ -131,10 +142,8 @@ def _lines_along(grid, d):
 def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
     """Maximal same-level collinear runs per direction; gaps break runs.
 
-    With the lines along d laid end to end, a run starts at an ROI voxel
-    whose predecessor differs and ends at one whose successor differs.
-    Starts and ends are then both in (line, position) order, so the k-th
-    start and the k-th end bound the same run.
+    With the lines along d laid end to end, each separated by a 0, the
+    runs are the stretches of equal nonzero level between two changes.
     """
     grid, _ = roi.dense_grid()
     runs_per_dir = []
@@ -142,14 +151,15 @@ def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
         v = _lines_along(grid, d)
         change = np.ones(len(v) + 1, dtype=bool)
         np.not_equal(v[1:], v[:-1], out=change[1:-1])
-        inside = v > 0
-        starts = np.flatnonzero(change[:-1] & inside)
-        ends = np.flatnonzero(change[1:] & inside)
-        runs_per_dir.append((v[starts], ends - starts + 1))
+        cuts = np.flatnonzero(change)  # v is constant on each [cuts[k], cuts[k + 1])
+        levels = v[cuts[:-1]]
+        run = levels > 0
+        runs_per_dir.append((levels[run], np.diff(cuts)[run]))
     max_len = max(int(lengths.max()) for _, lengths in runs_per_dir)
-    counts = _count_matrix((len(DIRECTIONS_13), roi.ng, max_len), "GLRLM")
-    for k, (levels, lengths) in enumerate(runs_per_dir):
-        np.add.at(counts[k], (levels - 1, lengths - 1), 1)
+    shape = _bounded((len(DIRECTIONS_13), roi.ng, max_len), "GLRLM")
+    counts = _counts(np.concatenate([(k * roi.ng + levels - 1) * max_len + lengths - 1
+                                     for k, (levels, lengths) in enumerate(runs_per_dir)]),
+                     shape)
     return Glrlm(counts=counts, directions=DIRECTIONS_13)
 
 
@@ -183,8 +193,8 @@ def compute_glszm(roi: DiscretizedRoi) -> Glszm:
         apart = u != v
         u, v = u[apart], v[apart]
     roots, sizes = np.unique(parent, return_counts=True)
-    counts = _count_matrix((roi.ng, int(sizes.max())), "GLSZM")
-    np.add.at(counts, (grid[inside][roots] - 1, sizes - 1), 1)
+    shape = _bounded((roi.ng, int(sizes.max())), "GLSZM")
+    counts = _counts((grid[inside][roots] - 1) * shape[1] + sizes - 1, shape)
     return Glszm(counts=counts)
 
 
@@ -198,9 +208,19 @@ def compute_gldm(roi: DiscretizedRoi, alpha: int = 0) -> Gldm:
         dep[dst] += ok
         dep[src] += ok
     deps = dep[grid > 0]
-    counts = np.zeros((roi.ng, int(deps.max()) + 1), dtype=np.int64)
-    np.add.at(counts, (grid[grid > 0] - 1, deps), 1)
+    width = int(deps.max()) + 1
+    counts = _counts((grid[grid > 0] - 1) * width + deps, (roi.ng, width))
     return Gldm(counts=counts, alpha=alpha)
+
+
+def _neighbour_sums(a):
+    """Sum of a over each cell's 26-neighbourhood, zero beyond the grid:
+    a 3x3x3 box sum, one axis at a time, less the cell; exact in int64."""
+    s = np.pad(a.astype(np.int64), 1)
+    s = s[:-2] + s[1:-1] + s[2:]
+    s = s[:, :-2] + s[:, 1:-1] + s[:, 2:]
+    s = s[:, :, :-2] + s[:, :, 1:-1] + s[:, :, 2:]
+    return s - a
 
 
 def compute_ngtdm(roi: DiscretizedRoi) -> Ngtdm:
@@ -209,22 +229,13 @@ def compute_ngtdm(roi: DiscretizedRoi) -> Ngtdm:
     Voxels with no in-ROI neighbor are excluded from both n_i and s_i.
     """
     grid, off = roi.dense_grid()
-    nb_sum = np.zeros(grid.shape, dtype=np.int64)  # grid is 0 outside the ROI
-    nb_cnt = np.zeros(grid.shape, dtype=np.int64)
-    for src, dst in forward_pairs(grid.shape):
-        a, b = grid[src], grid[dst]
-        nb_sum[dst] += a
-        nb_cnt[dst] += a > 0
-        nb_sum[src] += b
-        nb_cnt[src] += b > 0
     rel = roi.indices - off
-    cnt = nb_cnt[rel[:, 0], rel[:, 1], rel[:, 2]]
-    tot = nb_sum[rel[:, 0], rel[:, 1], rel[:, 2]]
+    at = (rel[:, 0], rel[:, 1], rel[:, 2])
+    cnt = _neighbour_sums(grid > 0)[at]
+    tot = _neighbour_sums(grid)[at]  # grid is 0 outside the ROI
     has_nb = cnt > 0
     levels = roi.levels[has_nb]
     diffs = np.abs(levels - tot[has_nb] / cnt[has_nb])
-    n = np.zeros(roi.ng, dtype=np.int64)
-    s = np.zeros(roi.ng, dtype=np.float64)
-    np.add.at(n, levels - 1, 1)
-    np.add.at(s, levels - 1, diffs)
+    n = _counts(levels - 1, (roi.ng,))
+    s = np.bincount(levels - 1, diffs, roi.ng)  # adds in voxel order, as np.add.at does
     return Ngtdm(n=n, s=s, valid_count=int(has_nb.sum()))

@@ -1,0 +1,422 @@
+"""Batched descriptors, bincount matrices and blocked diameter scans against
+the one-direction, one-slice, scatter-add code they replaced.
+
+The references below are that code, kept here verbatim in what it
+computes. Every comparison is ``==`` on floats: the batched forms must
+give the same bits, not close values.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cacrad.features import texture
+from cacrad.features.shape import (
+    _line_interiors,
+    _max_pairwise,
+    _max_pairwise_per_slice,
+    shape_features,
+    surface_voxels,
+)
+from cacrad.features.texture import (
+    glcm_features,
+    gldm_features,
+    glrlm_features,
+    glszm_features,
+)
+from cacrad.texmat import (
+    DIRECTIONS_13,
+    Glcm,
+    Glrlm,
+    compute_glcm,
+    compute_gldm,
+    compute_glrlm,
+    compute_glszm,
+    compute_ngtdm,
+    forward_pairs,
+)
+
+from conftest import disc_from_grid, renumber
+
+
+# --- references: the per-direction, per-slice and add.at code -------------
+
+def ref_entropy(p):
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum()) + 0.0
+
+
+def ref_glcm_one(p, ng):
+    i = np.arange(1, ng + 1, dtype=np.float64)
+    ii = i[:, None]
+    jj = i[None, :]
+    px = p.sum(axis=1)
+    mu = float((i * px).sum())
+    sig2 = float(((i - mu) ** 2 * px).sum())
+
+    ksum = np.arange(2 * ng + 1, dtype=np.float64)
+    psum = np.zeros(2 * ng + 1)
+    np.add.at(psum, (ii + jj).astype(int).ravel(), p.ravel())
+    kdiff = np.arange(ng, dtype=np.float64)
+    pdiff = np.zeros(ng)
+    np.add.at(pdiff, np.abs(ii - jj).astype(int).ravel(), p.ravel())
+
+    autoc = float((ii * jj * p).sum())
+    corr = (autoc - mu * mu) / sig2 if sig2 > 0 else 1.0
+    diff_avg = float((kdiff * pdiff).sum())
+
+    hx = ref_entropy(px)
+    hxy = ref_entropy(p)
+    outer = px[:, None] * px[None, :]
+    pos = (p > 0) & (outer > 0)
+    hxy1 = float(-(p[pos] * np.log2(outer[pos])).sum())
+    hxy2 = ref_entropy(outer)
+    imc1 = (hxy - hxy1) / hx if hx > 0 else 0.0
+    imc2 = float(np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - hxy)))))
+
+    present = px > 0
+    if present.sum() < 2:
+        mcc = 1.0
+    else:
+        sub = p[np.ix_(present, present)]
+        pxs = sub.sum(axis=1)
+        q = (sub / pxs[:, None]) @ (sub / pxs[None, :]).T
+        eig = np.sort(np.linalg.eigvals(q).real)
+        mcc = float(np.sqrt(max(0.0, eig[-2])))
+
+    return {
+        "Autocorrelation": autoc,
+        "ClusterProminence": float(((ii + jj - 2 * mu) ** 4 * p).sum()),
+        "ClusterShade": float(((ii + jj - 2 * mu) ** 3 * p).sum()),
+        "ClusterTendency": float(((ii + jj - 2 * mu) ** 2 * p).sum()),
+        "Contrast": float(((ii - jj) ** 2 * p).sum()),
+        "Correlation": corr,
+        "DifferenceAverage": diff_avg,
+        "DifferenceEntropy": ref_entropy(pdiff),
+        "DifferenceVariance": float(((kdiff - diff_avg) ** 2 * pdiff).sum()),
+        "Id": float((pdiff / (1.0 + kdiff)).sum()),
+        "Idm": float((pdiff / (1.0 + kdiff ** 2)).sum()),
+        "Idmn": float((pdiff / (1.0 + kdiff ** 2 / ng ** 2)).sum()),
+        "Idn": float((pdiff / (1.0 + kdiff / ng)).sum()),
+        "Imc1": imc1,
+        "Imc2": imc2,
+        "InverseVariance": float((pdiff[1:] / kdiff[1:] ** 2).sum()),
+        "JointAverage": mu,
+        "JointEnergy": float((p ** 2).sum()),
+        "JointEntropy": hxy,
+        "MCC": mcc,
+        "MaximumProbability": float(p.max()),
+        "SumAverage": float((ksum * psum).sum()),
+        "SumEntropy": ref_entropy(psum),
+        "SumSquares": sig2,
+    }
+
+
+def ref_glcm_features(m):
+    ng = m.counts.shape[1]
+    per_dir = []
+    for k in range(m.counts.shape[0]):
+        total = m.counts[k].sum()
+        if total == 0:
+            continue
+        per_dir.append(ref_glcm_one(m.counts[k] / total, ng))
+    if not per_dir:
+        return dict(texture._GLCM_EMPTY)
+    return {key: float(np.mean([d[key] for d in per_dir])) for key in per_dir[0]}
+
+
+def ref_weighted_family(mat):
+    ng, nc = mat.shape
+    row_weights = np.arange(1, ng + 1, dtype=np.float64)
+    col_weights = np.arange(1, nc + 1, dtype=np.float64)
+    nz = float(mat.sum())
+    i = row_weights[:, None]
+    j = col_weights[None, :]
+    p = mat / nz
+    pi = p.sum(axis=1)
+    pj = p.sum(axis=0)
+    mu_i = float((row_weights * pi).sum())
+    mu_j = float((col_weights * pj).sum())
+    return {
+        "nz": nz,
+        "nw": float((mat * j).sum()),
+        "low": float((mat / i ** 2).sum()) / nz,
+        "high": float((mat * i ** 2).sum()) / nz,
+        "short": float((mat / j ** 2).sum()) / nz,
+        "long": float((mat * j ** 2).sum()) / nz,
+        "short_low": float((mat / (i ** 2 * j ** 2)).sum()) / nz,
+        "short_high": float((mat * i ** 2 / j ** 2).sum()) / nz,
+        "long_low": float((mat * j ** 2 / i ** 2).sum()) / nz,
+        "long_high": float((mat * (i ** 2) * (j ** 2)).sum()) / nz,
+        "gln": float((mat.sum(axis=1) ** 2).sum()) / nz,
+        "cln": float((mat.sum(axis=0) ** 2).sum()) / nz,
+        "gl_var": float((((row_weights - mu_i) ** 2) * pi).sum()),
+        "col_var": float((((col_weights - mu_j) ** 2) * pj).sum()),
+        "entropy": ref_entropy(p),
+    }
+
+
+def ref_family_features(mat, names):
+    """One matrix's family descriptors under the family's names; the
+    ratio entries are what the family functions derive from the shared ones."""
+    f = ref_weighted_family(mat)
+    f.update(gln_n=f["gln"] / f["nz"], cln_n=f["cln"] / f["nz"], rp=f["nz"] / f["nw"])
+    return {name: f[key] for key, name in names.items()}
+
+
+def ref_glrlm_features(m):
+    per_dir = [ref_family_features(m.counts[k].astype(np.float64), GLRLM_KEYS)
+               for k in range(m.counts.shape[0]) if m.counts[k].sum() > 0]
+    return {key: float(np.mean([d[key] for d in per_dir])) for key in per_dir[0]}
+
+
+GLRLM_KEYS = {
+    "gln": "GrayLevelNonUniformity", "gln_n": "GrayLevelNonUniformityNormalized",
+    "gl_var": "GrayLevelVariance", "high": "HighGrayLevelRunEmphasis",
+    "long": "LongRunEmphasis", "long_high": "LongRunHighGrayLevelEmphasis",
+    "long_low": "LongRunLowGrayLevelEmphasis", "low": "LowGrayLevelRunEmphasis",
+    "entropy": "RunEntropy", "cln": "RunLengthNonUniformity",
+    "cln_n": "RunLengthNonUniformityNormalized", "rp": "RunPercentage",
+    "col_var": "RunVariance", "short": "ShortRunEmphasis",
+    "short_high": "ShortRunHighGrayLevelEmphasis", "short_low": "ShortRunLowGrayLevelEmphasis",
+}
+GLSZM_KEYS = {
+    "gln": "GrayLevelNonUniformity", "gln_n": "GrayLevelNonUniformityNormalized",
+    "gl_var": "GrayLevelVariance", "high": "HighGrayLevelZoneEmphasis",
+    "long": "LargeAreaEmphasis", "long_high": "LargeAreaHighGrayLevelEmphasis",
+    "long_low": "LargeAreaLowGrayLevelEmphasis", "low": "LowGrayLevelZoneEmphasis",
+    "cln": "SizeZoneNonUniformity", "cln_n": "SizeZoneNonUniformityNormalized",
+    "short": "SmallAreaEmphasis", "short_high": "SmallAreaHighGrayLevelEmphasis",
+    "short_low": "SmallAreaLowGrayLevelEmphasis", "entropy": "ZoneEntropy",
+    "rp": "ZonePercentage", "col_var": "ZoneVariance",
+}
+GLDM_KEYS = {
+    "entropy": "DependenceEntropy", "cln": "DependenceNonUniformity",
+    "cln_n": "DependenceNonUniformityNormalized", "col_var": "DependenceVariance",
+    "gln": "GrayLevelNonUniformity", "gl_var": "GrayLevelVariance",
+    "high": "HighGrayLevelEmphasis", "long": "LargeDependenceEmphasis",
+    "long_high": "LargeDependenceHighGrayLevelEmphasis",
+    "long_low": "LargeDependenceLowGrayLevelEmphasis", "low": "LowGrayLevelEmphasis",
+    "short": "SmallDependenceEmphasis", "short_high": "SmallDependenceHighGrayLevelEmphasis",
+    "short_low": "SmallDependenceLowGrayLevelEmphasis",
+}
+
+
+def ref_max_pairwise(points, chunk=2048):
+    if len(points) < 2:
+        return 0.0
+    best = 0.0
+    for lo in range(0, len(points), chunk):
+        d2 = 0.0
+        for col in points.T:
+            diff = col[lo:lo + chunk, None] - col[None, lo:]
+            d2 = d2 + diff * diff
+        best = max(best, float(d2.max()))
+    return float(np.sqrt(best))
+
+
+def ref_max_per_slice(levels, points):
+    return max(ref_max_pairwise(points[levels == level]) for level in np.unique(levels))
+
+
+def ref_ngtdm(roi):
+    grid, off = roi.dense_grid()
+    nb_sum = np.zeros(grid.shape, dtype=np.int64)
+    nb_cnt = np.zeros(grid.shape, dtype=np.int64)
+    for src, dst in forward_pairs(grid.shape):
+        a, b = grid[src], grid[dst]
+        nb_sum[dst] += a
+        nb_cnt[dst] += a > 0
+        nb_sum[src] += b
+        nb_cnt[src] += b > 0
+    rel = roi.indices - off
+    cnt = nb_cnt[rel[:, 0], rel[:, 1], rel[:, 2]]
+    tot = nb_sum[rel[:, 0], rel[:, 1], rel[:, 2]]
+    has_nb = cnt > 0
+    levels = roi.levels[has_nb]
+    diffs = np.abs(levels - tot[has_nb] / cnt[has_nb])
+    n = np.zeros(roi.ng, dtype=np.int64)
+    s = np.zeros(roi.ng, dtype=np.float64)
+    np.add.at(n, levels - 1, 1)
+    np.add.at(s, levels - 1, diffs)
+    return n, s, int(has_nb.sum())
+
+
+# --- grids ----------------------------------------------------------------
+
+def grids():
+    """Random ROIs from one level to a few hundred, plus shapes that leave
+    directions without counts: a plate, a single row, a diagonal line."""
+    rng = np.random.default_rng(808)
+    for trial in range(40):
+        dims = tuple(int(rng.integers(1, m)) for m in (10, 9, 8))
+        ng = int(rng.choice([1, 2, 4, 9, 30, 120, 300]))
+        grid = rng.integers(1, ng + 1, size=dims) * (rng.random(dims) < rng.uniform(0.2, 1.0))
+        if not grid.any():
+            grid.flat[0] = 1
+        yield f"random {trial}", renumber(grid)
+    yield "one level", np.ones((4, 3, 3), dtype=np.int64)
+    yield "one voxel", np.ones((1, 1, 1), dtype=np.int64)
+    plate = rng.integers(1, 6, size=(7, 6, 1))
+    yield "plate", renumber(plate)
+    yield "row", renumber(rng.integers(1, 4, size=(1, 9, 1)))
+    line = np.zeros((6, 6, 6), dtype=np.int64)
+    line[np.arange(6), np.arange(6), 5 - np.arange(6)] = [1, 2, 2, 3, 1, 1]
+    yield "diagonal", line
+
+
+def assert_same(got: dict, want: dict, label):
+    assert got.keys() == want.keys(), label
+    for key, value in want.items():
+        assert got[key] == value, (label, key, got[key], value)
+
+
+# --- texture descriptors --------------------------------------------------
+
+@pytest.mark.parametrize("distance", [1, 2])
+def test_glcm_features_equal_per_direction_reference(distance):
+    for label, grid in grids():
+        m = compute_glcm(disc_from_grid(grid), distance=distance)
+        assert_same(glcm_features(m), ref_glcm_features(m), label)
+
+
+def test_glcm_blocks_of_any_size_give_the_same_bits(monkeypatch):
+    """Direction blocks of one, two, five and thirteen matrices, which skip
+    the directions without counts, all agree."""
+    rng = np.random.default_rng(809)
+    counts = rng.integers(0, 4, size=(13, 12, 12))
+    counts = counts + counts.transpose(0, 2, 1)
+    counts[[2, 3, 7, 11]] = 0
+    m = Glcm(counts=counts, directions=DIRECTIONS_13, distance=1)
+    want = ref_glcm_features(m)
+    for matrices in (1, 2, 5, 13):
+        monkeypatch.setattr(texture, "STACK_BYTES", matrices * 8 * 12 * 12)
+        assert_same(glcm_features(m), want, matrices)
+
+
+def test_mcc_groups_directions_with_different_present_levels():
+    rng = np.random.default_rng(810)
+    ng = 9
+    counts = np.zeros((13, ng, ng), dtype=np.int64)
+    for k in range(13):
+        levels = np.flatnonzero(rng.random(ng) < 0.6) if k % 3 else np.arange(ng)
+        if k == 5:
+            levels = levels[:1]  # one present level: MCC is 1
+        sub = rng.integers(0, 5, size=(len(levels), len(levels)))
+        counts[k][np.ix_(levels, levels)] = sub + sub.T + 1
+    m = Glcm(counts=counts, directions=DIRECTIONS_13, distance=1)
+    present = [tuple(np.flatnonzero(counts[k].sum(axis=1))) for k in range(13)]
+    assert 3 <= len(set(present)) < 13  # some shared sets, some not
+    p = counts / counts.sum(axis=(1, 2))[:, None, None]
+    got = texture._mcc(p, p.sum(axis=2))
+    for k in range(13):
+        assert got[k] == ref_glcm_one(counts[k] / counts[k].sum(), ng)["MCC"], k
+    assert_same(glcm_features(m), ref_glcm_features(m), "mcc")
+
+
+def test_glrlm_features_equal_per_direction_reference(monkeypatch):
+    for label, grid in grids():
+        m = compute_glrlm(disc_from_grid(grid))
+        want = ref_glrlm_features(m)
+        assert_same(glrlm_features(m), want, label)
+        monkeypatch.setattr(texture, "STACK_BYTES", 1)  # one direction a block
+        assert_same(glrlm_features(m), want, label)
+        monkeypatch.undo()
+
+
+def test_glrlm_zero_count_directions_are_skipped():
+    rng = np.random.default_rng(811)
+    counts = rng.integers(0, 3, size=(13, 5, 7))
+    counts[[0, 4, 12]] = 0
+    m = Glrlm(counts=counts, directions=DIRECTIONS_13)
+    assert_same(glrlm_features(m), ref_glrlm_features(m), "zero directions")
+
+
+def test_zone_and_dependence_families_equal_one_matrix_reference():
+    for label, grid in grids():
+        disc = disc_from_grid(grid)
+        z = compute_glszm(disc).counts.astype(np.float64)
+        assert_same(glszm_features(compute_glszm(disc)), ref_family_features(z, GLSZM_KEYS), label)
+        d = compute_gldm(disc).counts.astype(np.float64)
+        assert_same(gldm_features(compute_gldm(disc)), ref_family_features(d, GLDM_KEYS), label)
+
+
+def test_ngtdm_box_sums_and_bincount_equal_add_at_reference():
+    for label, grid in grids():
+        disc = disc_from_grid(grid)
+        t = compute_ngtdm(disc)
+        n, s, valid = ref_ngtdm(disc)
+        assert t.n.dtype == n.dtype and np.array_equal(t.n, n), label
+        assert t.s.tobytes() == s.tobytes(), label
+        assert t.valid_count == valid, label
+
+
+def _glcm_peak(fn, m):
+    tracemalloc.start()
+    try:
+        fn(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_glcm_features_peak_memory_at_1500_levels_is_no_higher_than_per_direction():
+    """Stacks are bounded: at ng = 1500 one matrix is past STACK_BYTES, so
+    directions go one at a time and hold no more than the reference."""
+    ng = 1500
+    rng = np.random.default_rng(812)
+    counts = np.zeros((2, ng, ng), dtype=np.int64)
+    levels = rng.choice(ng, size=150, replace=False)  # a small MCC eigenproblem
+    for k in range(2):
+        a, b = rng.choice(levels, size=(2, 20000))
+        np.add.at(counts[k], (a, b), 1)
+        counts[k] += counts[k].T
+    m = Glcm(counts=counts, directions=DIRECTIONS_13[:2], distance=1)
+    assert 8 * ng * ng > texture.STACK_BYTES
+    assert _glcm_peak(glcm_features, m) <= _glcm_peak(ref_glcm_features, m)
+
+
+# --- diameters ------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 127, 128, 129, 300])
+def test_blocked_max_pairwise_equals_reference_across_block_edges(n):
+    rng = np.random.default_rng(813 + n)
+    pts = rng.integers(0, 40, size=(n, 3)) * np.array([0.7, 0.45, 1.3])
+    want = ref_max_pairwise(pts)
+    for rows in (1, 7, 64, 128, 1000):
+        assert _max_pairwise(pts, rows) == want, rows
+    assert _max_pairwise(pts[:, :2]) == ref_max_pairwise(pts[:, :2])
+
+
+def test_slice_batched_diameters_equal_per_slice_reference():
+    rng = np.random.default_rng(814)
+    for trial in range(30):
+        n = int(rng.integers(1, 400))
+        levels = rng.integers(0, int(rng.integers(1, 30)), size=n)
+        pts = rng.integers(0, 50, size=(n, 2)) * np.array([0.7, 2.5])
+        want = ref_max_per_slice(levels, pts)
+        # the default block, blocks of a few slices, and slices past the
+        # budget that fall back to the row scan
+        for cells in (1 << 18, 300, 20, 1):
+            assert _max_pairwise_per_slice(levels, pts, cells) == want, (trial, cells)
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 0.45, 2.5)])
+def test_shape_diameters_equal_per_slice_reference(spacing):
+    rng = np.random.default_rng(815)
+    sp = np.asarray(spacing)
+    for trial in range(6):
+        dims = (14, 12, 10)
+        g = np.indices(dims) - np.array(dims)[:, None, None, None] / 2
+        mask = ((g ** 2).sum(axis=0) < 16) & (rng.random(dims) < 0.4 + 0.1 * trial)
+        surf = surface_voxels(mask)
+        inner = _line_interiors(surf)
+        got = shape_features(mask, spacing)
+        assert got["Maximum3DDiameter"] == ref_max_pairwise(surf[~inner.any(axis=0)] * sp)
+        for plane, axis in (("XY", 2), ("XZ", 1), ("YZ", 0)):
+            keep = [k for k in range(3) if k != axis]
+            ends = surf[~inner[keep].any(axis=0)]
+            assert got["Maximum2DDiameter" + plane] == ref_max_per_slice(
+                ends[:, axis], ends[:, keep] * sp[keep]), (trial, plane)

@@ -12,7 +12,7 @@ from cacrad.config import (
     parse_config_text,
 )
 from cacrad.errors import ConfigError
-from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid
+from cacrad.learn.grid import DEFAULT_GRIDS, MAX_COUNT, HyperGrid
 from cacrad.learn.model import MODEL_KINDS, build_model
 
 
@@ -106,13 +106,21 @@ def test_malformed_lines():
     "grid.gbt.learning_rate = false", "grid.gbt.learning_rate = nan",
     "grid.random_forest.bootstrap = none", "grid.linear_svm.lam = 0",
     "grid.linear_svm.lam = 1" + "0" * 400, "grid.mlp.learning_rate = fast",
-    "grid.gbt.learning_rate = -0.1", "grid.gbt.learning_rate = none"])
+    "grid.gbt.learning_rate = -0.1", "grid.gbt.learning_rate = none",
+    # counts past MAX_COUNT: accepted, then memory ran out before training
+    "grid.random_forest.n_trees = 1000000000000", "grid.mlp.hidden_size = 100000000",
+    "grid.gbt.n_rounds = 10001", "grid.linear_svm.epochs = 100, 10001"])
 def test_bad_grid_overrides_rejected(line):
     # each of these used to pass validation and crash in the middle of
     # training, or train a model other than the one reported
     with pytest.raises(ConfigError, match="grid."):
         parse_config_text(line + "\n")
     assert parse_config_text("grid.random_forest.max_depth = 4, none\n")
+
+
+def test_counts_accept_up_to_max_count():
+    cfg = parse_config_text(f"grid.random_forest.n_trees = 1, {MAX_COUNT}\n")
+    assert cfg.grid_for("random_forest").params[0] == ("n_trees", (1, MAX_COUNT))
 
 
 def test_comments_and_blank_lines_ignored():
@@ -189,6 +197,7 @@ _VALUES = ["", "none", "true", "False", "0", "1", "-1", "2", "7", "0.5", "1e400"
            "mixed", "noncontrast", "alt", "default", "gbt", "random_forest,mlp", ",",
            "é", "１２", "٣", "Ω,β", " ", "x" * 50, "1" * 5000,
            "1" + "0" * 400]
+_COUNTS = ["n_trees", "max_depth", "n_rounds", "epochs", "hidden_size"]
 _PARAMS = ["n_trees", "max_depth", "n_rounds", "learning_rate", "lam", "epochs",
            "hidden_size", "bootstrap", "", "bogus", "ß"]
 
@@ -220,6 +229,8 @@ def _config_line(draw):
 @hypothesis.example(lines=["grid.linear_svm.lam = true"])
 @hypothesis.example(lines=["grid.mlp.learning_rate = true"])
 @hypothesis.example(lines=["grid.gbt.learning_rate = false"])
+@hypothesis.example(lines=["grid.random_forest.n_trees = 1000000000000"])
+@hypothesis.example(lines=["grid.mlp.hidden_size = 100000000"])
 def test_parse_config_fuzz_raises_only_config_errors(lines):
     try:
         cfg = parse_config_text("\n".join(lines)).validate()
@@ -235,6 +246,8 @@ def test_parse_config_fuzz_raises_only_config_errors(lines):
         for point in cfg.grid_for(kind).points():
             assert all(v is None or isinstance(v, bool) or 0 < v < math.inf
                        for v in point.values())
+            assert all(point[name] is None or point[name] <= MAX_COUNT
+                       for name in _COUNTS if name in point)
             model = build_model(kind, point)
             # trained as given: a count never truncated from a fraction, a
             # flag never taken from a number, a number never from a flag

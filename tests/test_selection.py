@@ -44,6 +44,15 @@ def test_zero_variance_dropped():
     assert correlation_filter(table_from_matrix(all_const)) == []
 
 
+def test_constant_column_with_rounding_sd_is_dropped():
+    # six equal 0.1 values: numpy's mean is not exactly 0.1, so the
+    # population sd is about 1.4e-17 and every z-score is +-1
+    mat = np.array([[0.1, 1.0, 4.0], [0.1, 2.0, 1.0], [0.1, 3.0, 5.0],
+                    [0.1, 4.0, 2.0], [0.1, 5.0, 6.0], [0.1, 6.0, 3.0]])
+    assert mat[:, 0].std() > 0.0
+    assert correlation_filter(table_from_matrix(mat), threshold=0.99) == ["f1", "f2"]
+
+
 def test_threshold_edges():
     rng = np.random.default_rng(3)
     t = table_from_matrix(rng.normal(size=(10, 4)))
@@ -83,10 +92,10 @@ def test_kept_set_pairwise_below_threshold(seed, n, p, threshold):
 
 def reference_filter(x, names, threshold):
     """The filter as it z-scored before it shared the Standardizer: live
-    columns only, each by its own mean and population sd."""
+    columns only (not all one value), each by its own mean and population sd."""
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
-    live = np.flatnonzero(sd > 0.0)
+    live = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
     z = (x[:, live] - mean[live]) / sd[live]
     corr = np.clip(z.T @ z / len(x), -1.0, 1.0)
     kept = []
@@ -108,7 +117,7 @@ def test_filter_matches_per_column_z_scores():
         threshold = float(rng.uniform(0.3, 1.0))
         want, corr = reference_filter(x, t.feature_names, threshold)
         assert correlation_filter(t, threshold) == want, trial
-        z = Standardizer.fit(x).apply(x)[:, x.std(axis=0) > 0.0]
+        z = Standardizer.fit(x).apply(x)[:, x.max(axis=0) > x.min(axis=0)]
         assert np.clip(z.T @ z / n, -1.0, 1.0).tobytes() == corr.tobytes(), trial
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from cacrad.features import shape
 from cacrad.features.shape import (
-    _line_ends,
+    _line_interiors,
     _max_pairwise,
     mesh_volume_area,
     shape_features,
@@ -197,11 +197,12 @@ def test_line_ends_of_box_surface_are_its_corners():
     mask = np.zeros((7, 6, 5), dtype=bool)
     mask[1:6, 1:5, 1:4] = True
     surf = surface_voxels(mask)
-    ends = _line_ends(surf, (0, 1, 2))
+    inner = _line_interiors(surf)
+    ends = surf[~inner.any(axis=0)]
     assert sorted(map(tuple, ends)) == sorted(
         (x, y, z) for x in (1, 5) for y in (1, 4) for z in (1, 3))
     # pruned within each plane, every z slice keeps its four corners
-    in_xy = _line_ends(surf, (0, 1))
+    in_xy = surf[~inner[[0, 1]].any(axis=0)]
     assert len(in_xy) == 2 * 4 + 1 * 4
 
 
@@ -225,7 +226,7 @@ def test_line_ends_keeps_exactly_the_points_not_between_two_others(axes, extent)
                        if all(q[j] == p[j] for j in range(3) if j != axis)]
             if min(on_line) < p[axis] < max(on_line):
                 between.add(p)
-    kept = set(map(tuple, _line_ends(pts, axes)))
+    kept = set(map(tuple, pts[~_line_interiors(pts)[list(axes)].any(axis=0)]))
     assert kept == set(map(tuple, pts)) - between
 
 
