@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .learn.grid import DEFAULT_GRIDS, HyperGrid
+from .learn.grid import DEFAULT_GRIDS, MAX_COUNT, HyperGrid
 from .learn.model import MODEL_KINDS, build_model
 
 MODES = ("radiomics", "embeddings")
@@ -67,10 +67,10 @@ class RunConfig:
             raise ConfigError(f"gldm_alpha must be >= 0, got {self.gldm_alpha}")
         if self.n_bins is not None and self.n_bins < 1:
             raise ConfigError(f"n_bins must be >= 1, got {self.n_bins}")
-        if self.kfold < 2:
-            raise ConfigError(f"kfold must be >= 2, got {self.kfold}")
-        if self.n_seeds < 1:
-            raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
+        if not 2 <= self.kfold <= MAX_COUNT:
+            raise ConfigError(f"kfold must be from 2 to {MAX_COUNT}, got {self.kfold}")
+        if not 1 <= self.n_seeds <= MAX_COUNT:
+            raise ConfigError(f"n_seeds must be from 1 to {MAX_COUNT}, got {self.n_seeds}")
         bad = [m for m in self.models if m not in MODEL_KINDS]
         if bad or not self.models:
             raise ConfigError(f"models must name some of {MODEL_KINDS}, got {list(self.models)}")

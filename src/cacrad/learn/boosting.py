@@ -34,7 +34,7 @@ class GradientBoostedTrees:
         self.trees: list = []
 
     def fit(self, x: np.ndarray, y: np.ndarray, seed: int = 0) -> "GradientBoostedTrees":
-        x = np.asarray(x, dtype=np.float64)
+        x = np.ascontiguousarray(x, dtype=np.float64)  # each tree gathers its rows
         y = np.asarray(y, dtype=np.float64)
         pbar = float(y.mean())
         if pbar == 0.0 or pbar == 1.0:

@@ -69,40 +69,49 @@ DEFAULT_GRIDS = {
 }
 
 
-def grid_search_cv(fit_fn, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
+def each_fold(fit_fn):
+    """The fit_folds that calls fit_fn(params, x, y, seed) once per fold on
+    that fold's training rows."""
+    def fit_folds(params, x, y, trains, seeds):
+        return [fit_fn(params, x[rows], y[rows], s) for rows, s in zip(trains, seeds)]
+    return fit_folds
+
+
+def grid_search_cv(fit_folds, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
                    k: int = 5, seed: int = 0, nested: str = None):
     """Mean balanced accuracy over k stratified folds for every grid point.
 
-    fit_fn(params, x, y, seed) -> fitted model with predict_score.
-    Returns (best_params, scores) where scores[i] aligns with the i-th
-    canonical grid point. Fold membership is shared across grid points;
+    fit_folds(params, x, y, trains, seeds) -> one fitted model with
+    predict_score per fold, the model trained on rows trains[i] of x with
+    seed seeds[i] (each_fold builds one from a per-fold fit). Returns
+    (best_params, scores) where scores[i] aligns with the i-th canonical
+    grid point. Fold membership is shared across grid points;
     per-(point, fold) training seeds derive from the master seed.
 
     nested names a parameter whose smaller values are prefixes of a fit
     at its largest value, whatever the seed: model.prefix(value) must
-    return the model fit_fn would. Grid points that differ only in that
-    parameter then share one fit per fold, at the grid's largest value.
+    return the model a fit at value would. Grid points that differ only in
+    that parameter then share one fit per fold, at the grid's largest value.
     """
-    folds = stratified_kfold(y, k, derive_seed(seed, "cv-folds"))
+    folds = [np.array(fold, dtype=np.int64)
+             for fold in stratified_kfold(y, k, derive_seed(seed, "cv-folds"))]
     all_rows = np.arange(len(y))
+    trains = [np.setdiff1d(all_rows, val) for val in folds]
     values = dict(grid.params).get(nested)
     shared = {}
     scores = []
     best = None
     for gi, params in enumerate(grid.points()):
+        seeds = [derive_seed(seed, "grid", gi, "fold", fi) for fi in range(len(folds))]
+        if values is None:
+            models = fit_folds(params, x, y, trains, seeds)
+        else:
+            key = tuple(v for name, v in params.items() if name != nested)
+            if key not in shared:
+                shared[key] = fit_folds({**params, nested: max(values)}, x, y, trains, seeds)
+            models = [model.prefix(params[nested]) for model in shared[key]]
         fold_scores = []
-        for fi, fold in enumerate(folds):
-            val = np.array(fold, dtype=np.int64)
-            train = np.setdiff1d(all_rows, val)
-            fit_seed = derive_seed(seed, "grid", gi, "fold", fi)
-            if values is None:
-                model = fit_fn(params, x[train], y[train], fit_seed)
-            else:
-                key = (tuple(v for name, v in params.items() if name != nested), fi)
-                if key not in shared:
-                    shared[key] = fit_fn({**params, nested: max(values)},
-                                         x[train], y[train], fit_seed)
-                model = shared[key].prefix(params[nested])
+        for model, val in zip(models, folds):
             pred = (model.predict_score(x[val]) >= 0.5).astype(np.int64)
             rep = metrics(confusion_from_predictions(y[val], pred))
             fold_scores.append(rep.balanced_accuracy)

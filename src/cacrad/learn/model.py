@@ -16,7 +16,7 @@ from ..errors import ConfigError, NonFiniteFeature, SchemaMismatch
 from ..rng import derive_seed
 from .boosting import GradientBoostedTrees
 from .forest import RandomForest
-from .grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
+from .grid import DEFAULT_GRIDS, HyperGrid, each_fold, grid_search_cv
 from .mlp import Mlp
 from .svm import LinearSvm
 
@@ -41,9 +41,12 @@ def build_model(kind: str, params: dict):
 
 
 def fit_kind(kind: str):
-    def fit_fn(params, x, y, seed):
-        return build_model(kind, params).fit(x, y, seed)
-    return fit_fn
+    """grid_search_cv's fit_folds for one kind: a forest grows every fold's
+    trees in one lockstep call, other kinds fit fold by fold."""
+    if kind == "random_forest":
+        return lambda params, x, y, trains, seeds: \
+            RandomForest(**params).fit_folds(x, y, trains, seeds)
+    return each_fold(lambda params, x, y, seed: build_model(kind, params).fit(x, y, seed))
 
 
 @dataclass(frozen=True)

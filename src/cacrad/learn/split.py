@@ -46,12 +46,14 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int):
     """k disjoint folds covering all rows; per-fold class counts within
     one of the even split. Fold contents depend only on (labels, k, seed)."""
     labels = np.asarray(labels)
-    folds = [[] for _ in range(k)]
-    for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
-        if len(members) < k:
+    classes, counts = np.unique(labels, return_counts=True)
+    for cls, count in zip(classes, counts):
+        if count < k:
             raise TooFewPerClass(
-                f"class {cls} has {len(members)} rows, need at least {k} for {k}-fold")
+                f"class {cls} has {count} rows, need at least {k} for {k}-fold")
+    folds = [[] for _ in range(k)]
+    for cls in classes:
+        members = np.flatnonzero(labels == cls)
         rng = stream(seed, "fold", int(cls))
         members = members[rng.permutation(len(members))]
         for j in range(k):

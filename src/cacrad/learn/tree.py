@@ -96,70 +96,48 @@ def _midpoint(lo, hi):
     return np.where(mid >= hi, lo, mid)
 
 
-def _first_min_split(cost: np.ndarray, xs: np.ndarray, n: int):
-    """First strict minimum over (column, sorted position) of a cost block.
-
-    cost is (n-1, F) with np.inf at unusable positions. Transposing before
-    the flat argmin makes the scan column-major, so ties resolve to the
-    lowest column and then the lowest threshold.
-    """
-    by_col = cost.T
-    flat = int(np.argmin(by_col))
-    f, i = divmod(flat, n - 1)
-    if not np.isfinite(by_col[f, i]):
-        return None
-    return int(f), float(_midpoint(xs[i, f], xs[i + 1, f]))
-
-
-def _gini_best_split(xb: np.ndarray, y: np.ndarray):
-    """Best (column, midpoint threshold) in a feature block by weighted Gini.
-
-    All columns are scored in one pass: sort each, take cumulative
-    positive counts, and price a split after every position. Returns None
-    when no column has two distinct values.
-    """
-    n = len(y)
-    order = np.argsort(xb, axis=0, kind="stable")
-    xs = np.take_along_axis(xb, order, axis=0)
-    valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    pos = np.cumsum(y[order], axis=0)
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
-    right_n = n - left_n
-    left_pos = pos[:-1]
-    right_pos = float(y.sum()) - left_pos
-    # Gini impurity of each side, weighted by side size (common n factor dropped)
-    pl = left_pos / left_n
-    pr = right_pos / right_n
-    cost = left_n * (2 * pl * (1 - pl)) + right_n * (2 * pr * (1 - pr))
-    return _first_min_split(np.where(valid, cost, np.inf), xs, n)
-
-
-def _sse_best_split(xb: np.ndarray, target: np.ndarray):
+def _sse_best_split(xb: np.ndarray, target: np.ndarray, counts: np.ndarray,
+                    cols: np.ndarray):
     """Best (column, midpoint threshold) minimizing summed squared error
-    of side means, scored for all columns of the block at once."""
+    of side means, scored for all columns of the block at once.
+
+    xb is C-contiguous (n, F) with n >= 2; counts is the float column
+    0, 1, ..., m-1 for some m >= n and cols is arange(F), both made once
+    per tree. Ties prefer the lowest column, then the lowest threshold;
+    None when no column has two distinct values.
+    """
     n, n_cols = xb.shape
-    order = np.argsort(xb, axis=0, kind="stable")
-    xs = xb.take(order * n_cols + np.arange(n_cols))
-    valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    ts = target[order]
-    csum = np.cumsum(ts, axis=0)
-    csq = np.cumsum(np.square(ts, out=ts), axis=0)
-    k = np.arange(1, n, dtype=np.float64)[:, None]
+    order = xb.argsort(axis=0, kind="stable")
+    k = counts[1:n]            # left side sizes 1 .. n-1
+    rest = counts[n - 1:0:-1]  # right side sizes n-1 .. 1
+    ts = target.take(order)
+    order *= n_cols
+    order += cols
+    xs = xb.take(order)
+    csum = ts.cumsum(axis=0)
+    ts *= ts
+    csq = ts.cumsum(axis=0)
     # cost = (left_sq - left_sum**2 / k) + (right_sq - right_sum**2 / (n - k)),
     # evaluated in place
-    left = np.square(csum[:-1])
+    head = csum[:-1]
+    left = head * head
     left /= k
     np.subtract(csq[:-1], left, out=left)
-    right = csum[-1] - csum[:-1]
-    np.square(right, out=right)
-    right /= n - k
+    right = csum[-1] - head
+    right *= right
+    right /= rest
     np.subtract(csq[-1] - csq[:-1], right, out=right)
     left += right
-    return _first_min_split(np.where(valid, left, np.inf), xs, n)
+    left[xs[1:] == xs[:-1]] = np.inf
+    # the transposed flat argmin scans column by column, so ties resolve to
+    # the lowest column and then the lowest threshold
+    by_col = left.T
+    f, i = divmod(int(by_col.argmin()), n - 1)
+    if not math.isfinite(by_col[f, i]):
+        return None
+    lo, hi = float(xs[i, f]), float(xs[i + 1, f])
+    mid = (lo + hi) / 2.0
+    return f, (lo if mid >= hi else mid)  # mid rounds to hi between adjacent doubles
 
 
 def _size_groups(sizes: list, n_cols: int):
@@ -187,16 +165,18 @@ def _pad(row_lists, sizes: list, fill: int):
 
 def _gini_best_splits(xp: np.ndarray, yp: np.ndarray, rows: np.ndarray,
                       real: np.ndarray, cand: np.ndarray):
-    """_gini_best_split of every node of a padded block in one pass.
+    """Best (column, midpoint threshold) by weighted Gini for every node
+    of a padded block in one pass.
 
     xp and yp are x and y with one extra last row of +inf features and
     label 0, which the padding slots of rows (from _pad) point at; cand
     is (B, C) candidate columns per node. Padding sorts after every real
     value and adds no positives, and only positions between two distinct
-    real values can win. Costs use _gini_best_split's float expressions
-    and the first minimum in (column, position) order wins, so columns,
-    thresholds and tie-breaks equal it. Returns the chosen columns of x,
-    the thresholds and whether each node has a split at all.
+    real values can win. Each node's costs are the ones a sort of its own
+    block gives, left_n * 2 pl (1 - pl) + right_n * 2 pr (1 - pr), and the
+    first minimum in (column, position) order wins, so ties go to the
+    lowest column, then the lowest threshold. Returns the chosen columns of
+    x, the thresholds and whether each node has a split at all.
     """
     nb, width = rows.shape
     b = np.arange(nb)
@@ -204,10 +184,9 @@ def _gini_best_splits(xp: np.ndarray, yp: np.ndarray, rows: np.ndarray,
     # Sorted values and the positive count below each position between two
     # distinct values do not depend on how ties are ordered, so the faster
     # unstable sort gives the same costs.
-    order = np.argsort(xb, axis=2)
+    order = xb.argsort(axis=2)
     xs = xb.take(order + np.arange(0, xb.size, width).reshape(nb, -1, 1))
-    pos = np.cumsum(yp.take(rows).take(order + (b * width)[:, None, None]), axis=2)
-    valid = (xs[:, :, 1:] != xs[:, :, :-1]) & real[:, None, 1:]
+    pos = yp.take(rows).take(order + (b * width)[:, None, None]).cumsum(axis=2)
     left_n = np.arange(1, width, dtype=np.float64)
     right_n = real.sum(axis=1)[:, None, None] - left_n
     left_pos = pos[:, :, :-1]
@@ -216,8 +195,9 @@ def _gini_best_splits(xp: np.ndarray, yp: np.ndarray, rows: np.ndarray,
         pl = left_pos / left_n
         pr = right_pos / right_n
         cost = left_n * (2 * pl * (1 - pl)) + right_n * (2 * pr * (1 - pr))
+    valid = (xs[:, :, 1:] != xs[:, :, :-1]) & real[:, None, 1:]
     cost = np.where(valid, cost, np.inf).reshape(nb, -1)
-    first = np.argmin(cost, axis=1)
+    first = cost.argmin(axis=1)
     f, i = np.divmod(first, width - 1)
     thr = _midpoint(xs[b, f, i], xs[b, f, i + 1])
     return cand[b, f], thr, np.isfinite(cost[b, first])
@@ -237,7 +217,11 @@ def grow_classification_forest(x: np.ndarray, y: np.ndarray, samples,
     are only read between distinct values.
     """
     n, n_feat = x.shape
-    xp = np.vstack([x, np.full((1, n_feat), np.inf)])
+    # C order whatever the layout of x (a column selection is F-ordered):
+    # take() on any other layout copies the whole matrix on every call
+    xp = np.empty((n + 1, n_feat))
+    xp[:n] = x
+    xp[n] = np.inf
     yp = np.append(np.asarray(y, dtype=np.int64), 0)
     subset = max_features is not None and max_features < n_feat
     all_cols = np.arange(n_feat)
@@ -271,20 +255,23 @@ def grow_classification_forest(x: np.ndarray, y: np.ndarray, samples,
             f, thr, found = _gini_best_splits(xp, yp, rows, real, cands[group])
             go = xp.take(rows * n_feat + f[:, None]) <= thr[:, None]  # padding: +inf
             side = 2 - go - real  # 0 left, 1 right, 2 padding; each side keeps its order
-            part = rows.take(np.argsort(side, axis=1, kind="stable")
-                             + (np.arange(len(group)) * rows.shape[1])[:, None])
+            order = side.argsort(axis=1, kind="stable")
+            order += (np.arange(len(group)) * rows.shape[1])[:, None]
+            part = rows.take(order)
             n_left = go.sum(axis=1).tolist()
             pos_left = (yp.take(rows) * go).sum(axis=1).tolist()
             for j, (b, split, feature, threshold) in enumerate(
                     zip(group, found.tolist(), f.tolist(), thr.tolist())):
-                t, node, node_rows, depth, pos = batch[b]
-                size = len(node_rows)
+                t, node, _, depth, pos = batch[b]
+                size = sizes[b]
                 if not split:
                     trees[t].value[node] = pos / size
                     continue
                 li, ri = trees[t]._split(node, feature, threshold)
                 nl, pl = n_left[j], pos_left[j]
-                place(t, ri, part[j, nl:size], depth + 1, pos - pl)
+                # the right child waits on the stack until its left sibling's
+                # subtree is done; a copy of its rows frees the padded block
+                place(t, ri, part[j, nl:size].copy(), depth + 1, pos - pl)
                 place(t, li, part[j, :nl], depth + 1, pl)
 
 
@@ -303,26 +290,35 @@ def grow_regression_tree(x: np.ndarray, residual: np.ndarray, hessian: np.ndarra
     sum(residual)/sum(hessian) with a zero guard for saturated leaves.
 
     fitted[r] receives the value of the leaf that training row r lands
-    in, which equals tree.predict(x)[r].
+    in, which equals tree.predict(x)[r]. A node's rows keep the order
+    they have in x: the cumulative sums of the split costs depend on it.
     """
+    x = np.ascontiguousarray(x)
+    counts = np.arange(len(residual), dtype=np.float64)[:, None]
+    cols = np.arange(x.shape[1])
     tree = Tree()
-    stack = [(tree._add_node(), np.arange(len(residual)), 0)]
+    stack = [(tree._add_node(), None, 0)]  # rows None: every row, in order
     while stack:
         node, rows, depth = stack.pop()
-        rs = residual[rows]
+        rs = residual if rows is None else residual.take(rows)
         got = None
-        if (max_depth is None or depth < max_depth) and len(rows) >= 2 \
+        if (max_depth is None or depth < max_depth) and len(rs) >= 2 \
                 and rs.min() != rs.max():
-            got = _sse_best_split(x[rows], rs)
+            xb = x if rows is None else x.take(rows, axis=0)
+            got = _sse_best_split(xb, rs, counts, cols)
         if got is None:
-            h = float(hessian[rows].sum())
+            h = float((hessian if rows is None else hessian.take(rows)).sum())
             value = float(rs.sum()) / h if h > 1e-12 else 0.0
             tree.value[node] = value
-            fitted[rows] = value
+            fitted[slice(None) if rows is None else rows] = value
             continue
         f, thr = got
-        go_left = x[rows, f] <= thr
+        go_left = xb[:, f] <= thr
         li, ri = tree._split(node, f, thr)
-        stack.append((ri, rows[~go_left], depth + 1))
-        stack.append((li, rows[go_left], depth + 1))
+        if rows is None:
+            left, right = np.flatnonzero(go_left), np.flatnonzero(~go_left)
+        else:
+            left, right = rows[go_left], rows[~go_left]
+        stack.append((ri, right, depth + 1))
+        stack.append((li, left, depth + 1))
     return tree

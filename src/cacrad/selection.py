@@ -14,16 +14,20 @@ from .table import FeatureTable
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-column z-scores: training-row mean and population sd, with a
-    zero sd taken as 1 so a constant column maps to 0."""
+    """Per-column z-scores: training-row mean and population sd. A constant
+    column (max == min on the training rows; its computed sd can be a
+    rounding residue such as 1.4e-17) gets its value as the mean and sd 1,
+    so it maps to 0; a zero sd is also taken as 1."""
     means: np.ndarray
     sds: np.ndarray
 
     @classmethod
     def fit(cls, x) -> "Standardizer":
         x = np.asarray(x, dtype=np.float64)
+        const = x.max(axis=0) == x.min(axis=0)
         sds = x.std(axis=0)
-        return cls(means=x.mean(axis=0), sds=np.where(sds > 0.0, sds, 1.0))
+        return cls(means=np.where(const, x[0], x.mean(axis=0)),
+                   sds=np.where(~const & (sds > 0.0), sds, 1.0))
 
     def apply(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.means) / self.sds

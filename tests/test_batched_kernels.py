@@ -1,5 +1,6 @@
-"""Batched descriptors, bincount matrices and blocked diameter scans against
-the one-direction, one-slice, scatter-add code they replaced.
+"""Batched descriptors, bincount matrices, blocked diameter scans, the lean
+regression-tree node and fold-lockstep forests against the one-direction,
+one-slice, scatter-add, per-fold and untrimmed code they replaced.
 
 The references below are that code, kept here verbatim in what it
 computes. Every comparison is ``==`` on floats: the batched forms must
@@ -25,6 +26,9 @@ from cacrad.features.texture import (
     glrlm_features,
     glszm_features,
 )
+from cacrad.learn.forest import RandomForest
+from cacrad.learn.split import stratified_kfold
+from cacrad.learn.tree import Tree, _sse_best_split, grow_regression_tree
 from cacrad.texmat import (
     DIRECTIONS_13,
     Glcm,
@@ -420,3 +424,184 @@ def test_shape_diameters_equal_per_slice_reference(spacing):
             ends = surf[~inner[keep].any(axis=0)]
             assert got["Maximum2DDiameter" + plane] == ref_max_per_slice(
                 ends[:, axis], ends[:, keep] * sp[keep]), (trial, plane)
+
+
+# --- tree kernels -----------------------------------------------------------
+# The per-node Gini split, and the regression split and grower as they were
+# before their calls were trimmed (np.square, np.where, sorted-block
+# midpoints, arange rows at the root).
+
+def ref_midpoint(lo, hi):
+    mid = (lo + hi) / 2.0
+    return np.where(mid >= hi, lo, mid)
+
+
+def ref_first_min_split(cost, xs, n):
+    by_col = cost.T
+    flat = int(np.argmin(by_col))
+    f, i = divmod(flat, n - 1)
+    if not np.isfinite(by_col[f, i]):
+        return None
+    return int(f), float(ref_midpoint(xs[i, f], xs[i + 1, f]))
+
+
+def ref_gini_best_split(xb, y):
+    n = len(y)
+    order = np.argsort(xb, axis=0, kind="stable")
+    xs = np.take_along_axis(xb, order, axis=0)
+    valid = xs[1:] != xs[:-1]
+    if not valid.any():
+        return None
+    pos = np.cumsum(y[order], axis=0)
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    right_n = n - left_n
+    left_pos = pos[:-1]
+    right_pos = float(y.sum()) - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    cost = left_n * (2 * pl * (1 - pl)) + right_n * (2 * pr * (1 - pr))
+    return ref_first_min_split(np.where(valid, cost, np.inf), xs, n)
+
+
+def ref_sse_best_split(xb, target):
+    n, n_cols = xb.shape
+    order = np.argsort(xb, axis=0, kind="stable")
+    xs = xb.take(order * n_cols + np.arange(n_cols))
+    valid = xs[1:] != xs[:-1]
+    if not valid.any():
+        return None
+    ts = target[order]
+    csum = np.cumsum(ts, axis=0)
+    csq = np.cumsum(np.square(ts, out=ts), axis=0)
+    k = np.arange(1, n, dtype=np.float64)[:, None]
+    left = np.square(csum[:-1])
+    left /= k
+    np.subtract(csq[:-1], left, out=left)
+    right = csum[-1] - csum[:-1]
+    np.square(right, out=right)
+    right /= n - k
+    np.subtract(csq[-1] - csq[:-1], right, out=right)
+    left += right
+    return ref_first_min_split(np.where(valid, left, np.inf), xs, n)
+
+
+def ref_grow_regression_tree(x, residual, hessian, max_depth, fitted):
+    tree = Tree()
+    stack = [(tree._add_node(), np.arange(len(residual)), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        rs = residual[rows]
+        got = None
+        if (max_depth is None or depth < max_depth) and len(rows) >= 2 \
+                and rs.min() != rs.max():
+            got = ref_sse_best_split(x[rows], rs)
+        if got is None:
+            h = float(hessian[rows].sum())
+            value = float(rs.sum()) / h if h > 1e-12 else 0.0
+            tree.value[node] = value
+            fitted[rows] = value
+            continue
+        f, thr = got
+        go_left = x[rows, f] <= thr
+        li, ri = tree._split(node, f, thr)
+        stack.append((ri, rows[~go_left], depth + 1))
+        stack.append((li, rows[go_left], depth + 1))
+    return tree
+
+
+def sse_best_split(xb, target, spare=0):
+    """_sse_best_split with the per-tree constants of a tree of len(xb) +
+    spare rows."""
+    counts = np.arange(len(xb) + spare, dtype=np.float64)[:, None]
+    return _sse_best_split(xb, target, counts, np.arange(xb.shape[1]))
+
+
+def tree_block(rng, n, n_cols):
+    """(n, n_cols) block with ties, constant and duplicated columns, and
+    adjacent doubles whose midpoint rounds up."""
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        x = rng.integers(0, int(rng.integers(1, 5)), size=(n, n_cols)).astype(np.float64)
+    elif kind == 1:
+        x = np.round(rng.normal(size=(n, n_cols)), 1)
+    elif kind == 2:
+        x = rng.normal(size=(n, n_cols))
+    else:
+        x = 1.0 + rng.integers(0, 3, size=(n, n_cols)) * 2.0 ** -52
+    if n_cols > 1 and rng.random() < 0.5:
+        x[:, rng.integers(0, n_cols)] = x[0, 0]                  # constant
+        x[:, rng.integers(0, n_cols)] = x[:, rng.integers(0, n_cols)]  # duplicate
+    return x
+
+
+def tree_target(rng, n):
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return rng.normal(size=n)
+    if kind == 1:
+        return rng.integers(-2, 3, size=n).astype(np.float64) / 4.0   # ties
+    if kind == 2:
+        return np.full(n, 0.25)                                       # no gain anywhere
+    return rng.normal(size=n) * 1e155                                 # costs overflow
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the 1e155 targets
+def test_sse_best_split_equals_reference():
+    rng = np.random.default_rng(41)
+    for trial in range(3000):
+        n = int(rng.choice([2, 2, 3, int(rng.integers(2, 41))]))
+        x = tree_block(rng, n, int(rng.integers(1, 46)))
+        t = tree_target(rng, n)
+        got = sse_best_split(x, t.copy(), spare=int(rng.integers(0, 3)))
+        want = ref_sse_best_split(x, t.copy())
+        assert got == want, trial
+        if got is not None:
+            assert type(got[0]) is int and type(got[1]) is float
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, None])
+@np.errstate(over="ignore", invalid="ignore")  # the 1e155 targets
+def test_regression_tree_equals_reference(max_depth):
+    rng = np.random.default_rng(43)
+    for trial in range(150):
+        n = int(rng.integers(1, 41))
+        x = tree_block(rng, n, int(rng.integers(1, 12)))
+        residual = tree_target(rng, n) if rng.random() < 0.9 else rng.normal(size=n) * 1e-3
+        hessian = rng.uniform(0.0, 0.25, size=n)
+        fitted, ref_fitted = np.empty(n), np.empty(n)
+        got = grow_regression_tree(x, residual, hessian, max_depth, fitted)
+        want = ref_grow_regression_tree(x, residual, hessian, max_depth, ref_fitted)
+        assert got.to_dict() == want.to_dict(), trial
+        assert fitted.tobytes() == ref_fitted.tobytes(), trial
+
+
+def test_regression_tree_accepts_a_column_view():
+    # grow_regression_tree gathers flat indices, so a strided x is copied once
+    rng = np.random.default_rng(44)
+    wide = np.round(rng.normal(size=(30, 12)), 1)
+    residual = rng.normal(size=30)
+    hessian = np.full(30, 0.2)
+    got = grow_regression_tree(wide[:, ::2], residual, hessian, 3, np.empty(30))
+    want = ref_grow_regression_tree(np.ascontiguousarray(wide[:, ::2]), residual,
+                                    hessian, 3, np.empty(30))
+    assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("max_depth", [1, 4, None])
+def test_fold_lockstep_forests_equal_per_fold_fits(bootstrap, max_depth):
+    rng = np.random.default_rng(45)
+    x = np.round(rng.normal(size=(37, 11)), 1)
+    x[:, 4] = x[:, 1]
+    x[:, 9] = 0.5
+    y = (x[:, 0] + rng.normal(scale=0.8, size=37) > 0).astype(np.int64)
+    folds = stratified_kfold(y, 5, seed=6)
+    trains = [np.setdiff1d(np.arange(37), fold) for fold in folds]
+    seeds = [1000 + i for i in range(5)]
+    params = {"n_trees": 7, "max_depth": max_depth, "bootstrap": bootstrap}
+    # a column selection is F-ordered; the layout must not matter
+    together = RandomForest(**params).fit_folds(np.asfortranarray(x), y, trains, seeds)
+    assert len(together) == 5
+    for model, rows, seed in zip(together, trains, seeds):
+        alone = RandomForest(**params).fit(x[rows], y[rows], seed)
+        assert model.to_dict() == alone.to_dict()

@@ -92,6 +92,20 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_absurd_run_counts_exit_2_before_any_work(tmp_path, capsys):
+    # --n-seeds 10^11 used to derive seeds forever; kfold 10^9 to allocate
+    # a billion fold lists
+    assert main(["train-eval", "--manifest", "x.csv", "--n-seeds", "100000000000",
+                 "--out", str(tmp_path / "seeds")]) == 2
+    assert "n_seeds" in capsys.readouterr().err
+    cfg = tmp_path / "kfold.cfg"
+    cfg.write_text("kfold = 1000000000\n")
+    assert main(["train-eval", "--config", str(cfg), "--manifest", "x.csv",
+                 "--out", str(tmp_path / "kfold")]) == 2
+    assert "kfold" in capsys.readouterr().err
+    assert not (tmp_path / "seeds").exists() and not (tmp_path / "kfold").exists()
+
+
 def test_zero_test_fraction_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("test_fraction = 0\n")

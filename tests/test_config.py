@@ -154,6 +154,18 @@ def test_validation_errors():
             apply_overrides(RunConfig(), **kw)
 
 
+def test_run_counts_are_bounded():
+    # n_seeds = 10^11 derived seed after seed and never returned, and
+    # kfold = 10^9 allocated a billion fold lists before any class check
+    for key, low, bad in (("n_seeds", 1, 100_000_000_000), ("kfold", 2, 1_000_000_000)):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = {bad}\n")
+        with pytest.raises(ConfigError, match=key):
+            apply_overrides(RunConfig(), **{key: MAX_COUNT + 1})
+        for ok in (low, MAX_COUNT):
+            assert getattr(parse_config_text(f"{key} = {ok}\n"), key) == ok
+
+
 def test_zero_test_fraction_rejected():
     # zero test rows would fail only after the whole grid search
     with pytest.raises(ConfigError, match="test_fraction"):
@@ -242,6 +254,7 @@ def test_parse_config_fuzz_raises_only_config_errors(lines):
         len(cfg.resample_spacing) == 3
         and all(math.isfinite(s) and s > 0 for s in cfg.resample_spacing))
     assert cfg.glcm_distance >= 1 and cfg.gldm_alpha >= 0 and cfg.models
+    assert 1 <= cfg.n_seeds <= MAX_COUNT and 2 <= cfg.kfold <= MAX_COUNT
     for kind in cfg.models:
         for point in cfg.grid_for(kind).points():
             assert all(v is None or isinstance(v, bool) or 0 < v < math.inf

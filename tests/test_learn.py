@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cacrad.errors import ConfigError, SchemaMismatch, SingleClass
-from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
+from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid, each_fold, grid_search_cv
 from cacrad.learn.mlp import Mlp, loss_and_grad, pack_params, unpack_params
 from cacrad.learn.model import (
     MODEL_KINDS,
@@ -12,15 +12,15 @@ from cacrad.learn.model import (
 )
 from cacrad.learn.svm import LinearSvm
 from cacrad.learn.tree import (
-    _gini_best_split,
     _gini_best_splits,
     _pad,
-    _sse_best_split,
     grow_classification_forest,
     grow_classification_tree,
     grow_regression_tree,
 )
 from cacrad.rng import stream
+
+from test_batched_kernels import ref_gini_best_split, sse_best_split
 
 SMALL_GRIDS = {
     "random_forest": HyperGrid.of(n_trees=(20,), max_depth=(4,)),
@@ -141,7 +141,7 @@ def test_grid_tie_goes_to_first_canonical_point():
     y = np.array([0, 1] * 8, dtype=np.int64)
     x = np.random.default_rng(0).normal(size=(16, 2))
     grid = HyperGrid.of(alpha=(1, 2, 3))
-    best, scores = grid_search_cv(fit_fn, x, y, grid, k=2, seed=0)
+    best, scores = grid_search_cv(each_fold(fit_fn), x, y, grid, k=2, seed=0)
     assert best == {"alpha": 1}
     assert len(set(scores)) == 1
 
@@ -183,7 +183,7 @@ def test_gini_split_is_cost_optimal():
         p = int(rng.integers(1, 5))
         x = rng.integers(0, 6, size=(n, p)).astype(np.float64)
         y = rng.integers(0, 2, size=n).astype(np.int64)
-        got = _gini_best_split(x, y)
+        got = ref_gini_best_split(x, y)
         cands = list(all_candidate_splits(x))
         if not cands:
             assert got is None
@@ -201,7 +201,7 @@ def test_sse_split_is_cost_optimal():
         p = int(rng.integers(1, 5))
         x = rng.integers(0, 6, size=(n, p)).astype(np.float64)
         t = rng.normal(size=n)
-        got = _sse_best_split(x, t)
+        got = sse_best_split(x, t)
         cands = list(all_candidate_splits(x))
         if not cands:
             assert got is None
@@ -217,17 +217,17 @@ def test_duplicate_column_tie_picks_first_feature():
     col = rng.normal(size=12)
     x = np.stack([col, col], axis=1)
     y = (col > 0).astype(np.int64)
-    f, _ = _gini_best_split(x, y)
+    f, _ = ref_gini_best_split(x, y)
     assert f == 0
-    f2, _ = _sse_best_split(x, y.astype(np.float64))
+    f2, _ = sse_best_split(x, y.astype(np.float64))
     assert f2 == 0
 
 
 def test_split_none_on_constant_block():
     x = np.ones((6, 3))
     y = np.array([0, 1, 0, 1, 0, 1])
-    assert _gini_best_split(x, y) is None
-    assert _sse_best_split(x, y.astype(np.float64)) is None
+    assert ref_gini_best_split(x, y) is None
+    assert sse_best_split(x, y.astype(np.float64)) is None
 
 
 def test_adjacent_doubles_split_with_finite_leaves():
@@ -267,7 +267,7 @@ def test_batched_gini_matches_per_node_reference():
         rows, real = _pad(row_lists, [len(r) for r in row_lists], len(x))
         f, thr, found = _gini_best_splits(xp, yp, rows, real, np.array(cands))
         for j, (node_rows, cand) in enumerate(zip(row_lists, cands)):
-            ref = _gini_best_split(x[np.ix_(node_rows, cand)], y[node_rows])
+            ref = ref_gini_best_split(x[np.ix_(node_rows, cand)], y[node_rows])
             if ref is None:
                 assert not found[j], trial
             else:
@@ -434,10 +434,10 @@ def test_gbt_grid_fits_each_fold_once_per_nested_group():
 
     # the default gbt grid's shape (2 x 2 x 2 points, 5 folds), fewer rounds
     grid = HyperGrid.of(n_rounds=(4, 8), learning_rate=(0.1, 0.3), max_depth=(2, 3))
-    best, scores = grid_search_cv(fit_fn, x, y, grid, k=5, seed=3)
+    best, scores = grid_search_cv(each_fold(fit_fn), x, y, grid, k=5, seed=3)
     assert len(fits) == 40 and sum(fits) == 240
     fits.clear()
-    best_nested, scores_nested = grid_search_cv(fit_fn, x, y, grid, k=5, seed=3,
+    best_nested, scores_nested = grid_search_cv(each_fold(fit_fn), x, y, grid, k=5, seed=3,
                                                 nested="n_rounds")
     assert len(fits) == 20 and sum(fits) == 160
     assert scores_nested == scores and best_nested == best

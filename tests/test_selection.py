@@ -156,3 +156,16 @@ def test_fit_ignores_rows_not_given():
     z = std_train.apply(mat[10:])
     manual = (mat[10:] - std_train.means) / std_train.sds
     assert z.tobytes() == manual.tobytes()
+
+
+def test_standardizer_maps_a_constant_column_with_rounding_sd_to_zero():
+    # six equal 0.1 values have a computed sd of about 1.4e-17, which used
+    # to give every row a z-score of +1
+    x = np.hstack([np.full((6, 1), 0.1), np.arange(6.0)[:, None]])
+    assert x[:, 0].std() > 0.0
+    st = Standardizer.fit(x)
+    z = st.apply(x)
+    assert z[:, 0].tolist() == [0.0] * 6
+    assert st.sds[0] == 1.0 and st.means[0] == 0.1
+    assert z[:, 1].tobytes() == ((x[:, 1] - x[:, 1].mean()) / x[:, 1].std()).tobytes()
+    assert st.apply([[0.6, 2.5]])[0, 0] == 0.6 - 0.1

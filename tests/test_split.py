@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,3 +138,16 @@ def test_kfold_too_few_per_class():
     y = np.array([0, 0, 1, 1, 1, 1, 1])
     with pytest.raises(TooFewPerClass):
         stratified_kfold(y, 3, seed=0)
+
+
+def test_kfold_checks_class_sizes_before_allocating_folds():
+    # the check used to come after one list per fold was allocated
+    y = np.array([0, 1] * 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooFewPerClass):
+            stratified_kfold(y, 1_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
