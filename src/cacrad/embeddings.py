@@ -18,6 +18,7 @@ from .errors import (
     RaggedRow,
     SchemaMismatch,
 )
+from .table import write_features_csv
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,4 @@ def load_embeddings(path) -> EmbeddingTable:
 
 def write_embeddings(path, subject_ids, matrix) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subject_id", *[f"e{k}" for k in range(matrix.shape[1])]])
-        for sid, row in zip(subject_ids, matrix):
-            w.writerow([sid, *[repr(float(v)) for v in row]])
+    write_features_csv(path, subject_ids, [f"e{k}" for k in range(matrix.shape[1])], matrix)

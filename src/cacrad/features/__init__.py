@@ -88,7 +88,7 @@ def extract_all(vol: Volume3D, mask: MaskVolume, cfg: ExtractionConfig = Extract
 
     fams = {
         "firstorder": first_order(roi, disc),
-        "shape": shape_features(mask.labels, vol.spacing),
+        "shape": shape_features(roi.mask, vol.spacing, roi.corner),
         "glcm": glcm_features(compute_glcm(disc, distance=cfg.glcm_distance)),
         "glrlm": glrlm_features(compute_glrlm(disc)),
         "glszm": glszm_features(compute_glszm(disc)),

@@ -58,16 +58,6 @@ def surface_voxels(labels: np.ndarray) -> np.ndarray:
     return np.argwhere(labels & ~interior)
 
 
-def _bounding_box(labels: np.ndarray):
-    """Slices of the smallest box holding every mask voxel, and its first corner."""
-    lo, hi = [], []
-    for axis in range(3):
-        hit = np.flatnonzero(labels.any(axis=tuple(j for j in range(3) if j != axis)))
-        lo.append(hit[0])
-        hi.append(hit[-1] + 1)
-    return tuple(map(slice, lo, hi)), np.array(lo)
-
-
 def _line_interiors(idx: np.ndarray) -> np.ndarray:
     """(3, n) flags: whether each integer point of idx (n, 3) lies strictly
     between two others on its line along axis 0, 1 and 2.
@@ -151,15 +141,17 @@ def _max_pairwise_per_slice(levels: np.ndarray, points: np.ndarray, cells: int =
     return best
 
 
-def shape_features(labels: np.ndarray, spacing) -> dict:
+def shape_features(labels: np.ndarray, spacing, corner=(0, 0, 0)) -> dict:
+    """Shape of a mask; corner is the grid index of labels[0, 0, 0].
+
+    The passes below pad by a voxel of zeros themselves, so the mask's
+    bounding box gives the whole mask's values, bit for bit, once integer
+    indices get the corner back.
+    """
     if not labels.any():
         raise EmptyMask("shape features need at least one mask voxel")
     sp = np.asarray(spacing, dtype=np.float64)
     nvox = int(labels.sum())
-    # The three passes below pad by a voxel of zeros themselves, so the
-    # bounding box is all they need; integer indices get its corner back.
-    box, corner = _bounding_box(labels)
-    labels = labels[box]
 
     tri = triangulate_mask(labels, sp, corner)
     vol, area = mesh_volume_area(tri)

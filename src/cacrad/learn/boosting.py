@@ -16,12 +16,10 @@ from .tree import Tree, grow_regression_tree
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows
+    p = e / (1 + e)
+    np.divide(1, 1 + e, out=p, where=z >= 0)
+    return p
 
 
 class GradientBoostedTrees:

@@ -44,12 +44,6 @@ class CohortManifest:
     def subject_ids(self):
         return [e.subject_id for e in self.entries]
 
-    def by_id(self, subject_id: str) -> ManifestEntry:
-        for e in self.entries:
-            if e.subject_id == subject_id:
-                return e
-        raise KeyError(subject_id)
-
 
 _COLUMNS = ["subject_id", "volume", "mask", "contrast", "cac_score"]
 

@@ -1,12 +1,13 @@
 """ROI extraction, gray-level discretization, and intensity normalization.
 
-The texture families all consume a DiscretizedRoi: ROI voxel indices plus
-an integer gray level per voxel in 1..Ng. Levels derive from ROI voxels
-only, never from the surrounding volume.
+Every feature family works on one box: the smallest one holding the mask,
+found once by bounding_box. The texture families all consume a
+DiscretizedRoi: an integer gray level in 1..Ng per ROI voxel, and the same
+levels on the box grid. Levels derive from ROI voxels only, never from the
+surrounding volume.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,12 +22,12 @@ from .nifti import MaskVolume, Volume3D
 
 @dataclass(frozen=True)
 class MaskedRoi:
-    """Raw-intensity ROI: voxel indices and their HU values."""
+    """Raw-intensity ROI, cropped to the mask's bounding box."""
 
-    indices: np.ndarray  # (N, 3) int
-    values: np.ndarray  # (N,) float64
+    mask: np.ndarray  # bool, the mask on its bounding box
+    corner: tuple  # grid index of mask[0, 0, 0]
+    values: np.ndarray  # (N,) float64, HU of the mask voxels in C order
     spacing: tuple
-    volume_dims: tuple
 
     def __len__(self):
         return len(self.values)
@@ -34,14 +35,11 @@ class MaskedRoi:
 
 @dataclass(frozen=True)
 class DiscretizedRoi:
-    """ROI voxels with integer gray levels in 1..ng."""
+    """ROI gray levels in 1..ng, per voxel in C order and on the box grid."""
 
-    indices: np.ndarray
     levels: np.ndarray
+    grid: np.ndarray  # int32 levels on the bounding box, 0 outside the ROI
     ng: int
-    spacing: tuple
-    bounds: tuple  # ((x0,x1),(y0,y1),(z0,z1)) inclusive
-    volume_dims: tuple = None
 
     def __post_init__(self):
         if len(self.levels) == 0:
@@ -53,42 +51,42 @@ class DiscretizedRoi:
     def __len__(self):
         return len(self.levels)
 
-    def dense_grid(self):
-        """Levels on the dense bounding-box grid, 0 outside the ROI.
 
-        Returns (grid, offset) where voxel ``indices[k]`` sits at
-        ``grid[tuple(indices[k] - offset)]``. Built once per ROI.
-        """
-        return self._dense_grid
+def bounding_box(labels: np.ndarray) -> tuple:
+    """Slices of the smallest box holding every true voxel of labels, from
+    its three axis projections; empty slices when there is none.
 
-    @cached_property
-    def _dense_grid(self):
-        (x0, x1), (y0, y1), (z0, z1) = self.bounds
-        grid = np.zeros((x1 - x0 + 1, y1 - y0 + 1, z1 - z0 + 1), dtype=np.int32)
-        off = np.array([x0, y0, z0])
-        rel = self.indices - off
-        grid[rel[:, 0], rel[:, 1], rel[:, 2]] = self.levels
-        return grid, off
+    Each projection runs on the mask already cropped along the axes before
+    it, which holds every true voxel: the first, over contiguous memory,
+    leaves only a slab for the two strided ones.
+    """
+    box = []
+    for axis in range(3):
+        hit = np.flatnonzero(labels[tuple(box)].any(axis=tuple(j for j in range(3) if j != axis)))
+        if len(hit) == 0:
+            return (slice(0, 0),) * 3
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
 
 
 def apply_mask(vol: Volume3D, mask: MaskVolume) -> MaskedRoi:
-    """Extract the voxels where the mask is true, with raw intensities.
+    """Crop the mask to its bounding box and take the raw intensities there.
 
     An all-false mask yields an empty MaskedRoi; exclusion policy is the
     caller's decision.
     """
     if vol.dims != mask.dims:
         raise DimMismatch(f"volume {vol.dims} vs mask {mask.dims}")
-    idx = np.argwhere(mask.labels)
-    values = vol.intensities[mask.labels]
-    return MaskedRoi(indices=idx, values=values, spacing=vol.spacing, volume_dims=vol.dims)
+    box = bounding_box(mask.labels)
+    labels = mask.labels[box]
+    return MaskedRoi(mask=labels, corner=tuple(s.start for s in box),
+                     values=vol.intensities[box][labels], spacing=vol.spacing)
 
 
 def _discretized(roi: MaskedRoi, levels: np.ndarray) -> DiscretizedRoi:
-    lo, hi = roi.indices.min(axis=0), roi.indices.max(axis=0)
-    return DiscretizedRoi(indices=roi.indices, levels=levels, ng=int(levels.max()),
-                          spacing=roi.spacing, volume_dims=roi.volume_dims,
-                          bounds=tuple((int(lo[k]), int(hi[k])) for k in range(3)))
+    grid = np.zeros(roi.mask.shape, dtype=np.int32)
+    grid[roi.mask] = levels
+    return DiscretizedRoi(levels=levels, grid=grid, ng=int(levels.max()))
 
 
 def discretize_fixed_width(roi: MaskedRoi, bin_width: float) -> DiscretizedRoi:

@@ -53,10 +53,6 @@ class FeatureTable:
     def n_rows(self) -> int:
         return len(self.subject_ids)
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.feature_names)
-
     def column_index(self, names: Sequence[str]) -> np.ndarray:
         pos = {c: k for k, c in enumerate(self.feature_names)}
         missing = [c for c in names if c not in pos]

@@ -1,4 +1,4 @@
-"""Gray-level texture matrices as whole-array passes over the dense ROI grid.
+"""Gray-level texture matrices as whole-array passes over the ROI's box grid.
 
 All five families share one neighborhood definition: the 26-neighborhood,
 collapsed to 13 unique directions (sign folded). ``forward_pairs`` yields
@@ -108,7 +108,7 @@ def compute_glcm(roi: DiscretizedRoi, distance: int = 1) -> Glcm:
     """Symmetric co-occurrence counts at the given offset distance, per direction."""
     ng = roi.ng
     shape = _bounded((len(DIRECTIONS_13), ng, ng), "GLCM")
-    grid, _ = roi.dense_grid()
+    grid = roi.grid
     index = []
     for k, (src, dst) in enumerate(forward_pairs(grid.shape, distance)):
         a, b = grid[src], grid[dst]
@@ -145,7 +145,7 @@ def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
     With the lines along d laid end to end, each separated by a 0, the
     runs are the stretches of equal nonzero level between two changes.
     """
-    grid, _ = roi.dense_grid()
+    grid = roi.grid
     runs_per_dir = []
     for d in DIRECTIONS_13:
         v = _lines_along(grid, d)
@@ -173,7 +173,7 @@ def compute_glszm(roi: DiscretizedRoi) -> Glszm:
     still has a pair to another merges each round, so the number of
     rounds is logarithmic in the ROI size.
     """
-    grid, _ = roi.dense_grid()
+    grid = roi.grid
     inside = grid > 0
     ids = np.cumsum(inside).reshape(grid.shape) - 1  # 0..n-1 on ROI voxels
     u, v = [], []
@@ -200,7 +200,7 @@ def compute_glszm(roi: DiscretizedRoi) -> Glszm:
 
 def compute_gldm(roi: DiscretizedRoi, alpha: int = 0) -> Gldm:
     """Dependence counts over in-ROI 26-neighbors with |level diff| <= alpha."""
-    grid, _ = roi.dense_grid()
+    grid = roi.grid
     dep = np.zeros(grid.shape, dtype=np.int64)
     for src, dst in forward_pairs(grid.shape):
         a, b = grid[src], grid[dst]
@@ -228,11 +228,10 @@ def compute_ngtdm(roi: DiscretizedRoi) -> Ngtdm:
 
     Voxels with no in-ROI neighbor are excluded from both n_i and s_i.
     """
-    grid, off = roi.dense_grid()
-    rel = roi.indices - off
-    at = (rel[:, 0], rel[:, 1], rel[:, 2])
-    cnt = _neighbour_sums(grid > 0)[at]
-    tot = _neighbour_sums(grid)[at]  # grid is 0 outside the ROI
+    grid = roi.grid
+    inside = grid > 0
+    cnt = _neighbour_sums(inside)[inside]
+    tot = _neighbour_sums(grid)[inside]  # grid is 0 outside the ROI
     has_nb = cnt > 0
     levels = roi.levels[has_nb]
     diffs = np.abs(levels - tot[has_nb] / cnt[has_nb])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cacrad.preprocess import DiscretizedRoi, MaskedRoi
+from cacrad.preprocess import DiscretizedRoi, MaskedRoi, bounding_box
 
 ACCEPTANCE_RESULTS = []
 
@@ -44,28 +44,21 @@ def renumber(grid):
     return grid
 
 
-def disc_from_grid(grid, spacing=(1.0, 1.0, 1.0)):
-    idx = np.argwhere(grid > 0)
-    levels = grid[grid > 0]
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
-    return DiscretizedRoi(
-        indices=idx,
-        levels=levels,
-        ng=int(levels.max()),
-        spacing=tuple(spacing),
-        bounds=tuple((int(lo[k]), int(hi[k])) for k in range(3)),
-        volume_dims=grid.shape,
-    )
+def disc_from_grid(grid):
+    """The DiscretizedRoi of a level grid, 0 outside the ROI, as the
+    discretizers build it: int32 levels cropped to the ROI's box."""
+    box = bounding_box(grid > 0)
+    return DiscretizedRoi(levels=grid[grid > 0], grid=grid[box].astype(np.int32),
+                          ng=int(grid.max()))
 
 
 def roi_from_values(grid_values, mask, spacing=(1.0, 1.0, 1.0)):
-    idx = np.argwhere(mask)
+    box = bounding_box(mask)
     return MaskedRoi(
-        indices=idx,
+        mask=mask[box],
+        corner=tuple(s.start for s in box),
         values=np.asarray(grid_values, dtype=np.float64)[mask],
         spacing=tuple(spacing),
-        volume_dims=mask.shape,
     )
 
 

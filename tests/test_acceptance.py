@@ -99,7 +99,7 @@ def _feature_oracle(vol, mask):
     """All 107 values from literal formulas, keyed by catalog name."""
     roi = apply_mask(vol, MaskVolume(dims=vol.dims, labels=mask))
     disc = discretize_fixed_width(roi, 25.0)
-    dense, _ = disc.dense_grid()
+    dense = disc.grid
     ng = disc.ng
 
     out = {}

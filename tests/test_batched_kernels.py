@@ -1,6 +1,7 @@
 """Batched descriptors, bincount matrices, blocked diameter scans, the lean
-regression-tree node and fold-lockstep forests against the one-direction,
-one-slice, scatter-add, per-fold and untrimmed code they replaced.
+regression-tree node, fold-lockstep forests and the boosting sigmoid against
+the one-direction, one-slice, scatter-add, per-fold, untrimmed and masked
+code they replaced.
 
 The references below are that code, kept here verbatim in what it
 computes. Every comparison is ``==`` on floats: the batched forms must
@@ -26,6 +27,7 @@ from cacrad.features.texture import (
     glrlm_features,
     glszm_features,
 )
+from cacrad.learn.boosting import _sigmoid
 from cacrad.learn.forest import RandomForest
 from cacrad.learn.split import stratified_kfold
 from cacrad.learn.tree import Tree, _sse_best_split, grow_regression_tree
@@ -225,7 +227,7 @@ def ref_max_per_slice(levels, points):
 
 
 def ref_ngtdm(roi):
-    grid, off = roi.dense_grid()
+    grid = roi.grid
     nb_sum = np.zeros(grid.shape, dtype=np.int64)
     nb_cnt = np.zeros(grid.shape, dtype=np.int64)
     for src, dst in forward_pairs(grid.shape):
@@ -234,9 +236,8 @@ def ref_ngtdm(roi):
         nb_cnt[dst] += a > 0
         nb_sum[src] += b
         nb_cnt[src] += b > 0
-    rel = roi.indices - off
-    cnt = nb_cnt[rel[:, 0], rel[:, 1], rel[:, 2]]
-    tot = nb_sum[rel[:, 0], rel[:, 1], rel[:, 2]]
+    cnt = nb_cnt[grid > 0]
+    tot = nb_sum[grid > 0]
     has_nb = cnt > 0
     levels = roi.levels[has_nb]
     diffs = np.abs(levels - tot[has_nb] / cnt[has_nb])
@@ -605,3 +606,22 @@ def test_fold_lockstep_forests_equal_per_fold_fits(bootstrap, max_depth):
     for model, rows, seed in zip(together, trains, seeds):
         alone = RandomForest(**params).fit(x[rows], y[rows], seed)
         assert model.to_dict() == alone.to_dict()
+
+
+def ref_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_masked_reference():
+    rng = np.random.default_rng(46)
+    for trial in range(3000):
+        n = int(rng.integers(1, 65))
+        z = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3.5, size=n)
+        z[rng.random(n) < 0.1] = 0.0
+        z[rng.random(n) < 0.1] = -0.0
+        assert _sigmoid(z).tobytes() == ref_sigmoid(z).tobytes(), trial

@@ -1,10 +1,12 @@
 """Every public function, class and method in src/cacrad is used by the
 program, the benchmark or the scripts, not only by tests.
 
-A name counts as used where it appears in code as a name, an attribute or
-a string naming it (as ``getattr`` takes it). Imports and ``__all__`` only
-re-export a name, so they do not count, and neither do comments or
-docstrings.
+A function or class counts as used where it appears in code as a name,
+an attribute or a string naming it (as ``getattr`` takes it). A method is
+reached only through an object, so it counts as used only as an attribute
+or a string: a local variable that shares its name is not a use. Imports
+and ``__all__`` only re-export a name, so they do not count, and neither
+do comments or docstrings.
 """
 
 import ast
@@ -28,14 +30,19 @@ def _trees(*dirs):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _definitions() -> dict:
+    """Public name -> [(location, whether it is a method)]."""
     defs = {}
     for path, tree in _trees("src/cacrad"):
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs.setdefault(node.name, []).append(
-                    f"{path.relative_to(ROOT)}:{node.lineno}")
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if isinstance(node, _DEFS) and not node.name.startswith("_"):
+                    defs.setdefault(node.name, []).append(
+                        (f"{path.relative_to(ROOT)}:{node.lineno}",
+                         isinstance(parent, ast.ClassDef)))
     return defs
 
 
@@ -45,8 +52,9 @@ def _is_export(node) -> bool:
         and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
 
 
-def _uses() -> set:
-    used = set()
+def _uses():
+    """(names used as bare names, names used as attributes or strings)."""
+    bare, used = set(), set()
     for _, tree in _trees(*USERS):
         stack = [tree]
         while stack:
@@ -54,24 +62,34 @@ def _uses() -> set:
             if _is_export(node):
                 continue
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                     and node.value.isidentifier():
                 used.add(node.value)
             stack.extend(ast.iter_child_nodes(node))
-    return used
+    return bare, used
+
+
+def _unused(defs, bare, used) -> dict:
+    out = {}
+    for name, places in defs.items():
+        where = [loc for loc, method in places
+                 if name not in used and (method or name not in bare)]
+        if where:
+            out[name] = where
+    return out
 
 
 def test_every_public_name_is_used_outside_tests():
-    defs, used = _definitions(), _uses()
-    dead = {name: where for name, where in defs.items()
-            if name not in used and name not in TEST_ONLY}
+    dead = _unused(_definitions(), *_uses())
+    dead = {name: where for name, where in dead.items() if name not in TEST_ONLY}
     assert not dead, f"defined but used only by tests, if at all: {dead}"
 
 
 def test_test_only_allowlist_is_current():
-    defs, used = _definitions(), _uses()
-    stale = [name for name in TEST_ONLY if name not in defs or name in used]
+    defs = _definitions()
+    dead = _unused(defs, *_uses())
+    stale = [name for name in TEST_ONLY if name not in defs or name not in dead]
     assert not stale, f"allowlisted names that are gone or now used: {stale}"

@@ -30,20 +30,17 @@ def test_load_happy_path(tmp_path):
     m = load_manifest(path)
     assert len(m) == 2
     assert m.subject_ids() == ["s1", "s2"]
-    e1 = m.by_id("s1")
+    e1, e2 = m.entries
     assert e1.cac_label is CacLabel.ZERO
     assert e1.contrast is ContrastGroup.CONTRAST
-    e2 = m.by_id("s2")
     assert e2.cac_label is CacLabel.NONZERO
     assert e2.cac_score == 412.5
     assert e2.contrast is ContrastGroup.NONCONTRAST
-    with pytest.raises(KeyError):
-        m.by_id("nope")
 
 
 def test_relative_paths_resolve_against_manifest_dir(tmp_path):
     path = write_manifest(tmp_path, [("s1", "v.nii", "m.nii", "contrast", "1")])
-    entry = load_manifest(path).by_id("s1")
+    entry = load_manifest(path).entries[0]
     assert entry.volume_path == str(tmp_path / "v.nii")
     assert os.path.isabs(entry.volume_path)
 
@@ -55,7 +52,7 @@ def test_absolute_paths_kept(tmp_path):
     mask.write_bytes(b"")
     path = write_manifest(tmp_path, [("s1", str(vol), str(mask), "contrast", "1")],
                           make_files=False)
-    entry = load_manifest(path).by_id("s1")
+    entry = load_manifest(path).entries[0]
     assert entry.volume_path == str(vol)
 
 

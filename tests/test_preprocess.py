@@ -7,6 +7,7 @@ from cacrad.errors import BadSpacing, DimMismatch, EmptyRoi, NonPositiveWidth
 from cacrad.nifti import MaskVolume, Volume3D
 from cacrad.preprocess import (
     apply_mask,
+    bounding_box,
     discretize_fixed_count,
     discretize_fixed_width,
     resample_mask_nearest,
@@ -28,6 +29,44 @@ def test_apply_mask_selects_expected_voxels():
     roi = apply_mask(small_volume(vals), MaskVolume(dims=(2, 2, 2), labels=mask))
     assert sorted(roi.values.tolist()) == [0.0, 7.0]
     assert len(roi) == 2
+
+
+def test_apply_mask_crops_to_the_mask_box():
+    rng = np.random.default_rng(9)
+    vals = rng.normal(0.0, 300.0, size=(23, 17, 11))
+    labels = np.zeros(vals.shape, dtype=bool)
+    labels[5:14, 3:9, 4:10] = rng.random((9, 6, 6)) < 0.4
+    labels[5, 3, 4] = labels[13, 8, 9] = True
+    roi = apply_mask(small_volume(vals), MaskVolume(dims=vals.shape, labels=labels))
+    assert roi.mask.shape == (9, 6, 6)
+    assert roi.corner == (5, 3, 4)
+    assert np.array_equal(np.argwhere(roi.mask) + roi.corner, np.argwhere(labels))
+    assert roi.values.tobytes() == vals[labels].tobytes()
+    disc = discretize_fixed_width(roi, 25.0)
+    assert disc.grid.dtype == np.int32 and disc.grid.shape == roi.mask.shape
+    assert np.array_equal(disc.grid > 0, roi.mask)
+    assert np.array_equal(disc.grid[roi.mask], disc.levels)
+
+
+def test_bounding_box_is_the_index_range_of_the_mask():
+    rng = np.random.default_rng(10)
+    for trial in range(300):
+        shape = tuple(int(n) for n in rng.integers(1, 9, size=3))
+        labels = rng.random(shape) < rng.choice([0.0, 0.02, 0.2, 1.0])
+        idx = np.argwhere(labels)
+        want = (tuple(slice(int(lo), int(hi) + 1) for lo, hi in zip(idx.min(axis=0), idx.max(axis=0)))
+                if len(idx) else (slice(0, 0),) * 3)
+        assert bounding_box(labels) == want, trial
+
+
+def test_apply_mask_of_an_all_false_mask_is_empty():
+    roi = apply_mask(small_volume(np.ones((4, 3, 2))),
+                     MaskVolume(dims=(4, 3, 2), labels=np.zeros((4, 3, 2), bool)))
+    assert len(roi) == 0 and roi.mask.size == 0
+    with pytest.raises(EmptyRoi):
+        discretize_fixed_width(roi, 25.0)
+    with pytest.raises(EmptyRoi):
+        discretize_fixed_count(roi, 8)
 
 
 def test_apply_mask_dim_mismatch():

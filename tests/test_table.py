@@ -138,7 +138,7 @@ def test_group_and_label_helpers():
     t = toy_table()
     assert t.rows_in_group(ContrastGroup.NONCONTRAST) == [1]
     assert t.label_array().tolist() == [0, 1, 1]
-    assert t.n_rows == 3 and t.n_cols == 2
+    assert t.n_rows == 3
 
 
 def test_attach_cohort_join():

@@ -330,7 +330,6 @@ def test_zone_and_run_matrices_refuse_past_the_bound_before_allocating(compute):
 
 def _glrlm_peak(grid):
     disc = disc_from_grid(grid)
-    disc.dense_grid()
     tracemalloc.start()
     try:
         r = compute_glrlm(disc)
