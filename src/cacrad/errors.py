@@ -127,18 +127,20 @@ class EmptyCounts(DataError):
 
 
 class LengthMismatch(DataError):
-    """Paired metric lists have different lengths."""
+    """Lengths or shapes that must agree do not: paired metric lists,
+    predictions and labels, a feature table's matrix and its ids or
+    columns, a feature CSV row and its header."""
 
 
 class TooFewPairs(DegenerateCohortError):
     """Paired test needs at least two pairs."""
 
 
-# --- embeddings -------------------------------------------------------------
+# --- feature CSVs (radiomics and embeddings alike) --------------------------
 
-class RaggedRow(DataError):
-    """Embedding row width differs from the first row."""
+class RaggedRow(LengthMismatch):
+    """A feature CSV row has a different number of cells than its header."""
 
 
 class NonFiniteValue(DataError):
-    """Non-finite value in an embedding file."""
+    """A feature CSV cell is not a number, or is NaN or infinite."""

@@ -8,7 +8,6 @@ import numpy as np
 from ..errors import EmptyMask
 from ..nifti import MaskVolume, Volume3D
 from ..preprocess import (
-    MaskedRoi,
     apply_mask,
     discretize_fixed_count,
     discretize_fixed_width,

@@ -9,7 +9,7 @@ around them changes.
 import numpy as np
 
 from ..errors import SingleClass, TooFewPerClass
-from ..manifest import CacLabel, ContrastGroup
+from ..manifest import ContrastGroup
 from ..rng import stream
 from ..table import FeatureTable
 

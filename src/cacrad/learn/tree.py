@@ -135,9 +135,7 @@ def _sse_best_split(xb: np.ndarray, target: np.ndarray, counts: np.ndarray,
     f, i = divmod(int(by_col.argmin()), n - 1)
     if not math.isfinite(by_col[f, i]):
         return None
-    lo, hi = float(xs[i, f]), float(xs[i + 1, f])
-    mid = (lo + hi) / 2.0
-    return f, (lo if mid >= hi else mid)  # mid rounds to hi between adjacent doubles
+    return f, float(_midpoint(xs[i, f], xs[i + 1, f]))
 
 
 def _size_groups(sizes: list, n_cols: int):

@@ -19,6 +19,7 @@ from .errors import (
     LengthMismatch,
     MissingFile,
     NonFiniteValue,
+    RaggedRow,
     SchemaMismatch,
     UnknownColumn,
 )
@@ -108,36 +109,38 @@ def write_features_csv(path, subject_ids, feature_names, matrix) -> None:
 
 
 def read_features_csv(path):
-    """Returns (subject_ids, feature_names, matrix); validates shape and finiteness."""
+    """Returns (subject_ids, feature_names, matrix) of a subject_id x column
+    CSV. Each row is parsed to float64 as it is read; a row of the wrong
+    width or with a non-number or non-finite cell names its path:line."""
     path = Path(path)
     if not path.exists():
         raise MissingFile(f"feature csv not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "subject_id":
-        raise SchemaMismatch(f"feature csv must start with a subject_id header: {path}")
-    names = tuple(rows[0][1:])
-    if len(set(names)) != len(names):
-        raise SchemaMismatch("duplicate feature columns")
     ids = []
     data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(names) + 1:
-            raise LengthMismatch(f"{path}:{lineno}: expected {len(names) + 1} cells, got {len(row)}")
-        ids.append(row[0])
-        try:
-            vals = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise NonFiniteValue(f"{path}:{lineno}: {exc}") from exc
-        data.append(vals)
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if not header or header[0] != "subject_id":
+            raise SchemaMismatch(f"feature csv must start with a subject_id header: {path}")
+        names = tuple(header[1:])
+        if len(set(names)) != len(names):
+            raise SchemaMismatch("duplicate feature columns")
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(names) + 1:
+                raise RaggedRow(f"{path}:{lineno}: expected {len(names) + 1} cells, got {len(row)}")
+            try:
+                vals = np.array([float(v) for v in row[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise NonFiniteValue(f"{path}:{lineno}: {exc}") from exc
+            if not np.isfinite(vals).all():
+                raise NonFiniteValue(f"{path}:{lineno}: non-finite value")
+            ids.append(row[0])
+            data.append(vals)
     if len(set(ids)) != len(ids):
         raise DuplicateSubject(f"duplicate subject ids in {path}")
-    matrix = np.array(data, dtype=np.float64).reshape(len(ids), len(names))
-    if not np.all(np.isfinite(matrix)):
-        raise NonFiniteValue(f"non-finite value in {path}")
-    return tuple(ids), names, matrix
+    return tuple(ids), names, np.array(data, dtype=np.float64).reshape(len(ids), len(names))
 
 
 def attach_cohort(subject_ids, feature_names, matrix, manifest: CohortManifest) -> FeatureTable:

@@ -194,7 +194,7 @@ def compute_glszm(roi: DiscretizedRoi) -> Glszm:
         u, v = u[apart], v[apart]
     roots, sizes = np.unique(parent, return_counts=True)
     shape = _bounded((roi.ng, int(sizes.max())), "GLSZM")
-    counts = _counts((grid[inside][roots] - 1) * shape[1] + sizes - 1, shape)
+    counts = _counts((roi.levels[roots] - 1) * shape[1] + sizes - 1, shape)
     return Glszm(counts=counts)
 
 
@@ -209,7 +209,7 @@ def compute_gldm(roi: DiscretizedRoi, alpha: int = 0) -> Gldm:
         dep[src] += ok
     deps = dep[grid > 0]
     width = int(deps.max()) + 1
-    counts = _counts((grid[grid > 0] - 1) * width + deps, (roi.ng, width))
+    counts = _counts((roi.levels - 1) * width + deps, (roi.ng, width))
     return Gldm(counts=counts, alpha=alpha)
 
 

@@ -93,3 +93,26 @@ def test_test_only_allowlist_is_current():
     dead = _unused(defs, *_uses())
     stale = [name for name in TEST_ONLY if name not in defs or name not in dead]
     assert not stale, f"allowlisted names that are gone or now used: {stale}"
+
+
+def test_no_unused_imports():
+    """Every name a module in src/cacrad imports is used in that module,
+    listed in its ``__all__``, or marked ``# noqa: F401``."""
+    unused = []
+    for path, tree in _trees("src/cacrad"):
+        lines = path.read_text().splitlines()
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)  # __all__ entries and string annotations
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.relative_to(ROOT)}:{alias.lineno} {name}")
+    assert not unused, f"imported but never used: {unused}"

@@ -1,8 +1,10 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
+from cacrad.embeddings import load_embeddings
 from cacrad.errors import (
     DuplicateSubject,
     LengthMismatch,
@@ -105,6 +107,15 @@ def test_read_errors(tmp_path):
     dup_id.write_text("subject_id,f0\ns1,1.0\ns1,2.0\n")
     with pytest.raises(DuplicateSubject):
         read_features_csv(dup_id)
+
+    # both readers name the file and line of a bad row
+    for read in (read_features_csv, load_embeddings):
+        for name, row, error in (("nan_row", "s2,nan,1.0", NonFiniteValue),
+                                 ("short_row", "s2,1.0", LengthMismatch)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(f"subject_id,e0,e1\ns1,1.0,2.0\n{row}\n")
+            with pytest.raises(error, match=re.escape(f"{path}:3:")):
+                read(path)
 
 
 def test_table_invariants():
