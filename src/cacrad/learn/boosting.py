@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import SingleClass
 from .grid import count_param, positive_param
-from .tree import Tree, grow_regression_tree
+from .tree import RowSetCache, Tree, grow_regression_tree
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -40,10 +40,12 @@ class GradientBoostedTrees:
         self.f0 = math.log(pbar / (1.0 - pbar))
         f = np.full(len(y), self.f0)
         fitted = np.empty(len(y))
+        cache = RowSetCache()
         self.trees = []
         for _ in range(self.n_rounds):
             p = _sigmoid(f)
-            tree = grow_regression_tree(x, y - p, p * (1.0 - p), self.max_depth, fitted)
+            tree = grow_regression_tree(x, y - p, p * (1.0 - p), self.max_depth, fitted,
+                                        cache)
             f += self.learning_rate * fitted
             self.trees.append(tree)
         return self
@@ -61,9 +63,10 @@ class GradientBoostedTrees:
         return model
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
         f = np.full(len(x), self.f0)
         for tree in self.trees:
-            f += self.learning_rate * tree.predict(np.asarray(x, dtype=np.float64))
+            f += self.learning_rate * tree.predict(x)
         return f
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:

@@ -9,10 +9,13 @@ threshold, which keeps growth deterministic for a fixed candidate set.
 
 A forest's trees grow in lockstep: each step scores the next node of
 every unfinished tree in one batched Gini pass, and every tree still
-builds exactly the nodes it would build alone.
+builds exactly the nodes it would build alone. The regression trees of
+one boosting fit share a RowSetCache: a node whose rows an earlier node
+had takes that node's sort, and its split's partition, from the cache.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +28,12 @@ _LEAF = -1
 # never costs more than a pass, and small enough that the kernel's
 # temporaries stay under 1 MiB.
 _MAX_BLOCK = 4096
+
+# Bytes a RowSetCache keeps for later boosting rounds. A cohort fit keeps
+# 13 row sets of 32 x 45 or fewer on average, and never more than 1 MiB;
+# the cap binds only on large, deep fits, whose new row sets are then
+# sorted afresh.
+_MAX_CACHE_BYTES = 16 << 20
 
 
 @dataclass
@@ -90,30 +99,53 @@ class Tree:
         )
 
 
-def _midpoint(lo, hi):
+def _midpoint(lo: float, hi: float) -> float:
     """Midpoint of lo < hi, or lo where it rounds to hi (adjacent doubles)."""
     mid = (lo + hi) / 2.0
-    return np.where(mid >= hi, lo, mid)
+    return lo if mid >= hi else mid
 
 
-def _sse_best_split(xb: np.ndarray, target: np.ndarray, counts: np.ndarray,
-                    cols: np.ndarray):
-    """Best (column, midpoint threshold) minimizing summed squared error
-    of side means, scored for all columns of the block at once.
+class RowSetCache(dict):
+    """What split search needs from a node's rows alone, kept across the
+    trees that one boosting fit grows on one training matrix.
 
-    xb is C-contiguous (n, F) with n >= 2; counts is the float column
-    0, 1, ..., m-1 for some m >= n and cols is arange(F), both made once
-    per tree. Ties prefer the lowest column, then the lowest threshold;
-    None when no column has two distinct values.
+    rows.tobytes() maps to the node's sort (_sort_rows), and (that key,
+    column, sorted position) to the left and right rows of the split
+    there. nbytes counts what it holds; once the next item would take it
+    past _MAX_CACHE_BYTES, items are used but not kept.
     """
-    n, n_cols = xb.shape
-    order = xb.argsort(axis=0, kind="stable")
+    nbytes = 0
+
+    def keep(self, key, arrays: tuple) -> tuple:
+        size = sys.getsizeof(key) + sum(a.nbytes for a in arrays)
+        if self.nbytes + size <= _MAX_CACHE_BYTES:
+            self[key] = arrays
+            self.nbytes += size
+        return arrays
+
+
+def _sort_rows(x: np.ndarray, rows: np.ndarray):
+    """The stable sort of every column of x (C-contiguous) over rows, as
+    rows of x; the sorted values; and where a value ties the one before."""
+    order = rows.take(x.take(rows, axis=0).argsort(axis=0, kind="stable"))
+    xs = x.take(order * x.shape[1] + np.arange(x.shape[1]))
+    return order, xs, xs[1:] == xs[:-1]
+
+
+def _sse_best_split(target: np.ndarray, order: np.ndarray, xs: np.ndarray,
+                    ties: np.ndarray, counts: np.ndarray):
+    """Best (column, sorted position, midpoint threshold) minimizing summed
+    squared error of side means, scored for all columns at once.
+
+    order, xs and ties are a node's sort (_sort_rows) over n >= 2 rows and
+    target is indexed by rows of x; counts is the float column 0, 1, ...,
+    m-1 for some m >= n, made once per tree. Ties prefer the lowest column,
+    then the lowest threshold; None when no column has two distinct values.
+    """
+    n = len(order)
     k = counts[1:n]            # left side sizes 1 .. n-1
     rest = counts[n - 1:0:-1]  # right side sizes n-1 .. 1
     ts = target.take(order)
-    order *= n_cols
-    order += cols
-    xs = xb.take(order)
     csum = ts.cumsum(axis=0)
     ts *= ts
     csq = ts.cumsum(axis=0)
@@ -128,14 +160,14 @@ def _sse_best_split(xb: np.ndarray, target: np.ndarray, counts: np.ndarray,
     right /= rest
     np.subtract(csq[-1] - csq[:-1], right, out=right)
     left += right
-    left[xs[1:] == xs[:-1]] = np.inf
+    np.putmask(left, ties, np.inf)
     # the transposed flat argmin scans column by column, so ties resolve to
     # the lowest column and then the lowest threshold
     by_col = left.T
     f, i = divmod(int(by_col.argmin()), n - 1)
     if not math.isfinite(by_col[f, i]):
         return None
-    return f, float(_midpoint(xs[i, f], xs[i + 1, f]))
+    return f, i, _midpoint(*xs[i:i + 2, f].tolist())
 
 
 def _size_groups(sizes: list, n_cols: int):
@@ -197,7 +229,7 @@ def _gini_best_splits(xp: np.ndarray, yp: np.ndarray, rows: np.ndarray,
     cost = np.where(valid, cost, np.inf).reshape(nb, -1)
     first = cost.argmin(axis=1)
     f, i = np.divmod(first, width - 1)
-    thr = _midpoint(xs[b, f, i], xs[b, f, i + 1])
+    thr = np.array(list(map(_midpoint, xs[b, f, i].tolist(), xs[b, f, i + 1].tolist())))
     return cand[b, f], thr, np.isfinite(cost[b, first])
 
 
@@ -283,40 +315,43 @@ def grow_classification_tree(x: np.ndarray, y: np.ndarray,
 
 
 def grow_regression_tree(x: np.ndarray, residual: np.ndarray, hessian: np.ndarray,
-                         max_depth: Optional[int], fitted: np.ndarray) -> Tree:
+                         max_depth: Optional[int], fitted: np.ndarray,
+                         cache: RowSetCache) -> Tree:
     """Least-squares tree on residuals; leaf value is the Newton step
     sum(residual)/sum(hessian) with a zero guard for saturated leaves.
 
     fitted[r] receives the value of the leaf that training row r lands
     in, which equals tree.predict(x)[r]. A node's rows keep the order
     they have in x: the cumulative sums of the split costs depend on it.
+    cache serves every tree grown on this x: a node whose rows an earlier
+    node had sorts nothing, and a split seen before partitions nothing.
     """
     x = np.ascontiguousarray(x)
+    n_cols = x.shape[1]
     counts = np.arange(len(residual), dtype=np.float64)[:, None]
-    cols = np.arange(x.shape[1])
     tree = Tree()
-    stack = [(tree._add_node(), None, 0)]  # rows None: every row, in order
+    stack = [(tree._add_node(), np.arange(len(residual)), 0)]
     while stack:
         node, rows, depth = stack.pop()
-        rs = residual if rows is None else residual.take(rows)
+        rs = residual.take(rows)
         got = None
         if (max_depth is None or depth < max_depth) and len(rs) >= 2 \
                 and rs.min() != rs.max():
-            xb = x if rows is None else x.take(rows, axis=0)
-            got = _sse_best_split(xb, rs, counts, cols)
+            key = rows.tobytes()
+            sort = cache.get(key) or cache.keep(key, _sort_rows(x, rows))
+            got = _sse_best_split(residual, *sort, counts)
         if got is None:
-            h = float((hessian if rows is None else hessian.take(rows)).sum())
+            h = float(hessian.take(rows).sum())
             value = float(rs.sum()) / h if h > 1e-12 else 0.0
             tree.value[node] = value
-            fitted[slice(None) if rows is None else rows] = value
+            fitted[rows] = value
             continue
-        f, thr = got
-        go_left = xb[:, f] <= thr
+        f, i, thr = got
         li, ri = tree._split(node, f, thr)
-        if rows is None:
-            left, right = np.flatnonzero(go_left), np.flatnonzero(~go_left)
-        else:
-            left, right = rows[go_left], rows[~go_left]
-        stack.append((ri, right, depth + 1))
-        stack.append((li, left, depth + 1))
+        sides = cache.get((key, f, i))
+        if sides is None:
+            go_left = x.take(rows * n_cols + f) <= thr
+            sides = cache.keep((key, f, i), (rows[go_left], rows[~go_left]))
+        stack.append((ri, sides[1], depth + 1))
+        stack.append((li, sides[0], depth + 1))
     return tree

@@ -2,7 +2,8 @@
 
 Scope is deliberately narrow: single-file ``.nii``/``.nii.gz``, datatypes
 int16/float32/float64, either byte order. Intensities are promoted to
-float64 on read so downstream texture code never sees storage precision.
+float64 on read so downstream texture code never sees storage precision;
+a mask is tested for nonzero voxels block by block, without that copy.
 
 Spacing and origin are kept at 32-bit float precision because that is all
 the container can store; quantizing at construction time makes
@@ -31,6 +32,8 @@ VOX_OFFSET = 352
 # gzip's default 9 on int16 CT volumes, for files a few percent larger;
 # the voxel payload, and so everything read back, is the same.
 GZIP_LEVEL = 1
+# Voxels of a mask converted at a time: an 8 MiB float64 block.
+MASK_BLOCK = 1 << 20
 
 # NIfTI-1 datatype code -> (numpy dtype char, bitpix)
 _DTYPES = {4: ("i2", 16), 16: ("f4", 32), 64: ("f8", 64)}
@@ -94,11 +97,6 @@ class MaskVolume:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
 
-    @classmethod
-    def from_volume(cls, vol: Volume3D) -> "MaskVolume":
-        # any nonzero voxel counts as in-mask; tolerates label-coded masks
-        return cls(dims=vol.dims, labels=vol.intensities != 0)
-
 
 def _read_bytes(path):
     try:
@@ -144,8 +142,11 @@ def _normalized_columns(mat):
     return out
 
 
-def read_nifti(path) -> Volume3D:
-    """Parse a NIfTI-1 single file (optionally gzipped) into a Volume3D."""
+def _read_stored(path):
+    """Check a NIfTI-1 single file (optionally gzipped) and return its
+    stored voxels as a flat array in file order, the grid shape, the
+    (scl_slope, scl_inter) pair to apply or None, and the spacing,
+    orientation and origin."""
     raw = _read_bytes(path)
     if len(raw) < 4:
         raise TruncatedFile(f"{path}: {len(raw)} bytes, no header")
@@ -205,11 +206,10 @@ def read_nifti(path) -> Volume3D:
         raise TruncatedFile(
             f"{path}: need {offset + nvox * dtype.itemsize} bytes for voxels, have {len(raw)}"
         )
-    data = np.frombuffer(raw, dtype=dtype, count=nvox, offset=offset)
-    data = data.reshape(shape, order="F").astype(np.float64)
-
+    stored = np.frombuffer(raw, dtype=dtype, count=nvox, offset=offset)
+    scale = None
     if scl_slope != 0.0 and np.isfinite(scl_slope) and (scl_slope != 1.0 or scl_inter != 0.0):
-        data = data * np.float64(scl_slope) + np.float64(scl_inter)
+        scale = (scl_slope, scl_inter)
 
     if sform_code > 0:
         orientation = _normalized_columns(srows[:, :3])
@@ -222,13 +222,40 @@ def read_nifti(path) -> Volume3D:
         orientation = np.eye(3)
         origin = (0.0, 0.0, 0.0)
 
+    return stored, tuple(shape), scale, (tuple(spacing), orientation, origin)
+
+
+def _intensities(stored: np.ndarray, scale) -> np.ndarray:
+    """Stored voxels as float64, scaled when the header asks for it."""
+    data = stored.astype(np.float64)
+    if scale is not None:
+        data *= np.float64(scale[0])
+        data += np.float64(scale[1])
+    return data
+
+
+def read_nifti(path) -> Volume3D:
+    """Parse a NIfTI-1 single file (optionally gzipped) into a Volume3D."""
+    stored, shape, scale, (spacing, orientation, origin) = _read_stored(path)
     return Volume3D(
-        dims=tuple(shape),
-        spacing=tuple(spacing),
-        intensities=data,
+        dims=shape,
+        spacing=spacing,
+        intensities=_intensities(stored, scale).reshape(shape, order="F"),
         orientation=orientation,
         origin=origin,
     )
+
+
+def read_mask(path) -> MaskVolume:
+    """The ROI of a NIfTI-1 label file: every voxel whose intensity, as
+    read_nifti gives it, is nonzero. Voxels are converted MASK_BLOCK at a
+    time, so no float64 copy of the whole volume is made."""
+    stored, shape, scale, _ = _read_stored(path)
+    labels = np.empty(len(stored), dtype=bool)
+    for start in range(0, len(stored), MASK_BLOCK):
+        block = slice(start, start + MASK_BLOCK)
+        np.not_equal(_intensities(stored[block], scale), 0.0, out=labels[block])
+    return MaskVolume(dims=shape, labels=labels.reshape(shape, order="F"))
 
 
 def write_nifti(vol: Volume3D, path, dtype: str = "float32", byteorder: str = "<"):

@@ -31,7 +31,7 @@ from .features.catalog import FEATURE_NAMES
 from .learn.model import MODEL_KINDS, train_with_grid
 from .learn.split import stratified_split
 from .manifest import ContrastGroup, load_manifest
-from .nifti import MaskVolume, read_nifti
+from .nifti import read_mask, read_nifti
 from .parallel import map_ordered
 from .rng import derive_seed, stream
 from .selection import correlation_filter
@@ -71,7 +71,7 @@ def run_extract(cfg: RunConfig) -> dict:
         """(feature values, None), or (None, exclusion record)."""
         try:
             vol = read_nifti(entry.volume_path)
-            mask = MaskVolume.from_volume(read_nifti(entry.mask_path))
+            mask = read_mask(entry.mask_path)
             return extract_all(vol, mask, ext_cfg).values, None
         except (CacradError, ValueError) as exc:
             return None, {

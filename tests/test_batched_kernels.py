@@ -1,7 +1,7 @@
 """Batched descriptors, bincount matrices, blocked diameter scans, the lean
-regression-tree node, fold-lockstep forests and the boosting sigmoid against
-the one-direction, one-slice, scatter-add, per-fold, untrimmed and masked
-code they replaced.
+regression-tree node and its per-fit row-set cache, fold-lockstep forests
+and the boosting sigmoid against the one-direction, one-slice, scatter-add,
+uncached, per-fold, untrimmed and masked code they replaced.
 
 The references below are that code, kept here verbatim in what it
 computes. Every comparison is ``==`` on floats: the batched forms must
@@ -27,10 +27,18 @@ from cacrad.features.texture import (
     glrlm_features,
     glszm_features,
 )
-from cacrad.learn.boosting import _sigmoid
+from cacrad.learn import boosting
+from cacrad.learn import tree as tree_module
+from cacrad.learn.boosting import GradientBoostedTrees, _sigmoid
 from cacrad.learn.forest import RandomForest
 from cacrad.learn.split import stratified_kfold
-from cacrad.learn.tree import Tree, _sse_best_split, grow_regression_tree
+from cacrad.learn.tree import (
+    RowSetCache,
+    Tree,
+    _sort_rows,
+    _sse_best_split,
+    grow_regression_tree,
+)
 from cacrad.texmat import (
     DIRECTIONS_13,
     Glcm,
@@ -511,10 +519,12 @@ def ref_grow_regression_tree(x, residual, hessian, max_depth, fitted):
 
 
 def sse_best_split(xb, target, spare=0):
-    """_sse_best_split with the per-tree constants of a tree of len(xb) +
-    spare rows."""
+    """(column, threshold) of _sse_best_split on the sort of every row of
+    xb, with the per-tree constants of a tree of len(xb) + spare rows."""
     counts = np.arange(len(xb) + spare, dtype=np.float64)[:, None]
-    return _sse_best_split(xb, target, counts, np.arange(xb.shape[1]))
+    sort = _sort_rows(xb, np.arange(len(xb)))
+    got = _sse_best_split(target, *sort, counts)
+    return None if got is None else (got[0], got[2])
 
 
 def tree_block(rng, n, n_cols):
@@ -570,7 +580,7 @@ def test_regression_tree_equals_reference(max_depth):
         residual = tree_target(rng, n) if rng.random() < 0.9 else rng.normal(size=n) * 1e-3
         hessian = rng.uniform(0.0, 0.25, size=n)
         fitted, ref_fitted = np.empty(n), np.empty(n)
-        got = grow_regression_tree(x, residual, hessian, max_depth, fitted)
+        got = grow_regression_tree(x, residual, hessian, max_depth, fitted, RowSetCache())
         want = ref_grow_regression_tree(x, residual, hessian, max_depth, ref_fitted)
         assert got.to_dict() == want.to_dict(), trial
         assert fitted.tobytes() == ref_fitted.tobytes(), trial
@@ -582,10 +592,77 @@ def test_regression_tree_accepts_a_column_view():
     wide = np.round(rng.normal(size=(30, 12)), 1)
     residual = rng.normal(size=30)
     hessian = np.full(30, 0.2)
-    got = grow_regression_tree(wide[:, ::2], residual, hessian, 3, np.empty(30))
+    got = grow_regression_tree(wide[:, ::2], residual, hessian, 3, np.empty(30),
+                               RowSetCache())
     want = ref_grow_regression_tree(np.ascontiguousarray(wide[:, ::2]), residual,
                                     hessian, 3, np.empty(30))
     assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, None])
+def test_boosting_rounds_sharing_one_cache_equal_reference_trees(max_depth):
+    # later rounds take their sorts and partitions from the cache; each
+    # round's tree and leaf values must still be the reference's
+    rng = np.random.default_rng(47)
+    for trial in range(25):
+        n = int(rng.integers(2, 41))
+        x = tree_block(rng, n, int(rng.integers(1, 12)))
+        y = (rng.random(n) < 0.5).astype(np.float64)
+        f = np.zeros(n)
+        cache = RowSetCache()
+        fitted, ref_fitted = np.empty(n), np.empty(n)
+        for round_ in range(int(rng.integers(1, 31))):
+            p = _sigmoid(f)
+            residual, hessian = y - p, p * (1.0 - p)
+            got = grow_regression_tree(x, residual, hessian, max_depth, fitted, cache)
+            want = ref_grow_regression_tree(x, residual, hessian, max_depth, ref_fitted)
+            assert got.to_dict() == want.to_dict(), (trial, round_)
+            assert fitted.tobytes() == ref_fitted.tobytes(), (trial, round_)
+            f += 0.5 * fitted
+
+
+def test_boosting_fit_sorts_its_root_once(monkeypatch):
+    rng = np.random.default_rng(48)
+    x = np.round(rng.normal(size=(32, 45)), 1)
+    y = (x[:, 0] + rng.normal(scale=0.8, size=32) > 0).astype(np.int64)
+    sorted_sizes = []
+    sort_rows = tree_module._sort_rows
+
+    def counted(x, rows):
+        sorted_sizes.append(len(rows))
+        return sort_rows(x, rows)
+
+    monkeypatch.setattr(tree_module, "_sort_rows", counted)
+    model = GradientBoostedTrees(n_rounds=20, max_depth=2).fit(x, y)
+    split = sum(f != -1 for t in model.trees for f in t.feature)  # sorts without a cache
+    assert sorted_sizes.count(32) == 1
+    assert len(sorted_sizes) < split / 4, (len(sorted_sizes), split)
+
+
+def test_row_set_cache_stays_within_its_cap(monkeypatch):
+    # a deep fit on a wide matrix meets far more row sets than the cap holds
+    rng = np.random.default_rng(49)
+    x = np.round(rng.normal(size=(1000, 200)), 2)
+    y = (x[:, 0] + rng.normal(size=1000) > 0).astype(np.float64)
+    caches = []
+    monkeypatch.setattr(boosting, "RowSetCache",
+                        lambda: caches.append(RowSetCache()) or caches[-1])
+
+    def fit_peak():
+        tracemalloc.start()
+        try:
+            GradientBoostedTrees(n_rounds=4, max_depth=10).fit(x, y)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cap = tree_module._MAX_CACHE_BYTES
+    full = fit_peak()
+    monkeypatch.setattr(tree_module, "_MAX_CACHE_BYTES", 0)
+    working_set = fit_peak()  # the same trees, nothing kept
+    assert len(caches[1]) == 0
+    assert cap - 2 * x.nbytes < caches[0].nbytes <= cap
+    assert full <= cap + working_set
 
 
 @pytest.mark.parametrize("bootstrap", [True, False])

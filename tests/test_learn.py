@@ -12,6 +12,7 @@ from cacrad.learn.model import (
 )
 from cacrad.learn.svm import LinearSvm
 from cacrad.learn.tree import (
+    RowSetCache,
     _gini_best_splits,
     _pad,
     grow_classification_forest,
@@ -239,7 +240,8 @@ def test_adjacent_doubles_split_with_finite_leaves():
     y = np.array([0, 1, 0, 1])
     gini = grow_classification_tree(x, y, None, None, stream(0, "tree", 0))
     fitted = np.empty(len(y))
-    sse = grow_regression_tree(x, y - 0.5, np.full(len(y), 0.25), None, fitted)
+    sse = grow_regression_tree(x, y - 0.5, np.full(len(y), 0.25), None, fitted,
+                               RowSetCache())
     for tree in (gini, sse):
         assert tree.threshold[0] == a
         assert len(tree.value) == 3 and np.all(np.isfinite(tree.value))
@@ -289,7 +291,8 @@ def test_regression_tree_reports_training_leaf_values():
     x, y = golden_matrix(False)
     residual = y - np.linspace(0.2, 0.8, len(y))
     fitted = np.empty(len(y))
-    tree = grow_regression_tree(x, residual, np.full(len(y), 0.21), 3, fitted)
+    tree = grow_regression_tree(x, residual, np.full(len(y), 0.21), 3, fitted,
+                                RowSetCache())
     assert fitted.tobytes() == tree.predict(x).tobytes()
 
 

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from cacrad.errors import (
     TruncatedFile,
     UnsupportedDatatype,
 )
-from cacrad.nifti import HEADER_SIZE, MaskVolume, Volume3D, read_nifti, write_nifti
+from cacrad import nifti
+from cacrad.nifti import HEADER_SIZE, Volume3D, read_mask, read_nifti, write_nifti
 
 
 def sample_volume(seed=0, dims=(7, 5, 3), spacing=(0.49, 0.49, 1.41)):
@@ -228,12 +230,55 @@ def test_fortran_order_on_disk(tmp_path):
     assert read_nifti(path).intensities[1, 0, 0] == 1.0
 
 
-def test_mask_volume_from_volume_binarizes():
+def test_read_mask_binarizes(tmp_path):
     vol = Volume3D(dims=(2, 2, 1), spacing=(1, 1, 1),
                    intensities=np.array([[[0.0], [2.0]], [[0.0], [7.0]]]))
-    mask = MaskVolume.from_volume(vol)
-    assert int(mask.labels.sum()) == 2
+    write_nifti(vol, tmp_path / "m.nii", dtype="int16")
+    mask = read_mask(tmp_path / "m.nii")
+    assert mask.dims == (2, 2, 1) and int(mask.labels.sum()) == 2
     assert bool(mask.labels[0, 1, 0]) and not bool(mask.labels[0, 0, 0])
+
+
+@pytest.mark.parametrize("dtype", ["int16", "float32", "float64"])
+@pytest.mark.parametrize("byteorder", ["<", ">"])
+def test_read_mask_is_read_nifti_nonzero(tmp_path, monkeypatch, dtype, byteorder):
+    # blocks of 7 voxels end mid-column; the scalings send a stored value
+    # to 0, underflow, overflow or turn every voxel nonzero
+    monkeypatch.setattr(nifti, "MASK_BLOCK", 7)
+    values = np.arange(-3.0, 3.0).repeat(10)[np.random.default_rng(9).permutation(60)]
+    vol = Volume3D(dims=(5, 4, 3), spacing=(1, 1, 1), intensities=values)
+    path = tmp_path / "m.nii"
+    write_nifti(vol, path, dtype=dtype, byteorder=byteorder)
+    raw = bytearray(path.read_bytes())
+    inf, nan = float("inf"), float("nan")
+    for scale in [(0.0, 9.0), (1.0, 0.0), (1.0, 2.0), (-0.5, 1.0), (2.0, 0.0), (1e-45, 0.0),
+                  (3e38, 3e38), (1.0, nan), (1.0, inf), (inf, 0.0), (nan, 1.0), (1.0, -0.0)]:
+        struct.pack_into(byteorder + "2f", raw, 112, *scale)
+        path.write_bytes(bytes(raw))
+        want = read_nifti(path).intensities != 0
+        got = read_mask(path).labels
+        assert got.dtype == bool and got.shape == want.shape
+        assert np.array_equal(got, want), scale
+
+
+def test_read_mask_makes_no_float64_copy(tmp_path, monkeypatch):
+    monkeypatch.setattr(nifti, "MASK_BLOCK", 1 << 14)
+    dims = (128, 128, 64)
+    labels = np.zeros(dims)
+    labels[40:90, 30:70, 10:30] = 3.0
+    path = tmp_path / "m.nii"
+    write_nifti(Volume3D(dims=dims, spacing=(1, 1, 1), intensities=labels), path,
+                dtype="int16")
+    tracemalloc.start()
+    try:
+        mask = read_mask(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mask.labels, labels != 0)
+    # the file (2 bytes a voxel), the labels (1) and one block; a float64
+    # volume alone would be 8 bytes a voxel
+    assert peak < 4 * labels.size
 
 
 def test_header_size_constant_sanity():
@@ -310,9 +355,13 @@ def test_read_nifti_fuzz_raises_only_cacrad_errors(fuzz_dir, which, edits,
     path.write_bytes(bytes(raw))
     try:
         vol = read_nifti(path)
-    except CacradError:
+    except CacradError as exc:
+        with pytest.raises(type(exc)):
+            read_mask(path)
         return
     assert np.all(np.isfinite(vol.orientation)) and np.all(np.isfinite(vol.origin))
+    mask = read_mask(path)
+    assert mask.dims == vol.dims and np.array_equal(mask.labels, vol.intensities != 0)
 
 
 @pytest.mark.parametrize("qform_code, sform_code, offset", [
