@@ -3,7 +3,8 @@
 fit grows all trees in lockstep through grow_classification_forest, and
 fit_folds grows the trees of several forests (one per CV fold) in the
 same lockstep; grow_classification_tree stays exported as the one-tree
-entry point.
+entry point. Every forest with fewer or shallower trees is a prefix of a
+fit (prefix), so a grid search grows each fold once.
 """
 
 import math
@@ -39,6 +40,21 @@ class RandomForest:
             model.trees = trees
             models.append(model)
         return models
+
+    def prefix(self, n_trees: int, max_depth: Optional[int]) -> "RandomForest":
+        """The forest a fit with n_trees <= self.n_trees and max_depth no
+        deeper than self.max_depth (None is deepest) returns, bit for bit:
+        tree t draws only from its own stream, and a tree grown to a depth
+        is the deeper tree truncated there."""
+        model = RandomForest(n_trees, max_depth, self.bootstrap)
+        if model.n_trees > self.n_trees or self.max_depth is not None and (
+                max_depth is None or max_depth > self.max_depth):
+            raise ValueError(f"prefix of {model.n_trees} trees of depth {max_depth} from "
+                             f"{self.n_trees} trees of depth {self.max_depth}")
+        model.trees = self.trees[:model.n_trees]
+        if max_depth is not None:
+            model.trees = [tree.truncated(max_depth) for tree in model.trees]
+        return model
 
     def _grow(self, x, y, trains, seeds) -> list:
         """Tree t of the forest on rows of x trains[i] draws from

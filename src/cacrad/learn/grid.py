@@ -78,7 +78,7 @@ def each_fold(fit_fn):
 
 
 def grid_search_cv(fit_folds, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
-                   k: int = 5, seed: int = 0, nested: str = None):
+                   k: int = 5, seed: int = 0, nested: tuple = ()):
     """Mean balanced accuracy over k stratified folds for every grid point.
 
     fit_folds(params, x, y, trains, seeds) -> one fitted model with
@@ -88,28 +88,34 @@ def grid_search_cv(fit_folds, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
     grid point. Fold membership is shared across grid points;
     per-(point, fold) training seeds derive from the master seed.
 
-    nested names a parameter whose smaller values are prefixes of a fit
-    at its largest value, whatever the seed: model.prefix(value) must
-    return the model a fit at value would. Grid points that differ only in
-    that parameter then share one fit per fold, at the grid's largest value.
+    nested names parameters whose smaller values give prefixes of a fit
+    at their largest values (None, no bound, counts as largest), whatever
+    the seed: model.prefix(**values) of nested names must return the model
+    a fit at those values would. When the grid lists every nested name,
+    grid points that differ only in them share one fit per fold, at the
+    grid's largest values, with the fold seeds of the group's first point.
     """
     folds = [np.array(fold, dtype=np.int64)
              for fold in stratified_kfold(y, k, derive_seed(seed, "cv-folds"))]
     all_rows = np.arange(len(y))
     trains = [np.setdiff1d(all_rows, val) for val in folds]
-    values = dict(grid.params).get(nested)
+    values = dict(grid.params)
+    if not all(name in values for name in nested):
+        nested = ()
+    top = {name: None if None in values[name] else max(values[name]) for name in nested}
     shared = {}
     scores = []
     best = None
     for gi, params in enumerate(grid.points()):
         seeds = [derive_seed(seed, "grid", gi, "fold", fi) for fi in range(len(folds))]
-        if values is None:
+        if not top:
             models = fit_folds(params, x, y, trains, seeds)
         else:
-            key = tuple(v for name, v in params.items() if name != nested)
+            key = tuple(v for name, v in params.items() if name not in top)
             if key not in shared:
-                shared[key] = fit_folds({**params, nested: max(values)}, x, y, trains, seeds)
-            models = [model.prefix(params[nested]) for model in shared[key]]
+                shared[key] = fit_folds({**params, **top}, x, y, trains, seeds)
+            models = [model.prefix(**{name: params[name] for name in top})
+                      for model in shared[key]]
         fold_scores = []
         for model, val in zip(models, folds):
             pred = (model.predict_score(x[val]) >= 0.5).astype(np.int64)

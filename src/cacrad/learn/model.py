@@ -29,9 +29,10 @@ _CLASSES = {
     "mlp": Mlp,
 }
 
-# Kinds whose fits nest in one parameter: a gbt fit's first n trees are
-# the n-round fit, so a grid search fits each fold once per other params.
-_NESTED = {"gbt": "n_rounds"}
+# Parameters in which a kind's fits nest: a gbt fit's first n trees are
+# the n-round fit, and a forest's first n trees cut at a depth are the fit
+# with those counts, so a grid search fits each fold once per other params.
+_NESTED = {"gbt": ("n_rounds",), "random_forest": ("n_trees", "max_depth")}
 
 
 def build_model(kind: str, params: dict):
@@ -103,7 +104,7 @@ def train_with_grid(kind: str, x: np.ndarray, y: np.ndarray, feature_names,
     if grid is None:
         grid = DEFAULT_GRIDS[kind]
     best, scores = grid_search_cv(fit_kind(kind), x, y, grid, k=k, seed=seed,
-                                  nested=_NESTED.get(kind))
+                                  nested=_NESTED.get(kind, ()))
     final = build_model(kind, best).fit(x, y, derive_seed(seed, "final-fit"))
     model = TrainedModel(kind=kind, hyperparams=best, inner=final,
                          feature_names=tuple(feature_names), seed=seed)

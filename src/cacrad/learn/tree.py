@@ -1,4 +1,4 @@
-"""Binary decision trees grown depth-first on numpy arrays.
+"""Binary decision trees on numpy arrays.
 
 One implementation serves two roles: Gini classification (forest base
 learner) and least-squares regression with Newton leaf values (boosting
@@ -7,11 +7,14 @@ JSON directly. Splits use midpoint thresholds between consecutive
 distinct values; ties prefer the lowest feature index then the lowest
 threshold, which keeps growth deterministic for a fixed candidate set.
 
-A forest's trees grow in lockstep: each step scores the next node of
-every unfinished tree in one batched Gini pass, and every tree still
-builds exactly the nodes it would build alone. The regression trees of
-one boosting fit share a RowSetCache: a node whose rows an earlier node
-had takes that node's sort, and its split's partition, from the cache.
+A forest's trees grow level by level in lockstep: each step scores every
+node of the current level of every tree in batched Gini passes, and
+every tree still builds exactly the nodes it would build alone. Since a
+tree draws and numbers its nodes level by level, the tree grown to a
+depth is the deeper tree cut there (Tree.truncated). Regression trees
+grow depth-first, and those of one boosting fit share a RowSetCache: a
+node whose rows an earlier node had takes that node's sort, and its
+split's partition, from the cache.
 """
 
 import math
@@ -42,7 +45,8 @@ class Tree:
     threshold: list = field(default_factory=list)  # x[f] <= thr goes left
     left: list = field(default_factory=list)
     right: list = field(default_factory=list)
-    value: list = field(default_factory=list)      # leaf payload (score/step)
+    # leaf payload (score/step); a forest's inner nodes hold theirs too
+    value: list = field(default_factory=list)
 
     def _add_node(self) -> int:
         self.feature.append(_LEAF)
@@ -65,6 +69,24 @@ class Tree:
         self.right += (_LEAF, _LEAF)
         self.value += (0.0, 0.0)
         return li, li + 1
+
+    def truncated(self, depth: int) -> "Tree":
+        """This tree cut at depth: its nodes of depth <= depth, those at
+        depth made leaves that keep their value. Needs nodes numbered level
+        by level, each level's after the last, and a value in every node,
+        as grow_classification_forest leaves them."""
+        start, end = 0, 1  # the nodes of the level reached
+        for _ in range(depth):
+            # the last right child of a level is the last node of the next
+            start, end = end, max(self.right[start:end]) + 1
+            if end <= start:  # no node below this level
+                return self
+        cut = end - start
+        return Tree(feature=self.feature[:start] + [_LEAF] * cut,
+                    threshold=self.threshold[:start] + [0.0] * cut,
+                    left=self.left[:start] + [_LEAF] * cut,
+                    right=self.right[:start] + [_LEAF] * cut,
+                    value=self.value[:end])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -100,9 +122,10 @@ class Tree:
 
 
 def _midpoint(lo: float, hi: float) -> float:
-    """Midpoint of lo < hi, or lo where it rounds to hi (adjacent doubles)."""
+    """Midpoint of lo < hi, or lo where it rounds to hi (adjacent doubles)
+    or lo + hi overflows, so that x <= threshold always parts lo from hi."""
     mid = (lo + hi) / 2.0
-    return lo if mid >= hi else mid
+    return mid if lo <= mid < hi else lo
 
 
 class RowSetCache(dict):
@@ -237,14 +260,17 @@ def grow_classification_forest(x: np.ndarray, y: np.ndarray, samples,
                                max_depth: Optional[int],
                                max_features: Optional[int], rngs) -> list:
     """Gini trees over 0/1 labels, one per (samples[t], rngs[t]), grown
-    in lockstep; leaf value = positive-class fraction.
+    level by level in lockstep; every node's value is its positive-class
+    fraction, the prediction of a leaf.
 
     samples[t] holds tree t's training rows of x, repeats allowed. Each
-    tree keeps its own depth-first stack and generator, so tree t is the
-    tree grown alone on x[samples[t]], y[samples[t]] with rngs[t]. Each
-    step pops every unfinished tree's next node to split and scores those
-    nodes together. Row order within a node changes no split, since costs
-    are only read between distinct values.
+    step scores every node of the current level of every tree together.
+    A tree draws its nodes' candidate columns from rngs[t] left to right
+    within a level and numbers its nodes level by level, so tree t is the
+    tree grown alone on x[samples[t]], y[samples[t]] with rngs[t], and the
+    tree grown to depth d is the deeper tree's truncated(d). Row order
+    within a node changes no split, since costs are only read between
+    distinct values.
     """
     n, n_feat = x.shape
     # C order whatever the layout of x (a column selection is F-ordered):
@@ -256,30 +282,31 @@ def grow_classification_forest(x: np.ndarray, y: np.ndarray, samples,
     subset = max_features is not None and max_features < n_feat
     all_cols = np.arange(n_feat)
     trees = [Tree() for _ in samples]
-    stacks = [[] for _ in samples]  # nodes to split: (node, rows, depth, positive rows)
+    level = []  # nodes of the current level to split: (tree, node, rows, positive rows)
 
     def place(t, node, rows, depth, pos):
-        """Settle a new node as a leaf, or stack it for splitting."""
+        """Give a new node its value, and queue it for splitting unless
+        it is a leaf."""
         size = len(rows)
-        if (max_depth is not None and depth >= max_depth) or size < 2 \
-                or pos == 0 or pos == size:
-            # pos / size is y[rows].mean() bit for bit
-            trees[t].value[node] = pos / size if size else math.nan
-        else:
-            stacks[t].append((node, rows, depth, pos))
+        # pos / size is y[rows].mean() bit for bit
+        trees[t].value[node] = pos / size if size else math.nan
+        if (max_depth is None or depth < max_depth) and 0 < pos < size:
+            level.append((t, node, rows, pos))
 
     for t, rows in enumerate(map(np.asarray, samples)):
         place(t, trees[t]._add_node(), rows, 0, int(yp[rows].sum()))
-    while True:
-        batch = [(t, *stack.pop()) for t, stack in enumerate(stacks) if stack]
-        if not batch:
-            return trees
+    depth = 0
+    while level:
+        batch, level = level, []
+        depth += 1
         if subset:
             cands = np.sort([rngs[t].permutation(n_feat)[:max_features] for t, *_ in batch],
                             axis=1)
         else:
             cands = np.broadcast_to(all_cols, (len(batch), n_feat))
         sizes = [len(item[2]) for item in batch]
+        # per node: column, threshold, rows left then right, left size, left positives
+        splits = [None] * len(batch)
         for group in _size_groups(sizes, cands.shape[1]):
             rows, real = _pad([batch[b][2] for b in group], [sizes[b] for b in group], n)
             f, thr, found = _gini_best_splits(xp, yp, rows, real, cands[group])
@@ -290,19 +317,19 @@ def grow_classification_forest(x: np.ndarray, y: np.ndarray, samples,
             part = rows.take(order)
             n_left = go.sum(axis=1).tolist()
             pos_left = (yp.take(rows) * go).sum(axis=1).tolist()
-            for j, (b, split, feature, threshold) in enumerate(
-                    zip(group, found.tolist(), f.tolist(), thr.tolist())):
-                t, node, _, depth, pos = batch[b]
-                size = sizes[b]
-                if not split:
-                    trees[t].value[node] = pos / size
-                    continue
-                li, ri = trees[t]._split(node, feature, threshold)
-                nl, pl = n_left[j], pos_left[j]
-                # the right child waits on the stack until its left sibling's
-                # subtree is done; a copy of its rows frees the padded block
-                place(t, ri, part[j, nl:size].copy(), depth + 1, pos - pl)
-                place(t, li, part[j, :nl], depth + 1, pl)
+            for b, split, *made in zip(group, found.tolist(), f.tolist(), thr.tolist(),
+                                       part, n_left, pos_left):
+                if split:
+                    splits[b] = made
+        # children are numbered, and drawn for, in each tree's level order
+        for (t, node, _, pos), size, split in zip(batch, sizes, splits):
+            if split is None:
+                continue
+            feature, threshold, part, nl, pl = split
+            li, ri = trees[t]._split(node, feature, threshold)
+            place(t, li, part[:nl], depth, pl)
+            place(t, ri, part[nl:size], depth, pos - pl)
+    return trees
 
 
 def grow_classification_tree(x: np.ndarray, y: np.ndarray,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cacrad.errors import ConfigError, SchemaMismatch, SingleClass
+from cacrad.learn.forest import RandomForest
 from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid, each_fold, grid_search_cv
 from cacrad.learn.mlp import Mlp, loss_and_grad, pack_params, unpack_params
 from cacrad.learn.model import (
@@ -21,7 +22,7 @@ from cacrad.learn.tree import (
 )
 from cacrad.rng import stream
 
-from test_batched_kernels import ref_gini_best_split, sse_best_split
+from test_batched_kernels import ref_gini_best_split, sse_best_split, tree_block
 
 SMALL_GRIDS = {
     "random_forest": HyperGrid.of(n_trees=(20,), max_depth=(4,)),
@@ -249,6 +250,34 @@ def test_adjacent_doubles_split_with_finite_leaves():
     assert fitted.tolist() == sse.predict(x).tolist()
 
 
+def test_split_between_values_whose_sum_overflows():
+    # lo + hi overflows to -inf near -1.8e308: a midpoint of -inf would send
+    # every row right and leave an empty left child
+    rng = np.random.default_rng(32)
+    x = -rng.uniform(1.0e308, 1.79e308, size=(40, 3))
+    x[:, 1] = np.round(x[:, 1], -306)  # ties
+    y = (rng.random(40) < 0.5).astype(np.int64)
+    forest = RandomForest(n_trees=5, max_depth=3).fit(x, y, seed=0)
+    fitted = np.empty(len(y))
+    sse = grow_regression_tree(x, y - 0.5, np.full(len(y), 0.25), 3, fitted, RowSetCache())
+    for tree in (*forest.trees, sse):
+        inner = [thr for f, thr in zip(tree.feature, tree.threshold) if f != -1]
+        assert inner and np.all(np.isfinite(inner))
+        assert not np.isnan(tree.value).any()
+    assert fitted.tolist() == sse.predict(x).tolist()
+
+
+def test_unbounded_fit_on_values_whose_sum_overflows_ends():
+    x = np.array([[-1.7e308], [-1e308], [-1.7e308], [-1e308]])
+    y = np.array([0, 1, 0, 1])
+    gini = grow_classification_tree(x, y, None, None, stream(0, "tree", 0))
+    sse = grow_regression_tree(x, y - 0.5, np.full(len(y), 0.25), None, np.empty(len(y)),
+                               RowSetCache())
+    for tree in (gini, sse):
+        assert tree.threshold[0] == -1.7e308 and len(tree.value) == 3
+    assert gini.predict(x).tolist() == [0.0, 1.0, 0.0, 1.0]
+
+
 def test_batched_gini_matches_per_node_reference():
     rng = np.random.default_rng(31)
     x = rng.integers(0, 4, size=(50, 9)).astype(np.float64)
@@ -305,9 +334,68 @@ def test_gbt_prefix_is_the_shorter_fit():
         short.prefix(5)
 
 
+def test_forest_prefix_is_the_smaller_fit():
+    # ties, constant and duplicated columns; every (n, d) below (N, D)
+    rng = np.random.default_rng(52)
+    for trial in range(40):
+        n_rows = int(rng.integers(2, 41))
+        x = tree_block(rng, n_rows, int(rng.integers(1, 12)))
+        y = (rng.random(n_rows) < rng.uniform(0.2, 0.8)).astype(np.int64)
+        bootstrap = bool(rng.random() < 0.5)
+        big_trees = int(rng.integers(1, 9))
+        big_depth = [None, 8, int(rng.integers(1, 6))][trial % 3]
+        seed = int(rng.integers(0, 1000))
+        big = RandomForest(big_trees, big_depth, bootstrap).fit(x, y, seed)
+        depths = [d for d in (1, 2, 3, 4, 5, None)
+                  if big_depth is None or d is not None and d <= big_depth]
+        for n_trees in sorted({1, int(rng.integers(1, big_trees + 1)), big_trees}):
+            for depth in depths:
+                small = RandomForest(n_trees, depth, bootstrap).fit(x, y, seed)
+                assert big.prefix(n_trees, depth).to_dict() == small.to_dict(), \
+                    (trial, n_trees, depth)
+    with pytest.raises(ValueError):
+        big.prefix(big_trees + 1, big_depth)
+    short = RandomForest(3, 2).fit(x, y, seed)
+    for n_trees, depth in ((3, 3), (3, None), (4, 2)):
+        with pytest.raises(ValueError):
+            short.prefix(n_trees, depth)
+
+
+def test_forest_grid_fits_each_fold_once_per_nested_group():
+    x, y = golden_matrix(False)
+    calls, group_seeds = [], []
+
+    def fit_at_point(params, xt, yt, trains, seeds):
+        # every point fitted on its own, with the seeds of the group's first
+        group_seeds[:] = group_seeds or seeds
+        return [RandomForest(**params).fit(xt[rows], yt[rows], s)
+                for rows, s in zip(trains, group_seeds)]
+
+    def fit_nested(params, xt, yt, trains, seeds):
+        calls.append(params)
+        return RandomForest(**params).fit_folds(xt, yt, trains, seeds)
+
+    # the default forest grid's shape (2 x 3 points, 5 folds), fewer trees
+    grid = HyperGrid.of(n_trees=(3, 6), max_depth=(2, None, 4))
+    best, scores = grid_search_cv(fit_at_point, x, y, grid, k=5, seed=3)
+    best_nested, scores_nested = grid_search_cv(fit_nested, x, y, grid, k=5, seed=3,
+                                                nested=("n_trees", "max_depth"))
+    assert calls == [{"n_trees": 6, "max_depth": None}]
+    assert scores_nested == scores and best_nested == best
+    # a grid that does not list every nested name fits each point
+    calls.clear()
+    grid_search_cv(fit_nested, x, y, HyperGrid.of(n_trees=(3, 6)), k=5, seed=3,
+                   nested=("n_trees", "max_depth"))
+    assert calls == [{"n_trees": 3}, {"n_trees": 6}]
+
+
 # Fingerprints and CV scores recorded with every tree grown on its own and
 # every grid point fitted on its own; lockstep forests and nested gbt grid
-# fits must reproduce them bit for bit.
+# fits must reproduce them bit for bit. The forest goldens were recorded
+# again when forests began to grow level by level and to share one fit
+# per fold across their grid: each tree draws its nodes' candidate columns
+# in level order, not depth-first order, and every forest grid point
+# scores a prefix of the fit at its group's first point's seeds.
 GOLDEN_GRIDS = {
     "random_forest": HyperGrid.of(n_trees=(4, 7), max_depth=(2, None)),
     "gbt": HyperGrid.of(n_rounds=(3, 8, 5), learning_rate=(0.1, 0.3), max_depth=(2, 3)),
@@ -315,11 +403,11 @@ GOLDEN_GRIDS = {
 
 GOLDEN = {
     ("random_forest", False): (
-        "d4f799665fdc53684a58739fd74680e76fe52638f32a919e343581d730cc065d",
-        [0.7, 0.675, 0.65, 0.7749999999999999]),
+        "423ad5db0dc7cd33141dd8ca1a59809fc75dda8bf590699e70df326d16fe8a57",
+        [0.7, 0.7250000000000001, 0.7250000000000001, 0.7250000000000001]),
     ("random_forest", True): (
-        "1e789a17b18dfa48129373c910ba4de81c056a77c57e79a9629f5ff8ddae92dc",
-        [0.575, 0.55, 0.5750000000000001, 0.425]),
+        "e43c7760b76d650ca9df675833794b293954493b60aa525fdb0955b07fad649f",
+        [0.575, 0.55, 0.45, 0.575]),
     ("gbt", False): (
         "d99582585482b4d724da7be7c58b7ef770ef6789440f4a0b31d74f2e41b3cf60",
         [0.675, 0.725, 0.675, 0.7000000000000001, 0.675, 0.675,
@@ -441,7 +529,7 @@ def test_gbt_grid_fits_each_fold_once_per_nested_group():
     assert len(fits) == 40 and sum(fits) == 240
     fits.clear()
     best_nested, scores_nested = grid_search_cv(each_fold(fit_fn), x, y, grid, k=5, seed=3,
-                                                nested="n_rounds")
+                                                nested=("n_rounds",))
     assert len(fits) == 20 and sum(fits) == 160
     assert scores_nested == scores and best_nested == best
 
