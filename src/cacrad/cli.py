@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .config import RunConfig, apply_overrides, load_config
-from .errors import CacradError, ConfigError, DataError, DegenerateCohortError
+from .errors import CacradError, ConfigError, DegenerateCohortError
 from .features.catalog import catalog_text
 from .phantom import generate_cohort
 from .pipeline import run_extract, run_stats, run_train_eval
@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     except DegenerateCohortError as exc:
         print(f"degenerate cohort: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (DataError, CacradError) as exc:
+    except CacradError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -75,11 +75,13 @@ class NonPositiveWidth(ConfigError):
 
 
 class BadRange(ConfigError):
-    """Clip range with lo >= hi."""
+    """A number outside its allowed range: the selection threshold, or the
+    phantom cohort's size and class balance."""
 
 
 class BadSpacing(ConfigError):
-    """Resampling target spacing must be > 0."""
+    """Resampling target spacing that is not > 0, or so fine that the
+    resampled grid would pass preprocess.MAX_RESAMPLED_VOXELS."""
 
 
 # --- features ---------------------------------------------------------------

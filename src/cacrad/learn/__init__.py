@@ -4,7 +4,7 @@ from .boosting import GradientBoostedTrees
 from .forest import RandomForest
 from .grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
 from .mlp import Mlp, loss_and_grad, pack_params, unpack_params
-from .model import MODEL_KINDS, TrainedModel, build_model, fit_kind, train_with_grid
+from .model import MODEL_KINDS, TrainedModel, build_model, train_with_grid
 from .split import stratified_kfold, stratified_split
 from .svm import LinearSvm
 
@@ -12,6 +12,6 @@ __all__ = [
     "RandomForest", "GradientBoostedTrees", "LinearSvm", "Mlp",
     "loss_and_grad", "pack_params", "unpack_params",
     "HyperGrid", "DEFAULT_GRIDS", "grid_search_cv",
-    "MODEL_KINDS", "TrainedModel", "build_model", "fit_kind", "train_with_grid",
+    "MODEL_KINDS", "TrainedModel", "build_model", "train_with_grid",
     "stratified_split", "stratified_kfold",
 ]

@@ -1,10 +1,9 @@
 """Bagged Gini trees with vote-fraction scoring.
 
-fit grows all trees in lockstep through grow_classification_forest, and
-fit_folds grows the trees of several forests (one per CV fold) in the
-same lockstep; grow_classification_tree stays exported as the one-tree
-entry point. Every forest with fewer or shallower trees is a prefix of a
-fit (prefix), so a grid search grows each fold once.
+fit grows all trees in lockstep through grow_classification_forest;
+grow_classification_tree stays exported as the one-tree entry point.
+Every forest with fewer or shallower trees is a prefix of a fit
+(prefix), so a grid search grows each fold once.
 """
 
 import math
@@ -28,18 +27,17 @@ class RandomForest:
         self.trees: list = []
 
     def fit(self, x: np.ndarray, y: np.ndarray, seed: int) -> "RandomForest":
-        self.trees = self._grow(x, y, [np.arange(len(x))], [seed])[0]
+        """Tree t draws from stream(seed, "tree", t): its bootstrap first,
+        then its nodes' candidate columns."""
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        max_features = max(1, int(math.sqrt(x.shape[1])))
+        rngs = [stream(seed, "tree", t) for t in range(self.n_trees)]
+        samples = [rng.integers(0, len(x), size=len(x)) if self.bootstrap
+                   else np.arange(len(x)) for rng in rngs]
+        self.trees = grow_classification_forest(x, y, samples, self.max_depth,
+                                                max_features, rngs)
         return self
-
-    def fit_folds(self, x: np.ndarray, y: np.ndarray, trains, seeds) -> list:
-        """The forests fit(x[rows], y[rows], seed) returns for every (rows,
-        seed) of trains and seeds, grown in one lockstep call on x."""
-        models = []
-        for trees in self._grow(x, y, trains, seeds):
-            model = RandomForest(self.n_trees, self.max_depth, self.bootstrap)
-            model.trees = trees
-            models.append(model)
-        return models
 
     def prefix(self, n_trees: int, max_depth: Optional[int]) -> "RandomForest":
         """The forest a fit with n_trees <= self.n_trees and max_depth no
@@ -55,24 +53,6 @@ class RandomForest:
         if max_depth is not None:
             model.trees = [tree.truncated(max_depth) for tree in model.trees]
         return model
-
-    def _grow(self, x, y, trains, seeds) -> list:
-        """Tree t of the forest on rows of x trains[i] draws from
-        stream(seeds[i], "tree", t) and bags those rows; returns the
-        forests' tree lists."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        max_features = max(1, int(math.sqrt(x.shape[1])))
-        rngs, samples = [], []
-        for rows, seed in zip(trains, seeds):
-            for t in range(self.n_trees):
-                rng = stream(seed, "tree", t)
-                rngs.append(rng)
-                samples.append(rows[rng.integers(0, len(rows), size=len(rows))]
-                               if self.bootstrap else rows)
-        trees = grow_classification_forest(x, y, samples, self.max_depth,
-                                           max_features, rngs)
-        return [trees[i:i + self.n_trees] for i in range(0, len(trees), self.n_trees)]
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
         votes = np.zeros(len(x), dtype=np.float64)

@@ -69,21 +69,12 @@ DEFAULT_GRIDS = {
 }
 
 
-def each_fold(fit_fn):
-    """The fit_folds that calls fit_fn(params, x, y, seed) once per fold on
-    that fold's training rows."""
-    def fit_folds(params, x, y, trains, seeds):
-        return [fit_fn(params, x[rows], y[rows], s) for rows, s in zip(trains, seeds)]
-    return fit_folds
-
-
-def grid_search_cv(fit_folds, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
+def grid_search_cv(fit, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
                    k: int = 5, seed: int = 0, nested: tuple = ()):
     """Mean balanced accuracy over k stratified folds for every grid point.
 
-    fit_folds(params, x, y, trains, seeds) -> one fitted model with
-    predict_score per fold, the model trained on rows trains[i] of x with
-    seed seeds[i] (each_fold builds one from a per-fold fit). Returns
+    fit(params, x, y, seed) -> fitted model with predict_score, called
+    once per fold on that fold's training rows, for every kind. Returns
     (best_params, scores) where scores[i] aligns with the i-th canonical
     grid point. Fold membership is shared across grid points;
     per-(point, fold) training seeds derive from the master seed.
@@ -109,11 +100,12 @@ def grid_search_cv(fit_folds, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
     for gi, params in enumerate(grid.points()):
         seeds = [derive_seed(seed, "grid", gi, "fold", fi) for fi in range(len(folds))]
         if not top:
-            models = fit_folds(params, x, y, trains, seeds)
+            models = [fit(params, x[rows], y[rows], s) for rows, s in zip(trains, seeds)]
         else:
             key = tuple(v for name, v in params.items() if name not in top)
             if key not in shared:
-                shared[key] = fit_folds({**params, **top}, x, y, trains, seeds)
+                shared[key] = [fit({**params, **top}, x[rows], y[rows], s)
+                               for rows, s in zip(trains, seeds)]
             models = [model.prefix(**{name: params[name] for name in top})
                       for model in shared[key]]
         fold_scores = []

@@ -16,7 +16,7 @@ from ..errors import ConfigError, NonFiniteFeature, SchemaMismatch
 from ..rng import derive_seed
 from .boosting import GradientBoostedTrees
 from .forest import RandomForest
-from .grid import DEFAULT_GRIDS, HyperGrid, each_fold, grid_search_cv
+from .grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
 from .mlp import Mlp
 from .svm import LinearSvm
 
@@ -39,15 +39,6 @@ def build_model(kind: str, params: dict):
     if kind not in _CLASSES:
         raise ConfigError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
     return _CLASSES[kind](**params)
-
-
-def fit_kind(kind: str):
-    """grid_search_cv's fit_folds for one kind: a forest grows every fold's
-    trees in one lockstep call, other kinds fit fold by fold."""
-    if kind == "random_forest":
-        return lambda params, x, y, trains, seeds: \
-            RandomForest(**params).fit_folds(x, y, trains, seeds)
-    return each_fold(lambda params, x, y, seed: build_model(kind, params).fit(x, y, seed))
 
 
 @dataclass(frozen=True)
@@ -103,8 +94,9 @@ def train_with_grid(kind: str, x: np.ndarray, y: np.ndarray, feature_names,
     """Grid search + refit on all rows. Returns (TrainedModel, best, scores)."""
     if grid is None:
         grid = DEFAULT_GRIDS[kind]
-    best, scores = grid_search_cv(fit_kind(kind), x, y, grid, k=k, seed=seed,
-                                  nested=_NESTED.get(kind, ()))
+    best, scores = grid_search_cv(
+        lambda params, x, y, seed: build_model(kind, params).fit(x, y, seed),
+        x, y, grid, k=k, seed=seed, nested=_NESTED.get(kind, ()))
     final = build_model(kind, best).fit(x, y, derive_seed(seed, "final-fit"))
     model = TrainedModel(kind=kind, hyperparams=best, inner=final,
                          feature_names=tuple(feature_names), seed=seed)

@@ -88,7 +88,9 @@ def run_extract(cfg: RunConfig) -> dict:
             ids.append(entry.subject_id)
             rows.append(values)
     if not ids:
-        raise TooFewRows("every subject failed extraction; nothing to write")
+        first = (f" (first: {excluded[0]['subject_id']}: {excluded[0]['error']}: "
+                 f"{excluded[0]['message']})" if excluded else "")
+        raise TooFewRows("every subject failed extraction; nothing to write" + first)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

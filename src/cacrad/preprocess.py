@@ -7,6 +7,7 @@ levels on the box grid. Levels derive from ROI voxels only, never from the
 surrounding volume.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,18 +118,28 @@ def discretize_fixed_count(roi: MaskedRoi, n_bins: int) -> DiscretizedRoi:
     return _discretized(roi, levels)
 
 
+# Most voxels a resampled grid may hold: a 512 x 512 x 300 scan at its own
+# spacing (78.6M) fits, a mistyped 0.01 mm spacing is refused before numpy
+# tries to allocate it.
+MAX_RESAMPLED_VOXELS = 2 ** 27
+
+
 def _target_dims(dims, spacing, target):
-    out = []
-    for d, s, t in zip(dims, spacing, target):
-        out.append(max(1, int(round(d * s / t))))
-    return tuple(out)
+    if any(t <= 0 for t in target):
+        raise BadSpacing(f"target spacing must be positive, got {target}")
+    sizes = [d * s / t for d, s, t in zip(dims, spacing, target)]
+    # each axis is bounded before rounding: round() fails on inf and nan
+    if not all(size <= MAX_RESAMPLED_VOXELS for size in sizes) or math.prod(
+            max(1, int(round(size))) for size in sizes) > MAX_RESAMPLED_VOXELS:
+        raise BadSpacing(
+            f"resampling {tuple(dims)} voxels of spacing {tuple(spacing)} to spacing "
+            f"{target} gives more than {MAX_RESAMPLED_VOXELS} voxels")
+    return tuple(max(1, int(round(size))) for size in sizes)
 
 
 def resample_trilinear(vol: Volume3D, target_spacing) -> Volume3D:
     """Resample intensities onto a grid with the given spacing (trilinear)."""
     target = tuple(float(t) for t in target_spacing)
-    if any(t <= 0 for t in target):
-        raise BadSpacing(f"target spacing must be positive, got {target}")
     new_dims = _target_dims(vol.dims, vol.spacing, target)
 
     frac = []
@@ -137,7 +148,9 @@ def resample_trilinear(vol: Volume3D, target_spacing) -> Volume3D:
         pos = centers / vol.spacing[ax] - 0.5
         frac.append(np.clip(pos, 0.0, vol.dims[ax] - 1))
 
-    fx, fy, fz = np.meshgrid(*frac, indexing="ij")
+    # sparse (n, 1, 1), (1, n, 1), (1, 1, n) grids: every product below
+    # broadcasts to the same elements, so no full-volume index grids
+    fx, fy, fz = np.meshgrid(*frac, indexing="ij", sparse=True)
     x0 = np.floor(fx).astype(int)
     y0 = np.floor(fy).astype(int)
     z0 = np.floor(fz).astype(int)
@@ -171,13 +184,11 @@ def resample_trilinear(vol: Volume3D, target_spacing) -> Volume3D:
 def resample_mask_nearest(mask: MaskVolume, spacing, target_spacing) -> MaskVolume:
     """Nearest-neighbor companion to resample_trilinear for boolean masks."""
     target = tuple(float(t) for t in target_spacing)
-    if any(t <= 0 for t in target):
-        raise BadSpacing(f"target spacing must be positive, got {target}")
     new_dims = _target_dims(mask.dims, spacing, target)
     idx = []
     for ax in range(3):
         centers = (np.arange(new_dims[ax]) + 0.5) * target[ax]
         pos = np.rint(centers / spacing[ax] - 0.5).astype(int)
         idx.append(np.clip(pos, 0, mask.dims[ax] - 1))
-    ix, iy, iz = np.meshgrid(*idx, indexing="ij")
+    ix, iy, iz = np.meshgrid(*idx, indexing="ij", sparse=True)
     return MaskVolume(dims=new_dims, labels=mask.labels[ix, iy, iz])

@@ -668,6 +668,9 @@ def test_row_set_cache_stays_within_its_cap(monkeypatch):
 @pytest.mark.parametrize("bootstrap", [True, False])
 @pytest.mark.parametrize("max_depth", [1, 4, None])
 def test_fold_lockstep_forests_equal_per_fold_fits(bootstrap, max_depth):
+    # RandomForest.fit on each fold's training rows, as a grid search
+    # makes it: the trees of one forest grow in lockstep, and an F-ordered
+    # matrix (a column selection is one) gives the C-ordered forest
     rng = np.random.default_rng(45)
     x = np.round(rng.normal(size=(37, 11)), 1)
     x[:, 4] = x[:, 1]
@@ -675,14 +678,12 @@ def test_fold_lockstep_forests_equal_per_fold_fits(bootstrap, max_depth):
     y = (x[:, 0] + rng.normal(scale=0.8, size=37) > 0).astype(np.int64)
     folds = stratified_kfold(y, 5, seed=6)
     trains = [np.setdiff1d(np.arange(37), fold) for fold in folds]
-    seeds = [1000 + i for i in range(5)]
     params = {"n_trees": 7, "max_depth": max_depth, "bootstrap": bootstrap}
-    # a column selection is F-ordered; the layout must not matter
-    together = RandomForest(**params).fit_folds(np.asfortranarray(x), y, trains, seeds)
-    assert len(together) == 5
-    for model, rows, seed in zip(together, trains, seeds):
-        alone = RandomForest(**params).fit(x[rows], y[rows], seed)
-        assert model.to_dict() == alone.to_dict()
+    for i, rows in enumerate(trains):
+        c_ordered = RandomForest(**params).fit(np.ascontiguousarray(x[rows]), y[rows], 1000 + i)
+        f_ordered = RandomForest(**params).fit(np.asfortranarray(x[rows]), y[rows], 1000 + i)
+        assert len(f_ordered.trees) == 7
+        assert f_ordered.to_dict() == c_ordered.to_dict()
 
 
 def ref_sigmoid(z):

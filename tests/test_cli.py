@@ -1,9 +1,12 @@
+import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from cacrad.cli import main
 from cacrad.features.catalog import FEATURE_NAMES
+from cacrad.nifti import read_nifti, write_nifti
 
 SMALL_ARGS = None  # phantom subcommand uses default full-size volumes
 
@@ -151,6 +154,37 @@ def test_exit_code_degenerate_cohort(tmp_path, capsys):
                "--out", str(root / "run")])
     assert rc == 4
     assert "degenerate cohort" in capsys.readouterr().err
+
+
+def test_oversized_resample_spacing_excludes_the_subject(tmp_path, capsys):
+    root = tmp_path / "cohort"
+    assert main(["phantom", "--n", "4", "--balance", "0.5",
+                 "--seed", "0", "--out", str(root)]) == 0
+    # one volume spans 100 times the others' extent: resampled to their
+    # spacing it would hold 54G voxels
+    with open(root / "manifest.csv", newline="") as fh:
+        big = next(csv.DictReader(fh))
+    vol = read_nifti(root / big["volume"])
+    write_nifti(replace(vol, spacing=tuple(100 * s for s in vol.spacing)),
+                root / big["volume"], dtype="int16")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("resample_spacing = 0.49, 0.49, 1.41\n")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg), "--manifest", str(root / "manifest.csv"),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert f"excluded {big['subject_id']}: BadSpacing" in capsys.readouterr().out
+    report = json.loads((tmp_path / "run" / "extract_report.json").read_text())
+    assert report["n_extracted"] == 3
+    [exclusion] = report["excluded"]
+    assert exclusion["subject_id"] == big["subject_id"]
+    assert exclusion["error"] == "BadSpacing" and "voxels" in exclusion["message"]
+    # with every subject refused, extract ends as a degenerate cohort (exit
+    # 4) and names the first reason
+    cfg.write_text("resample_spacing = 0.01, 0.01, 0.01\n")
+    assert main(["extract", "--config", str(cfg), "--manifest", str(root / "manifest.csv"),
+                 "--out", str(tmp_path / "fine")]) == 4
+    err = capsys.readouterr().err
+    assert "degenerate cohort" in err and "BadSpacing" in err
 
 
 def test_phantom_bad_balance(tmp_path, capsys):

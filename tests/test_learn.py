@@ -3,7 +3,7 @@ import pytest
 
 from cacrad.errors import ConfigError, SchemaMismatch, SingleClass
 from cacrad.learn.forest import RandomForest
-from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid, each_fold, grid_search_cv
+from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
 from cacrad.learn.mlp import Mlp, loss_and_grad, pack_params, unpack_params
 from cacrad.learn.model import (
     MODEL_KINDS,
@@ -143,7 +143,7 @@ def test_grid_tie_goes_to_first_canonical_point():
     y = np.array([0, 1] * 8, dtype=np.int64)
     x = np.random.default_rng(0).normal(size=(16, 2))
     grid = HyperGrid.of(alpha=(1, 2, 3))
-    best, scores = grid_search_cv(each_fold(fit_fn), x, y, grid, k=2, seed=0)
+    best, scores = grid_search_cv(fit_fn, x, y, grid, k=2, seed=0)
     assert best == {"alpha": 1}
     assert len(set(scores)) == 1
 
@@ -363,30 +363,36 @@ def test_forest_prefix_is_the_smaller_fit():
 
 def test_forest_grid_fits_each_fold_once_per_nested_group():
     x, y = golden_matrix(False)
+    k = 5
     calls, group_seeds = [], []
 
-    def fit_at_point(params, xt, yt, trains, seeds):
-        # every point fitted on its own, with the seeds of the group's first
-        group_seeds[:] = group_seeds or seeds
-        return [RandomForest(**params).fit(xt[rows], yt[rows], s)
-                for rows, s in zip(trains, group_seeds)]
-
-    def fit_nested(params, xt, yt, trains, seeds):
+    def fit_at_point(params, xt, yt, seed):
+        # every point fitted on its own, with the fold seeds of the group's
+        # first point, which the first k calls receive
+        if len(calls) < k:
+            group_seeds.append(seed)
+        fold = len(calls) % k
         calls.append(params)
-        return RandomForest(**params).fit_folds(xt, yt, trains, seeds)
+        return RandomForest(**params).fit(xt, yt, group_seeds[fold])
+
+    def fit_nested(params, xt, yt, seed):
+        calls.append(params)
+        return RandomForest(**params).fit(xt, yt, seed)
 
     # the default forest grid's shape (2 x 3 points, 5 folds), fewer trees
     grid = HyperGrid.of(n_trees=(3, 6), max_depth=(2, None, 4))
-    best, scores = grid_search_cv(fit_at_point, x, y, grid, k=5, seed=3)
-    best_nested, scores_nested = grid_search_cv(fit_nested, x, y, grid, k=5, seed=3,
+    best, scores = grid_search_cv(fit_at_point, x, y, grid, k=k, seed=3)
+    assert len(calls) == 6 * k
+    calls.clear()
+    best_nested, scores_nested = grid_search_cv(fit_nested, x, y, grid, k=k, seed=3,
                                                 nested=("n_trees", "max_depth"))
-    assert calls == [{"n_trees": 6, "max_depth": None}]
+    assert calls == [{"n_trees": 6, "max_depth": None}] * k
     assert scores_nested == scores and best_nested == best
     # a grid that does not list every nested name fits each point
     calls.clear()
-    grid_search_cv(fit_nested, x, y, HyperGrid.of(n_trees=(3, 6)), k=5, seed=3,
+    grid_search_cv(fit_nested, x, y, HyperGrid.of(n_trees=(3, 6)), k=k, seed=3,
                    nested=("n_trees", "max_depth"))
-    assert calls == [{"n_trees": 3}, {"n_trees": 6}]
+    assert calls == [{"n_trees": 3}] * k + [{"n_trees": 6}] * k
 
 
 # Fingerprints and CV scores recorded with every tree grown on its own and
@@ -525,10 +531,10 @@ def test_gbt_grid_fits_each_fold_once_per_nested_group():
 
     # the default gbt grid's shape (2 x 2 x 2 points, 5 folds), fewer rounds
     grid = HyperGrid.of(n_rounds=(4, 8), learning_rate=(0.1, 0.3), max_depth=(2, 3))
-    best, scores = grid_search_cv(each_fold(fit_fn), x, y, grid, k=5, seed=3)
+    best, scores = grid_search_cv(fit_fn, x, y, grid, k=5, seed=3)
     assert len(fits) == 40 and sum(fits) == 240
     fits.clear()
-    best_nested, scores_nested = grid_search_cv(each_fold(fit_fn), x, y, grid, k=5, seed=3,
+    best_nested, scores_nested = grid_search_cv(fit_fn, x, y, grid, k=5, seed=3,
                                                 nested=("n_rounds",))
     assert len(fits) == 20 and sum(fits) == 160
     assert scores_nested == scores and best_nested == best

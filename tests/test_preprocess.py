@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from cacrad.errors import BadSpacing, DimMismatch, EmptyRoi, NonPositiveWidth
 from cacrad.nifti import MaskVolume, Volume3D
 from cacrad.preprocess import (
+    MAX_RESAMPLED_VOXELS,
+    _target_dims,
     apply_mask,
     bounding_box,
     discretize_fixed_count,
@@ -187,3 +191,89 @@ def test_resample_bad_spacing():
     vol = Volume3D(dims=(2, 2, 2), spacing=(1, 1, 1), intensities=np.zeros((2, 2, 2)))
     with pytest.raises(BadSpacing):
         resample_trilinear(vol, (-1.0, 1.0, 1.0))
+
+
+def dense_resample_trilinear(vol, target):
+    """resample_trilinear's body with full-volume meshgrid index grids."""
+    new_dims = tuple(max(1, int(round(d * s / t)))
+                     for d, s, t in zip(vol.dims, vol.spacing, target))
+    frac = [np.clip((np.arange(new_dims[ax]) + 0.5) * target[ax] / vol.spacing[ax] - 0.5,
+                    0.0, vol.dims[ax] - 1) for ax in range(3)]
+    fx, fy, fz = np.meshgrid(*frac, indexing="ij")
+    x0 = np.floor(fx).astype(int)
+    y0 = np.floor(fy).astype(int)
+    z0 = np.floor(fz).astype(int)
+    x1 = np.minimum(x0 + 1, vol.dims[0] - 1)
+    y1 = np.minimum(y0 + 1, vol.dims[1] - 1)
+    z1 = np.minimum(z0 + 1, vol.dims[2] - 1)
+    tx = fx - x0
+    ty = fy - y0
+    tz = fz - z0
+    v = vol.intensities
+    return (
+        v[x0, y0, z0] * (1 - tx) * (1 - ty) * (1 - tz)
+        + v[x1, y0, z0] * tx * (1 - ty) * (1 - tz)
+        + v[x0, y1, z0] * (1 - tx) * ty * (1 - tz)
+        + v[x0, y0, z1] * (1 - tx) * (1 - ty) * tz
+        + v[x1, y1, z0] * tx * ty * (1 - tz)
+        + v[x1, y0, z1] * tx * (1 - ty) * tz
+        + v[x0, y1, z1] * (1 - tx) * ty * tz
+        + v[x1, y1, z1] * tx * ty * tz
+    )
+
+
+def dense_resample_mask(mask, spacing, target):
+    """resample_mask_nearest's body with full-volume meshgrid index grids."""
+    new_dims = tuple(max(1, int(round(d * s / t)))
+                     for d, s, t in zip(mask.dims, spacing, target))
+    idx = [np.clip(np.rint((np.arange(new_dims[ax]) + 0.5) * target[ax] / spacing[ax]
+                           - 0.5).astype(int), 0, mask.dims[ax] - 1) for ax in range(3)]
+    ix, iy, iz = np.meshgrid(*idx, indexing="ij")
+    return mask.labels[ix, iy, iz]
+
+
+@pytest.mark.parametrize("target", [(1.0, 1.0, 1.5), (2.0, 2.5, 3.0), (0.7, 1.3, 2.0)])
+def test_resamplers_equal_the_dense_meshgrid_body(target):
+    rng = np.random.default_rng(71)
+    dims, spacing = (23, 17, 11), (1.0, 1.0, 1.5)
+    vol = Volume3D(dims=dims, spacing=spacing,
+                   intensities=np.round(rng.normal(0.0, 300.0, size=dims), 1))
+    mask = MaskVolume(dims=dims, labels=rng.random(dims) < 0.4)
+    out = resample_trilinear(vol, target)
+    assert out.intensities.tobytes() == dense_resample_trilinear(vol, target).tobytes()
+    labels = resample_mask_nearest(mask, spacing, target).labels
+    assert labels.tobytes() == dense_resample_mask(mask, spacing, target).tobytes()
+
+
+def test_resamplers_hold_no_full_volume_index_grids():
+    dims = (64, 64, 32)
+    vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0), intensities=np.zeros(dims))
+    mask = MaskVolume(dims=dims, labels=np.zeros(dims, dtype=bool))
+    target = (0.8, 0.8, 0.8)
+    n_out = np.prod(resample_mask_nearest(mask, vol.spacing, target).dims)
+
+    def peak_per_voxel(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / n_out
+        finally:
+            tracemalloc.stop()
+
+    # dense index, weight and product grids took 120 and 25 bytes per voxel
+    assert peak_per_voxel(lambda: resample_trilinear(vol, target)) < 32
+    assert peak_per_voxel(lambda: resample_mask_nearest(mask, vol.spacing, target)) < 4
+
+
+def test_oversized_resampled_grid_is_refused():
+    vol = Volume3D(dims=(44, 44, 28), spacing=(0.49, 0.49, 1.41),
+                   intensities=np.zeros((44, 44, 28)))
+    mask = MaskVolume(dims=vol.dims, labels=np.ones(vol.dims, dtype=bool))
+    for target in ((0.01, 0.01, 0.01), (1e-300, 1.0, 1.0)):
+        with pytest.raises(BadSpacing, match="voxels"):
+            resample_trilinear(vol, target)
+        with pytest.raises(BadSpacing, match="voxels"):
+            resample_mask_nearest(mask, vol.spacing, target)
+    # a 512 x 512 x 300 scan fits at its own spacing
+    assert _target_dims((512, 512, 300), (0.4, 0.4, 0.6), (0.4, 0.4, 0.6)) == (512, 512, 300)
+    assert np.prod((512, 512, 300)) <= MAX_RESAMPLED_VOXELS
