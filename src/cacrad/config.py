@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
+from .features import ExtractionConfig
 from .learn.grid import DEFAULT_GRIDS, MAX_COUNT, HyperGrid
 from .learn.model import MODEL_KINDS, build_model
 
@@ -20,17 +21,15 @@ COMPOSITIONS = ("mixed", "noncontrast")
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ExtractionConfig):
+    """Every run setting; the extraction settings are ExtractionConfig's own
+    fields and defaults, so extract_all takes a RunConfig as it is."""
+
     manifest: Optional[str] = None
     mode: str = "radiomics"
     train_composition: str = "mixed"
     test_fraction: float = 0.2
     selection_threshold: float = 0.90
-    bin_width: float = 25.0
-    n_bins: Optional[int] = None
-    resample_spacing: Optional[tuple] = None
-    glcm_distance: int = 1
-    gldm_alpha: int = 0
     models: tuple = MODEL_KINDS
     seed: int = 0
     out: str = "run_out"

@@ -11,6 +11,7 @@ coarseness guard substitutes 1e6; every return value is finite.
 import numpy as np
 
 from ..texmat import Glcm, Gldm, Glrlm, Glszm, Ngtdm
+from .catalog import GLCM
 
 COARSENESS_GUARD = 1e6
 
@@ -143,16 +144,7 @@ def _glcm_block(p: np.ndarray) -> dict:
     }
 
 
-_GLCM_EMPTY = {
-    name: (1.0 if name in ("Correlation", "MCC") else 0.0)
-    for name in (
-        "Autocorrelation", "ClusterProminence", "ClusterShade", "ClusterTendency",
-        "Contrast", "Correlation", "DifferenceAverage", "DifferenceEntropy",
-        "DifferenceVariance", "Id", "Idm", "Idmn", "Idn", "Imc1", "Imc2",
-        "InverseVariance", "JointAverage", "JointEnergy", "JointEntropy", "MCC",
-        "MaximumProbability", "SumAverage", "SumEntropy", "SumSquares",
-    )
-}
+_GLCM_EMPTY = {name: 1.0 if name in ("Correlation", "MCC") else 0.0 for name, _ in GLCM}
 
 
 def glcm_features(m: Glcm) -> dict:

@@ -26,7 +26,7 @@ from .errors import (
     TooFewRows,
 )
 from .eval import MetricsReport, confusion_from_predictions, metric_cell, metrics, paired_t_test
-from .features import ExtractionConfig, extract_all
+from .features import extract_all
 from .features.catalog import FEATURE_NAMES
 from .learn.model import MODEL_KINDS, train_with_grid
 from .learn.split import stratified_split
@@ -43,36 +43,26 @@ def _write_json(path: Path, doc: dict) -> None:
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _extraction_config(cfg: RunConfig) -> ExtractionConfig:
-    return ExtractionConfig(
-        bin_width=cfg.bin_width,
-        n_bins=cfg.n_bins,
-        resample_spacing=cfg.resample_spacing,
-        glcm_distance=cfg.glcm_distance,
-        gldm_alpha=cfg.gldm_alpha,
-    )
-
-
 def run_extract(cfg: RunConfig) -> dict:
     """Extract features for every manifest subject; skip-and-log failures.
 
     Writes features.csv and extract_report.json under cfg.out. A subject
     that fails (unreadable file, empty mask, shape mismatch) is excluded
-    with a reason; only an empty result table is fatal.
+    with a reason; only an empty result table is fatal, and then the
+    report, with every reason, is written without a features.csv.
     """
     if cfg.manifest is None:
         raise ConfigError("extract needs manifest = <path> in the config")
     t0 = time.monotonic()
     manifest = load_manifest(cfg.manifest)
     entries = sorted(manifest.entries, key=lambda e: e.subject_id)
-    ext_cfg = _extraction_config(cfg)
 
     def extract_one(entry):
         """(feature values, None), or (None, exclusion record)."""
         try:
             vol = read_nifti(entry.volume_path)
             mask = read_mask(entry.mask_path)
-            return extract_all(vol, mask, ext_cfg).values, None
+            return extract_all(vol, mask, cfg).values, None
         except (CacradError, ValueError) as exc:
             return None, {
                 "subject_id": entry.subject_id,
@@ -87,15 +77,13 @@ def run_extract(cfg: RunConfig) -> dict:
         else:
             ids.append(entry.subject_id)
             rows.append(values)
-    if not ids:
-        first = (f" (first: {excluded[0]['subject_id']}: {excluded[0]['error']}: "
-                 f"{excluded[0]['message']})" if excluded else "")
-        raise TooFewRows("every subject failed extraction; nothing to write" + first)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    features_path = Path(cfg.features_csv) if cfg.features_csv else out / "features.csv"
-    write_features_csv(features_path, ids, FEATURE_NAMES, np.array(rows))
+    features_path = None
+    if ids:
+        features_path = Path(cfg.features_csv) if cfg.features_csv else out / "features.csv"
+        write_features_csv(features_path, ids, FEATURE_NAMES, np.array(rows))
 
     report = {
         "command": "extract",
@@ -104,10 +92,14 @@ def run_extract(cfg: RunConfig) -> dict:
         "n_extracted": len(ids),
         "n_features": len(FEATURE_NAMES),
         "excluded": excluded,
-        "features_csv": str(features_path),
+        "features_csv": str(features_path) if ids else None,
         "timing": {"seconds": round(time.monotonic() - t0, 3)},
     }
     _write_json(out / "extract_report.json", report)
+    if not ids:
+        first = (f" (first: {excluded[0]['subject_id']}: {excluded[0]['error']}: "
+                 f"{excluded[0]['message']})" if excluded else "")
+        raise TooFewRows("every subject failed extraction; no features.csv written" + first)
     return report
 
 
@@ -116,21 +108,21 @@ def _load_table(cfg: RunConfig, manifest):
     if cfg.mode == "embeddings":
         if cfg.embeddings_csv is None:
             raise ConfigError("mode = embeddings needs embeddings_csv = <path>")
-        emb = load_embeddings(cfg.embeddings_csv)
-        covered = emb.coverage(manifest.subject_ids())
+        ids, names, matrix = load_embeddings(cfg.embeddings_csv)
+        # the manifest's subjects, in its order; other rows are ignored
+        pos = {s: k for k, s in enumerate(ids)}
+        covered = [s for s in manifest.subject_ids() if s in pos]
         if not covered:
             raise SchemaMismatch("no overlap between embedding rows and manifest subjects")
-        pos = {s: k for k, s in enumerate(emb.subject_ids)}
-        take = [pos[s] for s in covered]
-        names = tuple(f"e{j}" for j in range(emb.dimension))
-        table = attach_cohort(covered, names, emb.matrix[take, :], manifest)
+        table = attach_cohort(covered, names, matrix[[pos[s] for s in covered]], manifest)
+        provenance = f"{Path(cfg.embeddings_csv).name.removesuffix('.csv')}-{len(names)}"
         notes = {
-            "provenance": emb.provenance,
-            "n_embedding_rows": len(emb.subject_ids),
+            "provenance": provenance,
+            "n_embedding_rows": len(ids),
             "n_manifest": len(manifest),
             "n_used": len(covered),
         }
-        return table, emb.provenance, notes
+        return table, provenance, notes
     features_path = cfg.features_csv or str(Path(cfg.out) / "features.csv")
     ids, names, matrix = read_features_csv(features_path)
     table = attach_cohort(ids, names, matrix, manifest)

@@ -185,6 +185,11 @@ def test_oversized_resample_spacing_excludes_the_subject(tmp_path, capsys):
                  "--out", str(tmp_path / "fine")]) == 4
     err = capsys.readouterr().err
     assert "degenerate cohort" in err and "BadSpacing" in err
+    # the report still lists every reason, and no features.csv is written
+    report = json.loads((tmp_path / "fine" / "extract_report.json").read_text())
+    assert report["n_extracted"] == 0 and report["features_csv"] is None
+    assert [e["error"] for e in report["excluded"]] == ["BadSpacing"] * 4
+    assert not (tmp_path / "fine" / "features.csv").exists()
 
 
 def test_phantom_bad_balance(tmp_path, capsys):

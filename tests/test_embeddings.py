@@ -17,18 +17,16 @@ def test_round_trip_bitwise(tmp_path):
     ids = [f"p{i}" for i in range(5)]
     p = tmp_path / "resnet_avg.csv"
     write_embeddings(p, ids, mat)
-    table = load_embeddings(p)
-    assert table.subject_ids == tuple(ids)
-    assert table.matrix.tobytes() == mat.tobytes()
-    assert table.dimension == 8
-    assert table.provenance == "resnet_avg-8"
+    got_ids, names, matrix = load_embeddings(p)
+    assert got_ids == tuple(ids)
+    assert names == tuple(f"e{k}" for k in range(8))
+    assert matrix.tobytes() == mat.tobytes()
 
 
 def test_header_contract(tmp_path):
     ok = tmp_path / "e.csv"
     ok.write_text("subject_id,e0,e1\na,1.0,2.0\n")
-    t = load_embeddings(ok)
-    assert t.dimension == 2
+    assert load_embeddings(ok)[1] == ("e0", "e1")
 
     bad_first = tmp_path / "b1.csv"
     bad_first.write_text("id,e0\na,1.0\n")
@@ -69,12 +67,4 @@ def test_row_errors(tmp_path):
 
     with pytest.raises(MissingFile):
         load_embeddings(tmp_path / "gone.csv")
-
-
-def test_coverage_preserves_manifest_order(tmp_path):
-    p = tmp_path / "emb.csv"
-    write_embeddings(p, ["c", "a", "x"], np.zeros((3, 2)))
-    t = load_embeddings(p)
-    assert t.coverage(["a", "b", "c", "d"]) == ("a", "c")
-    assert t.coverage([]) == ()
 

@@ -1,12 +1,13 @@
 import json
 import os
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cacrad.config import RunConfig
+from cacrad.config import RunConfig, parse_config_text
 from cacrad.errors import (
     ConfigError,
     LengthMismatch,
@@ -15,9 +16,12 @@ from cacrad.errors import (
     TooFewRows,
 )
 from cacrad.embeddings import write_embeddings
-from cacrad.nifti import Volume3D, read_nifti, write_nifti
+from cacrad.features import ExtractionConfig, extract_all
+from cacrad.manifest import load_manifest
+from cacrad.nifti import Volume3D, read_mask, read_nifti, write_nifti
 from cacrad.phantom import generate_cohort
 from cacrad.pipeline import run_extract, run_stats, run_train_eval
+from cacrad.table import read_features_csv
 
 SMALL_DIMS = (24, 24, 12)
 
@@ -121,6 +125,26 @@ def test_extract_all_failed_is_fatal(tmp_path):
                  f"s1,{bad},{bad},contrast,0\n")
     with pytest.raises(TooFewRows):
         run_extract(RunConfig(manifest=str(m), out=str(tmp_path / "out")))
+
+
+@pytest.mark.parametrize("n_bins", [6, None])
+def test_extract_passes_every_extraction_setting(cohort, tmp_path, n_bins):
+    root, manifest = cohort
+    # n_bins, when set, makes bin_width unused, so the None case checks bin_width
+    want = ExtractionConfig(bin_width=10.0, n_bins=n_bins, resample_spacing=(0.6, 0.6, 1.2),
+                            glcm_distance=2, gldm_alpha=1)
+    for f in fields(ExtractionConfig):
+        assert getattr(RunConfig(), f.name) == f.default
+    cfg = parse_config_text(f"manifest = {manifest}\nout = {tmp_path}\nbin_width = 10\n"
+                            f"n_bins = {n_bins}\nresample_spacing = 0.6, 0.6, 1.2\n"
+                            "glcm_distance = 2\ngldm_alpha = 1\n")
+    report = run_extract(cfg)
+    assert report["n_extracted"] == 12
+    ids, _, matrix = read_features_csv(tmp_path / "features.csv")
+    entries = {e.subject_id: e for e in load_manifest(manifest).entries}
+    for sid, row in zip(ids, matrix):
+        vol, mask = read_nifti(entries[sid].volume_path), read_mask(entries[sid].mask_path)
+        assert row.tobytes() == extract_all(vol, mask, want).values.tobytes()
 
 
 def test_extract_requires_manifest(tmp_path):
@@ -260,8 +284,6 @@ def test_stats_schema_errors(extracted, tmp_path):
 
 def test_embeddings_mode(cohort, tmp_path):
     root, manifest = cohort
-    from cacrad.manifest import load_manifest
-
     ids = load_manifest(manifest).subject_ids()
     rng = np.random.default_rng(0)
     # informative coordinates plus a ghost row absent from the manifest
@@ -292,8 +314,6 @@ def test_embeddings_mode(cohort, tmp_path):
 
 def test_embeddings_mode_filter_drops_near_duplicate_columns(cohort, tmp_path):
     root, manifest = cohort
-    from cacrad.manifest import load_manifest
-
     ids = load_manifest(manifest).subject_ids()
     rng = np.random.default_rng(3)
     base = rng.normal(size=(len(ids), 2))
@@ -320,6 +340,27 @@ def test_embeddings_mode_filter_drops_near_duplicate_columns(cohort, tmp_path):
     lines = (tmp_path / "emb_out" / "metrics.csv").read_text().splitlines()
     assert sorted(line.split(",")[:2] for line in lines[1:]) == sorted(
         [kind, str(seed)] for seed in report["seeds"] for kind in models)
+
+
+def test_embeddings_rows_follow_the_manifest(cohort, tmp_path):
+    root, manifest = cohort
+    ids = load_manifest(manifest).subject_ids() + ["ghost0", "ghost1"]
+    mat = np.random.default_rng(4).normal(size=(len(ids), 3))
+    shuffled = np.random.default_rng(5).permutation(len(ids))
+    assert list(shuffled[shuffled < 12]) != list(range(12))
+    runs = []
+    for name, order in (("ordered", np.arange(len(ids))), ("shuffled", shuffled)):
+        emb_path = tmp_path / name / "emb.csv"
+        emb_path.parent.mkdir()
+        write_embeddings(emb_path, [ids[k] for k in order], mat[order])
+        out = tmp_path / name / "out"
+        run_train_eval(RunConfig(manifest=str(manifest), out=str(out), mode="embeddings",
+                                 embeddings_csv=str(emb_path), seed=2, n_seeds=2,
+                                 test_fraction=0.25, **SVM_ONLY))
+        runs.append(((out / "metrics.csv").read_bytes(),
+                     json.dumps(_strip_timing(out / "run_report.json"), sort_keys=True)))
+    assert runs[0] == runs[1]
+    assert '"n_embedding_rows": 14' in runs[0][1] and '"provenance": "emb-3"' in runs[0][1]
 
 
 def _strip_timing(path):
