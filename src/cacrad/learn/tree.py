@@ -7,6 +7,12 @@ JSON directly. Splits use midpoint thresholds between consecutive
 distinct values; ties prefer the lowest feature index then the lowest
 threshold, which keeps growth deterministic for a fixed candidate set.
 
+Both kinds rank a node's splits by one score, head**2 / k + (total -
+head)**2 / (n - k), where head sums the target over the k rows left of
+the split (CART's proxy). A split's summed squared error, and half its
+weighted Gini impurity on 0/1 labels, is a constant of the node less
+this score, so the largest score wins.
+
 A forest's trees grow level by level in lockstep: each step scores every
 node of the current level of every tree in batched Gini passes, and
 every tree still builds exactly the nodes it would build alone. Since a
@@ -157,8 +163,8 @@ def _sort_rows(x: np.ndarray, rows: np.ndarray):
 
 def _sse_best_split(target: np.ndarray, order: np.ndarray, xs: np.ndarray,
                     ties: np.ndarray, counts: np.ndarray):
-    """Best (column, sorted position, midpoint threshold) minimizing summed
-    squared error of side means, scored for all columns at once.
+    """Best (column, sorted position, midpoint threshold) by the split
+    score, the least summed squared error, for all columns at once.
 
     order, xs and ties are a node's sort (_sort_rows) over n >= 2 rows and
     target is indexed by rows of x; counts is the float column 0, 1, ...,
@@ -168,27 +174,20 @@ def _sse_best_split(target: np.ndarray, order: np.ndarray, xs: np.ndarray,
     n = len(order)
     k = counts[1:n]            # left side sizes 1 .. n-1
     rest = counts[n - 1:0:-1]  # right side sizes n-1 .. 1
-    ts = target.take(order)
-    csum = ts.cumsum(axis=0)
-    ts *= ts
-    csq = ts.cumsum(axis=0)
-    # cost = (left_sq - left_sum**2 / k) + (right_sq - right_sum**2 / (n - k)),
-    # evaluated in place
+    csum = target.take(order).cumsum(axis=0)
     head = csum[:-1]
-    left = head * head
-    left /= k
-    np.subtract(csq[:-1], left, out=left)
+    score = head * head
+    score /= k
     right = csum[-1] - head
     right *= right
     right /= rest
-    np.subtract(csq[-1] - csq[:-1], right, out=right)
-    left += right
-    np.putmask(left, ties, np.inf)
-    # the transposed flat argmin scans column by column, so ties resolve to
+    score += right
+    np.putmask(score, ties, -np.inf)
+    # the transposed flat argmax scans column by column, so ties resolve to
     # the lowest column and then the lowest threshold
-    by_col = left.T
-    f, i = divmod(int(by_col.argmin()), n - 1)
-    if not math.isfinite(by_col[f, i]):
+    by_col = score.T
+    f, i = divmod(int(by_col.argmax()), n - 1)
+    if not by_col[f, i] > -math.inf:
         return None
     return f, i, _midpoint(*xs[i:i + 2, f].tolist())
 
@@ -218,25 +217,25 @@ def _pad(row_lists, sizes: list, fill: int):
 
 def _gini_best_splits(xp: np.ndarray, yp: np.ndarray, rows: np.ndarray,
                       real: np.ndarray, cand: np.ndarray):
-    """Best (column, midpoint threshold) by weighted Gini for every node
-    of a padded block in one pass.
+    """Best (column, midpoint threshold) by the split score, the least
+    weighted Gini impurity, for every node of a padded block in one pass.
 
     xp and yp are x and y with one extra last row of +inf features and
     label 0, which the padding slots of rows (from _pad) point at; cand
     is (B, C) candidate columns per node. Padding sorts after every real
     value and adds no positives, and only positions between two distinct
-    real values can win. Each node's costs are the ones a sort of its own
-    block gives, left_n * 2 pl (1 - pl) + right_n * 2 pr (1 - pr), and the
-    first minimum in (column, position) order wins, so ties go to the
-    lowest column, then the lowest threshold. Returns the chosen columns of
-    x, the thresholds and whether each node has a split at all.
+    real values can win. Each node's split scores are the ones a sort of
+    its own block gives, and the first maximum in (column, position) order
+    wins, so ties go to the lowest column, then the lowest threshold.
+    Returns the chosen columns of x, the thresholds and whether each node
+    has a split at all.
     """
     nb, width = rows.shape
     b = np.arange(nb)
     xb = xp.take(rows[:, None, :] * xp.shape[1] + cand[:, :, None])  # (B, C, W)
     # Sorted values and the positive count below each position between two
     # distinct values do not depend on how ties are ordered, so the faster
-    # unstable sort gives the same costs.
+    # unstable sort gives the same scores.
     order = xb.argsort(axis=2)
     xs = xb.take(order + np.arange(0, xb.size, width).reshape(nb, -1, 1))
     pos = yp.take(rows).take(order + (b * width)[:, None, None]).cumsum(axis=2)
@@ -245,15 +244,13 @@ def _gini_best_splits(xp: np.ndarray, yp: np.ndarray, rows: np.ndarray,
     left_pos = pos[:, :, :-1]
     right_pos = pos[:, :, -1:] - left_pos
     with np.errstate(divide="ignore", invalid="ignore"):  # padding only
-        pl = left_pos / left_n
-        pr = right_pos / right_n
-        cost = left_n * (2 * pl * (1 - pl)) + right_n * (2 * pr * (1 - pr))
+        score = left_pos * left_pos / left_n + right_pos * right_pos / right_n
     valid = (xs[:, :, 1:] != xs[:, :, :-1]) & real[:, None, 1:]
-    cost = np.where(valid, cost, np.inf).reshape(nb, -1)
-    first = cost.argmin(axis=1)
+    score = np.where(valid, score, -np.inf).reshape(nb, -1)
+    first = score.argmax(axis=1)
     f, i = np.divmod(first, width - 1)
     thr = np.array(list(map(_midpoint, xs[b, f, i].tolist(), xs[b, f, i + 1].tolist())))
-    return cand[b, f], thr, np.isfinite(cost[b, first])
+    return cand[b, f], thr, score[b, first] > -np.inf
 
 
 def grow_classification_forest(x: np.ndarray, y: np.ndarray, samples,
@@ -269,7 +266,7 @@ def grow_classification_forest(x: np.ndarray, y: np.ndarray, samples,
     within a level and numbers its nodes level by level, so tree t is the
     tree grown alone on x[samples[t]], y[samples[t]] with rngs[t], and the
     tree grown to depth d is the deeper tree's truncated(d). Row order
-    within a node changes no split, since costs are only read between
+    within a node changes no split, since scores are only read between
     distinct values.
     """
     n, n_feat = x.shape
@@ -349,7 +346,7 @@ def grow_regression_tree(x: np.ndarray, residual: np.ndarray, hessian: np.ndarra
 
     fitted[r] receives the value of the leaf that training row r lands
     in, which equals tree.predict(x)[r]. A node's rows keep the order
-    they have in x: the cumulative sums of the split costs depend on it.
+    they have in x: the cumulative sums of the split scores depend on it.
     cache serves every tree grown on this x: a node whose rows an earlier
     node had sorts nothing, and a split seen before partitions nothing.
     """

@@ -49,7 +49,8 @@ def run_extract(cfg: RunConfig) -> dict:
     Writes features.csv and extract_report.json under cfg.out. A subject
     that fails (unreadable file, empty mask, shape mismatch) is excluded
     with a reason; only an empty result table is fatal, and then the
-    report, with every reason, is written without a features.csv.
+    report, with every reason, is written and no features.csv is left at
+    the table's path.
     """
     if cfg.manifest is None:
         raise ConfigError("extract needs manifest = <path> in the config")
@@ -80,10 +81,12 @@ def run_extract(cfg: RunConfig) -> dict:
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    features_path = None
+    features_path = Path(cfg.features_csv) if cfg.features_csv else out / "features.csv"
     if ids:
-        features_path = Path(cfg.features_csv) if cfg.features_csv else out / "features.csv"
         write_features_csv(features_path, ids, FEATURE_NAMES, np.array(rows))
+    else:
+        # an earlier run's table there would pass for this run's
+        features_path.unlink(missing_ok=True)
 
     report = {
         "command": "extract",
@@ -244,14 +247,20 @@ def _load_report(path) -> dict:
 def run_stats(report_path_a, report_path_b, out_dir=None) -> dict:
     """Paired t-tests between two train-eval reports, matched by seed.
 
-    Pairs runs positionally and requires identical seed lists, so both
-    arms saw the same splits. Tests accuracy and F1 per common model.
+    Pairs runs positionally and requires identical seed lists and, run by
+    run, the same test subjects, so both arms scored the same splits. The
+    subjects are compared sorted: a radiomics report lists them in id
+    order, an embeddings report in manifest order. Tests accuracy and F1
+    per common model.
     """
     doc_a = _load_report(report_path_a)
     doc_b = _load_report(report_path_b)
     if doc_a["seeds"] != doc_b["seeds"]:
         raise LengthMismatch(
             f"seed lists differ: {doc_a['seeds']} vs {doc_b['seeds']}")
+    for ra, rb in zip(doc_a["runs"], doc_b["runs"]):
+        if sorted(ra["test_subjects"]) != sorted(rb["test_subjects"]):
+            raise LengthMismatch(f"seed {ra['seed']}: the reports tested different subjects")
     common = [k for k in MODEL_KINDS
               if k in doc_a["models"] and k in doc_b["models"]]
     if not common:

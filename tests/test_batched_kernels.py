@@ -4,8 +4,9 @@ and the boosting sigmoid against the one-direction, one-slice, scatter-add,
 uncached, per-fold, untrimmed and masked code they replaced.
 
 The references below are that code, kept here verbatim in what it
-computes. Every comparison is ``==`` on floats: the batched forms must
-give the same bits, not close values.
+computes, except the tree-split reference, which scores each candidate
+split in a loop. Every comparison is ``==`` on floats: the batched forms
+must give the same bits, not close values.
 """
 
 import tracemalloc
@@ -436,62 +437,39 @@ def test_shape_diameters_equal_per_slice_reference(spacing):
 
 
 # --- tree kernels -----------------------------------------------------------
-# The per-node Gini split, and the regression split and grower as they were
-# before their calls were trimmed (np.square, np.where, sorted-block
-# midpoints, arange rows at the root).
+# Both tree kernels rank splits by head**2 / k + (total - head)**2 / (n - k).
+# The reference scores that candidate by candidate, adding the left side's
+# sum one sorted row at a time in the order the kernels sum in, so it gives
+# the same bits; its regression grower is the grower as it was before its
+# calls were trimmed (np.where, sorted-block midpoints, arange rows at the
+# root).
 
 def ref_midpoint(lo, hi):
     mid = (lo + hi) / 2.0
     return np.where(mid >= hi, lo, mid)
 
 
-def ref_first_min_split(cost, xs, n):
-    by_col = cost.T
-    flat = int(np.argmin(by_col))
-    f, i = divmod(flat, n - 1)
-    if not np.isfinite(by_col[f, i]):
-        return None
-    return int(f), float(ref_midpoint(xs[i, f], xs[i + 1, f]))
-
-
-def ref_gini_best_split(xb, y):
-    n = len(y)
-    order = np.argsort(xb, axis=0, kind="stable")
-    xs = np.take_along_axis(xb, order, axis=0)
-    valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    pos = np.cumsum(y[order], axis=0)
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
-    right_n = n - left_n
-    left_pos = pos[:-1]
-    right_pos = float(y.sum()) - left_pos
-    pl = left_pos / left_n
-    pr = right_pos / right_n
-    cost = left_n * (2 * pl * (1 - pl)) + right_n * (2 * pr * (1 - pr))
-    return ref_first_min_split(np.where(valid, cost, np.inf), xs, n)
-
-
-def ref_sse_best_split(xb, target):
+def ref_best_split(xb, target):
+    """(column, threshold) of the first strict maximum of the split score
+    over columns, then positions between two distinct sorted values; None
+    when there is none. Overflowing scores are +inf, and the first wins."""
     n, n_cols = xb.shape
-    order = np.argsort(xb, axis=0, kind="stable")
-    xs = xb.take(order * n_cols + np.arange(n_cols))
-    valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    ts = target[order]
-    csum = np.cumsum(ts, axis=0)
-    csq = np.cumsum(np.square(ts, out=ts), axis=0)
-    k = np.arange(1, n, dtype=np.float64)[:, None]
-    left = np.square(csum[:-1])
-    left /= k
-    np.subtract(csq[:-1], left, out=left)
-    right = csum[-1] - csum[:-1]
-    np.square(right, out=right)
-    right /= n - k
-    np.subtract(csq[-1] - csq[:-1], right, out=right)
-    left += right
-    return ref_first_min_split(np.where(valid, left, np.inf), xs, n)
+    best, got = -np.inf, None
+    for f in range(n_cols):
+        order = np.argsort(xb[:, f], kind="stable")
+        xs, ts = xb[order, f].tolist(), target[order].tolist()
+        total = 0
+        for t in ts:
+            total += t
+        head = 0
+        for k in range(1, n):
+            head += ts[k - 1]
+            if xs[k - 1] == xs[k]:
+                continue
+            score = head * head / k + (total - head) * (total - head) / (n - k)
+            if score > best:
+                best, got = score, (f, float(ref_midpoint(xs[k - 1], xs[k])))
+    return got
 
 
 def ref_grow_regression_tree(x, residual, hessian, max_depth, fitted):
@@ -503,7 +481,7 @@ def ref_grow_regression_tree(x, residual, hessian, max_depth, fitted):
         got = None
         if (max_depth is None or depth < max_depth) and len(rows) >= 2 \
                 and rs.min() != rs.max():
-            got = ref_sse_best_split(x[rows], rs)
+            got = ref_best_split(x[rows], rs)
         if got is None:
             h = float(hessian[rows].sum())
             value = float(rs.sum()) / h if h > 1e-12 else 0.0
@@ -553,7 +531,7 @@ def tree_target(rng, n):
         return rng.integers(-2, 3, size=n).astype(np.float64) / 4.0   # ties
     if kind == 2:
         return np.full(n, 0.25)                                       # no gain anywhere
-    return rng.normal(size=n) * 1e155                                 # costs overflow
+    return rng.normal(size=n) * 1e155                                 # scores overflow
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the 1e155 targets
@@ -564,7 +542,7 @@ def test_sse_best_split_equals_reference():
         x = tree_block(rng, n, int(rng.integers(1, 46)))
         t = tree_target(rng, n)
         got = sse_best_split(x, t.copy(), spare=int(rng.integers(0, 3)))
-        want = ref_sse_best_split(x, t.copy())
+        want = ref_best_split(x, t.copy())
         assert got == want, trial
         if got is not None:
             assert type(got[0]) is int and type(got[1]) is float

@@ -5,8 +5,10 @@ from dataclasses import replace
 import pytest
 
 from cacrad.cli import main
+from cacrad.embeddings import write_embeddings
 from cacrad.features.catalog import FEATURE_NAMES
 from cacrad.nifti import read_nifti, write_nifti
+from cacrad.table import read_features_csv
 
 SMALL_ARGS = None  # phantom subcommand uses default full-size volumes
 
@@ -70,6 +72,45 @@ def test_train_eval_and_stats_flow(cli_cohort, tmp_path, capsys):
     doc = json.loads((tmp_path / "real" / "run_report.json").read_text())
     assert doc["models"] == ["linear_svm"]
     assert len(doc["seeds"]) == 3
+
+
+def test_stats_requires_the_same_test_subjects(cli_cohort, tmp_path, capsys):
+    # a manifest out of id order: embeddings rows follow it, radiomics rows
+    # follow subject ids, so the two reports list their test subjects in
+    # different orders
+    features = cli_cohort / "run" / "features.csv"
+    if not features.exists():
+        assert main(["extract", "--manifest", str(cli_cohort / "manifest.csv"),
+                     "--out", str(cli_cohort / "run")]) == 0
+    lines = (cli_cohort / "manifest.csv").read_text().splitlines()
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+    ids = [line.split(",")[0] for line in lines[:0:-1]]
+    feature_ids, _, matrix = read_features_csv(features)
+    write_embeddings(tmp_path / "emb.csv", ids, matrix[[feature_ids.index(s) for s in ids]])
+    common = ("models = linear_svm\nkfold = 2\ntest_fraction = 0.5\nn_seeds = 2\n"
+              "grid.linear_svm.lam = 0.001\ngrid.linear_svm.epochs = 10\n")
+    for arm, text in (("rad", f"features_csv = {features}\n"),
+                      ("emb", f"mode = embeddings\nembeddings_csv = {tmp_path / 'emb.csv'}\n")):
+        (tmp_path / f"{arm}.cfg").write_text(common + text)
+        assert main(["train-eval", "--config", str(tmp_path / f"{arm}.cfg"),
+                     "--manifest", str(manifest), "--seed", "5",
+                     "--out", str(tmp_path / arm)]) == 0
+    rad, emb = (tmp_path / arm / "run_report.json" for arm in ("rad", "emb"))
+    run_a, run_b = (json.loads(path.read_text())["runs"][1] for path in (rad, emb))
+    assert run_a["test_subjects"] != run_b["test_subjects"]
+    assert sorted(run_a["test_subjects"]) == sorted(run_b["test_subjects"])
+    assert main(["stats", str(rad), str(emb)]) == 0
+
+    # one test subject of one run replaced: the runs are no longer paired
+    doc = json.loads(rad.read_text())
+    tested = doc["runs"][1]["test_subjects"]
+    tested[0] = next(s for s in ids if s not in tested)
+    unpaired = tmp_path / "unpaired.json"
+    unpaired.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["stats", str(unpaired), str(emb)]) == 3
+    assert "tested different subjects" in capsys.readouterr().err
 
 
 def test_catalog_lists_all_features(capsys):
@@ -179,7 +220,11 @@ def test_oversized_resample_spacing_excludes_the_subject(tmp_path, capsys):
     assert exclusion["subject_id"] == big["subject_id"]
     assert exclusion["error"] == "BadSpacing" and "voxels" in exclusion["message"]
     # with every subject refused, extract ends as a degenerate cohort (exit
-    # 4) and names the first reason
+    # 4) and names the first reason; an earlier run's table in the same
+    # --out is removed, so no later train-eval reads it
+    assert main(["extract", "--manifest", str(root / "manifest.csv"),
+                 "--out", str(tmp_path / "fine")]) == 0
+    assert (tmp_path / "fine" / "features.csv").exists()
     cfg.write_text("resample_spacing = 0.01, 0.01, 0.01\n")
     assert main(["extract", "--config", str(cfg), "--manifest", str(root / "manifest.csv"),
                  "--out", str(tmp_path / "fine")]) == 4

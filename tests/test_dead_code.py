@@ -1,12 +1,15 @@
-"""Every public function, class and method in src/cacrad is used by the
-program, the benchmark or the scripts, not only by tests.
+"""Every public function, class, method and module-level constant in
+src/cacrad is used by the program, the benchmark or the scripts, not only
+by tests.
 
 A function or class counts as used where it appears in code as a name,
 an attribute or a string naming it (as ``getattr`` takes it). A method is
 reached only through an object, so it counts as used only as an attribute
-or a string: a local variable that shares its name is not a use. Imports
-and ``__all__`` only re-export a name, so they do not count, and neither
-do comments or docstrings.
+or a string: a local variable that shares its name is not a use. A
+constant, a name a module assigns at its top level, counts as used only
+where it is read: as a name or an attribute in Load context, or as a
+string. Imports and ``__all__`` only re-export a name, so they do not
+count, and neither do comments or docstrings.
 """
 
 import ast
@@ -21,6 +24,8 @@ TEST_ONLY = {
     "from_json": "loads a model document back; the round-trip test pins what fingerprints hash",
     "loss_and_grad": "the mlp loss and flat gradient that the finite-difference and "
                      "fit-loop tests check the training step against",
+    "LESION_MARGIN": "the phantom's 130 HU contract: lesion-free ROIs stay below "
+                     "TISSUE_HU + LESION_MARGIN and lesions reach it (test_phantom.py)",
 }
 
 
@@ -34,15 +39,26 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions() -> dict:
-    """Public name -> [(location, whether it is a method)]."""
+    """Public name -> [(location, "function", "method" or "constant")]."""
     defs = {}
     for path, tree in _trees("src/cacrad"):
+        def add(name, node, kind):
+            if not name.startswith("_"):
+                defs.setdefault(name, []).append(
+                    (f"{path.relative_to(ROOT)}:{node.lineno}", kind))
+
         for parent in ast.walk(tree):
             for node in ast.iter_child_nodes(parent):
-                if isinstance(node, _DEFS) and not node.name.startswith("_"):
-                    defs.setdefault(node.name, []).append(
-                        (f"{path.relative_to(ROOT)}:{node.lineno}",
-                         isinstance(parent, ast.ClassDef)))
+                if isinstance(node, _DEFS):
+                    add(node.name, node,
+                        "method" if isinstance(parent, ast.ClassDef) else "function")
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        add(name.id, node, "constant")
     return defs
 
 
@@ -53,8 +69,9 @@ def _is_export(node) -> bool:
 
 
 def _uses():
-    """(names used as bare names, names used as attributes or strings)."""
-    bare, used = set(), set()
+    """(names used as bare names, names used as attributes or strings,
+    names read as names or attributes or used as strings)."""
+    bare, used, read = set(), set(), set()
     for _, tree in _trees(*USERS):
         stack = [tree]
         while stack:
@@ -63,20 +80,26 @@ def _uses():
                 continue
             if isinstance(node, ast.Name):
                 bare.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                     and node.value.isidentifier():
                 used.add(node.value)
+                read.add(node.value)
             stack.extend(ast.iter_child_nodes(node))
-    return bare, used
+    return bare, used, read
 
 
-def _unused(defs, bare, used) -> dict:
+def _unused(defs, bare, used, read) -> dict:
     out = {}
     for name, places in defs.items():
-        where = [loc for loc, method in places
-                 if name not in used and (method or name not in bare)]
+        where = [loc for loc, kind in places
+                 if (name not in read if kind == "constant"
+                     else name not in used and (kind == "method" or name not in bare))]
         if where:
             out[name] = where
     return out
