@@ -20,7 +20,10 @@ from .split import stratified_kfold
 
 # Largest count a hyperparameter may take. Past it a forest draws one random
 # stream per tree and an mlp holds (features, hidden) weight matrices before
-# any training, so a typo such as 10^12 trees would exhaust memory.
+# any training, so a typo such as 10^12 trees would exhaust memory. An svm
+# keeps its weights and training margins after every epoch, 8 * epochs *
+# (features + 1 + rows) bytes, 164 MB per fit for 10 000 epochs of 2048
+# features; a grid search keeps a group's fold fits only until its last point.
 MAX_COUNT = 10_000
 
 
@@ -84,7 +87,8 @@ def grid_search_cv(fit, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
     the seed: model.prefix(**values) of nested names must return the model
     a fit at those values would. When the grid lists every nested name,
     grid points that differ only in them share one fit per fold, at the
-    grid's largest values, with the fold seeds of the group's first point.
+    grid's largest values, with the fold seeds of the group's first point,
+    and the fits are dropped once the group's last point has its prefixes.
     """
     folds = [np.array(fold, dtype=np.int64)
              for fold in stratified_kfold(y, k, derive_seed(seed, "cv-folds"))]
@@ -94,6 +98,9 @@ def grid_search_cv(fit, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
     if not all(name in values for name in nested):
         nested = ()
     top = {name: None if None in values[name] else max(values[name]) for name in nested}
+    group = {gi: tuple(v for name, v in params.items() if name not in top)
+             for gi, params in enumerate(grid.points())}
+    last = {key: gi for gi, key in group.items()}
     shared = {}
     scores = []
     best = None
@@ -102,12 +109,14 @@ def grid_search_cv(fit, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
         if not top:
             models = [fit(params, x[rows], y[rows], s) for rows, s in zip(trains, seeds)]
         else:
-            key = tuple(v for name, v in params.items() if name not in top)
+            key = group[gi]
             if key not in shared:
                 shared[key] = [fit({**params, **top}, x[rows], y[rows], s)
                                for rows, s in zip(trains, seeds)]
             models = [model.prefix(**{name: params[name] for name in top})
                       for model in shared[key]]
+            if last[key] == gi:
+                del shared[key]
         fold_scores = []
         for model, val in zip(models, folds):
             pred = (model.predict_score(x[val]) >= 0.5).astype(np.int64)

@@ -1,9 +1,11 @@
 """One-hidden-layer perceptron trained by full-batch gradient descent.
 
 Parameters are stored as one flat vector, so loss_and_grad's analytic
-gradient can be checked against central finite differences; fit steps
-the four parameter arrays directly, with the same float operations.
-Standardization is internal, fitted on the training rows.
+gradient can be checked against central finite differences. Its first
+(n_in + 1) * hidden entries are w1 and then b1, that is the block
+[w1; b1], so the first layer is one product of the inputs with a column
+of ones appended; fit steps views of the vector in place, with the same
+float operations. Standardization is internal, fitted on the training rows.
 """
 
 import numpy as np
@@ -14,48 +16,46 @@ from ..selection import Standardizer
 from .grid import count_param, positive_param
 
 
-def _param_shapes(n_in: int, hidden: int):
-    return ((n_in, hidden), (hidden,), (hidden, 1), (1,))
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    return np.hstack([x, np.ones((len(x), 1))])
 
 
-def pack_params(w1, b1, w2, b2) -> np.ndarray:
-    return np.concatenate([w1.ravel(), b1.ravel(), w2.ravel(), b2.ravel()])
+def _layers(theta: np.ndarray, n_in: int, hidden: int):
+    """Views of theta as [w1; b1] (n_in + 1, hidden), w2 (hidden, 1), b2 (1,)."""
+    k = (n_in + 1) * hidden
+    return (theta[:k].reshape(n_in + 1, hidden), theta[k:k + hidden].reshape(hidden, 1),
+            theta[k + hidden:])
 
 
-def unpack_params(theta: np.ndarray, n_in: int, hidden: int):
-    shapes = _param_shapes(n_in, hidden)
-    out = []
-    pos = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        out.append(theta[pos:pos + size].reshape(shape))
-        pos += size
-    return out
+def _forward(w1b, w2, b2, x1):
+    """Pre-activations, hidden units and logits for the inputs x1 = [x, 1]."""
+    a = x1 @ w1b
+    h = np.maximum(a, 0.0)
+    return a, h, (h @ w2).ravel() + b2[0]
 
 
-def _grads(w1, b1, w2, b2, x, y):
-    """Gradient of loss_and_grad's loss as (gw1, gb1, gw2, gb2), and the
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
+
+
+def _grads(w1b, w2, b2, x1, y):
+    """Gradient of loss_and_grad's loss as (g[w1; b1], gw2, gb2), and the
     logits z that the loss is computed from."""
-    a = x @ w1 + b1          # (n, h) pre-activation
-    h = np.maximum(a, 0.0)   # relu
-    z = (h @ w2).ravel() + b2[0]
-    p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-    dz = (p - y) / len(y)                # (n,)
+    a, h, z = _forward(w1b, w2, b2, x1)
+    dz = (_sigmoid(z) - y) / len(y)      # (n,)
     gw2 = h.T @ dz[:, None]              # (h, 1)
-    gb2 = np.array([dz.sum()])
-    dh = dz[:, None] * w2.ravel()[None, :]
-    da = dh * (a > 0.0)
-    gw1 = x.T @ da
-    gb1 = da.sum(axis=0)
-    return (gw1, gb1, gw2, gb2), z
+    gb2 = dz.sum(keepdims=True)
+    da = dz[:, None] * w2.T
+    da *= a > 0.0
+    return (x1.T @ da, gw2, gb2), z
 
 
 def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, hidden: int):
     """Mean cross-entropy of sigmoid(w2.relu(x w1 + b1) + b2) and its gradient."""
-    grads, z = _grads(*unpack_params(theta, x.shape[1], hidden), x, y)
+    grads, z = _grads(*_layers(theta, x.shape[1], hidden), _with_ones(x), y)
     # stable softplus cross-entropy: mean(softplus(z) - y*z)
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    return loss, pack_params(*grads)
+    return loss, np.concatenate([g.ravel() for g in grads])
 
 
 class Mlp:
@@ -69,14 +69,12 @@ class Mlp:
 
     @staticmethod
     def init_params(n_in: int, hidden: int, rng: np.random.Generator) -> np.ndarray:
+        """w1, b1, w2, b2 flattened: uniform Glorot weights, zero biases."""
         parts = []
-        for shape in _param_shapes(n_in, hidden):
-            if len(shape) == 2:
-                fan_in, fan_out = shape
-                limit = np.sqrt(6.0 / (fan_in + fan_out))
-                parts.append(rng.uniform(-limit, limit, size=shape).ravel())
-            else:
-                parts.append(np.zeros(shape))
+        for fan_in, fan_out in ((n_in, hidden), (hidden, 1)):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            parts += [rng.uniform(-limit, limit, size=(fan_in, fan_out)).ravel(),
+                      np.zeros(fan_out)]
         return np.concatenate(parts)
 
     def fit(self, x: np.ndarray, y: np.ndarray, seed: int) -> "Mlp":
@@ -86,22 +84,21 @@ class Mlp:
             raise SingleClass("mlp needs both classes in the training set")
         self.standardizer = Standardizer.fit(x)
         z = self.standardizer.apply(x)
+        x1 = _with_ones(z)
         theta = self.init_params(z.shape[1], self.hidden_size, stream(seed, "mlp"))
-        # theta - learning_rate * grad, part by part in place
-        params = unpack_params(theta, z.shape[1], self.hidden_size)
+        # theta - learning_rate * grad, view by view in place
+        params = _layers(theta, z.shape[1], self.hidden_size)
         for _ in range(self.epochs):
-            grads, _ = _grads(*params, z, y)
+            grads, _ = _grads(*params, x1, y)
             for param, grad in zip(params, grads):
                 param -= self.learning_rate * grad
-        self.theta = pack_params(*params)
+        self.theta = theta
         return self
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
         z = self.standardizer.apply(x)
-        w1, b1, w2, b2 = unpack_params(self.theta, z.shape[1], self.hidden_size)
-        h = np.maximum(z @ w1 + b1, 0.0)
-        logits = (h @ w2).ravel() + b2[0]
-        return 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))
+        layers = _layers(self.theta, z.shape[1], self.hidden_size)
+        return _sigmoid(_forward(*layers, _with_ones(z))[2])
 
     def to_dict(self) -> dict:
         return {

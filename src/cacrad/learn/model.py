@@ -30,9 +30,11 @@ _CLASSES = {
 }
 
 # Parameters in which a kind's fits nest: a gbt fit's first n trees are
-# the n-round fit, and a forest's first n trees cut at a depth are the fit
-# with those counts, so a grid search fits each fold once per other params.
-_NESTED = {"gbt": ("n_rounds",), "random_forest": ("n_trees", "max_depth")}
+# the n-round fit, a forest's first n trees cut at a depth are the fit
+# with those counts, and an svm's weights after e epochs are the e-epoch
+# fit, so a grid search fits each fold once per other params.
+_NESTED = {"gbt": ("n_rounds",), "random_forest": ("n_trees", "max_depth"),
+           "linear_svm": ("epochs",)}
 
 
 def build_model(kind: str, params: dict):

@@ -3,7 +3,9 @@
 Features are standardized internally (fitted on the training rows given
 to fit), so raw-feature rescaling cannot change predictions. The margin
 is mapped to a probability with a logistic link calibrated on the
-training margins by damped Newton iterations.
+training margins by damped Newton iterations. A fit keeps its weights and
+training margins after every epoch, so every shorter fit is a prefix of
+it (prefix), and a grid search fits each fold once per lam.
 """
 
 import math
@@ -74,6 +76,10 @@ class LinearSvm:
         self.standardizer = None
         self.platt_a = 0.0
         self.platt_b = 0.0
+        # w and the training margins z @ w after each epoch, and the labels
+        # they were fitted to: what prefix needs
+        self._ws = self._margins = ()
+        self._y01 = None
 
     def fit(self, x: np.ndarray, y: np.ndarray, seed: int) -> "LinearSvm":
         x = np.asarray(x, dtype=np.float64)
@@ -95,8 +101,10 @@ class LinearSvm:
         lam = self.lam
         multiply = np.multiply
         rng = stream(seed, "svm")
+        ws = np.empty((self.epochs, m))
+        margins = np.empty((self.epochs, n))
         t = 0
-        for _epoch in range(self.epochs):
+        for epoch in range(self.epochs):
             for i in rng.permutation(n).tolist():
                 t += 1
                 eta = 1.0 / (lam * t)
@@ -105,9 +113,32 @@ class LinearSvm:
                 multiply(w, 1.0 - eta * lam, out=w)
                 if margin < 1.0:
                     w += multiply(zi, eta * sign, out=step)
-        self.w = w
-        self.platt_a, self.platt_b = _platt_fit(z @ w, y01)
+            ws[epoch] = w
+            margins[epoch] = z @ w
+        self._ws, self._margins, self._y01 = ws, margins, y01
+        self._calibrate()
         return self
+
+    def prefix(self, epochs: int) -> "LinearSvm":
+        """The model a fit with epochs <= self.epochs and the same seed
+        returns, bit for bit. Epoch e draws the e-th permutation of the
+        seed's stream and never looks ahead, so the shorter fit's weights
+        are this fit's after that epoch; Platt scaling is fitted on that
+        epoch's training margins."""
+        model = LinearSvm(self.lam, epochs)
+        if model.epochs > len(self._ws):
+            raise ValueError(f"prefix of {model.epochs} epochs from a model that "
+                             f"kept {len(self._ws)}")
+        model.standardizer = self.standardizer
+        model._ws, model._margins = self._ws[:epochs], self._margins[:epochs]
+        model._y01 = self._y01
+        model._calibrate()
+        return model
+
+    def _calibrate(self):
+        """w and the Platt link from the last kept epoch."""
+        self.w = self._ws[-1]
+        self.platt_a, self.platt_b = _platt_fit(self._margins[-1], self._y01)
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         z = self.standardizer.apply(x)

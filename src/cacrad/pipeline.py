@@ -231,6 +231,10 @@ def run_train_eval(cfg: RunConfig) -> dict:
     return report
 
 
+# metric -> how stats prints it
+_STATS_METRICS = {"accuracy": "accuracy", "f1": "F1-score"}
+
+
 def _load_report(path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -239,8 +243,26 @@ def _load_report(path) -> dict:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"{path} is not valid JSON: {exc}") from exc
-    if "runs" not in doc or "seeds" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list) \
+            or "seeds" not in doc:
         raise SchemaMismatch(f"{path} is not a train-eval report")
+
+    def field(obj, key, where):
+        if not isinstance(obj, dict) or key not in obj:
+            raise SchemaMismatch(f"{path}: {where} has no {key!r}")
+        return obj[key]
+
+    # every key run_stats reads, so a partial report fails before any test
+    kinds = field(doc, "models", "the report")
+    for i, run in enumerate(doc["runs"]):
+        field(run, "seed", f"runs[{i}]")
+        field(run, "test_subjects", f"runs[{i}]")
+        models = field(run, "models", f"runs[{i}]")
+        for kind in kinds:
+            row = field(field(models, kind, f"runs[{i}].models"), "metrics",
+                        f"runs[{i}].models.{kind}")
+            for metric in _STATS_METRICS:
+                field(row, metric, f"runs[{i}].models.{kind}.metrics")
     return doc
 
 
@@ -271,7 +293,7 @@ def run_stats(report_path_a, report_path_b, out_dir=None) -> dict:
     for kind in common:
         per_metric = {}
         texts = []
-        for metric, shown in (("accuracy", "accuracy"), ("f1", "F1-score")):
+        for metric, shown in _STATS_METRICS.items():
             a_vals, b_vals = [], []
             for ra, rb in zip(doc_a["runs"], doc_b["runs"]):
                 va = ra["models"][kind]["metrics"][metric]

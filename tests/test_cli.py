@@ -113,6 +113,38 @@ def test_stats_requires_the_same_test_subjects(cli_cohort, tmp_path, capsys):
     assert "tested different subjects" in capsys.readouterr().err
 
 
+def test_stats_refuses_a_report_without_a_key_it_reads(cli_cohort, tmp_path, capsys):
+    features = cli_cohort / "run" / "features.csv"
+    if not features.exists():
+        assert main(["extract", "--manifest", str(cli_cohort / "manifest.csv"),
+                     "--out", str(cli_cohort / "run")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("models = gbt\nkfold = 2\ntest_fraction = 0.5\nn_seeds = 2\n"
+                   "grid.gbt.n_rounds = 3\n")
+    assert main(["train-eval", "--config", str(cfg),
+                 "--manifest", str(cli_cohort / "manifest.csv"),
+                 "--features-csv", str(features), "--seed", "4",
+                 "--out", str(tmp_path / "run")]) == 0
+    report = tmp_path / "run" / "run_report.json"
+    capsys.readouterr()
+    no_metrics = json.loads(report.read_text())
+    del no_metrics["runs"][1]["models"]["gbt"]["metrics"]
+    no_subjects = json.loads(report.read_text())
+    for run in no_subjects["runs"]:
+        del run["test_subjects"]
+    for name, broken, key in (("no_metrics", no_metrics, "'metrics'"),
+                              ("no_subjects", no_subjects, "'test_subjects'")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(broken))
+        for pair in ((path, report), (report, path)):
+            assert main(["stats", *map(str, pair), "--out", str(tmp_path / name)]) == 3
+            err = capsys.readouterr().err
+            assert str(path) in err and key in err
+        assert not (tmp_path / name / "stats.json").exists()
+    assert main(["stats", str(report), str(report), "--out", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "stats.json").exists()
+
+
 def test_catalog_lists_all_features(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
