@@ -71,8 +71,9 @@ class RunConfig(ExtractionConfig):
         if not 1 <= self.n_seeds <= MAX_COUNT:
             raise ConfigError(f"n_seeds must be from 1 to {MAX_COUNT}, got {self.n_seeds}")
         bad = [m for m in self.models if m not in MODEL_KINDS]
-        if bad or not self.models:
-            raise ConfigError(f"models must name some of {MODEL_KINDS}, got {list(self.models)}")
+        if bad or not self.models or len(set(self.models)) < len(self.models):
+            raise ConfigError(
+                f"models must name some of {MODEL_KINDS}, each once, got {list(self.models)}")
         for model, params in self.grid_overrides:
             if model not in MODEL_KINDS:
                 raise ConfigError(f"grid override for unknown model {model!r}")
@@ -120,6 +121,13 @@ def _parse_tuple(token: str) -> tuple:
     return tuple(_parse_scalar(t) for t in token.split(","))
 
 
+def _parse_models(token: str) -> tuple:
+    models = tuple(t.strip() for t in token.split(",") if t.strip())
+    if len(set(models)) < len(models):
+        raise ValueError("a model is listed twice")
+    return models
+
+
 _FIELD_PARSERS = {
     "manifest": str,
     "mode": str,
@@ -132,7 +140,7 @@ _FIELD_PARSERS = {
                                    else tuple(float(t) for t in v.split(","))),
     "glcm_distance": int,
     "gldm_alpha": int,
-    "models": lambda v: tuple(t.strip() for t in v.split(",") if t.strip()),
+    "models": _parse_models,
     "seed": int,
     "out": str,
     "features_csv": lambda v: None if v.strip().lower() == "none" else v.strip(),
@@ -147,6 +155,7 @@ _FIELD_PARSERS = {
 def parse_config_text(text: str) -> RunConfig:
     values = {}
     grid: dict = {}
+    seen = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -154,6 +163,9 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {rawline!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {seen[key]}")
+        seen[key] = lineno
         if key.startswith("grid."):
             parts = key.split(".")
             if len(parts) != 3 or not parts[1] or not parts[2]:

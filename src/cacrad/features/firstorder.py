@@ -31,8 +31,9 @@ def first_order(roi: MaskedRoi, disc: DiscretizedRoi) -> dict:
         rmad = 0.0
     energy = float(np.sum(x ** 2))
 
-    counts = np.bincount(disc.levels, minlength=disc.ng + 1)[1:]
-    p = counts[counts > 0] / n
+    # the present levels' counts, ascending, with nothing of size ng
+    # allocated: too many levels fail at the texture matrices' bound
+    p = np.unique(disc.levels, return_counts=True)[1] / n
     entropy = float(-np.sum(p * np.log2(p))) + 0.0  # +0.0 avoids -0.0
     uniformity = float(np.sum(p ** 2))
 

@@ -1,17 +1,18 @@
 """Descriptor formulas over the five texture matrices.
 
-GLCM and GLRLM descriptors are computed for a stack of directions at
-once and arithmetically averaged over directions that contain counts;
-every reduction runs over a matrix's own contiguous axes, so each value is
-bit for bit the one a single-matrix computation gives. Degenerate 0/0 cases
-substitute 0, correlation-like cases substitute 1, and the NGTDM
-coarseness guard substitutes 1e6; every return value is finite.
+Descriptors are computed for a stack of directions at once (GLSZM and
+GLDM are a stack of one) and arithmetically averaged over directions that
+contain counts; every reduction runs over a matrix's own contiguous axes,
+so each value is bit for bit the one a single-matrix computation gives.
+Degenerate 0/0 cases substitute 0, correlation-like cases substitute 1,
+and the NGTDM coarseness guard substitutes 1e6; every return value is
+finite.
 """
 
 import numpy as np
 
 from ..texmat import Glcm, Gldm, Glrlm, Glszm, Ngtdm
-from .catalog import GLCM
+from .catalog import GLCM, GLDM, GLRLM, GLSZM
 
 COARSENESS_GUARD = 1e6
 
@@ -58,9 +59,8 @@ def _direction_blocks(counts: np.ndarray):
 
 def _direction_means(blocks) -> dict:
     """Per-descriptor mean over every direction of the blocks' (name -> (b,)) dicts."""
-    names = blocks[0].keys()
-    per_dir = np.stack([np.concatenate([b[name] for b in blocks]) for name in names])
-    return dict(zip(names, np.mean(per_dir, axis=1).tolist()))
+    per_dir = np.concatenate([np.stack(list(b.values())) for b in blocks], axis=1)
+    return dict(zip(blocks[0], np.mean(per_dir, axis=1).tolist()))
 
 
 def _mcc(p: np.ndarray, px: np.ndarray) -> np.ndarray:
@@ -156,12 +156,14 @@ def glcm_features(m: Glcm) -> dict:
     return _direction_means(blocks)
 
 
-def _weighted_family(mat: np.ndarray):
+def _weighted_family(mat: np.ndarray) -> dict:
     """Shared algebra for run/zone/dependence families over a stack
     mat (b, rows, cols) of count matrices, rows and columns weighted 1, 2, ...
 
-    Returns, per matrix, the sums and distribution moments every family
-    reuses; ``nz`` is total entries, ``nw`` total weighted mass (voxel count).
+    Returns, per matrix, every entry a family reads. With ``nz`` the total
+    entries and ``nw`` the total weighted mass (voxel count), the ratios
+    ``gln_norm``, ``cln_norm`` and ``percentage`` are gln/nz, cln/nz and
+    nz/nw, each taken per matrix.
     """
     _, rows, cols = mat.shape
     row_weights = np.arange(1, rows + 1, dtype=np.float64)
@@ -178,9 +180,9 @@ def _weighted_family(mat: np.ndarray):
     def total(x):
         return x.sum(axis=(1, 2))
 
+    gln = (mat.sum(axis=2) ** 2).sum(axis=1) / nz
+    cln = (mat.sum(axis=1) ** 2).sum(axis=1) / nz
     return {
-        "nz": nz,
-        "nw": total(mat * j),
         "low": total(mat / i ** 2) / nz,
         "high": total(mat * i ** 2) / nz,
         "short": total(mat / j ** 2) / nz,
@@ -189,87 +191,54 @@ def _weighted_family(mat: np.ndarray):
         "short_high": total(mat * i ** 2 / j ** 2) / nz,
         "long_low": total(mat * j ** 2 / i ** 2) / nz,
         "long_high": total(mat * (i ** 2) * (j ** 2)) / nz,
-        "gln": (mat.sum(axis=2) ** 2).sum(axis=1) / nz,
-        "cln": (mat.sum(axis=1) ** 2).sum(axis=1) / nz,
+        "gln": gln,
+        "gln_norm": gln / nz,
+        "cln": cln,
+        "cln_norm": cln / nz,
+        "percentage": nz / total(mat * j),
         "gl_var": (((row_weights - mu_i[:, None]) ** 2) * pi).sum(axis=1),
         "col_var": (((col_weights - mu_j[:, None]) ** 2) * pj).sum(axis=1),
         "entropy": _entropies(p),
     }
 
 
-def _glrlm_block(mat: np.ndarray) -> dict:
-    f = _weighted_family(mat)
-    return {
-        "GrayLevelNonUniformity": f["gln"],
-        "GrayLevelNonUniformityNormalized": f["gln"] / f["nz"],
-        "GrayLevelVariance": f["gl_var"],
-        "HighGrayLevelRunEmphasis": f["high"],
-        "LongRunEmphasis": f["long"],
-        "LongRunHighGrayLevelEmphasis": f["long_high"],
-        "LongRunLowGrayLevelEmphasis": f["long_low"],
-        "LowGrayLevelRunEmphasis": f["low"],
-        "RunEntropy": f["entropy"],
-        "RunLengthNonUniformity": f["cln"],
-        "RunLengthNonUniformityNormalized": f["cln"] / f["nz"],
-        "RunPercentage": f["nz"] / f["nw"],
-        "RunVariance": f["col_var"],
-        "ShortRunEmphasis": f["short"],
-        "ShortRunHighGrayLevelEmphasis": f["short_high"],
-        "ShortRunLowGrayLevelEmphasis": f["short_low"],
-    }
+# Each family's catalog names, in catalog order, with the _weighted_family
+# entry each one reads.
+_WEIGHTED_NAMES = {
+    family: tuple((name, key) for (name, _), key in zip(entries, keys, strict=True))
+    for family, entries, keys in (
+        ("glrlm", GLRLM, ("gln", "gln_norm", "gl_var", "high", "long", "long_high",
+                          "long_low", "low", "entropy", "cln", "cln_norm", "percentage",
+                          "col_var", "short", "short_high", "short_low")),
+        ("glszm", GLSZM, ("gln", "gln_norm", "gl_var", "high", "long", "long_high",
+                          "long_low", "low", "cln", "cln_norm", "short", "short_high",
+                          "short_low", "entropy", "percentage", "col_var")),
+        ("gldm", GLDM, ("entropy", "cln", "cln_norm", "col_var", "gln", "gl_var", "high",
+                        "long", "long_high", "long_low", "low", "short", "short_high",
+                        "short_low")),
+    )
+}
+
+
+def _weighted_features(counts: np.ndarray, family: str) -> dict:
+    """The family's descriptors of a stack counts (n_dirs, ng, n): each
+    _weighted_family entry averaged over the directions that have counts."""
+    means = _direction_means([_weighted_family(counts[dirs].astype(np.float64))
+                              for dirs, _ in _direction_blocks(counts)])
+    return {name: means[key] for name, key in _WEIGHTED_NAMES[family]}
 
 
 def glrlm_features(m: Glrlm) -> dict:
-    return _direction_means([_glrlm_block(m.counts[dirs].astype(np.float64))
-                             for dirs, _ in _direction_blocks(m.counts)])
-
-
-def _one(m) -> dict:
-    """_weighted_family of one count matrix, as floats."""
-    f = _weighted_family(m.counts[None].astype(np.float64))
-    return {key: float(v[0]) for key, v in f.items()}
+    return _weighted_features(m.counts, "glrlm")
 
 
 def glszm_features(m: Glszm) -> dict:
-    f = _one(m)
-    return {
-        "GrayLevelNonUniformity": f["gln"],
-        "GrayLevelNonUniformityNormalized": f["gln"] / f["nz"],
-        "GrayLevelVariance": f["gl_var"],
-        "HighGrayLevelZoneEmphasis": f["high"],
-        "LargeAreaEmphasis": f["long"],
-        "LargeAreaHighGrayLevelEmphasis": f["long_high"],
-        "LargeAreaLowGrayLevelEmphasis": f["long_low"],
-        "LowGrayLevelZoneEmphasis": f["low"],
-        "SizeZoneNonUniformity": f["cln"],
-        "SizeZoneNonUniformityNormalized": f["cln"] / f["nz"],
-        "SmallAreaEmphasis": f["short"],
-        "SmallAreaHighGrayLevelEmphasis": f["short_high"],
-        "SmallAreaLowGrayLevelEmphasis": f["short_low"],
-        "ZoneEntropy": f["entropy"],
-        "ZonePercentage": f["nz"] / f["nw"],
-        "ZoneVariance": f["col_var"],
-    }
+    return _weighted_features(m.counts[None], "glszm")
 
 
 def gldm_features(m: Gldm) -> dict:
-    f = _one(m)  # column k counts k dependent neighbors: weight k + 1
-    return {
-        "DependenceEntropy": f["entropy"],
-        "DependenceNonUniformity": f["cln"],
-        "DependenceNonUniformityNormalized": f["cln"] / f["nz"],
-        "DependenceVariance": f["col_var"],
-        "GrayLevelNonUniformity": f["gln"],
-        "GrayLevelVariance": f["gl_var"],
-        "HighGrayLevelEmphasis": f["high"],
-        "LargeDependenceEmphasis": f["long"],
-        "LargeDependenceHighGrayLevelEmphasis": f["long_high"],
-        "LargeDependenceLowGrayLevelEmphasis": f["long_low"],
-        "LowGrayLevelEmphasis": f["low"],
-        "SmallDependenceEmphasis": f["short"],
-        "SmallDependenceHighGrayLevelEmphasis": f["short_high"],
-        "SmallDependenceLowGrayLevelEmphasis": f["short_low"],
-    }
+    # column k counts k dependent neighbors: weight k + 1
+    return _weighted_features(m.counts[None], "gldm")
 
 
 def ngtdm_features(t: Ngtdm) -> dict:
@@ -277,8 +246,15 @@ def ngtdm_features(t: Ngtdm) -> dict:
     s = t.s
     nvp = t.valid_count
     present = p > 0
-    i = np.arange(1, len(p) + 1, dtype=np.float64)
     ngp = int(present.sum())
+    # pairwise terms over the present levels: i down the rows, j across
+    ipres = np.arange(1, len(p) + 1, dtype=np.float64)[present]
+    ppres = p[present]
+    spres = s[present]
+    pi_, pj_ = ppres[:, None], ppres[None, :]
+    si_, sj_ = spres[:, None], spres[None, :]
+    dij = np.abs(ipres[:, None] - ipres[None, :])
+    s_total = float(s.sum())
 
     ps = float((p * s).sum())
     coarseness = 1.0 / ps if ps > 0 else COARSENESS_GUARD
@@ -286,32 +262,18 @@ def ngtdm_features(t: Ngtdm) -> dict:
     if ngp <= 1 or nvp == 0:
         contrast = 0.0
     else:
-        ipres = i[present]
-        ppres = p[present]
-        pair = float((ppres[:, None] * ppres[None, :]
-                      * (ipres[:, None] - ipres[None, :]) ** 2).sum())
-        contrast = pair / (ngp * (ngp - 1)) * float(s.sum()) / nvp
+        pair = float((pi_ * pj_ * dij ** 2).sum())
+        contrast = pair / (ngp * (ngp - 1)) * s_total / nvp
 
     if ngp == 0:
         busyness = 0.0
         complexity = 0.0
         strength = 0.0
     else:
-        ipres = i[present]
-        ppres = p[present]
-        spres = s[present]
-        denom = float(np.abs(ipres[:, None] * ppres[:, None]
-                             - ipres[None, :] * ppres[None, :]).sum())
+        denom = float(np.abs(ipres[:, None] * pi_ - ipres[None, :] * pj_).sum())
         busyness = ps / denom if denom > 0 else 0.0
-        pi_ = ppres[:, None]
-        pj_ = ppres[None, :]
-        si_ = spres[:, None]
-        sj_ = spres[None, :]
-        dij = np.abs(ipres[:, None] - ipres[None, :])
         complexity = float((dij * (pi_ * si_ + pj_ * sj_) / (pi_ + pj_)).sum()) / nvp
-        s_total = float(s.sum())
-        strength = (float(((pi_ + pj_) * dij ** 2).sum()) / s_total
-                    if s_total > 0 else 0.0)
+        strength = float(((pi_ + pj_) * dij ** 2).sum()) / s_total if s_total > 0 else 0.0
 
     return {
         "Busyness": busyness,

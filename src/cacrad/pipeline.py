@@ -35,7 +35,7 @@ from .nifti import read_mask, read_nifti
 from .parallel import map_ordered
 from .rng import derive_seed, stream
 from .selection import correlation_filter
-from .table import attach_cohort, read_features_csv, write_features_csv, write_text_atomic
+from .table import attach_cohort, read_features_csv, writable_path, write_features_csv, write_text_atomic
 from .embeddings import load_embeddings
 
 
@@ -57,6 +57,9 @@ def run_extract(cfg: RunConfig) -> dict:
     t0 = time.monotonic()
     manifest = load_manifest(cfg.manifest)
     entries = sorted(manifest.entries, key=lambda e: e.subject_id)
+    out = Path(cfg.out)
+    report_path = writable_path(out / "extract_report.json")
+    features_path = writable_path(cfg.features_csv or out / "features.csv")
 
     def extract_one(entry):
         """(feature values, None), or (None, exclusion record)."""
@@ -79,9 +82,6 @@ def run_extract(cfg: RunConfig) -> dict:
             ids.append(entry.subject_id)
             rows.append(values)
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    features_path = Path(cfg.features_csv) if cfg.features_csv else out / "features.csv"
     if ids:
         write_features_csv(features_path, ids, FEATURE_NAMES, np.array(rows))
     else:
@@ -98,7 +98,7 @@ def run_extract(cfg: RunConfig) -> dict:
         "features_csv": str(features_path) if ids else None,
         "timing": {"seconds": round(time.monotonic() - t0, 3)},
     }
-    _write_json(out / "extract_report.json", report)
+    _write_json(report_path, report)
     if not ids:
         first = (f" (first: {excluded[0]['subject_id']}: {excluded[0]['error']}: "
                  f"{excluded[0]['message']})" if excluded else "")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DuplicateSubject,
+    IoFailure,
     LengthMismatch,
     MissingFile,
     NonFiniteValue,
@@ -85,17 +86,35 @@ class FeatureTable:
                         dtype=np.int64)
 
 
+def writable_path(path) -> Path:
+    """path, with its directory made; IoFailure when write_text_atomic
+    could not write there, so a run can refuse it before any work."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
+    if path.is_dir():
+        raise IoFailure(f"cannot write {path}: it is a directory")
+    if not os.access(path.parent, os.W_OK):
+        raise IoFailure(f"cannot write {path}: its directory is not writable")
+    return path
+
+
 def write_text_atomic(path, text: str) -> None:
     """Write text beside path and move it into place, so an interrupted
     run leaves the old file or the whole new one, never a partial one."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        try:
+            with open(tmp, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_features_csv(path, subject_ids, feature_names, matrix) -> None:

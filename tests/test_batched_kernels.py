@@ -27,6 +27,7 @@ from cacrad.features.texture import (
     gldm_features,
     glrlm_features,
     glszm_features,
+    ngtdm_features,
 )
 from cacrad.learn import boosting
 from cacrad.learn import tree as tree_module
@@ -257,6 +258,56 @@ def ref_ngtdm(roi):
     return n, s, int(has_nb.sum())
 
 
+
+def ref_ngtdm_features(t):
+    p = t.p
+    s = t.s
+    nvp = t.valid_count
+    present = p > 0
+    i = np.arange(1, len(p) + 1, dtype=np.float64)
+    ngp = int(present.sum())
+
+    ps = float((p * s).sum())
+    coarseness = 1.0 / ps if ps > 0 else texture.COARSENESS_GUARD
+
+    if ngp <= 1 or nvp == 0:
+        contrast = 0.0
+    else:
+        ipres = i[present]
+        ppres = p[present]
+        pair = float((ppres[:, None] * ppres[None, :]
+                      * (ipres[:, None] - ipres[None, :]) ** 2).sum())
+        contrast = pair / (ngp * (ngp - 1)) * float(s.sum()) / nvp
+
+    if ngp == 0:
+        busyness = 0.0
+        complexity = 0.0
+        strength = 0.0
+    else:
+        ipres = i[present]
+        ppres = p[present]
+        spres = s[present]
+        denom = float(np.abs(ipres[:, None] * ppres[:, None]
+                             - ipres[None, :] * ppres[None, :]).sum())
+        busyness = ps / denom if denom > 0 else 0.0
+        pi_ = ppres[:, None]
+        pj_ = ppres[None, :]
+        si_ = spres[:, None]
+        sj_ = spres[None, :]
+        dij = np.abs(ipres[:, None] - ipres[None, :])
+        complexity = float((dij * (pi_ * si_ + pj_ * sj_) / (pi_ + pj_)).sum()) / nvp
+        s_total = float(s.sum())
+        strength = (float(((pi_ + pj_) * dij ** 2).sum()) / s_total
+                    if s_total > 0 else 0.0)
+
+    return {
+        "Busyness": busyness,
+        "Coarseness": coarseness,
+        "Complexity": complexity,
+        "Contrast": contrast,
+        "Strength": strength,
+    }
+
 # --- grids ----------------------------------------------------------------
 
 def grids():
@@ -364,6 +415,12 @@ def test_ngtdm_box_sums_and_bincount_equal_add_at_reference():
         assert t.n.dtype == n.dtype and np.array_equal(t.n, n), label
         assert t.s.tobytes() == s.tobytes(), label
         assert t.valid_count == valid, label
+
+
+def test_ngtdm_features_build_present_levels_once_with_the_same_bits():
+    for label, grid in grids():
+        t = compute_ngtdm(disc_from_grid(grid))
+        assert_same(ngtdm_features(t), ref_ngtdm_features(t), label)
 
 
 def _glcm_peak(fn, m):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from cacrad import pipeline
 from cacrad.cli import main
 from cacrad.embeddings import write_embeddings
 from cacrad.features.catalog import FEATURE_NAMES
@@ -145,6 +146,32 @@ def test_stats_refuses_a_report_without_a_key_it_reads(cli_cohort, tmp_path, cap
     assert (tmp_path / "ok" / "stats.json").exists()
 
 
+def test_extract_makes_the_features_csv_directory(cli_cohort, tmp_path, capsys):
+    table = tmp_path / "tables" / "new" / "features.csv"
+    assert main(["extract", "--manifest", str(cli_cohort / "manifest.csv"),
+                 "--out", str(tmp_path / "run"), "--features-csv", str(table)]) == 0
+    assert f"-> {table}" in capsys.readouterr().out
+    assert len(read_features_csv(table)[0]) == 12
+    report = json.loads((tmp_path / "run" / "extract_report.json").read_text())
+    assert report["features_csv"] == str(table)
+
+
+def test_extract_to_an_unwritable_table_exits_3_before_any_work(cli_cohort, tmp_path,
+                                                                capsys, monkeypatch):
+    # extraction used to run to its end and then fail in a traceback
+    def extraction_started(*args):
+        raise AssertionError("extraction started")
+
+    monkeypatch.setattr(pipeline, "map_ordered", extraction_started)
+    (tmp_path / "file").write_text("x")
+    (tmp_path / "dir").mkdir()
+    for table in (tmp_path / "file" / "features.csv", tmp_path / "dir"):
+        assert main(["extract", "--manifest", str(cli_cohort / "manifest.csv"),
+                     "--out", str(tmp_path / "run"), "--features-csv", str(table)]) == 3
+        assert f"data error: cannot write {table}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "extract_report.json").exists()
+
+
 def test_catalog_lists_all_features(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
@@ -180,6 +207,23 @@ def test_absurd_run_counts_exit_2_before_any_work(tmp_path, capsys):
                  "--out", str(tmp_path / "kfold")]) == 2
     assert "kfold" in capsys.readouterr().err
     assert not (tmp_path / "seeds").exists() and not (tmp_path / "kfold").exists()
+
+
+def test_repeated_config_entries_exit_2_before_any_work(tmp_path, capsys):
+    # each used to let the last value win, and gbt,gbt wrote every gbt row twice
+    assert main(["train-eval", "--manifest", "x.csv", "--models", "gbt,gbt",
+                 "--out", str(tmp_path / "flag")]) == 2
+    assert "models" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    for text, said in (("models = gbt,gbt\n", "line 1: bad value for models"),
+                       ("seed = 1\nseed = 2\n", "line 2: seed is already set on line 1"),
+                       ("grid.gbt.max_depth = 2\ngrid.gbt.max_depth = 3\n",
+                        "line 2: grid.gbt.max_depth is already set on line 1")):
+        cfg.write_text(text)
+        assert main(["train-eval", "--config", str(cfg), "--manifest", "x.csv",
+                     "--out", str(tmp_path / "file")]) == 2
+        assert said in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
 
 
 def test_zero_test_fraction_is_a_config_error(tmp_path, capsys):

@@ -56,9 +56,12 @@ kfold = 3
 
 
 def test_parse_grid_overrides():
-    cfg = parse_config_text("grid.mlp.hidden_size = 4, 8\ngrid.mlp.epochs = 100\n")
+    cfg = parse_config_text("grid.mlp.hidden_size = 4, 8\ngrid.mlp.epochs = 100\n"
+                            "grid.linear_svm.epochs = 10\n")
     g = cfg.grid_for("mlp")
     assert g.params == (("hidden_size", (4, 8)), ("epochs", (100,)))
+    # one parameter name under two models is not a repeated key
+    assert cfg.grid_for("linear_svm").params == (("epochs", (10,)),)
     # untouched models keep their default grids
     assert cfg.grid_for("random_forest") == DEFAULT_GRIDS["random_forest"]
 
@@ -80,6 +83,24 @@ def test_unknown_key_reports_line():
         parse_config_text("mode = radiomics\nwat = 7\n")
     assert "2" in str(exc.value)
     assert "wat" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("seed = 1\nmode = radiomics\nseed = 2\n", "seed"),
+    ("grid.gbt.n_rounds = 100\n# a comment\ngrid.gbt.n_rounds = 200\n", "grid.gbt.n_rounds"),
+], ids=["plain", "grid"])
+def test_repeated_key_reports_both_lines(text, key):
+    # the last value used to win without a word
+    with pytest.raises(ConfigError, match=f"line 3: {key} is already set on line 1"):
+        parse_config_text(text)
+
+
+def test_repeated_model_is_rejected():
+    # models = gbt,gbt trained gbt twice and wrote each of its rows twice
+    with pytest.raises(ConfigError, match="line 2: bad value for models"):
+        parse_config_text("seed = 1\nmodels = gbt, random_forest,gbt\n")
+    with pytest.raises(ConfigError, match="each once"):
+        apply_overrides(RunConfig(), models=("gbt", "gbt"))
 
 
 def test_malformed_lines():

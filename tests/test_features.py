@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cacrad.errors import TooManyGrayLevels
 from cacrad.features import ExtractionConfig, FeatureVector, extract_all
 from cacrad.features.catalog import FAMILIES, FAMILY_COUNTS, FEATURE_NAMES, catalog_text
 from cacrad.features.firstorder import first_order
@@ -142,6 +145,27 @@ def test_degenerate_line_roi_is_finite(line_axis):
                    intensities=rng.normal(size=dims) * 60)
     vec = extract_all(vol, MaskVolume(dims=dims, labels=np.ones(dims, bool)))
     assert all(np.isfinite(v) for v in vec.values)
+
+
+@pytest.mark.parametrize("cfg", [ExtractionConfig(bin_width=1e-4),
+                                 ExtractionConfig(n_bins=10 ** 7),
+                                 ExtractionConfig(n_bins=10 ** 12)],
+                         ids=["bin_width_1e-4", "n_bins_1e7", "n_bins_1e12"])
+def test_too_many_gray_levels_fail_before_anything_of_size_ng(cfg):
+    # a 0 HU and a 1000 HU voxel: 10^7 levels, or 10^12, whose 7.3 TiB
+    # histogram numpy would refuse with MemoryError
+    dims = (2, 1, 1)
+    vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0),
+                   intensities=np.array([0.0, 1000.0]).reshape(dims))
+    mask = MaskVolume(dims=dims, labels=np.ones(dims, bool))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyGrayLevels, match="gray levels"):
+            extract_all(vol, mask, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_degenerate_plane_roi_is_finite():

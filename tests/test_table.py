@@ -7,6 +7,7 @@ import pytest
 from cacrad.embeddings import load_embeddings
 from cacrad.errors import (
     DuplicateSubject,
+    IoFailure,
     LengthMismatch,
     MissingFile,
     NonFiniteValue,
@@ -24,6 +25,7 @@ from cacrad.table import (
     attach_cohort,
     read_features_csv,
     write_features_csv,
+    write_text_atomic,
 )
 
 
@@ -72,6 +74,15 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
         write_features_csv(path, ["a", "b"], ["f0"], np.array([[2.0], [3.0]]))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
+
+
+def test_failed_write_is_an_io_failure_naming_the_path(tmp_path):
+    # an OSError here used to end the run in a traceback
+    (tmp_path / "file").write_text("x")
+    for path in (tmp_path / "missing" / "t.csv", tmp_path / "file" / "t.csv", tmp_path):
+        with pytest.raises(IoFailure, match=re.escape(f"cannot write {path}")):
+            write_text_atomic(path, "text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_read_errors(tmp_path):
