@@ -8,6 +8,8 @@ label information. Output is byte-stable for a fixed seed.
 """
 
 import csv
+import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +18,9 @@ import numpy as np
 
 from .errors import BadRange
 from .nifti import MaskVolume, Volume3D, write_nifti
+from .parallel import map_ordered
 from .rng import stream
+from .table import writable_path, write_text_atomic
 
 DEFAULT_SPACING = (0.49, 0.49, 1.41)  # mm
 DEFAULT_DIMS = (44, 44, 28)
@@ -122,32 +126,40 @@ def _class_assignments(n: int, class_balance: float, seed: int):
 def generate_cohort(out_dir, n_subjects: int, class_balance: float = 0.5,
                     seed: int = 0, dims=DEFAULT_DIMS,
                     spacing=DEFAULT_SPACING) -> Path:
-    """Write volumes, masks, and manifest.csv; returns the manifest path."""
+    """Write volumes, masks, and manifest.csv; returns the manifest path.
+
+    ``map_ordered`` spreads the subjects over the CPUs. Every path is
+    checked before any subject is made, and the manifest is written last,
+    atomically, so a failed run leaves none.
+    """
     if n_subjects < 2:
         raise BadRange(f"need at least 2 subjects, got {n_subjects}")
     if not (0.0 <= class_balance <= 1.0):
         raise BadRange(f"class balance must be in [0, 1], got {class_balance}")
     out = Path(out_dir)
-    (out / "volumes").mkdir(parents=True, exist_ok=True)
-    (out / "masks").mkdir(parents=True, exist_ok=True)
+    manifest_path = writable_path(out / "manifest.csv")
+    files = [(f"volumes/phantom_{i:03d}_vol.nii.gz", f"masks/phantom_{i:03d}_mask.nii.gz")
+             for i in range(n_subjects)]
+    for rel in itertools.chain.from_iterable(files):
+        writable_path(out / rel)
+    # an earlier cohort's manifest would list volumes this run replaces
+    manifest_path.unlink(missing_ok=True)
 
     labels, contrast = _class_assignments(n_subjects, class_balance, seed)
-    rows = []
-    for i in range(n_subjects):
+
+    def write_one(i):
         subj = make_subject(i, labels[i], contrast[i], seed, dims, spacing)
-        vol_rel = f"volumes/{subj.subject_id}_vol.nii.gz"
-        mask_rel = f"masks/{subj.subject_id}_mask.nii.gz"
+        vol_rel, mask_rel = files[i]
         write_nifti(subj.volume, out / vol_rel, dtype="int16")
         mask_vol = Volume3D(dims=subj.mask.dims, spacing=spacing,
                             intensities=subj.mask.labels.astype(np.float64))
         write_nifti(mask_vol, out / mask_rel, dtype="int16")
-        rows.append((subj.subject_id, vol_rel, mask_rel, subj.contrast,
-                     subj.cac_score))
+        return (subj.subject_id, vol_rel, mask_rel, subj.contrast,
+                repr(float(subj.cac_score)))
 
-    manifest_path = out / "manifest.csv"
-    with open(manifest_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subject_id", "volume", "mask", "contrast", "cac_score"])
-        for sid, vol_rel, mask_rel, tag, score in rows:
-            w.writerow([sid, vol_rel, mask_rel, tag, repr(float(score))])
+    text = io.StringIO()
+    w = csv.writer(text)
+    w.writerow(["subject_id", "volume", "mask", "contrast", "cac_score"])
+    w.writerows(map_ordered(write_one, range(n_subjects)))
+    write_text_atomic(manifest_path, text.getvalue())
     return manifest_path

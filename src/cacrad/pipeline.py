@@ -143,6 +143,9 @@ def run_train_eval(cfg: RunConfig) -> dict:
     if cfg.manifest is None:
         raise ConfigError("train-eval needs manifest = <path> in the config")
     t0 = time.monotonic()
+    out = Path(cfg.out)
+    report_path = writable_path(out / "run_report.json")
+    metrics_path = writable_path(out / "metrics.csv")
     manifest = load_manifest(cfg.manifest, check_paths=False)
     table, provenance, coverage = _load_table(cfg, manifest)
 
@@ -203,8 +206,6 @@ def run_train_eval(cfg: RunConfig) -> dict:
 
     runs = map_ordered(run_one, seeds)
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = {
         "command": "train-eval",
         "config_text": cfg.raw_text,
@@ -218,7 +219,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
         "runs": runs,
         "timing": {"seconds": round(time.monotonic() - t0, 3)},
     }
-    _write_json(out / "run_report.json", report)
+    _write_json(report_path, report)
 
     lines = ["model,seed," + ",".join(MetricsReport.CSV_COLUMNS)]
     for run in runs:
@@ -227,7 +228,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
             cells = [kind, str(run["seed"])]
             cells += [metric_cell(row[c]) for c in MetricsReport.CSV_COLUMNS]
             lines.append(",".join(cells))
-    write_text_atomic(out / "metrics.csv", "\n".join(lines) + "\n")
+    write_text_atomic(metrics_path, "\n".join(lines) + "\n")
     return report
 
 
@@ -275,6 +276,7 @@ def run_stats(report_path_a, report_path_b, out_dir=None) -> dict:
     order, an embeddings report in manifest order. Tests accuracy and F1
     per common model.
     """
+    stats_path = None if out_dir is None else writable_path(Path(out_dir) / "stats.json")
     doc_a = _load_report(report_path_a)
     doc_b = _load_report(report_path_b)
     if doc_a["seeds"] != doc_b["seeds"]:
@@ -325,8 +327,6 @@ def run_stats(report_path_a, report_path_b, out_dir=None) -> dict:
         "results": results,
         "lines": lines,
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "stats.json", doc)
+    if stats_path is not None:
+        _write_json(stats_path, doc)
     return doc

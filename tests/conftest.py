@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,11 @@ def roi_from_values(grid_values, mask, spacing=(1.0, 1.0, 1.0)):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240816)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pretend the process may use n CPUs."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_cpus

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from cacrad import pipeline
+from cacrad import phantom, pipeline
 from cacrad.cli import main
 from cacrad.embeddings import write_embeddings
 from cacrad.features.catalog import FEATURE_NAMES
@@ -170,6 +170,45 @@ def test_extract_to_an_unwritable_table_exits_3_before_any_work(cli_cohort, tmp_
                      "--out", str(tmp_path / "run"), "--features-csv", str(table)]) == 3
         assert f"data error: cannot write {table}" in capsys.readouterr().err
     assert not (tmp_path / "run" / "extract_report.json").exists()
+
+
+def no_work(*args):
+    raise AssertionError("work started")
+
+
+def test_phantom_under_a_regular_file_exits_3_before_any_subject(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr(phantom, "map_ordered", no_work)
+    (tmp_path / "file").write_text("x")
+    out = tmp_path / "file" / "x"
+    assert main(["phantom", "--n", "3", "--out", str(out)]) == 3
+    assert f"data error: cannot write {out / 'manifest.csv'}" in capsys.readouterr().err
+
+
+def test_train_eval_under_a_regular_file_exits_3_before_any_seed(cli_cohort, tmp_path,
+                                                                 capsys, monkeypatch):
+    # every seed used to be trained before the report's directory was made
+    features = cli_cohort / "run" / "features.csv"
+    if not features.exists():
+        assert main(["extract", "--manifest", str(cli_cohort / "manifest.csv"),
+                     "--out", str(cli_cohort / "run")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(pipeline, "map_ordered", no_work)
+    (tmp_path / "file").write_text("x")
+    out = tmp_path / "file" / "x"
+    assert main(["train-eval", "--manifest", str(cli_cohort / "manifest.csv"),
+                 "--features-csv", str(features), "--out", str(out)]) == 3
+    assert f"data error: cannot write {out / 'run_report.json'}" in capsys.readouterr().err
+
+
+def test_stats_under_a_regular_file_exits_3_before_reading_a_report(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setattr(pipeline, "_load_report", no_work)
+    (tmp_path / "file").write_text("x")
+    out = tmp_path / "file" / "s"
+    report = str(tmp_path / "run_report.json")
+    assert main(["stats", report, report, "--out", str(out)]) == 3
+    assert f"data error: cannot write {out / 'stats.json'}" in capsys.readouterr().err
 
 
 def test_catalog_lists_all_features(capsys):

@@ -17,14 +17,6 @@ from cacrad.errors import SingleClass, TooFewPerClass
 from cacrad.parallel import map_ordered
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Pretend the process may use n CPUs."""
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    return set_cpus
-
-
 def assert_no_children():
     assert multiprocessing.active_children() == []
 

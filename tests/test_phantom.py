@@ -1,10 +1,12 @@
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cacrad.errors import BadRange
+from cacrad import parallel, phantom
+from cacrad.errors import BadRange, IoFailure
 from cacrad.manifest import CacLabel, ContrastGroup, load_manifest
 from cacrad.nifti import read_nifti
 from cacrad.phantom import (
@@ -90,3 +92,41 @@ def test_generate_errors(tmp_path):
         generate_cohort(tmp_path, 1, 0.5, seed=0)
     with pytest.raises(BadRange):
         generate_cohort(tmp_path, 4, 1.5, seed=0)
+
+
+def test_any_cpu_count_writes_the_same_tree(cpus, tmp_path, monkeypatch):
+    pids = set()
+
+    def spy(fn, items):
+        out = parallel.map_ordered(lambda i: (fn(i), os.getpid()), items)
+        pids.update(pid for _, pid in out)
+        return [row for row, _ in out]
+
+    monkeypatch.setattr(phantom, "map_ordered", spy)
+    digests = []
+    for n in (1, 3):
+        cpus(n)
+        pids.clear()
+        generate_cohort(tmp_path / str(n), 7, 0.5, seed=13, dims=SMALL_DIMS)
+        assert len(pids) == n
+        digests.append(tree_digest(tmp_path / str(n)))
+    assert digests[0] == digests[1] and len(digests[0]) == 15
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_a_failed_subject_leaves_no_manifest(cpus, n_cpus, tmp_path, monkeypatch):
+    generate_cohort(tmp_path, 6, 0.5, seed=13, dims=SMALL_DIMS)
+    assert (tmp_path / "manifest.csv").exists()
+    write_nifti = phantom.write_nifti
+
+    def fail_some(vol, path, **kw):
+        for sid in ("phantom_004", "phantom_002"):
+            if sid in str(path):
+                raise IoFailure(f"cannot write {sid}")
+        return write_nifti(vol, path, **kw)
+
+    monkeypatch.setattr(phantom, "write_nifti", fail_some)
+    cpus(n_cpus)
+    with pytest.raises(IoFailure, match="phantom_002"):  # the lowest failing index
+        generate_cohort(tmp_path, 6, 0.5, seed=14, dims=SMALL_DIMS)
+    assert not (tmp_path / "manifest.csv").exists()
