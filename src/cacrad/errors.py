@@ -66,10 +66,6 @@ class DimMismatch(DataError):
     """Volume and mask grids differ."""
 
 
-class EmptyRoi(DataError):
-    """Mask selects no voxels."""
-
-
 class NonPositiveWidth(ConfigError):
     """Discretization bin width must be > 0."""
 
@@ -87,7 +83,7 @@ class BadSpacing(ConfigError):
 # --- features ---------------------------------------------------------------
 
 class EmptyMask(DataError):
-    """Mask has no true voxels; subject should be excluded."""
+    """The mask, or the ROI it selects, has no voxels; the subject is excluded."""
 
 
 class TooManyGrayLevels(DataError):
@@ -97,7 +93,7 @@ class TooManyGrayLevels(DataError):
 # --- selection / tables -----------------------------------------------------
 
 class TooFewRows(DegenerateCohortError):
-    """Operation needs at least two rows."""
+    """Too few rows: under two to correlate, none extracted, or a split with an empty side."""
 
 
 class UnknownColumn(DataError):
@@ -112,10 +108,6 @@ class SingleClass(DegenerateCohortError):
 
 class TooFewPerClass(DegenerateCohortError):
     """Not enough members of some class for the requested fold count."""
-
-
-class NonFiniteFeature(DataError):
-    """NaN or infinity in a feature matrix."""
 
 
 class SchemaMismatch(DataError):
@@ -145,4 +137,4 @@ class RaggedRow(LengthMismatch):
 
 
 class NonFiniteValue(DataError):
-    """A feature CSV cell is not a number, or is NaN or infinite."""
+    """A feature CSV cell or a prediction input is not a finite number."""

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import SingleClass
 from .grid import count_param, positive_param
-from .tree import RowSetCache, Tree, grow_regression_tree
+from .tree import RowSetCache, grow_regression_tree
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -72,19 +72,3 @@ class GradientBoostedTrees:
     def predict_score(self, x: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(x))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "learning_rate": repr(self.learning_rate),
-            "max_depth": self.max_depth,
-            "f0": repr(self.f0),
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradientBoostedTrees":
-        model = cls(n_rounds=d["n_rounds"], learning_rate=float(d["learning_rate"]),
-                    max_depth=d["max_depth"])
-        model.f0 = float(d["f0"])
-        model.trees = [Tree.from_dict(t) for t in d["trees"]]
-        return model

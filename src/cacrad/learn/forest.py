@@ -13,7 +13,7 @@ import numpy as np
 
 from ..rng import stream
 from .grid import count_param
-from .tree import Tree, grow_classification_forest, grow_classification_tree  # noqa: F401
+from .tree import grow_classification_forest, grow_classification_tree  # noqa: F401
 
 
 class RandomForest:
@@ -60,17 +60,3 @@ class RandomForest:
             votes += tree.predict(x) >= 0.5
         return votes / len(self.trees)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "bootstrap": self.bootstrap,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomForest":
-        model = cls(n_trees=d["n_trees"], max_depth=d["max_depth"],
-                    bootstrap=d["bootstrap"])
-        model.trees = [Tree.from_dict(t) for t in d["trees"]]
-        return model

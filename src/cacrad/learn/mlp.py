@@ -100,19 +100,3 @@ class Mlp:
         layers = _layers(self.theta, z.shape[1], self.hidden_size)
         return _sigmoid(_forward(*layers, _with_ones(z))[2])
 
-    def to_dict(self) -> dict:
-        return {
-            "hidden_size": self.hidden_size,
-            "learning_rate": repr(self.learning_rate),
-            "epochs": self.epochs,
-            "theta": [repr(float(v)) for v in self.theta],
-            **self.standardizer.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Mlp":
-        model = cls(hidden_size=d["hidden_size"],
-                    learning_rate=float(d["learning_rate"]), epochs=d["epochs"])
-        model.theta = np.array([float(v) for v in d["theta"]])
-        model.standardizer = Standardizer.from_dict(d)
-        return model

@@ -1,9 +1,8 @@
 """Uniform wrapper over the four classifier kinds.
 
-A TrainedModel knows its feature schema and training provenance and can
-round-trip through a self-describing JSON document. The fingerprint is a
-sha256 over that canonical document, used by leakage and determinism
-checks.
+A TrainedModel knows its feature schema and training provenance. Its
+canonical JSON document holds those and the fitted model's document; its
+fingerprint, a sha256 over it, is used by leakage and determinism checks.
 """
 
 import hashlib
@@ -12,13 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, NonFiniteFeature, SchemaMismatch
+from ..errors import ConfigError, NonFiniteValue, SchemaMismatch
 from ..rng import derive_seed
+from ..selection import Standardizer
 from .boosting import GradientBoostedTrees
 from .forest import RandomForest
 from .grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
 from .mlp import Mlp
 from .svm import LinearSvm
+from .tree import Tree
 
 MODEL_KINDS = ("random_forest", "gbt", "linear_svm", "mlp")
 
@@ -43,6 +44,37 @@ def build_model(kind: str, params: dict):
     return _CLASSES[kind](**params)
 
 
+def document(obj) -> dict:
+    """What a fingerprint hashes of a model or tree: its public attributes
+    by name, each float as its exact repr, and a Standardizer's to_dict.
+    Attributes named with a leading _ are fit-time state that predictions
+    do not read."""
+    doc = {}
+    for name, value in vars(obj).items():
+        if name.startswith("_"):
+            continue
+        if isinstance(value, Standardizer):
+            doc.update(value.to_dict())
+        else:
+            doc[name] = _encode(value)
+    return doc
+
+
+def _encode(value):
+    """A list's or array's first item decides how all of them are encoded."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, list) and value:
+        if isinstance(value[0], Tree):
+            return [document(tree) for tree in value]
+        if isinstance(value[0], float):
+            return [repr(float(v)) for v in value]
+        return list(value)
+    return value
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     kind: str
@@ -62,7 +94,7 @@ class TrainedModel:
             raise SchemaMismatch(
                 f"expected (n, {len(self.feature_names)}) matrix, got {x.shape}")
         if not np.all(np.isfinite(x)):
-            raise NonFiniteFeature("prediction input contains non-finite values")
+            raise NonFiniteValue("prediction input contains non-finite values")
         score = self.inner.predict_score(x)
         return (score >= 0.5).astype(np.int64), score
 
@@ -72,23 +104,13 @@ class TrainedModel:
             "hyperparams": {k: v for k, v in sorted(self.hyperparams.items())},
             "feature_names": list(self.feature_names),
             "seed": self.seed,
-            "parameters": self.inner.to_dict(),
+            "parameters": document(self.inner),
         }
         return json.dumps(doc, sort_keys=True)
 
     @property
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainedModel":
-        doc = json.loads(text)
-        kind = doc["kind"]
-        if kind not in _CLASSES:
-            raise SchemaMismatch(f"unknown model kind in document: {kind!r}")
-        inner = _CLASSES[kind].from_dict(doc["parameters"])
-        return cls(kind=kind, hyperparams=doc["hyperparams"], inner=inner,
-                   feature_names=tuple(doc["feature_names"]), seed=doc["seed"])
 
 
 def train_with_grid(kind: str, x: np.ndarray, y: np.ndarray, feature_names,

@@ -148,21 +148,3 @@ class LinearSvm:
         zed = self.platt_a * self.decision_function(x) + self.platt_b
         return 1.0 / (1.0 + np.exp(np.clip(zed, -500, 500)))
 
-    def to_dict(self) -> dict:
-        return {
-            "lam": repr(self.lam),
-            "epochs": self.epochs,
-            "w": [repr(float(v)) for v in self.w],
-            **self.standardizer.to_dict(),
-            "platt_a": repr(self.platt_a),
-            "platt_b": repr(self.platt_b),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearSvm":
-        model = cls(lam=float(d["lam"]), epochs=d["epochs"])
-        model.w = np.array([float(v) for v in d["w"]])
-        model.standardizer = Standardizer.from_dict(d)
-        model.platt_a = float(d["platt_a"])
-        model.platt_b = float(d["platt_b"])
-        return model

@@ -107,25 +107,6 @@ class Tree:
             out[r] = self.value[node]
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": list(self.feature),
-            "threshold": [repr(float(t)) for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": [repr(float(v)) for v in self.value],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(
-            feature=[int(v) for v in d["feature"]],
-            threshold=[float(v) for v in d["threshold"]],
-            left=[int(v) for v in d["left"]],
-            right=[int(v) for v in d["right"]],
-            value=[float(v) for v in d["value"]],
-        )
-
 
 def _midpoint(lo: float, hi: float) -> float:
     """Midpoint of lo < hi, or lo where it rounds to hi (adjacent doubles)

@@ -11,6 +11,7 @@ CPUs the run had.
 """
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -245,25 +246,33 @@ def _load_report(path) -> dict:
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list) \
-            or "seeds" not in doc:
+            or not isinstance(doc.get("seeds"), list):
         raise SchemaMismatch(f"{path} is not a train-eval report")
+    seeds = doc["seeds"]
+    if len(doc["runs"]) != len(seeds):
+        raise SchemaMismatch(f"{path}: runs has {len(doc['runs'])} entries for {len(seeds)} seeds")
 
     def field(obj, key, where):
         if not isinstance(obj, dict) or key not in obj:
             raise SchemaMismatch(f"{path}: {where} has no {key!r}")
         return obj[key]
 
-    # every key run_stats reads, so a partial report fails before any test
+    # every key and value run_stats reads, so a bad report fails before any test
     kinds = field(doc, "models", "the report")
     for i, run in enumerate(doc["runs"]):
-        field(run, "seed", f"runs[{i}]")
+        if field(run, "seed", f"runs[{i}]") != seeds[i]:
+            raise SchemaMismatch(f"{path}: runs[{i}].seed is not seeds[{i}]")
         field(run, "test_subjects", f"runs[{i}]")
         models = field(run, "models", f"runs[{i}]")
         for kind in kinds:
+            where = f"runs[{i}].models.{kind}.metrics"
             row = field(field(models, kind, f"runs[{i}].models"), "metrics",
                         f"runs[{i}].models.{kind}")
             for metric in _STATS_METRICS:
-                field(row, metric, f"runs[{i}].models.{kind}.metrics")
+                value = field(row, metric, where)
+                if value is not None and not (type(value) in (int, float) and math.isfinite(value)):
+                    raise SchemaMismatch(f"{path}: {where}.{metric} is {value!r}, "
+                                         "not a finite number or null")
     return doc
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (
     BadSpacing,
     DimMismatch,
-    EmptyRoi,
+    EmptyMask,
     NonPositiveWidth,
 )
 from .nifti import MaskVolume, Volume3D
@@ -44,7 +44,7 @@ class DiscretizedRoi:
 
     def __post_init__(self):
         if len(self.levels) == 0:
-            raise EmptyRoi("discretized ROI has no voxels")
+            raise EmptyMask("discretized ROI has no voxels")
         lv = np.asarray(self.levels)
         if lv.min() < 1 or lv.max() != self.ng:
             raise ValueError(f"levels must span 1..{self.ng}, got {lv.min()}..{lv.max()}")
@@ -95,7 +95,7 @@ def discretize_fixed_width(roi: MaskedRoi, bin_width: float) -> DiscretizedRoi:
     if bin_width <= 0:
         raise NonPositiveWidth(f"bin_width must be > 0, got {bin_width}")
     if len(roi) == 0:
-        raise EmptyRoi("cannot discretize an empty ROI")
+        raise EmptyMask("cannot discretize an empty ROI")
     lo = roi.values.min()
     levels = np.floor((roi.values - lo) / bin_width).astype(np.int64) + 1
     return _discretized(roi, levels)
@@ -106,7 +106,7 @@ def discretize_fixed_count(roi: MaskedRoi, n_bins: int) -> DiscretizedRoi:
     if n_bins < 1:
         raise NonPositiveWidth(f"n_bins must be >= 1, got {n_bins}")
     if len(roi) == 0:
-        raise EmptyRoi("cannot discretize an empty ROI")
+        raise EmptyMask("cannot discretize an empty ROI")
     lo = roi.values.min()
     hi = roi.values.max()
     if hi == lo:

@@ -36,11 +36,6 @@ class Standardizer:
         return {"mean": [repr(float(v)) for v in self.means],
                 "sd": [repr(float(v)) for v in self.sds]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(means=np.array([float(v) for v in d["mean"]]),
-                   sds=np.array([float(v) for v in d["sd"]]))
-
 
 def correlation_filter(table: FeatureTable, threshold: float = 0.90) -> list:
     """Greedy keep-first-in-canonical-order filtering on |Pearson r|.

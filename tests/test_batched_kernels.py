@@ -33,6 +33,7 @@ from cacrad.learn import boosting
 from cacrad.learn import tree as tree_module
 from cacrad.learn.boosting import GradientBoostedTrees, _sigmoid
 from cacrad.learn.forest import RandomForest
+from cacrad.learn.model import document
 from cacrad.learn.split import stratified_kfold
 from cacrad.learn.tree import (
     RowSetCache,
@@ -617,7 +618,7 @@ def test_regression_tree_equals_reference(max_depth):
         fitted, ref_fitted = np.empty(n), np.empty(n)
         got = grow_regression_tree(x, residual, hessian, max_depth, fitted, RowSetCache())
         want = ref_grow_regression_tree(x, residual, hessian, max_depth, ref_fitted)
-        assert got.to_dict() == want.to_dict(), trial
+        assert document(got) == document(want), trial
         assert fitted.tobytes() == ref_fitted.tobytes(), trial
 
 
@@ -631,7 +632,7 @@ def test_regression_tree_accepts_a_column_view():
                                RowSetCache())
     want = ref_grow_regression_tree(np.ascontiguousarray(wide[:, ::2]), residual,
                                     hessian, 3, np.empty(30))
-    assert got.to_dict() == want.to_dict()
+    assert document(got) == document(want)
 
 
 @pytest.mark.parametrize("max_depth", [1, 2, 3, None])
@@ -651,7 +652,7 @@ def test_boosting_rounds_sharing_one_cache_equal_reference_trees(max_depth):
             residual, hessian = y - p, p * (1.0 - p)
             got = grow_regression_tree(x, residual, hessian, max_depth, fitted, cache)
             want = ref_grow_regression_tree(x, residual, hessian, max_depth, ref_fitted)
-            assert got.to_dict() == want.to_dict(), (trial, round_)
+            assert document(got) == document(want), (trial, round_)
             assert fitted.tobytes() == ref_fitted.tobytes(), (trial, round_)
             f += 0.5 * fitted
 
@@ -718,7 +719,7 @@ def test_fold_lockstep_forests_equal_per_fold_fits(bootstrap, max_depth):
         c_ordered = RandomForest(**params).fit(np.ascontiguousarray(x[rows]), y[rows], 1000 + i)
         f_ordered = RandomForest(**params).fit(np.asfortranarray(x[rows]), y[rows], 1000 + i)
         assert len(f_ordered.trees) == 7
-        assert f_ordered.to_dict() == c_ordered.to_dict()
+        assert document(f_ordered) == document(c_ordered)
 
 
 def ref_sigmoid(z):

@@ -146,6 +146,84 @@ def test_stats_refuses_a_report_without_a_key_it_reads(cli_cohort, tmp_path, cap
     assert (tmp_path / "ok" / "stats.json").exists()
 
 
+def test_stats_refuses_a_report_whose_values_it_cannot_use(cli_cohort, tmp_path, capsys):
+    # such reports used to yield a p-value, or a degenerate cohort of 1 pair
+    features = cli_cohort / "run" / "features.csv"
+    if not features.exists():
+        assert main(["extract", "--manifest", str(cli_cohort / "manifest.csv"),
+                     "--out", str(cli_cohort / "run")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("models = gbt\nkfold = 2\ntest_fraction = 0.5\nn_seeds = 2\n"
+                   "grid.gbt.n_rounds = 3\n")
+    assert main(["train-eval", "--config", str(cfg),
+                 "--manifest", str(cli_cohort / "manifest.csv"),
+                 "--features-csv", str(features), "--seed", "4",
+                 "--out", str(tmp_path / "run")]) == 0
+    report = tmp_path / "run" / "run_report.json"
+    capsys.readouterr()
+
+    def broken(edit):
+        doc = json.loads(report.read_text())
+        edit(doc)
+        return doc
+
+    def metric(value):
+        return lambda doc: doc["runs"][1]["models"]["gbt"]["metrics"].update(accuracy=value)
+
+    cases = {
+        "string": (metric("0.9"), "runs[1].models.gbt.metrics.accuracy is '0.9'"),
+        "bool": (metric(True), "runs[1].models.gbt.metrics.accuracy is True"),
+        "nan": (metric(float("nan")), "runs[1].models.gbt.metrics.accuracy is nan"),
+        "dropped": (lambda doc: doc["runs"].pop(), "runs has 1 entries for 2 seeds"),
+        "swapped": (lambda doc: doc["runs"].reverse(), "runs[0].seed is not seeds[0]"),
+    }
+    for name, (edit, where) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(broken(edit)))
+        for pair in ((path, report), (report, path)):
+            assert main(["stats", *map(str, pair)]) == 3, name
+            err = capsys.readouterr().err
+            assert f"data error: {path}: {where}" in err, (name, err)
+    # a null metric is a pair the paired test skips, not a malformed report
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(broken(metric(None))))
+    assert main(["stats", str(path), str(report)]) == 4
+    assert "gbt/accuracy: 1 usable pairs" in capsys.readouterr().err
+
+
+def test_an_empty_test_split_or_training_pool_exits_4_before_any_model_trains(
+        cli_cohort, tmp_path, capsys, monkeypatch):
+    # these used to end in a numpy traceback, or in a data error after training
+    features = cli_cohort / "run" / "features.csv"
+    if not features.exists():
+        assert main(["extract", "--manifest", str(cli_cohort / "manifest.csv"),
+                     "--out", str(cli_cohort / "run")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(pipeline, "train_with_grid", no_work)
+    # every subject contrast-tagged: the non-contrast pool tests and, for a
+    # non-contrast composition, trains no subject
+    lines = (cli_cohort / "manifest.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    column = lines[0].split(",").index("contrast")
+    for row in rows:
+        row[column] = "contrast"
+    contrast_only = tmp_path / "manifest.csv"
+    contrast_only.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    # 5 % of each class of the normal cohort's non-contrast pool rounds to no subject
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text("test_fraction = 0.05\n")
+    for manifest, args, message in (
+            (contrast_only, ["--train-composition", "noncontrast"], "training pool is empty"),
+            (contrast_only, ["--train-composition", "mixed"], "0 Zero and 0 NonZero"),
+            (cli_cohort / "manifest.csv", ["--config", str(tiny)], "test_fraction = 0.05")):
+        out = tmp_path / "out"
+        assert main(["train-eval", "--manifest", str(manifest), "--features-csv",
+                     str(features), "--out", str(out), *args]) == 4, message
+        err = capsys.readouterr().err
+        assert "degenerate cohort" in err and message in err, err
+        assert not (out / "run_report.json").exists()
+
+
 def test_extract_makes_the_features_csv_directory(cli_cohort, tmp_path, capsys):
     table = tmp_path / "tables" / "new" / "features.csv"
     assert main(["extract", "--manifest", str(cli_cohort / "manifest.csv"),

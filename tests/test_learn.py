@@ -1,21 +1,23 @@
+import json
 import weakref
 
 import numpy as np
 import pytest
 
-from cacrad.errors import ConfigError, SchemaMismatch, SingleClass
+from cacrad.errors import ConfigError, NonFiniteValue, SchemaMismatch, SingleClass
 from cacrad.learn.forest import RandomForest
 from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
 from cacrad.learn.mlp import Mlp, loss_and_grad
 from cacrad.learn.model import (
     MODEL_KINDS,
-    TrainedModel,
     build_model,
+    document,
     train_with_grid,
 )
 from cacrad.learn.svm import LinearSvm
 from cacrad.learn.tree import (
     RowSetCache,
+    Tree,
     _gini_best_splits,
     _pad,
     grow_classification_forest,
@@ -67,16 +69,46 @@ def test_fit_is_deterministic(kind):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_json_round_trip_preserves_predictions(kind):
+def test_fingerprint_hashes_every_public_attribute(kind):
     x, y = blobs(seed=8)
     names = tuple(f"f{k}" for k in range(x.shape[1]))
     model, _, _ = train_with_grid(kind, x, y, names, seed=1,
                                   grid=SMALL_GRIDS[kind], k=3)
-    clone = TrainedModel.from_json(model.to_json())
-    assert clone.fingerprint == model.fingerprint
-    _, s1 = model.predict(x)
-    _, s2 = clone.predict(x)
-    assert s1.tobytes() == s2.tobytes()
+    before = model.fingerprint
+    # fit-time state that predictions do not read stays out
+    model.inner._scratch = np.arange(3.0)
+    assert model.fingerprint == before
+    # a new public attribute enters the document, its float exact
+    model.inner.extra = [0.1, 2.0]
+    assert json.loads(model.to_json())["parameters"]["extra"] == ["0.1", "2.0"]
+    assert model.fingerprint != before
+
+
+def test_document_writes_floats_exactly_and_keeps_ints():
+    tree = Tree(feature=[1, -1, -1], threshold=[0.1 + 0.2, 0.0, 0.0], left=[1, -1, -1],
+                right=[2, -1, -1], value=[0.5, 1 / 3, float("nan")])
+    assert document(tree) == {
+        "feature": [1, -1, -1], "threshold": ["0.30000000000000004", "0.0", "0.0"],
+        "left": [1, -1, -1], "right": [2, -1, -1],
+        "value": ["0.5", "0.3333333333333333", "nan"]}
+    svm = LinearSvm(1e-2, 2).fit(*blobs(seed=1), seed=0)
+    doc = document(svm)
+    # the standardizer's lists by their to_dict keys; no fit-time state
+    assert sorted(doc) == ["epochs", "lam", "mean", "platt_a", "platt_b", "sd", "w"]
+    assert doc["epochs"] == 2 and doc["lam"] == "0.01"
+    assert doc["w"] == [repr(v) for v in svm.w.tolist()]
+    assert doc["mean"] == svm.standardizer.to_dict()["mean"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predict_refuses_non_finite_input(bad):
+    x, y = blobs(seed=2)
+    names = tuple(f"f{k}" for k in range(x.shape[1]))
+    model, _, _ = train_with_grid("gbt", x, y, names, seed=0,
+                                  grid=SMALL_GRIDS["gbt"], k=3)
+    x[3, 1] = bad
+    with pytest.raises(NonFiniteValue):
+        model.predict(x)
 
 
 def test_predict_schema_checks():
@@ -315,7 +347,7 @@ def test_lockstep_forest_equals_trees_grown_alone():
                                           [stream(5, "tree", t) for t in range(6)])
     for t, rows in enumerate(samples):
         alone = grow_classification_tree(x[rows], y[rows], None, 3, stream(5, "tree", t))
-        assert together[t].to_dict() == alone.to_dict()
+        assert document(together[t]) == document(alone)
 
 
 def test_regression_tree_reports_training_leaf_values():
@@ -331,7 +363,7 @@ def test_gbt_prefix_is_the_shorter_fit():
     x, y = golden_matrix(False)
     long = build_model("gbt", {"n_rounds": 9, "max_depth": 2}).fit(x, y, seed=0)
     short = build_model("gbt", {"n_rounds": 4, "max_depth": 2}).fit(x, y, seed=1)
-    assert long.prefix(4).to_dict() == short.to_dict()
+    assert document(long.prefix(4)) == document(short)
     with pytest.raises(ValueError):
         short.prefix(5)
 
@@ -353,7 +385,7 @@ def test_forest_prefix_is_the_smaller_fit():
         for n_trees in sorted({1, int(rng.integers(1, big_trees + 1)), big_trees}):
             for depth in depths:
                 small = RandomForest(n_trees, depth, bootstrap).fit(x, y, seed)
-                assert big.prefix(n_trees, depth).to_dict() == small.to_dict(), \
+                assert document(big.prefix(n_trees, depth)) == document(small), \
                     (trial, n_trees, depth)
     with pytest.raises(ValueError):
         big.prefix(big_trees + 1, big_depth)
@@ -561,11 +593,11 @@ def test_svm_prefix_is_the_shorter_fit():
         long = LinearSvm(lam, epochs).fit(x, y, seed)
         for e in range(1, epochs + 1):
             short = LinearSvm(lam, e).fit(x, y, seed)
-            assert long.prefix(e).to_dict() == short.to_dict(), (trial, e)
+            assert document(long.prefix(e)) == document(short), (trial, e)
         with pytest.raises(ValueError):
             long.prefix(epochs + 1)
-    with pytest.raises(ValueError):
-        LinearSvm.from_dict(long.to_dict()).prefix(1)
+    with pytest.raises(ValueError):  # an unfitted model kept no epochs
+        LinearSvm(1e-2, 3).prefix(1)
 
 
 def test_svm_grid_fits_each_fold_once_per_nested_group():

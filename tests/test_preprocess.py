@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacrad.errors import BadSpacing, DimMismatch, EmptyRoi, NonPositiveWidth
+from cacrad.errors import BadSpacing, DimMismatch, EmptyMask, NonPositiveWidth
 from cacrad.nifti import MaskVolume, Volume3D
 from cacrad.preprocess import (
     MAX_RESAMPLED_VOXELS,
@@ -67,9 +67,9 @@ def test_apply_mask_of_an_all_false_mask_is_empty():
     roi = apply_mask(small_volume(np.ones((4, 3, 2))),
                      MaskVolume(dims=(4, 3, 2), labels=np.zeros((4, 3, 2), bool)))
     assert len(roi) == 0 and roi.mask.size == 0
-    with pytest.raises(EmptyRoi):
+    with pytest.raises(EmptyMask):
         discretize_fixed_width(roi, 25.0)
-    with pytest.raises(EmptyRoi):
+    with pytest.raises(EmptyMask):
         discretize_fixed_count(roi, 8)
 
 
@@ -105,7 +105,7 @@ def test_discretize_errors():
     with pytest.raises(NonPositiveWidth):
         discretize_fixed_count(roi, 0)
     empty = roi_from_values(vals, np.zeros((1, 1, 2), bool))
-    with pytest.raises(EmptyRoi):
+    with pytest.raises(EmptyMask):
         discretize_fixed_width(empty, 25.0)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacrad.errors import SingleClass, TooFewPerClass
+from cacrad.errors import SingleClass, TooFewPerClass, TooFewRows
 from cacrad.learn.split import stratified_kfold, stratified_split
 from cacrad.manifest import CacLabel, ContrastGroup
 from cacrad.table import FeatureTable
@@ -91,10 +91,24 @@ def test_split_single_class():
 
 
 def test_split_zero_fraction():
+    # no test row is drawn: a split that would score no subject is refused
     t = cohort_table(6, 6)
-    train, test = stratified_split(t, 0.0, seed=0)
-    assert test == []
-    assert len(train) == 12
+    with pytest.raises(TooFewRows, match=r"no test rows.*6 Zero and 6 NonZero.*= 0\.0"):
+        stratified_split(t, 0.0, seed=0)
+
+
+@pytest.mark.parametrize("table,fraction,group,message", [
+    (cohort_table(0, 0), 0.2, None, "training pool is empty"),
+    # every subject contrast-tagged: the non-contrast test pool is empty
+    (cohort_table(6, 6, n_noncontrast=0), 0.2, ContrastGroup.NONCONTRAST,
+     r"no test rows.*0 Zero and 0 NonZero"),
+    # 5 % of 9 per class rounds to no test row, 95 % of 5 to every row
+    (cohort_table(9, 9), 0.05, None, r"no test rows.*9 Zero and 9 NonZero.*= 0\.05"),
+    (cohort_table(5, 5), 0.95, None, "no training rows"),
+], ids=["empty-table", "empty-test-pool", "no-test-row", "no-training-row"])
+def test_split_with_an_empty_side_is_refused(table, fraction, group, message):
+    with pytest.raises(TooFewRows, match=message):
+        stratified_split(table, fraction, seed=0, test_group=group)
 
 
 def test_kfold_partition_properties():
