@@ -137,4 +137,5 @@ class RaggedRow(LengthMismatch):
 
 
 class NonFiniteValue(DataError):
-    """A feature CSV cell or a prediction input is not a finite number."""
+    """A feature CSV cell, an extracted feature, a prediction input or an ROI
+    intensity is not a finite number."""

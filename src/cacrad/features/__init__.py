@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import EmptyMask
+from ..errors import EmptyMask, NonFiniteValue
 from ..nifti import MaskVolume, Volume3D
 from ..preprocess import (
     apply_mask,
@@ -60,7 +60,7 @@ class FeatureVector:
             raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {v.shape}")
         if not np.all(np.isfinite(v)):
             bad = [FEATURE_NAMES[k] for k in np.flatnonzero(~np.isfinite(v))]
-            raise ValueError(f"non-finite feature values: {bad}")
+            raise NonFiniteValue(f"non-finite feature values: {bad}")
         object.__setattr__(self, "values", v)
 
     def as_dict(self) -> dict:

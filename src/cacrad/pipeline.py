@@ -48,10 +48,13 @@ def run_extract(cfg: RunConfig) -> dict:
     """Extract features for every manifest subject; skip-and-log failures.
 
     Writes features.csv and extract_report.json under cfg.out. A subject
-    that fails (unreadable file, empty mask, shape mismatch) is excluded
-    with a reason; only an empty result table is fatal, and then the
-    report, with every reason, is written and no features.csv is left at
-    the table's path.
+    whose data fails (unreadable file, empty mask, shape mismatch: a
+    CacradError) is excluded with a reason; any other exception is a fault
+    in the program and stops the run. An empty result table is fatal too,
+    and then the report, with every reason, is written and no features.csv
+    is left at the table's path. An earlier run's report is removed before
+    the table is written and the report is written last, so it never sits
+    beside a table it does not describe.
     """
     if cfg.manifest is None:
         raise ConfigError("extract needs manifest = <path> in the config")
@@ -68,7 +71,7 @@ def run_extract(cfg: RunConfig) -> dict:
             vol = read_nifti(entry.volume_path)
             mask = read_mask(entry.mask_path)
             return extract_all(vol, mask, cfg).values, None
-        except (CacradError, ValueError) as exc:
+        except CacradError as exc:
             return None, {
                 "subject_id": entry.subject_id,
                 "error": type(exc).__name__,
@@ -83,6 +86,7 @@ def run_extract(cfg: RunConfig) -> dict:
             ids.append(entry.subject_id)
             rows.append(values)
 
+    report_path.unlink(missing_ok=True)
     if ids:
         write_features_csv(features_path, ids, FEATURE_NAMES, np.array(rows))
     else:
@@ -139,7 +143,10 @@ def run_train_eval(cfg: RunConfig) -> dict:
 
     One run block per seed; metrics.csv gets one row per (model, seed).
     The test split is always drawn from the non-contrast pool, so mixed
-    and non-contrast training compositions score the same subjects.
+    and non-contrast training compositions score the same subjects. An
+    earlier run's metrics.csv is removed before the report is written and
+    metrics.csv is written last, so it never sits beside a report it does
+    not come from.
     """
     if cfg.manifest is None:
         raise ConfigError("train-eval needs manifest = <path> in the config")
@@ -220,6 +227,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
         "runs": runs,
         "timing": {"seconds": round(time.monotonic() - t0, 3)},
     }
+    metrics_path.unlink(missing_ok=True)
     _write_json(report_path, report)
 
     lines = ["model,seed," + ",".join(MetricsReport.CSV_COLUMNS)]
@@ -259,10 +267,14 @@ def _load_report(path) -> dict:
 
     # every key and value run_stats reads, so a bad report fails before any test
     kinds = field(doc, "models", "the report")
+    if not isinstance(kinds, list) or not all(k in MODEL_KINDS for k in kinds):
+        raise SchemaMismatch(f"{path}: models is {kinds!r}, not a list of {list(MODEL_KINDS)}")
     for i, run in enumerate(doc["runs"]):
         if field(run, "seed", f"runs[{i}]") != seeds[i]:
             raise SchemaMismatch(f"{path}: runs[{i}].seed is not seeds[{i}]")
-        field(run, "test_subjects", f"runs[{i}]")
+        subjects = field(run, "test_subjects", f"runs[{i}]")
+        if not isinstance(subjects, list) or not all(isinstance(s, str) for s in subjects):
+            raise SchemaMismatch(f"{path}: runs[{i}].test_subjects is not a list of subject ids")
         models = field(run, "models", f"runs[{i}]")
         for kind in kinds:
             where = f"runs[{i}].models.{kind}.metrics"

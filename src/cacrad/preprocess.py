@@ -16,7 +16,9 @@ from .errors import (
     BadSpacing,
     DimMismatch,
     EmptyMask,
+    NonFiniteValue,
     NonPositiveWidth,
+    TooManyGrayLevels,
 )
 from .nifti import MaskVolume, Volume3D
 
@@ -90,13 +92,27 @@ def _discretized(roi: MaskedRoi, levels: np.ndarray) -> DiscretizedRoi:
     return DiscretizedRoi(levels=levels, grid=grid, ng=int(levels.max()))
 
 
+def _value_range(roi: MaskedRoi):
+    """The least and greatest intensity of a nonempty ROI; NonFiniteValue
+    when their difference is not finite (a NaN or infinite intensity, or a
+    range past float64), since no bin would hold every voxel."""
+    if len(roi) == 0:
+        raise EmptyMask("cannot discretize an empty ROI")
+    lo, hi = roi.values.min(), roi.values.max()
+    if not np.isfinite(hi - lo):
+        raise NonFiniteValue(f"ROI intensities from {lo} to {hi} have no finite range")
+    return lo, hi
+
+
 def discretize_fixed_width(roi: MaskedRoi, bin_width: float) -> DiscretizedRoi:
     """Min-anchored fixed-width binning: level = floor((x - min)/w) + 1."""
     if bin_width <= 0:
         raise NonPositiveWidth(f"bin_width must be > 0, got {bin_width}")
-    if len(roi) == 0:
-        raise EmptyMask("cannot discretize an empty ROI")
-    lo = roi.values.min()
+    lo, hi = _value_range(roi)
+    if not (hi - lo) / bin_width < 2 ** 31 - 2:  # past int32, the level grid would wrap
+        raise TooManyGrayLevels(
+            f"bins of width {bin_width} split the ROI's {lo:g} to {hi:g} into more gray "
+            "levels than a texture matrix may hold; widen bin_width or set n_bins")
     levels = np.floor((roi.values - lo) / bin_width).astype(np.int64) + 1
     return _discretized(roi, levels)
 
@@ -105,10 +121,7 @@ def discretize_fixed_count(roi: MaskedRoi, n_bins: int) -> DiscretizedRoi:
     """Equal-width bins spanning [min, max]; the max maps into bin n_bins."""
     if n_bins < 1:
         raise NonPositiveWidth(f"n_bins must be >= 1, got {n_bins}")
-    if len(roi) == 0:
-        raise EmptyMask("cannot discretize an empty ROI")
-    lo = roi.values.min()
-    hi = roi.values.max()
+    lo, hi = _value_range(roi)
     if hi == lo:
         levels = np.ones(len(roi), dtype=np.int64)
     else:

@@ -5,9 +5,11 @@ collapsed to 13 unique directions (sign folded). ``forward_pairs`` yields
 each direction's grid overlap once for GLCM, GLSZM and GLDM; GLRLM reads
 the grid's lines along each direction laid end to end, and NGTDM sums
 each voxel's 26 neighbours as one 3x3x3 box sum. Counts go through
-``np.bincount`` over a flat index into the matrix. Matrices
-hold raw integer counts; normalization is the feature layer's job so
-these stay exactly comparable against brute-force oracles.
+``np.bincount`` over a flat index into the matrix. GLCM and GLRLM count
+one direction's pairs or runs at a time, so they hold one direction's
+lists, never all 13. Matrices hold raw integer counts; normalization is
+the feature layer's job so these stay exactly comparable against
+brute-force oracles.
 """
 
 import math
@@ -107,16 +109,13 @@ def _counts(index, shape):
 def compute_glcm(roi: DiscretizedRoi, distance: int = 1) -> Glcm:
     """Symmetric co-occurrence counts at the given offset distance, per direction."""
     ng = roi.ng
-    shape = _bounded((len(DIRECTIONS_13), ng, ng), "GLCM")
     grid = roi.grid
-    index = []
+    counts = np.empty(_bounded((len(DIRECTIONS_13), ng, ng), "GLCM"), dtype=np.int64)
     for k, (src, dst) in enumerate(forward_pairs(grid.shape, distance)):
         a, b = grid[src], grid[dst]
         valid = (a > 0) & (b > 0)
-        index.append((k * ng + a[valid] - 1) * ng + b[valid] - 1)
-    counts = _counts(np.concatenate(index), shape)
-    for k in range(len(DIRECTIONS_13)):
-        counts[k] += counts[k].T  # numpy buffers the overlap; no second (13, ng, ng) array
+        counts[k] = _counts((a[valid] - 1) * ng + b[valid] - 1, (ng, ng))
+        counts[k] += counts[k].T  # numpy buffers the overlap
     return Glcm(counts=counts, directions=DIRECTIONS_13, distance=distance)
 
 
@@ -139,27 +138,52 @@ def _lines_along(grid, d):
     return rows.ravel()
 
 
+def _runs_along(grid, d):
+    """Level and length of each maximal same-level run along d. With the
+    lines along d laid end to end, each separated by a 0, the runs are the
+    stretches of equal nonzero level between two changes."""
+    v = _lines_along(grid, d)
+    change = np.ones(len(v) + 1, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=change[1:-1])
+    cuts = np.flatnonzero(change)  # v is constant on each [cuts[k], cuts[k + 1])
+    levels = v[cuts[:-1]]
+    del v, change  # the layout is the largest array; free it before the lengths
+    run = levels > 0
+    return levels[run], np.diff(cuts)[run]
+
+
+def _tally(key, size):
+    """The distinct values of key, all in [0, size), and how often each
+    occurs: by a dense bincount when size is at most len(key), else by
+    sorting, so no array outgrows key."""
+    if size > len(key):
+        return np.unique(key, return_counts=True)
+    n = np.bincount(key)
+    key = np.flatnonzero(n)
+    return key, n[key]
+
+
 def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
     """Maximal same-level collinear runs per direction; gaps break runs.
 
-    With the lines along d laid end to end, each separated by a 0, the
-    runs are the stretches of equal nonzero level between two changes.
+    Each direction's runs are tallied as they are found, into its distinct
+    (length, level) keys and their counts. The matrix is as wide as the
+    longest run of all, so it is refused as soon as the longest run so far
+    makes it too large, and allocated only after the last direction.
     """
-    grid = roi.grid
-    runs_per_dir = []
+    ng = roi.ng
+    tallies, max_len = [], 1
     for d in DIRECTIONS_13:
-        v = _lines_along(grid, d)
-        change = np.ones(len(v) + 1, dtype=bool)
-        np.not_equal(v[1:], v[:-1], out=change[1:-1])
-        cuts = np.flatnonzero(change)  # v is constant on each [cuts[k], cuts[k + 1])
-        levels = v[cuts[:-1]]
-        run = levels > 0
-        runs_per_dir.append((levels[run], np.diff(cuts)[run]))
-    max_len = max(int(lengths.max()) for _, lengths in runs_per_dir)
-    shape = _bounded((len(DIRECTIONS_13), roi.ng, max_len), "GLRLM")
-    counts = _counts(np.concatenate([(k * roi.ng + levels - 1) * max_len + lengths - 1
-                                     for k, (levels, lengths) in enumerate(runs_per_dir)]),
-                     shape)
+        levels, lengths = _runs_along(roi.grid, d)
+        longest = int(lengths.max())
+        max_len = max(max_len, longest)
+        _bounded((len(DIRECTIONS_13), ng, max_len), "GLRLM")
+        tallies.append(_tally((lengths - 1) * ng + levels - 1, longest * ng))
+    keys, n = (np.concatenate(side) for side in zip(*tallies))
+    length, level = np.divmod(keys, ng)
+    direction = np.repeat(np.arange(len(DIRECTIONS_13)), [len(key) for key, _ in tallies])
+    counts = np.zeros((len(DIRECTIONS_13), ng, max_len), dtype=np.int64)
+    counts[direction, level, length] = n
     return Glrlm(counts=counts, directions=DIRECTIONS_13)
 
 

@@ -54,6 +54,22 @@ def disc_from_grid(grid):
                           ng=int(grid.max()))
 
 
+def ball_grid(n, texture):
+    """Levels of the ball of radius n/2 - 1 in an n^3 grid, 0 outside it:
+    32 white-noise levels (one-voxel zones, short runs), or 8 bands of a
+    smooth field (large zones, long runs, nearly every neighbour pair of
+    equal level)."""
+    c, r = (n - 1) / 2, n / 2 - 1
+    x, y, z = np.ogrid[:n, :n, :n]
+    inside = (x - c) ** 2 + (y - c) ** 2 + (z - c) ** 2 <= r * r
+    if texture == "white":
+        raw = np.random.default_rng(n).integers(1, 33, size=inside.shape)
+    else:
+        raw = 1 + np.minimum(((np.sin(x / 5) + np.sin(y / 7) + np.sin(z / 9) + 3) * 4 / 3)
+                             .astype(np.int64), 7)
+    return renumber(raw * inside)
+
+
 def roi_from_values(grid_values, mask, spacing=(1.0, 1.0, 1.0)):
     box = bounding_box(mask)
     return MaskedRoi(

@@ -176,6 +176,12 @@ def test_stats_refuses_a_report_whose_values_it_cannot_use(cli_cohort, tmp_path,
         "nan": (metric(float("nan")), "runs[1].models.gbt.metrics.accuracy is nan"),
         "dropped": (lambda doc: doc["runs"].pop(), "runs has 1 entries for 2 seeds"),
         "swapped": (lambda doc: doc["runs"].reverse(), "runs[0].seed is not seeds[0]"),
+        # these three used to end in a TypeError traceback
+        "models": (lambda doc: doc.update(models=5), "models is 5, not a list of"),
+        "subjects": (lambda doc: doc["runs"][0].update(test_subjects=5),
+                     "runs[0].test_subjects is not a list of subject ids"),
+        "mixed ids": (lambda doc: doc["runs"][1].update(test_subjects=[1, "a"]),
+                      "runs[1].test_subjects is not a list of subject ids"),
     }
     for name, (edit, where) in cases.items():
         path = tmp_path / f"{name}.json"

@@ -10,6 +10,7 @@ import pytest
 from cacrad.config import RunConfig, parse_config_text
 from cacrad.errors import (
     ConfigError,
+    IoFailure,
     LengthMismatch,
     SchemaMismatch,
     TooFewPairs,
@@ -86,7 +87,10 @@ def test_extract_skips_bad_subject_and_logs(cohort, tmp_path):
     assert report["excluded"][0]["error"] in ("BadMagic", "TruncatedFile")
 
 
-def test_extract_excludes_subject_with_too_many_gray_levels(cohort, tmp_path):
+def _first_volume_edited(cohort, tmp_path, edit, dtype="float32"):
+    """A copy of the cohort's manifest, with absolute paths, whose first
+    subject's volume is replaced by one, stored as dtype, where
+    edit(hu, roi_index) changed the intensities; and that subject's id."""
     root, manifest = cohort
     lines = Path(manifest).read_text().splitlines()
     for k in range(1, len(lines)):
@@ -97,24 +101,112 @@ def test_extract_excludes_subject_with_too_many_gray_levels(cohort, tmp_path):
     cells = lines[1].split(",")
     vol = read_nifti(cells[1])
     hu = vol.intensities.copy()
-    inside = np.argwhere(read_nifti(cells[2]).intensities != 0)
-    # a 60000 HU spread at bin_width 25 gives 2401 levels: a 0.6 GiB GLCM
-    hu[tuple(inside[0])], hu[tuple(inside[1])] = -30000.0, 30000.0
-    wide = tmp_path / "wide.nii"
+    edit(hu, [tuple(p) for p in np.argwhere(read_nifti(cells[2]).intensities != 0)])
+    edited = tmp_path / "edited.nii"
     write_nifti(Volume3D(dims=vol.dims, spacing=vol.spacing, intensities=hu,
-                         orientation=vol.orientation, origin=vol.origin), wide)
-    cells[1] = str(wide)
+                         orientation=vol.orientation, origin=vol.origin), edited, dtype)
+    cells[1] = str(edited)
     lines[1] = ",".join(cells)
     m2 = tmp_path / "manifest.csv"
     m2.write_text("\n".join(lines) + "\n")
+    return m2, cells[0]
+
+
+def test_extract_excludes_subject_with_too_many_gray_levels(cohort, tmp_path):
+    def widen(hu, roi):
+        # a 60000 HU spread at bin_width 25 gives 2401 levels: a 0.6 GiB GLCM
+        hu[roi[0]], hu[roi[1]] = -30000.0, 30000.0
+    m2, victim = _first_volume_edited(cohort, tmp_path, widen)
 
     out = tmp_path / "out"
     report = run_extract(RunConfig(manifest=str(m2), out=str(out)))
     assert report["n_extracted"] == 11
-    assert [e["subject_id"] for e in report["excluded"]] == [cells[0]]
+    assert [e["subject_id"] for e in report["excluded"]] == [victim]
     assert report["excluded"][0]["error"] == "TooManyGrayLevels"
     assert "2401 gray levels" in report["excluded"][0]["message"]
     assert sorted(p.name for p in out.iterdir()) == ["extract_report.json", "features.csv"]
+
+
+@pytest.mark.parametrize("value, error", [(np.nan, "NonFiniteValue"), (np.inf, "NonFiniteValue"),
+                                          (1e300, "TooManyGrayLevels")])
+def test_extract_excludes_subject_whose_roi_intensities_have_no_usable_range(
+        cohort, tmp_path, value, error):
+    def spoil(hu, roi):
+        hu[roi[0]] = value
+    # float32 would store 1e300 as infinity
+    m2, victim = _first_volume_edited(cohort, tmp_path, spoil, dtype="float64")
+    report = run_extract(RunConfig(manifest=str(m2), out=str(tmp_path / "out")))
+    assert report["n_extracted"] == 11
+    assert [(e["subject_id"], e["error"]) for e in report["excluded"]] == [(victim, error)]
+
+
+def test_a_fault_in_a_kernel_stops_extract_instead_of_excluding_subjects(
+        cohort, tmp_path, monkeypatch):
+    import cacrad.features
+
+    def faulty(disc):
+        raise ValueError("'list' argument must have no negative elements")
+
+    root, manifest = cohort
+    monkeypatch.setattr(cacrad.features, "compute_glszm", faulty)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="no negative elements"):
+        run_extract(RunConfig(manifest=str(manifest), out=str(out)))
+    assert not (out / "features.csv").exists()
+
+
+def test_a_non_finite_feature_is_still_an_exclusion(cohort, tmp_path, monkeypatch):
+    import cacrad.features
+
+    root, manifest = cohort
+    monkeypatch.setattr(cacrad.features, "glszm_features",
+                        lambda m, real=cacrad.features.glszm_features: dict.fromkeys(
+                            real(m), float("nan")))
+    out = tmp_path / "out"
+    with pytest.raises(TooFewRows, match="NonFiniteValue: non-finite feature values"):
+        run_extract(RunConfig(manifest=str(manifest), out=str(out)))
+    report = json.loads((out / "extract_report.json").read_text())
+    assert [e["error"] for e in report["excluded"]] == ["NonFiniteValue"] * 12
+    assert not (out / "features.csv").exists()
+
+
+def _fail_writing(monkeypatch, name):
+    """Make cacrad.pipeline's atomic writes of the file called name fail."""
+    import cacrad.pipeline
+    write = cacrad.pipeline.write_text_atomic
+
+    def failing(path, text):
+        if Path(path).name == name:
+            raise IoFailure(f"cannot write {path}: disk full")
+        write(path, text)
+    monkeypatch.setattr(cacrad.pipeline, "write_text_atomic", failing)
+
+
+def test_extract_leaves_no_earlier_report_beside_a_new_table(extracted, tmp_path, monkeypatch):
+    root, manifest, first, _ = extracted
+    out = tmp_path / "out"
+    shutil.copytree(first, out)
+    cfg = RunConfig(manifest=str(manifest), out=str(out), bin_width=50.0)
+    _fail_writing(monkeypatch, "extract_report.json")
+    with pytest.raises(IoFailure):
+        run_extract(cfg)
+    assert not (out / "extract_report.json").exists()
+    assert (out / "features.csv").read_bytes() != (first / "features.csv").read_bytes()
+
+
+def test_train_eval_leaves_no_earlier_metrics_beside_a_new_report(extracted, tmp_path,
+                                                                  monkeypatch):
+    root, manifest, features, _ = extracted
+    out = tmp_path / "out"
+    cfg = dict(manifest=str(manifest), out=str(out),
+               features_csv=str(features / "features.csv"), **SVM_ONLY)
+    run_train_eval(RunConfig(seed=1, **cfg))
+    first = (out / "run_report.json").read_text()
+    _fail_writing(monkeypatch, "metrics.csv")
+    with pytest.raises(IoFailure):
+        run_train_eval(RunConfig(seed=2, **cfg))
+    assert not (out / "metrics.csv").exists()
+    assert (out / "run_report.json").read_text() != first
 
 
 def test_extract_all_failed_is_fatal(tmp_path):

@@ -17,7 +17,7 @@ from cacrad.texmat import (
 )
 
 import oracles
-from conftest import disc_from_grid, random_level_grid, renumber
+from conftest import ball_grid, disc_from_grid, random_level_grid, renumber
 
 
 def test_direction_set_matches_independent_enumeration():
@@ -313,19 +313,22 @@ def test_glcm_refuses_too_many_gray_levels_before_allocating():
 @pytest.mark.parametrize("compute", [compute_glszm, compute_glrlm])
 def test_zone_and_run_matrices_refuse_past_the_bound_before_allocating(compute):
     # one 2000-voxel zone and run at level 1 and one voxel at level 20000:
-    # a 0.3 GiB GLSZM and a 4.2 GiB GLRLM from a 2001-voxel ROI
-    grid = np.ones((1, 1, 2001), dtype=np.int64)
-    grid[0, 0, -1] = 20000
-    disc = disc_from_grid(grid)
+    # a 0.3 GiB GLSZM and a 4.2 GiB GLRLM from a 2001-voxel ROI. Along
+    # (2001, 1, 1) the long run lies in the ninth direction, so GLRLM has
+    # tallied eight directions' one-voxel runs at 20000 levels when it stops.
     assert 20000 * 2000 * 8 > MAX_MATRIX_BYTES
-    tracemalloc.start()
-    try:
-        with pytest.raises(TooManyGrayLevels, match="20000 gray levels"):
-            compute(disc)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for dims in [(1, 1, 2001), (2001, 1, 1)]:
+        grid = np.ones(dims, dtype=np.int64)
+        grid.reshape(-1)[-1] = 20000
+        disc = disc_from_grid(grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyGrayLevels, match="20000 gray levels"):
+                compute(disc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, dims
 
 
 def _glrlm_peak(grid):
@@ -349,3 +352,44 @@ def test_glrlm_layout_does_not_grow_with_a_long_first_axis():
                                                          list(DIRECTIONS_13)))
     _, peak_t = _glrlm_peak(np.ascontiguousarray(grid.transpose(1, 2, 0)))
     assert peak <= 2 * peak_t
+
+
+# --- peak memory: one direction's lists at a time -------------------------
+
+# Traced bytes a compute_* call may peak at, per cell of the ROI's box.
+# GLCM and GLRLM count one direction at a time and, like GLDM and NGTDM,
+# peak at 34 or less on the balls below; concatenating all 13 directions'
+# pair or run lists first took about 105 (GLCM), 65 and 215 (GLRLM).
+# GLSZM still joins the equal-level pairs of all 13 directions at once,
+# about 190 on smooth levels, so it has a bound of its own.
+BYTES_PER_BOX_CELL = 48
+GLSZM_BYTES_PER_BOX_CELL = 256
+
+ORACLES = {
+    compute_glcm: lambda grid, ng: oracles.glcm_counts(grid, ng, list(DIRECTIONS_13)),
+    compute_glrlm: lambda grid, ng: oracles.glrlm_counts(grid, ng, list(DIRECTIONS_13)),
+    compute_glszm: oracles.glszm_counts,
+    compute_gldm: oracles.gldm_counts,
+    compute_ngtdm: oracles.ngtdm_tables,
+}
+
+
+@pytest.mark.parametrize("texture", ["white", "smooth"])
+@pytest.mark.parametrize("compute", list(ORACLES), ids=lambda f: f.__name__)
+def test_peak_memory_follows_the_box_and_counts_match_oracle(compute, texture):
+    disc = disc_from_grid(ball_grid(32, texture))
+    assert disc.grid.size == 30 ** 3 and len(disc) > 14000
+    tracemalloc.start()
+    try:
+        got = compute(disc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = GLSZM_BYTES_PER_BOX_CELL if compute is compute_glszm else BYTES_PER_BOX_CELL
+    assert peak < bound * disc.grid.size, f"{peak / disc.grid.size:.1f} B per cell"
+    want = ORACLES[compute](disc.grid, disc.ng)
+    if compute is compute_ngtdm:
+        assert np.array_equal(got.n, want[0]) and got.valid_count == want[2]
+        assert np.allclose(got.s, want[1], rtol=0, atol=1e-9)
+    else:
+        assert got.counts.dtype == np.int64 and np.array_equal(got.counts, want)
