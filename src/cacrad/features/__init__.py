@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import EmptyMask, NonFiniteValue
+from ..errors import DimMismatch, EmptyMask, NonFiniteValue
 from ..nifti import MaskVolume, Volume3D
 from ..preprocess import (
     apply_mask,
@@ -72,6 +72,8 @@ class FeatureVector:
 
 def extract_all(vol: Volume3D, mask: MaskVolume, cfg: ExtractionConfig = ExtractionConfig()) -> FeatureVector:
     """Full 107-feature vector; raises EmptyMask as the exclusion signal."""
+    if vol.dims != mask.dims:  # before resampling can round both grids alike
+        raise DimMismatch(f"volume {vol.dims} vs mask {mask.dims}")
     if cfg.resample_spacing is not None:
         native = vol.spacing
         vol = resample_trilinear(vol, cfg.resample_spacing)

@@ -5,9 +5,11 @@ int16/float32/float64, either byte order. Intensities are promoted to
 float64 on read so downstream texture code never sees storage precision;
 a mask is tested for nonzero voxels block by block, without that copy.
 
-Spacing and origin are kept at 32-bit float precision because that is all
-the container can store; quantizing at construction time makes
-write-then-read round trips bitwise stable.
+Spacing comes from ``pixdim`` and is kept at 32-bit float precision
+because that is all the container can store; quantizing at construction
+time makes write-then-read round trips bitwise stable. A declared sform or
+qform is checked for finite entries and otherwise not read: features are
+computed on the voxel grid with its spacing.
 """
 
 import gzip
@@ -49,15 +51,12 @@ class Volume3D:
     """A 3D scalar field in Hounsfield units on a regular grid.
 
     ``intensities`` is indexed ``[ix, iy, iz]`` (x fastest on disk);
-    ``orientation`` columns are unit direction cosines for the x/y/z axes;
-    ``origin`` is the position of voxel (0,0,0) in mm.
+    ``spacing`` is the voxel size along x, y and z in mm.
     """
 
     dims: tuple
     spacing: tuple
     intensities: np.ndarray
-    orientation: np.ndarray = None
-    origin: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -66,11 +65,6 @@ class Volume3D:
         spacing = _f32(self.spacing)
         if any(s <= 0 for s in spacing):
             raise NonPositiveSpacing(f"spacing must be positive, got {self.spacing}")
-        orient = self.orientation
-        orient = np.eye(3) if orient is None else np.asarray(orient, dtype=np.float64)
-        norms = np.linalg.norm(orient, axis=0)
-        if orient.shape != (3, 3) or not np.all(np.abs(norms - 1.0) <= 1e-6):
-            raise ValueError("orientation columns must be unit vectors")
         data = np.asarray(self.intensities, dtype=np.float64)
         if data.size != dims[0] * dims[1] * dims[2]:
             raise ValueError(
@@ -79,8 +73,6 @@ class Volume3D:
         data = data.reshape(dims)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "orientation", orient)
-        object.__setattr__(self, "origin", _f32(self.origin))
         object.__setattr__(self, "intensities", data)
 
 
@@ -111,42 +103,10 @@ def _read_bytes(path):
         raise IoFailure(f"{path}: {exc}") from exc
 
 
-def _quaternion_to_matrix(b, c, d, qfac):
-    sq = b * b + c * c + d * d
-    if sq > 1.0:
-        norm = np.sqrt(sq)
-        b, c, d = b / norm, c / norm, d / norm
-        sq = 1.0
-    a = np.sqrt(max(0.0, 1.0 - sq))
-    rot = np.array(
-        [
-            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-            [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
-            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - b * b - c * c],
-        ]
-    )
-    if qfac < 0:
-        rot[:, 2] *= -1
-    return rot
-
-
-def _normalized_columns(mat):
-    out = np.array(mat, dtype=np.float64)
-    for j in range(3):
-        norm = np.linalg.norm(out[:, j])
-        if norm > 0:
-            out[:, j] /= norm
-        else:
-            out[:, j] = 0.0
-            out[j, j] = 1.0
-    return out
-
-
 def _read_stored(path):
     """Check a NIfTI-1 single file (optionally gzipped) and return its
     stored voxels as a flat array in file order, the grid shape, the
-    (scl_slope, scl_inter) pair to apply or None, and the spacing,
-    orientation and origin."""
+    (scl_slope, scl_inter) pair to apply or None, and the spacing."""
     raw = _read_bytes(path)
     if len(raw) < 4:
         raise TruncatedFile(f"{path}: {len(raw)} bytes, no header")
@@ -210,19 +170,7 @@ def _read_stored(path):
     scale = None
     if scl_slope != 0.0 and np.isfinite(scl_slope) and (scl_slope != 1.0 or scl_inter != 0.0):
         scale = (scl_slope, scl_inter)
-
-    if sform_code > 0:
-        orientation = _normalized_columns(srows[:, :3])
-        origin = tuple(srows[:, 3])
-    elif qform_code > 0:
-        qfac = -1.0 if pixdim[0] < 0 else 1.0
-        orientation = _quaternion_to_matrix(quat[0], quat[1], quat[2], qfac)
-        origin = tuple(quat[3:6])
-    else:
-        orientation = np.eye(3)
-        origin = (0.0, 0.0, 0.0)
-
-    return stored, tuple(shape), scale, (tuple(spacing), orientation, origin)
+    return stored, tuple(shape), scale, tuple(spacing)
 
 
 def _intensities(stored: np.ndarray, scale) -> np.ndarray:
@@ -236,13 +184,11 @@ def _intensities(stored: np.ndarray, scale) -> np.ndarray:
 
 def read_nifti(path) -> Volume3D:
     """Parse a NIfTI-1 single file (optionally gzipped) into a Volume3D."""
-    stored, shape, scale, (spacing, orientation, origin) = _read_stored(path)
+    stored, shape, scale, spacing = _read_stored(path)
     return Volume3D(
         dims=shape,
         spacing=spacing,
         intensities=_intensities(stored, scale).reshape(shape, order="F"),
-        orientation=orientation,
-        origin=origin,
     )
 
 
@@ -262,7 +208,8 @@ def write_nifti(vol: Volume3D, path, dtype: str = "float32", byteorder: str = "<
     """Write a Volume3D as single-file NIfTI-1 (gzipped when path ends '.gz').
 
     read_nifti(write_nifti(vol)) reproduces dims and spacing exactly and
-    intensities to storage precision (exact for dtype='float64').
+    intensities to storage precision (exact for dtype='float64'). The
+    sform is diag(spacing) with voxel (0, 0, 0) at the origin.
     """
     if dtype not in _DTYPE_CODES:
         raise UnsupportedDatatype(f"writer dtype {dtype!r}")
@@ -282,12 +229,9 @@ def write_nifti(vol: Volume3D, path, dtype: str = "float32", byteorder: str = "<
     struct.pack_into(byteorder + "f", header, 108, float(VOX_OFFSET))
     struct.pack_into(byteorder + "2f", header, 112, 0.0, 0.0)  # scl: none
     struct.pack_into(byteorder + "2h", header, 252, 0, 1)  # sform only
-    srows = vol.orientation * np.array([sx, sy, sz])[None, :]
-    for row, off in zip(range(3), (280, 296, 312)):
-        struct.pack_into(
-            byteorder + "4f", header, off,
-            srows[row, 0], srows[row, 1], srows[row, 2], vol.origin[row],
-        )
+    srows = ((sx, 0.0, 0.0, 0.0), (0.0, sy, 0.0, 0.0), (0.0, 0.0, sz, 0.0))
+    for row, off in zip(srows, (280, 296, 312)):
+        struct.pack_into(byteorder + "4f", header, off, *row)
     header[344:348] = b"n+1\x00"
 
     data = vol.intensities

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadRange
+from .learn.grid import MAX_COUNT
 from .nifti import MaskVolume, Volume3D, write_nifti
 from .parallel import map_ordered
 from .rng import stream
@@ -132,8 +133,8 @@ def generate_cohort(out_dir, n_subjects: int, class_balance: float = 0.5,
     checked before any subject is made, and the manifest is written last,
     atomically, so a failed run leaves none.
     """
-    if n_subjects < 2:
-        raise BadRange(f"need at least 2 subjects, got {n_subjects}")
+    if not 2 <= n_subjects <= MAX_COUNT:
+        raise BadRange(f"need 2 to {MAX_COUNT} subjects, got {n_subjects}")
     if not (0.0 <= class_balance <= 1.0):
         raise BadRange(f"class balance must be in [0, 1], got {class_balance}")
     out = Path(out_dir)

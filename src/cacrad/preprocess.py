@@ -185,13 +185,7 @@ def resample_trilinear(vol: Volume3D, target_spacing) -> Volume3D:
         + v[x0, y1, z1] * (1 - tx) * ty * tz
         + v[x1, y1, z1] * tx * ty * tz
     )
-    return Volume3D(
-        dims=new_dims,
-        spacing=target,
-        intensities=out,
-        orientation=vol.orientation,
-        origin=vol.origin,
-    )
+    return Volume3D(dims=new_dims, spacing=target, intensities=out)
 
 
 def resample_mask_nearest(mask: MaskVolume, spacing, target_spacing) -> MaskVolume:

@@ -39,7 +39,6 @@ DIRECTIONS_13 = unique_directions()
 class Glcm:
     counts: np.ndarray  # (n_dirs, ng, ng), symmetric per direction
     directions: tuple
-    distance: int
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class Glszm:
 @dataclass(frozen=True)
 class Gldm:
     counts: np.ndarray  # (ng, max_dependence + 1); column k = k dependent neighbors
-    alpha: int
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def compute_glcm(roi: DiscretizedRoi, distance: int = 1) -> Glcm:
         valid = (a > 0) & (b > 0)
         counts[k] = _counts((a[valid] - 1) * ng + b[valid] - 1, (ng, ng))
         counts[k] += counts[k].T  # numpy buffers the overlap
-    return Glcm(counts=counts, directions=DIRECTIONS_13, distance=distance)
+    return Glcm(counts=counts, directions=DIRECTIONS_13)
 
 
 def _lines_along(grid, d):
@@ -152,24 +150,14 @@ def _runs_along(grid, d):
     return levels[run], np.diff(cuts)[run]
 
 
-def _tally(key, size):
-    """The distinct values of key, all in [0, size), and how often each
-    occurs: by a dense bincount when size is at most len(key), else by
-    sorting, so no array outgrows key."""
-    if size > len(key):
-        return np.unique(key, return_counts=True)
-    n = np.bincount(key)
-    key = np.flatnonzero(n)
-    return key, n[key]
-
-
 def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
     """Maximal same-level collinear runs per direction; gaps break runs.
 
     Each direction's runs are tallied as they are found, into its distinct
     (length, level) keys and their counts. The matrix is as wide as the
     longest run of all, so it is refused as soon as the longest run so far
-    makes it too large, and allocated only after the last direction.
+    makes it too large, and allocated only after the last direction. A
+    direction's dense tally is at most 1/13 of the matrix already admitted.
     """
     ng = roi.ng
     tallies, max_len = [], 1
@@ -178,7 +166,9 @@ def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
         longest = int(lengths.max())
         max_len = max(max_len, longest)
         _bounded((len(DIRECTIONS_13), ng, max_len), "GLRLM")
-        tallies.append(_tally((lengths - 1) * ng + levels - 1, longest * ng))
+        n = np.bincount((lengths - 1) * ng + levels - 1)
+        key = np.flatnonzero(n)
+        tallies.append((key, n[key]))
     keys, n = (np.concatenate(side) for side in zip(*tallies))
     length, level = np.divmod(keys, ng)
     direction = np.repeat(np.arange(len(DIRECTIONS_13)), [len(key) for key, _ in tallies])
@@ -234,7 +224,7 @@ def compute_gldm(roi: DiscretizedRoi, alpha: int = 0) -> Gldm:
     deps = dep[grid > 0]
     width = int(deps.max()) + 1
     counts = _counts((roi.levels - 1) * width + deps, (roi.ng, width))
-    return Gldm(counts=counts, alpha=alpha)
+    return Gldm(counts=counts)
 
 
 def _neighbour_sums(a):

@@ -354,7 +354,7 @@ def test_glcm_blocks_of_any_size_give_the_same_bits(monkeypatch):
     counts = rng.integers(0, 4, size=(13, 12, 12))
     counts = counts + counts.transpose(0, 2, 1)
     counts[[2, 3, 7, 11]] = 0
-    m = Glcm(counts=counts, directions=DIRECTIONS_13, distance=1)
+    m = Glcm(counts=counts, directions=DIRECTIONS_13)
     want = ref_glcm_features(m)
     for matrices in (1, 2, 5, 13):
         monkeypatch.setattr(texture, "STACK_BYTES", matrices * 8 * 12 * 12)
@@ -371,7 +371,7 @@ def test_mcc_groups_directions_with_different_present_levels():
             levels = levels[:1]  # one present level: MCC is 1
         sub = rng.integers(0, 5, size=(len(levels), len(levels)))
         counts[k][np.ix_(levels, levels)] = sub + sub.T + 1
-    m = Glcm(counts=counts, directions=DIRECTIONS_13, distance=1)
+    m = Glcm(counts=counts, directions=DIRECTIONS_13)
     present = [tuple(np.flatnonzero(counts[k].sum(axis=1))) for k in range(13)]
     assert 3 <= len(set(present)) < 13  # some shared sets, some not
     p = counts / counts.sum(axis=(1, 2))[:, None, None]
@@ -445,7 +445,7 @@ def test_glcm_features_peak_memory_at_1500_levels_is_no_higher_than_per_directio
         a, b = rng.choice(levels, size=(2, 20000))
         np.add.at(counts[k], (a, b), 1)
         counts[k] += counts[k].T
-    m = Glcm(counts=counts, directions=DIRECTIONS_13[:2], distance=1)
+    m = Glcm(counts=counts, directions=DIRECTIONS_13[:2])
     assert 8 * ng * ng > texture.STACK_BYTES
     assert _glcm_peak(glcm_features, m) <= _glcm_peak(ref_glcm_features, m)
 

@@ -8,6 +8,7 @@ from cacrad import phantom, pipeline
 from cacrad.cli import main
 from cacrad.embeddings import write_embeddings
 from cacrad.features.catalog import FEATURE_NAMES
+from cacrad.learn.grid import MAX_COUNT
 from cacrad.nifti import read_nifti, write_nifti
 from cacrad.table import read_features_csv
 
@@ -330,6 +331,10 @@ def test_absurd_run_counts_exit_2_before_any_work(tmp_path, capsys):
                  "--out", str(tmp_path / "kfold")]) == 2
     assert "kfold" in capsys.readouterr().err
     assert not (tmp_path / "seeds").exists() and not (tmp_path / "kfold").exists()
+    # phantom --n 10^9 used to build a billion path pairs before any bound
+    assert main(["phantom", "--n", str(MAX_COUNT + 1), "--out", str(tmp_path / "cohort")]) == 2
+    assert "subjects" in capsys.readouterr().err
+    assert not (tmp_path / "cohort").exists()
 
 
 def test_repeated_config_entries_exit_2_before_any_work(tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Every public function, class, method and module-level constant in
-src/cacrad is used by the program, the benchmark or the scripts, not only
-by tests.
+"""Every public function, class, method, module-level constant and field
+in src/cacrad is used by the program, the benchmark or the scripts, not
+only by tests.
 
 A function or class counts as used where it appears in code as a name,
 an attribute or a string naming it (as ``getattr`` takes it). A method is
@@ -8,8 +8,11 @@ reached only through an object, so it counts as used only as an attribute
 or a string: a local variable that shares its name is not a use. A
 constant, a name a module assigns at its top level, counts as used only
 where it is read: as a name or an attribute in Load context, or as a
-string. Imports and ``__all__`` only re-export a name, so they do not
-count, and neither do comments or docstrings.
+string. A field, an annotated name in a class body (a dataclass field)
+or an attribute a method assigns on ``self``, counts as used only where it
+is read off an object: as an attribute in Load context, or as a string.
+Imports and ``__all__`` only re-export a name, so they do not count, and
+neither do comments or docstrings.
 """
 
 import ast
@@ -25,6 +28,8 @@ TEST_ONLY = {
                      "fit-loop tests check the training step against",
     "LESION_MARGIN": "the phantom's 130 HU contract: lesion-free ROIs stay below "
                      "TISSUE_HU + LESION_MARGIN and lesions reach it (test_phantom.py)",
+    "directions": "the offset of each GLCM and GLRLM slice, which the count oracles "
+                  "take to rebuild the matrices (criterion 1)",
 }
 
 
@@ -38,7 +43,7 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions() -> dict:
-    """Public name -> [(location, "function", "method" or "constant")]."""
+    """Public name -> [(location, "function", "method", "constant" or "field")]."""
     defs = {}
     for path, tree in _trees("src/cacrad"):
         def add(name, node, kind):
@@ -51,6 +56,12 @@ def _definitions() -> dict:
                 if isinstance(node, _DEFS):
                     add(node.name, node,
                         "method" if isinstance(parent, ast.ClassDef) else "function")
+                elif isinstance(parent, ast.ClassDef) and isinstance(node, ast.AnnAssign) \
+                        and isinstance(node.target, ast.Name):
+                    add(node.target.id, node, "field")
+            if isinstance(parent, ast.Attribute) and isinstance(parent.ctx, ast.Store) \
+                    and isinstance(parent.value, ast.Name) and parent.value.id == "self":
+                add(parent.attr, parent, "field")
         for node in tree.body:
             targets = node.targets if isinstance(node, ast.Assign) else \
                 [node.target] if isinstance(node, ast.AnnAssign) else []
@@ -69,8 +80,9 @@ def _is_export(node) -> bool:
 
 def _uses():
     """(names used as bare names, names used as attributes or strings,
-    names read as names or attributes or used as strings)."""
-    bare, used, read = set(), set(), set()
+    names read as names or attributes or used as strings, names read as
+    attributes or used as strings)."""
+    bare, used, read, fetched = set(), set(), set(), set()
     for _, tree in _trees(*USERS):
         stack = [tree]
         while stack:
@@ -85,19 +97,22 @@ def _uses():
                 used.add(node.attr)
                 if isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
+                    fetched.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                     and node.value.isidentifier():
                 used.add(node.value)
                 read.add(node.value)
+                fetched.add(node.value)
             stack.extend(ast.iter_child_nodes(node))
-    return bare, used, read
+    return bare, used, read, fetched
 
 
-def _unused(defs, bare, used, read) -> dict:
+def _unused(defs, bare, used, read, fetched) -> dict:
     out = {}
     for name, places in defs.items():
         where = [loc for loc, kind in places
                  if (name not in read if kind == "constant"
+                     else name not in fetched if kind == "field"
                      else name not in used and (kind == "method" or name not in bare))]
         if where:
             out[name] = where

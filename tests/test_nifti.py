@@ -36,7 +36,6 @@ def test_float64_round_trip_is_exact(tmp_path, suffix, byteorder):
     assert back.dims == vol.dims
     assert back.spacing == vol.spacing  # float32-quantized on both sides
     assert np.array_equal(back.intensities, vol.intensities)
-    assert np.allclose(back.orientation, vol.orientation)
 
 
 def test_cross_endianness_parse_equality(tmp_path):
@@ -49,8 +48,6 @@ def test_cross_endianness_parse_equality(tmp_path):
     b = read_nifti(be)
     assert a.dims == b.dims and a.spacing == b.spacing
     assert np.array_equal(a.intensities, b.intensities)
-    assert np.array_equal(a.orientation, b.orientation)
-    assert a.origin == b.origin
 
 
 def test_int16_round_trip_rounds_to_integers(tmp_path):
@@ -109,30 +106,20 @@ def test_scl_slope_zero_means_unscaled(tmp_path):
     assert np.array_equal(read_nifti(path).intensities, plain)
 
 
-def test_qform_fallback_when_sform_absent(tmp_path):
+@pytest.mark.parametrize("qform_code", [0, 1])
+def test_qform_only_and_formless_headers_read_like_the_sform_file(tmp_path, qform_code):
     vol = sample_volume(seed=8, dims=(3, 3, 3))
     path = tmp_path / "v.nii"
     write_nifti(vol, path, dtype="float64")
+    sform = read_nifti(path)
     raw = bytearray(path.read_bytes())
-    # clear sform, set qform with identity quaternion and an offset
-    struct.pack_into("<2h", raw, 252, 1, 0)
-    struct.pack_into("<6f", raw, 256, 0.0, 0.0, 0.0, 5.0, -2.0, 7.0)
+    # clear sform; declare a qform with a rotation and an offset, or no form
+    struct.pack_into("<2h", raw, 252, qform_code, 0)
+    struct.pack_into("<6f", raw, 256, 0.5, 0.5, 0.5, 5.0, -2.0, 7.0)
     path.write_bytes(bytes(raw))
     back = read_nifti(path)
-    assert np.allclose(back.orientation, np.eye(3))
-    assert back.origin == pytest.approx((5.0, -2.0, 7.0))
-
-
-def test_no_form_defaults_to_identity(tmp_path):
-    vol = sample_volume(seed=9, dims=(3, 3, 3))
-    path = tmp_path / "v.nii"
-    write_nifti(vol, path, dtype="float64")
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<2h", raw, 252, 0, 0)
-    path.write_bytes(bytes(raw))
-    back = read_nifti(path)
-    assert np.array_equal(back.orientation, np.eye(3))
-    assert back.origin == (0.0, 0.0, 0.0)
+    assert back.dims == sform.dims and back.spacing == sform.spacing
+    assert np.array_equal(back.intensities, sform.intensities)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -359,7 +346,6 @@ def test_read_nifti_fuzz_raises_only_cacrad_errors(fuzz_dir, which, edits,
         with pytest.raises(type(exc)):
             read_mask(path)
         return
-    assert np.all(np.isfinite(vol.orientation)) and np.all(np.isfinite(vol.origin))
     mask = read_mask(path)
     assert mask.dims == vol.dims and np.array_equal(mask.labels, vol.intensities != 0)
 
@@ -371,6 +357,7 @@ def test_nonfinite_orientation_in_use_is_a_data_error(tmp_path, qform_code, sfor
                                                       offset, value):
     path = tmp_path / "v.nii"
     write_nifti(sample_volume(seed=3, dims=(3, 3, 3)), path)
+    intensities = read_nifti(path).intensities
     raw = bytearray(path.read_bytes())
     struct.pack_into("<2h", raw, 252, qform_code, sform_code)
     struct.pack_into("<f", raw, offset, value)
@@ -380,10 +367,4 @@ def test_nonfinite_orientation_in_use_is_a_data_error(tmp_path, qform_code, sfor
     # the same value in the form that is not declared is never read
     struct.pack_into("<2h", raw, 252, 0 if offset < 280 else 1, 0 if offset >= 280 else 1)
     path.write_bytes(bytes(raw))
-    assert np.all(np.isfinite(read_nifti(path).orientation))
-
-
-def test_volume_rejects_nan_orientation():
-    with pytest.raises(ValueError, match="unit vectors"):
-        Volume3D(dims=(1, 1, 1), spacing=(1.0, 1.0, 1.0), intensities=[0.0],
-                 orientation=np.diag([np.nan, 1.0, 1.0]))
+    assert np.array_equal(read_nifti(path).intensities, intensities)

@@ -103,8 +103,7 @@ def _first_volume_edited(cohort, tmp_path, edit, dtype="float32"):
     hu = vol.intensities.copy()
     edit(hu, [tuple(p) for p in np.argwhere(read_nifti(cells[2]).intensities != 0)])
     edited = tmp_path / "edited.nii"
-    write_nifti(Volume3D(dims=vol.dims, spacing=vol.spacing, intensities=hu,
-                         orientation=vol.orientation, origin=vol.origin), edited, dtype)
+    write_nifti(Volume3D(dims=vol.dims, spacing=vol.spacing, intensities=hu), edited, dtype)
     cells[1] = str(edited)
     lines[1] = ",".join(cells)
     m2 = tmp_path / "manifest.csv"
@@ -217,6 +216,27 @@ def test_extract_all_failed_is_fatal(tmp_path):
                  f"s1,{bad},{bad},contrast,0\n")
     with pytest.raises(TooFewRows):
         run_extract(RunConfig(manifest=str(m), out=str(tmp_path / "out")))
+
+
+def test_extract_excludes_a_mask_on_another_grid_also_when_resampling(tmp_path):
+    # at 4 mm both the 10^3 and the 9^3 grid of 1 mm voxels round to 2^3,
+    # so a dims check after resampling would let the mask through
+    rng = np.random.default_rng(22)
+    rows = []
+    for sid, mask_dims in (("same", (10, 10, 10)), ("other", (9, 9, 9))):
+        vol, mask = tmp_path / f"{sid}_vol.nii", tmp_path / f"{sid}_mask.nii"
+        write_nifti(Volume3D(dims=(10, 10, 10), spacing=(1.0, 1.0, 1.0),
+                             intensities=rng.normal(40.0, 60.0, (10, 10, 10))), vol)
+        write_nifti(Volume3D(dims=mask_dims, spacing=(1.0, 1.0, 1.0),
+                             intensities=np.ones(mask_dims)), mask)
+        rows.append(f"{sid},{vol},{mask},contrast,0\n")
+    m = tmp_path / "manifest.csv"
+    m.write_text("subject_id,volume,mask,contrast,cac_score\n" + "".join(rows))
+    report = run_extract(RunConfig(manifest=str(m), out=str(tmp_path / "out"),
+                                   resample_spacing=(4.0, 4.0, 4.0)))
+    assert report["n_extracted"] == 1
+    [exclusion] = report["excluded"]
+    assert exclusion["subject_id"] == "other" and exclusion["error"] == "DimMismatch"
 
 
 @pytest.mark.parametrize("n_bins", [6, None])
