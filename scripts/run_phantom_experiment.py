@@ -31,7 +31,6 @@ def main() -> int:
     args = ap.parse_args()
 
     work = Path(args.workdir)
-    work.mkdir(parents=True, exist_ok=True)
     cohort = work / "cohort"
     manifest = cohort / "manifest.csv"
 

@@ -8,8 +8,9 @@ the flags alone describe the run.
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .config import RunConfig, apply_overrides, load_config
+from .config import _FIELD_PARSERS, RunConfig, apply_overrides, load_config
 from .errors import CacradError, ConfigError, DegenerateCohortError
 from .features.catalog import catalog_text
 from .phantom import generate_cohort
@@ -31,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp, with_mode=True):
         sp.add_argument("--config", help="key = value run configuration file")
         sp.add_argument("--manifest", help="cohort manifest CSV")
-        sp.add_argument("--seed", type=int, help="master seed")
+        sp.add_argument("--seed", help="master seed")
         sp.add_argument("--out", help="output directory")
         if with_mode:
             sp.add_argument("--mode", choices=("radiomics", "embeddings"))
@@ -47,9 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=("mixed", "noncontrast"))
     sp.add_argument("--features-csv", dest="features_csv")
     sp.add_argument("--embeddings-csv", dest="embeddings_csv")
-    sp.add_argument("--n-seeds", dest="n_seeds", type=int)
+    sp.add_argument("--n-seeds", dest="n_seeds")
     sp.add_argument("--label-shuffle", dest="label_shuffle",
-                    action="store_const", const=True, default=None,
+                    action="store_const", const="true", default=None,
                     help="permute training labels (null-hypothesis control)")
     sp.add_argument("--models", help="comma-separated model kinds")
 
@@ -70,16 +71,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The config file's settings, then each flag given, its text parsed
+    as the config line of the same key is."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in ("manifest", "seed", "out", "mode", "train_composition",
-                 "features_csv", "embeddings_csv", "n_seeds", "label_shuffle"):
-        if hasattr(args, name):
-            overrides[name] = getattr(args, name)
-    if getattr(args, "models", None):
-        overrides["models"] = tuple(
-            t.strip() for t in args.models.split(",") if t.strip())
-    return apply_overrides(cfg, **overrides)
+    given = {}
+    for name in ("manifest", "seed", "out", "mode", "train_composition", "features_csv",
+                 "embeddings_csv", "n_seeds", "label_shuffle", "models"):
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        try:
+            given[name] = _FIELD_PARSERS[name](text)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"bad value for --{name.replace('_', '-')}: {text!r}") from exc
+    # a path flag of "none" unsets the path, which apply_overrides would skip
+    cfg = replace(cfg, **{name: None for name, value in given.items() if value is None})
+    return apply_overrides(cfg, **given)
 
 
 def main(argv=None) -> int:

@@ -129,9 +129,8 @@ def generate_cohort(out_dir, n_subjects: int, class_balance: float = 0.5,
                     spacing=DEFAULT_SPACING) -> Path:
     """Write volumes, masks, and manifest.csv; returns the manifest path.
 
-    ``map_ordered`` spreads the subjects over the CPUs. Every path is
-    checked before any subject is made, and the manifest is written last,
-    atomically, so a failed run leaves none.
+    ``map_ordered`` spreads the subjects over the CPUs. The manifest is
+    written last, so a failed run leaves none.
     """
     if not 2 <= n_subjects <= MAX_COUNT:
         raise BadRange(f"need 2 to {MAX_COUNT} subjects, got {n_subjects}")
@@ -143,8 +142,6 @@ def generate_cohort(out_dir, n_subjects: int, class_balance: float = 0.5,
              for i in range(n_subjects)]
     for rel in itertools.chain.from_iterable(files):
         writable_path(out / rel)
-    # an earlier cohort's manifest would list volumes this run replaces
-    manifest_path.unlink(missing_ok=True)
 
     labels, contrast = _class_assignments(n_subjects, class_balance, seed)
 

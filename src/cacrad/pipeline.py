@@ -21,6 +21,7 @@ from .config import RunConfig
 from .errors import (
     CacradError,
     ConfigError,
+    DegenerateCohortError,
     LengthMismatch,
     SchemaMismatch,
     TooFewPairs,
@@ -51,19 +52,16 @@ def run_extract(cfg: RunConfig) -> dict:
     whose data fails (unreadable file, empty mask, shape mismatch: a
     CacradError) is excluded with a reason; any other exception is a fault
     in the program and stops the run. An empty result table is fatal too,
-    and then the report, with every reason, is written and no features.csv
-    is left at the table's path. An earlier run's report is removed before
-    the table is written and the report is written last, so it never sits
-    beside a table it does not describe.
+    and then the report, with every reason, is written and no features.csv.
     """
     if cfg.manifest is None:
         raise ConfigError("extract needs manifest = <path> in the config")
     t0 = time.monotonic()
-    manifest = load_manifest(cfg.manifest)
-    entries = sorted(manifest.entries, key=lambda e: e.subject_id)
     out = Path(cfg.out)
     report_path = writable_path(out / "extract_report.json")
     features_path = writable_path(cfg.features_csv or out / "features.csv")
+    manifest = load_manifest(cfg.manifest)
+    entries = sorted(manifest.entries, key=lambda e: e.subject_id)
 
     def extract_one(entry):
         """(feature values, None), or (None, exclusion record)."""
@@ -86,12 +84,8 @@ def run_extract(cfg: RunConfig) -> dict:
             ids.append(entry.subject_id)
             rows.append(values)
 
-    report_path.unlink(missing_ok=True)
     if ids:
         write_features_csv(features_path, ids, FEATURE_NAMES, np.array(rows))
-    else:
-        # an earlier run's table there would pass for this run's
-        features_path.unlink(missing_ok=True)
 
     report = {
         "command": "extract",
@@ -143,10 +137,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
 
     One run block per seed; metrics.csv gets one row per (model, seed).
     The test split is always drawn from the non-contrast pool, so mixed
-    and non-contrast training compositions score the same subjects. An
-    earlier run's metrics.csv is removed before the report is written and
-    metrics.csv is written last, so it never sits beside a report it does
-    not come from.
+    and non-contrast training compositions score the same subjects.
     """
     if cfg.manifest is None:
         raise ConfigError("train-eval needs manifest = <path> in the config")
@@ -175,6 +166,10 @@ def run_train_eval(cfg: RunConfig) -> dict:
             kept = correlation_filter(train_tbl, cfg.selection_threshold)
         else:
             kept = list(table.feature_names)
+        if not kept:
+            raise DegenerateCohortError(
+                f"seed {run_seed}: no feature column to train on (the table has none, "
+                "or each is constant on the training rows)")
         x_train = train_tbl.select_columns(kept).matrix
         y_train = train_tbl.label_array()
         x_test = test_tbl.select_columns(kept).matrix
@@ -227,7 +222,6 @@ def run_train_eval(cfg: RunConfig) -> dict:
         "runs": runs,
         "timing": {"seconds": round(time.monotonic() - t0, 3)},
     }
-    metrics_path.unlink(missing_ok=True)
     _write_json(report_path, report)
 
     lines = ["model,seed," + ",".join(MetricsReport.CSV_COLUMNS)]

@@ -87,17 +87,21 @@ class FeatureTable:
 
 
 def writable_path(path) -> Path:
-    """path, with its directory made; IoFailure when write_text_atomic
-    could not write there, so a run can refuse it before any work."""
+    """path, cleared for a new file: its directory made and an earlier
+    file there removed. IoFailure when write_text_atomic could not write
+    there. Every command calls it on each of its outputs before it reads
+    an input, so a run refuses a bad path before any work, and a run that
+    fails leaves no earlier run's output beside its own."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
+            raise IoFailure(f"cannot write {path}: it is a directory")
+        if not os.access(path.parent, os.W_OK):
+            raise IoFailure(f"cannot write {path}: its directory is not writable")
+        path.unlink(missing_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
-    if path.is_dir():
-        raise IoFailure(f"cannot write {path}: it is a directory")
-    if not os.access(path.parent, os.W_OK):
-        raise IoFailure(f"cannot write {path}: its directory is not writable")
     return path
 
 

@@ -1,7 +1,9 @@
 import csv
 import json
+import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cacrad import phantom, pipeline
@@ -10,7 +12,7 @@ from cacrad.embeddings import write_embeddings
 from cacrad.features.catalog import FEATURE_NAMES
 from cacrad.learn.grid import MAX_COUNT
 from cacrad.nifti import read_nifti, write_nifti
-from cacrad.table import read_features_csv
+from cacrad.table import read_features_csv, write_features_csv
 
 SMALL_ARGS = None  # phantom subcommand uses default full-size volumes
 
@@ -445,3 +447,140 @@ def test_phantom_bad_balance(tmp_path, capsys):
     assert main(["phantom", "--n", "4", "--balance", "2.0",
                  "--out", str(tmp_path / "x")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+FAST_SVM = ("models = linear_svm\nkfold = 2\ntest_fraction = 0.5\nn_seeds = 2\n"
+            "grid.linear_svm.lam = 0.001\ngrid.linear_svm.epochs = 10\n")
+
+
+def _features(cli_cohort):
+    features = cli_cohort / "run" / "features.csv"
+    if not features.exists():
+        assert main(["extract", "--manifest", str(cli_cohort / "manifest.csv"),
+                     "--out", str(cli_cohort / "run")]) == 0
+    return features
+
+
+@pytest.fixture(scope="module")
+def finished(cli_cohort, tmp_path_factory):
+    """A directory with an earlier successful run of each command in it:
+    features.csv and extract_report.json, the real/ and null/ train-eval
+    arms, and the stats.json between them."""
+    root = tmp_path_factory.mktemp("finished")
+    _features(cli_cohort)
+    shutil.copytree(cli_cohort / "run", root, dirs_exist_ok=True)
+    cfg = root / "fast.cfg"
+    cfg.write_text(FAST_SVM)
+    for arm, flags in (("real", []), ("null", ["--label-shuffle"])):
+        assert main(["train-eval", "--config", str(cfg),
+                     "--manifest", str(cli_cohort / "manifest.csv"),
+                     "--features-csv", str(root / "features.csv"),
+                     "--out", str(root / arm), *flags]) == 0
+    assert main(["stats", str(root / "real" / "run_report.json"),
+                 str(root / "null" / "run_report.json"), "--out", str(root)]) == 0
+    return root
+
+
+def test_a_failed_train_eval_leaves_no_earlier_report_for_stats(cli_cohort, finished,
+                                                               tmp_path, capsys):
+    # the earlier run's report and metrics.csv used to stay, and stats read them
+    out = tmp_path / "real"
+    shutil.copytree(finished / "real", out)
+    with open(cli_cohort / "manifest.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    one_class = tmp_path / "manifest.csv"
+    with open(one_class, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows({**row, "cac_score": "0"} for row in rows)
+    assert main(["train-eval", "--config", str(finished / "fast.cfg"),
+                 "--manifest", str(one_class), "--features-csv",
+                 str(finished / "features.csv"), "--out", str(out)]) == 4
+    assert not (out / "run_report.json").exists()
+    assert not (out / "metrics.csv").exists()
+    capsys.readouterr()
+    assert main(["stats", str(out / "run_report.json"),
+                 str(finished / "null" / "run_report.json")]) == 3
+    assert "report not found" in capsys.readouterr().err
+
+
+def test_a_failed_extract_leaves_no_earlier_table(cli_cohort, finished, tmp_path, capsys):
+    # the earlier run's features.csv used to stay, and train-eval read it
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("features.csv", "extract_report.json"):
+        shutil.copy(finished / name, out / name)
+    # the manifest's relative volume paths name no file beside this copy
+    manifest = tmp_path / "manifest.csv"
+    shutil.copy(cli_cohort / "manifest.csv", manifest)
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 3
+    assert "does not exist" in capsys.readouterr().err
+    assert not (out / "features.csv").exists()
+    assert not (out / "extract_report.json").exists()
+
+
+def test_a_failed_stats_leaves_no_earlier_stats_json(finished, tmp_path, capsys):
+    shutil.copy(finished / "stats.json", tmp_path / "stats.json")
+    malformed = tmp_path / "run_report.json"
+    malformed.write_text("{")
+    assert main(["stats", str(malformed), str(finished / "null" / "run_report.json"),
+                 "--out", str(tmp_path)]) == 3
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "stats.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["random_forest", "gbt", "linear_svm", "mlp"])
+def test_no_feature_column_to_train_on_exits_4(cli_cohort, tmp_path, capsys, kind):
+    # random_forest and gbt used to end in a numpy traceback, linear_svm and
+    # mlp to fit and score bias-only models
+    manifest = str(cli_cohort / "manifest.csv")
+    with open(manifest, newline="") as fh:
+        ids = [row["subject_id"] for row in csv.DictReader(fh)]
+    constant = tmp_path / "constant.csv"
+    write_features_csv(constant, ids, ["c"], np.ones((len(ids), 1)))
+    bare = tmp_path / "bare.csv"
+    bare.write_text("subject_id\n" + "".join(f"{s}\n" for s in ids))
+    for table in (["--features-csv", str(constant)], ["--features-csv", str(bare)],
+                  ["--mode", "embeddings", "--embeddings-csv", str(bare)]):
+        out = tmp_path / "out"
+        assert main(["train-eval", "--manifest", manifest, "--models", kind,
+                     "--out", str(out), *table]) == 4, table
+        assert "degenerate cohort: seed 0: no feature column" in capsys.readouterr().err
+        assert not (out / "run_report.json").exists()
+
+
+def test_flags_parse_as_their_config_lines(cli_cohort, finished, tmp_path, capsys):
+    # --features-csv none and --embeddings-csv none used to read a file
+    # named none, and --models "" to train all four kinds
+    manifest = str(cli_cohort / "manifest.csv")
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(finished / "features.csv", out / "features.csv")
+    runs = []
+    for text, flags in (
+            (FAST_SVM + "features_csv = none\n", []),
+            (FAST_SVM, ["--features-csv", "none"]),
+            # the flag wins over the file, and unsets its path
+            (FAST_SVM + f"features_csv = {tmp_path / 'missing.csv'}\n",
+             ["--features-csv", "none"])):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["train-eval", "--config", str(cfg), "--manifest", manifest,
+                     "--out", str(out), *flags]) == 0, flags
+        runs.append((out / "metrics.csv").read_bytes())
+    assert runs[0] == runs[1] == runs[2]
+    capsys.readouterr()
+
+    for line, flags, said in (
+            ("embeddings_csv = none\n", ["--embeddings-csv", "none"],
+             "mode = embeddings needs embeddings_csv"),
+            ("models =\n", ["--models", ""], "models must name some of")):
+        cfg = tmp_path / "line.cfg"
+        cfg.write_text(line)
+        for argv in (["--config", str(cfg)], flags):
+            assert main(["train-eval", "--manifest", manifest, "--mode", "embeddings",
+                         "--out", str(tmp_path / "refused"), *argv]) == 2, argv
+            assert said in capsys.readouterr().err
+    assert main(["train-eval", "--manifest", manifest, "--seed", "x",
+                 "--out", str(tmp_path / "refused")]) == 2
+    assert "config error: bad value for --seed: 'x'" in capsys.readouterr().err
