@@ -1,4 +1,4 @@
-"""Peak traced memory and time of each texture matrix on a synthetic ball ROI.
+"""Peak traced memory and time of each texture matrix and feature kernel on a synthetic ball ROI.
 
     python3 scripts/roi_memory.py --n 100 --parent HEAD
 
@@ -8,10 +8,11 @@ the generator tests/test_texmat.py bounds memory on. Its gray levels are
 either white noise, 32 levels drawn independently per voxel (short runs,
 one-voxel zones, every GLCM cell filled), or smooth, 8 bands of a slowly
 varying field (long runs, large zones, nearly every neighbour pair of
-equal level). For each
-texture and each of the five texmat.compute_* functions the script
-prints the tracemalloc peak of one call, in MiB, and the best wall time
-of --repeat untraced calls. It measures the working tree's src/ and, with
+equal level). For each texture, each of the five texmat.compute_*
+functions and the feature kernels first_order (on the levels as
+values), shape_features and glcm_features (on the ROI's GLCM), the
+script prints the tracemalloc peak of one call, in MiB, and the best
+wall time of --repeat untraced calls. It measures the working tree's src/ and, with
 --parent, also the src/ of that git revision, exported with git archive
 to a temporary directory; each side runs in its own interpreter.
 """
@@ -31,31 +32,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("glcm", "glrlm", "glszm", "gldm", "ngtdm")
+KERNELS = FAMILIES + ("first_order", "shape_features", "glcm_features")
 TEXTURES = ("white", "smooth")
 
 
 def measure(n: int, repeat: int) -> dict:
-    """{texture: {family: (peak MiB, best seconds)}} for the cacrad on sys.path."""
+    """{texture: {kernel: (peak MiB, best seconds)}} for the cacrad on sys.path."""
     from cacrad import texmat
+    from cacrad.features import first_order, glcm_features, shape_features
     sys.path.insert(0, str(ROOT / "tests"))
-    from conftest import ball_grid, disc_from_grid
+    from conftest import ball_grid, disc_from_grid, roi_from_values
 
     out = {"n": n}
     for texture in TEXTURES:
-        roi = disc_from_grid(ball_grid(n, texture))
+        grid = ball_grid(n, texture)
+        roi = disc_from_grid(grid)
+        masked = roi_from_values(grid, grid > 0)
+        calls = {family: (getattr(texmat, f"compute_{family}"), roi) for family in FAMILIES}
+        calls["first_order"] = (first_order, masked, roi)
+        calls["shape_features"] = (shape_features, masked.mask, masked.spacing, masked.corner)
+        calls["glcm_features"] = (glcm_features, texmat.compute_glcm(roi))
         row = {"voxels": len(roi), "box_cells": roi.grid.size, "ng": roi.ng}
-        for family in FAMILIES:
-            compute = getattr(texmat, f"compute_{family}")
+        for kernel, (compute, *args) in calls.items():
             tracemalloc.start()
-            compute(roi)
+            compute(*args)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             best = math.inf
             for _ in range(repeat):
                 t0 = time.perf_counter()
-                compute(roi)
+                compute(*args)
                 best = min(best, time.perf_counter() - t0)
-            row[family] = (peak / 2 ** 20, best)
+            row[kernel] = (peak / 2 ** 20, best)
         out[texture] = row
     return out
 
@@ -94,11 +102,11 @@ def main(argv=None) -> int:
         first = next(iter(sides.values()))[texture]
         print(f"{args.n}^3 grid, {texture} levels: {first['voxels']} voxels, "
               f"{first['box_cells']} box cells, ng {first['ng']}")
-        for family in FAMILIES:
-            cells = [f"{name}: {side[texture][family][0]:7.1f} MiB "
-                     f"{1e3 * side[texture][family][1]:8.1f} ms"
+        for kernel in KERNELS:
+            cells = [f"{name}: {side[texture][kernel][0]:7.1f} MiB "
+                     f"{1e3 * side[texture][kernel][1]:8.1f} ms"
                      for name, side in sides.items()]
-            print(f"  {family:6s} " + " | ".join(cells))
+            print(f"  {kernel:14s} " + " | ".join(cells))
     return 0
 
 

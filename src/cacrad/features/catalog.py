@@ -37,10 +37,10 @@ SHAPE = (
     ("Maximum2DDiameterXZ", "largest in-plane center distance within any fixed-y slice (mm)"),
     ("Maximum2DDiameterYZ", "largest in-plane center distance within any fixed-x slice (mm)"),
     ("Maximum3DDiameter", "largest pairwise distance between surface-voxel centers (mm)"),
-    ("MeshVolume", "triangulated 0.5-isosurface volume |sum a.(b x c)|/6 (mm^3)"),
+    ("MeshVolume", "marching-cubes 0.5-isosurface volume |sum a.(b x c)|/6, summed per cube case (mm^3)"),
     ("MinorAxisLength", "4*sqrt(lambda2)"),
     ("Sphericity", "(36*pi*V^2)^(1/3)/A with mesh volume V and surface area A"),
-    ("SurfaceArea", "sum of mesh triangle areas (mm^2)"),
+    ("SurfaceArea", "sum of mesh triangle areas, count x area per cube case (mm^2)"),
     ("SurfaceVolumeRatio", "SurfaceArea / MeshVolume"),
     ("VoxelVolume", "voxel count times voxel volume (mm^3)"),
 )
@@ -65,7 +65,7 @@ GLCM = (
     ("JointAverage", "mu = sum_ij i*p(i,j)"),
     ("JointEnergy", "sum_ij p(i,j)^2"),
     ("JointEntropy", "-sum_ij p log2 p"),
-    ("MCC", "sqrt of second-largest eigenvalue of Q(i,j) = sum_k p(i,k)p(j,k)/(px(i)py(k)); 1 when under two levels present"),
+    ("MCC", "sqrt of second-largest eigenvalue of Q(i,j) = sum_k p(i,k)p(j,k)/(px(i)py(k)), the second-largest squared eigenvalue of p(i,j)/sqrt(px(i)px(j)); 1 when under two levels present"),
     ("MaximumProbability", "max_ij p(i,j)"),
     ("SumAverage", "sum_k k*p_sum(k)"),
     ("SumEntropy", "-sum_k p_sum log2 p_sum"),

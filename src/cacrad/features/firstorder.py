@@ -15,11 +15,12 @@ def first_order(roi: MaskedRoi, disc: DiscretizedRoi) -> dict:
     n = x.size
     mean = float(x.mean())
     dev = x - mean
-    m2 = float(np.mean(dev ** 2))
+    dev2 = dev * dev  # higher powers as products, not through libm pow
+    m2 = float(np.mean(dev2))
     # skewness/kurtosis are 0/0 on constant input; substitute 0
     if m2 > 0.0:
-        skew = float(np.mean(dev ** 3)) / m2 ** 1.5
-        kurt = float(np.mean(dev ** 4)) / m2 ** 2
+        skew = float(np.mean(dev2 * dev)) / m2 ** 1.5
+        kurt = float(np.mean(dev2 * dev2)) / m2 ** 2
     else:
         skew = 0.0
         kurt = 0.0

@@ -1,9 +1,10 @@
-"""Mask-only morphology: triangulated surface, diameters, covariance axes.
+"""Mask-only morphology: surface mesh, diameters, covariance axes.
 
 The surface is the 0.5-isosurface of the binary mask padded by one voxel
 of zeros, polygonised with the classic 256-case tables. With binary corner
 values every cut edge is crossed exactly halfway, so vertices are edge
-midpoints and no interpolation is needed.
+midpoints and no interpolation is needed. Its volume and area are summed
+per cube case, so no triangle list is built.
 """
 
 import numpy as np
@@ -13,41 +14,38 @@ from .mc_tables import CORNER_OFFSETS, EDGE_PAIRS, TRI_EDGES
 
 _EDGE_MIDPOINTS = (CORNER_OFFSETS[EDGE_PAIRS[:, 0]] + CORNER_OFFSETS[EDGE_PAIRS[:, 1]]) / 2.0
 
+# Each cube case's triangles (256, 5, 3 vertices, xyz) in voxel units from
+# the cube's low corner, all-zero past the case's last; per case, with
+# vertices u, v, w, the summed v x w + w x u + u x v and u . (v x w), and
+# each triangle's (v - u) x (w - u): every entry a multiple of 1/8.
+_TRIANGLES = np.where((TRI_EDGES[:, :15] >= 0)[:, :, None],
+                      _EDGE_MIDPOINTS[TRI_EDGES[:, :15]], 0.0).reshape(256, 5, 3, 3)
+_U, _V, _W = np.moveaxis(_TRIANGLES, 2, 0)
+_CASE_NORMAL = (np.cross(_V, _W) + np.cross(_W, _U) + np.cross(_U, _V)).sum(axis=1)
+_CASE_CONST = (_U * np.cross(_V, _W)).sum(axis=(1, 2))
+_TRIANGLE_CROSS = np.cross(_V - _U, _W - _U)
 
-def triangulate_mask(labels: np.ndarray, spacing, offset=(0, 0, 0)) -> np.ndarray:
-    """Triangle soup (n_tri, 3 vertices, xyz mm) of the padded 0.5-isosurface.
 
-    offset is the grid index of labels[0, 0, 0]; it is added to each cube's
-    integer index, so a cropped mask gives the whole mask's soup, bit for bit.
-    """
+def _mesh_volume_area(labels: np.ndarray, sp: np.ndarray):
+    """Volume and area of the padded 0.5-isosurface from each cube case's
+    count and summed integer cube index p: a triangle's volume term
+    (p+u) . ((p+v) x (p+w)) is p . (v x w + w x u + u x v) + u . (v x w).
+    In voxel units every term is a multiple of 1/8, so the volume is exact
+    and a bounding box gives the whole mask's bits; spacing S scales
+    volumes by det S and a cross product c to det S * S^-1 c."""
     outside = np.pad(labels, 1) < 0.5
     cx, cy, cz = (d - 1 for d in outside.shape)
     case = np.zeros((cx, cy, cz), dtype=np.uint8)
     for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
         case |= outside[ox:ox + cx, oy:oy + cy, oz:oz + cz].astype(np.uint8) << bit
-    active = np.argwhere((case > 0) & (case < 255))
-    rows = TRI_EDGES[case[active[:, 0], active[:, 1], active[:, 2]]]
-    active += np.asarray(offset, dtype=active.dtype)
-    tris = []
-    for t in range(0, 15, 3):
-        has = rows[:, t] >= 0
-        if not has.any():
-            break
-        base = active[has][:, None, :].astype(np.float64)
-        corners = base + _EDGE_MIDPOINTS[rows[has][:, t:t + 3]]
-        tris.append(corners)
-    if not tris:
-        return np.zeros((0, 3, 3))
-    soup = np.concatenate(tris, axis=0)
-    soup -= 1.0  # undo zero padding offset
-    return soup * np.asarray(spacing, dtype=np.float64)
-
-
-def mesh_volume_area(tri: np.ndarray):
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    signed = np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0
-    area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum()
-    return abs(float(signed)), float(area)
+    active = np.nonzero((case > 0) & (case < 255))
+    cases = case[active]
+    count = np.bincount(cases, minlength=256)
+    psum = np.stack([np.bincount(cases, idx, 256) for idx in active], axis=1)
+    signed = float((psum * _CASE_NORMAL).sum() + count @ _CASE_CONST)
+    det = float(sp.prod())
+    areas = np.sqrt(((_TRIANGLE_CROSS * (det / sp)) ** 2).sum(axis=2)).sum(axis=1)
+    return abs(signed) * det / 6.0, 0.5 * float(count @ areas)
 
 
 def surface_voxels(labels: np.ndarray) -> np.ndarray:
@@ -153,8 +151,7 @@ def shape_features(labels: np.ndarray, spacing, corner=(0, 0, 0)) -> dict:
     sp = np.asarray(spacing, dtype=np.float64)
     nvox = int(labels.sum())
 
-    tri = triangulate_mask(labels, sp, corner)
-    vol, area = mesh_volume_area(tri)
+    vol, area = _mesh_volume_area(labels, sp)
 
     surf = surface_voxels(labels) + corner
     inner = _line_interiors(surf)

@@ -65,7 +65,8 @@ def _direction_means(blocks) -> dict:
 
 def _mcc(p: np.ndarray, px: np.ndarray) -> np.ndarray:
     """Maximal correlation coefficient of each normalized GLCM of the stack,
-    over its present gray levels; one eigvals call per present-level set."""
+    over its present gray levels; one eigvalsh call per present-level set.
+    Q = D^-1 P D^-1 P is similar to M^2, M = D^-1/2 P D^-1/2 symmetric."""
     present = px > 0
     mcc = np.ones(len(p))
     groups = {}
@@ -73,11 +74,9 @@ def _mcc(p: np.ndarray, px: np.ndarray) -> np.ndarray:
         groups.setdefault(present[k].tobytes(), []).append(k)
     for ks in groups.values():
         keep = np.flatnonzero(present[ks[0]])
-        sub = p[np.ix_(ks, keep, keep)]
-        pxs = sub.sum(axis=2)
-        q = (sub / pxs[:, :, None]) @ (sub / pxs[:, None, :]).transpose(0, 2, 1)
-        eig = np.sort(np.linalg.eigvals(q).real, axis=1)
-        mcc[ks] = np.sqrt(_at_least_zero(eig[:, -2]))
+        r = 1.0 / np.sqrt(px[np.ix_(ks, keep)])
+        lam = np.linalg.eigvalsh(p[np.ix_(ks, keep, keep)] * r[:, :, None] * r[:, None, :])
+        mcc[ks] = np.sqrt(np.sort(lam ** 2, axis=1)[:, -2])
     return mcc
 
 

@@ -45,6 +45,23 @@ def _write_json(path: Path, doc: dict) -> None:
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _clear_outputs(outputs, inputs) -> list:
+    """writable_path of each (flag, path) output, in order; first a
+    ConfigError naming both flags when two outputs, or an output and an
+    input, resolve to the same file, since clearing it would delete the
+    input or one output would overwrite the other."""
+    named = {}
+    for k, (flag, path) in enumerate([*outputs, *inputs]):
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if key in named:
+            raise ConfigError(f"{named[key]} and {flag} name the same file: {key}")
+        if k < len(outputs):
+            named[key] = flag
+    return [writable_path(path) for _, path in outputs]
+
+
 def run_extract(cfg: RunConfig) -> dict:
     """Extract features for every manifest subject; skip-and-log failures.
 
@@ -58,8 +75,10 @@ def run_extract(cfg: RunConfig) -> dict:
         raise ConfigError("extract needs manifest = <path> in the config")
     t0 = time.monotonic()
     out = Path(cfg.out)
-    report_path = writable_path(out / "extract_report.json")
-    features_path = writable_path(cfg.features_csv or out / "features.csv")
+    report_path, features_path = _clear_outputs(
+        [("--out", out / "extract_report.json"),
+         ("--features-csv", cfg.features_csv or out / "features.csv")],
+        [("--manifest", cfg.manifest)])
     manifest = load_manifest(cfg.manifest)
     entries = sorted(manifest.entries, key=lambda e: e.subject_id)
 
@@ -143,8 +162,11 @@ def run_train_eval(cfg: RunConfig) -> dict:
         raise ConfigError("train-eval needs manifest = <path> in the config")
     t0 = time.monotonic()
     out = Path(cfg.out)
-    report_path = writable_path(out / "run_report.json")
-    metrics_path = writable_path(out / "metrics.csv")
+    table_input = (("--embeddings-csv", cfg.embeddings_csv) if cfg.mode == "embeddings"
+                   else ("--features-csv", cfg.features_csv))
+    report_path, metrics_path = _clear_outputs(
+        [("--out", out / "run_report.json"), ("--out", out / "metrics.csv")],
+        [("--manifest", cfg.manifest), table_input])
     manifest = load_manifest(cfg.manifest, check_paths=False)
     table, provenance, coverage = _load_table(cfg, manifest)
 
@@ -291,7 +313,9 @@ def run_stats(report_path_a, report_path_b, out_dir=None) -> dict:
     order, an embeddings report in manifest order. Tests accuracy and F1
     per common model.
     """
-    stats_path = None if out_dir is None else writable_path(Path(out_dir) / "stats.json")
+    stats_path = None if out_dir is None else _clear_outputs(
+        [("--out", Path(out_dir) / "stats.json")],
+        [("report_a", report_path_a), ("report_b", report_path_b)])[0]
     doc_a = _load_report(report_path_a)
     doc_b = _load_report(report_path_b)
     if doc_a["seeds"] != doc_b["seeds"]:

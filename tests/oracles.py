@@ -10,6 +10,8 @@ from itertools import product
 
 import numpy as np
 
+from cacrad.features.mc_tables import CORNER_OFFSETS, EDGE_PAIRS, TRI_EDGES
+
 NEIGHBORS_26 = [d for d in product((-1, 0, 1), repeat=3) if d != (0, 0, 0)]
 
 
@@ -450,6 +452,48 @@ def ngtdm_oracle(n, s, valid_count):
                 if s_total > 0 else 0.0)
     return {"Busyness": busyness, "Coarseness": coarseness,
             "Complexity": complexity, "Contrast": contrast, "Strength": strength}
+
+
+_EDGE_MIDPOINTS = (CORNER_OFFSETS[EDGE_PAIRS[:, 0]] + CORNER_OFFSETS[EDGE_PAIRS[:, 1]]) / 2.0
+
+
+def triangulate_mask(labels: np.ndarray, spacing, offset=(0, 0, 0)) -> np.ndarray:
+    """Triangle soup (n_tri, 3 vertices, xyz mm) of the padded 0.5-isosurface,
+    one row per triangle of every surface cube: the mesh that shape features
+    sum per cube case without building.
+
+    offset is the grid index of labels[0, 0, 0]; it is added to each cube's
+    integer index, so a cropped mask gives the whole mask's soup, bit for bit.
+    """
+    outside = np.pad(labels, 1) < 0.5
+    cx, cy, cz = (d - 1 for d in outside.shape)
+    case = np.zeros((cx, cy, cz), dtype=np.uint8)
+    for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
+        case |= outside[ox:ox + cx, oy:oy + cy, oz:oz + cz].astype(np.uint8) << bit
+    active = np.argwhere((case > 0) & (case < 255))
+    rows = TRI_EDGES[case[active[:, 0], active[:, 1], active[:, 2]]]
+    active += np.asarray(offset, dtype=active.dtype)
+    tris = []
+    for t in range(0, 15, 3):
+        has = rows[:, t] >= 0
+        if not has.any():
+            break
+        base = active[has][:, None, :].astype(np.float64)
+        corners = base + _EDGE_MIDPOINTS[rows[has][:, t:t + 3]]
+        tris.append(corners)
+    if not tris:
+        return np.zeros((0, 3, 3))
+    soup = np.concatenate(tris, axis=0)
+    soup -= 1.0  # undo zero padding offset
+    return soup * np.asarray(spacing, dtype=np.float64)
+
+
+def mesh_volume_area(tri: np.ndarray):
+    """Signed-tetrahedron volume and area of a triangle soup."""
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    signed = np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0
+    area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum()
+    return abs(float(signed)), float(area)
 
 
 def shape_oracle(labels, spacing, triangles):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import triangulate_mask
 from conftest import (
     disc_from_grid,
     random_level_grid,
@@ -25,7 +26,6 @@ from cacrad.cli import main as cli_main
 from cacrad.eval import ConfusionCounts, metrics, paired_t_test
 from cacrad.features import ExtractionConfig, extract_all
 from cacrad.features.catalog import FEATURE_NAMES
-from cacrad.features.shape import triangulate_mask
 from cacrad.learn.mlp import Mlp, loss_and_grad
 from cacrad.manifest import load_manifest
 from cacrad.nifti import MaskVolume, Volume3D, read_nifti, write_nifti

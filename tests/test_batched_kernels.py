@@ -96,11 +96,9 @@ def ref_glcm_one(p, ng):
     if present.sum() < 2:
         mcc = 1.0
     else:
-        sub = p[np.ix_(present, present)]
-        pxs = sub.sum(axis=1)
-        q = (sub / pxs[:, None]) @ (sub / pxs[None, :]).T
-        eig = np.sort(np.linalg.eigvals(q).real)
-        mcc = float(np.sqrt(max(0.0, eig[-2])))
+        r = 1.0 / np.sqrt(px[present])
+        lam = np.linalg.eigvalsh(p[np.ix_(present, present)] * r[:, None] * r[None, :])
+        mcc = float(np.sqrt(np.sort(lam ** 2)[-2]))
 
     return {
         "Autocorrelation": autoc,

@@ -584,3 +584,34 @@ def test_flags_parse_as_their_config_lines(cli_cohort, finished, tmp_path, capsy
     assert main(["train-eval", "--manifest", manifest, "--seed", "x",
                  "--out", str(tmp_path / "refused")]) == 2
     assert "config error: bad value for --seed: 'x'" in capsys.readouterr().err
+
+
+def test_a_path_that_is_an_input_and_an_output_exits_2_before_any_removal(
+        cli_cohort, finished, tmp_path, capsys, monkeypatch):
+    # the manifest used to be deleted (exit 3), the report to overwrite the
+    # table (exit 0), and the train-eval input to be deleted (exit 3)
+    monkeypatch.setattr(pipeline, "map_ordered", no_work)
+    monkeypatch.setattr(pipeline, "_load_report", no_work)
+    c, o = tmp_path / "c", tmp_path / "o"
+    c.mkdir()
+    shutil.copytree(finished, o)
+    shutil.copy(cli_cohort / "manifest.csv", c / "manifest.csv")
+    manifest = str(c / "manifest.csv")
+    for argv, kept, flags in (
+            (["extract", "--manifest", manifest, "--features-csv", manifest,
+              "--out", str(o)], c / "manifest.csv", "--features-csv and --manifest"),
+            (["extract", "--manifest", manifest, "--features-csv",
+              str(o / "extract_report.json"), "--out", str(o)],
+             o / "extract_report.json", "--out and --features-csv"),
+            (["train-eval", "--manifest", manifest, "--features-csv",
+              str(o / "real" / "run_report.json"), "--out", str(o / "real")],
+             o / "real" / "run_report.json", "--out and --features-csv"),
+            (["train-eval", "--manifest", str(o / "real" / "metrics.csv"),
+              "--out", str(o / "real")], o / "real" / "metrics.csv", "--out and --manifest"),
+            (["stats", str(o / "stats.json"), str(o / "null" / "run_report.json"),
+              "--out", str(o)], o / "stats.json", "--out and report_a")):
+        before = {p: p.read_bytes() for p in (c / "manifest.csv", *o.rglob("*.*"))}
+        assert kept in before
+        assert main(argv) == 2, argv
+        assert f"config error: {flags} name the same file: {kept}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in (c / "manifest.csv", *o.rglob("*.*"))} == before

@@ -7,7 +7,7 @@ from cacrad.errors import TooManyGrayLevels
 from cacrad.features import ExtractionConfig, FeatureVector, extract_all
 from cacrad.features.catalog import FAMILIES, FAMILY_COUNTS, FEATURE_NAMES, catalog_text
 from cacrad.features.firstorder import first_order
-from cacrad.features.shape import shape_features, triangulate_mask
+from cacrad.features.shape import shape_features
 from cacrad.features.texture import (
     glcm_features,
     gldm_features,
@@ -26,6 +26,7 @@ from cacrad.texmat import (
 )
 
 import oracles
+from oracles import triangulate_mask
 from conftest import disc_from_grid, random_level_grid, roi_from_values
 
 

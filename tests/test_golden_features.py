@@ -105,13 +105,13 @@ CASES = {
 }
 
 GOLDEN = {
-    "anisotropic_blob": "81fa59dfc82785dc511fabf20f9a370bd6c2f6dcead7937e6ab4ba693913c994",  # 573 voxels, ng 119
+    "anisotropic_blob": "54e39ee23f8d949fe74050ae3397ca7496f0921a798a53c8182dfc9c93cd2e90",  # 573 voxels, ng 119
     "diagonal_line": "4aa33efd91bebab9bc180bdbc21f49f472d274ce9845c346ff9f1c11e18ca5e3",  # 11 voxels, ng 10
-    "flat_plate": "5740703b9fad45ca93c3862acb9b9f8c56b1bb01cf1110f2d1b1e18fb9205beb",  # 69 voxels, ng 16
+    "flat_plate": "e7bc3d5952e1be7b4db674783e87aa88e36f0ea50f246a03fc88d80e865b20c4",  # 69 voxels, ng 16
     "one_voxel": "2e38f93614da9bb6d6145679fac81a9f7a9fffd167816a172b31783c53486152",  # 1 voxel, ng 1
-    "phantom_roi": "0c3b2c6f442591680aa9270ebe9fc484082dda0b27d9d11282fb703bd1eea057",  # 754 voxels, ng 28
-    "smoothed_noise_tube": "1ec5bb829a899781d8a859b7808b36c5719d9e383ee821927017c75847bd66f8",  # 974 voxels, ng 36
-    "white_noise_blob": "645ca9780f0d5faf7e90fb856338385018dfd40fb9ef65989b10f9b868d741ce",  # 1166 voxels, ng 41
+    "phantom_roi": "df2ee4e1ab473cdc4fd38ec3f0f00fdce9d623f57749e287cea0ffecb169a72e",  # 754 voxels, ng 28
+    "smoothed_noise_tube": "6edbe377ce212b4f6ec3bf8dc3c690e55339e4de318b37de2537bd9b2c9b22cd",  # 974 voxels, ng 36
+    "white_noise_blob": "f5bb497ae76697097a87901a78a9ac90c2e5a95f2c38758230104c152d11524e",  # 1166 voxels, ng 41
 }
 
 

@@ -6,12 +6,11 @@ import pytest
 from cacrad.features.shape import (
     _line_interiors,
     _max_pairwise,
-    mesh_volume_area,
     shape_features,
     surface_voxels,
-    triangulate_mask,
 )
 from cacrad.preprocess import bounding_box
+from oracles import mesh_volume_area, triangulate_mask
 
 
 def test_single_voxel_octahedron():
