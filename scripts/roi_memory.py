@@ -11,8 +11,9 @@ varying field (long runs, large zones, nearly every neighbour pair of
 equal level). For each texture, each of the five texmat.compute_*
 functions and the feature kernels first_order (on the levels as
 values), shape_features and glcm_features (on the ROI's GLCM), the
-script prints the tracemalloc peak of one call, in MiB, and the best
-wall time of --repeat untraced calls. It measures the working tree's src/ and, with
+script prints the tracemalloc peak of one call, in MiB and in bytes per
+cell of the ROI's box (the unit tests/test_texmat.py bounds it in), and
+the best wall time of --repeat untraced calls. It measures the working tree's src/ and, with
 --parent, also the src/ of that git revision, exported with git archive
 to a temporary directory; each side runs in its own interpreter.
 """
@@ -103,9 +104,11 @@ def main(argv=None) -> int:
         print(f"{args.n}^3 grid, {texture} levels: {first['voxels']} voxels, "
               f"{first['box_cells']} box cells, ng {first['ng']}")
         for kernel in KERNELS:
-            cells = [f"{name}: {side[texture][kernel][0]:7.1f} MiB "
-                     f"{1e3 * side[texture][kernel][1]:8.1f} ms"
-                     for name, side in sides.items()]
+            cells = []
+            for name, side in sides.items():
+                mib, seconds = side[texture][kernel]
+                per_cell = mib * 2 ** 20 / side[texture]["box_cells"]
+                cells.append(f"{name}: {mib:7.1f} MiB {per_cell:6.1f} B/cell {1e3 * seconds:8.1f} ms")
             print(f"  {kernel:14s} " + " | ".join(cells))
     return 0
 

@@ -41,6 +41,7 @@ class RunConfig(ExtractionConfig):
     filter_embeddings: bool = False
     grid_overrides: tuple = ()  # ((model, ((param, values), ...)), ...)
     raw_text: str = field(default="", compare=False)
+    config_path: Optional[str] = field(default=None, compare=False)  # the file load_config read
 
     def validate(self) -> "RunConfig":
         if self.mode not in MODES:
@@ -186,7 +187,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text())
+    return replace(parse_config_text(path.read_text()), config_path=str(path))
 
 
 def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:

@@ -90,11 +90,6 @@ def load_manifest(path, check_paths: bool = True) -> CohortManifest:
 
         vol_path = os.path.join(base, row["volume"]) if not os.path.isabs(row["volume"]) else row["volume"]
         mask_path = os.path.join(base, row["mask"]) if not os.path.isabs(row["mask"]) else row["mask"]
-        if check_paths:
-            for p in (vol_path, mask_path):
-                if not os.path.isfile(p):
-                    raise MissingFile(f"{path}:{lineno}: {p} does not exist")
-
         entries.append(
             ManifestEntry(
                 subject_id=sid,
@@ -105,4 +100,16 @@ def load_manifest(path, check_paths: bool = True) -> CohortManifest:
                 cac_score=score,
             )
         )
-    return CohortManifest(entries=tuple(entries))
+    manifest = CohortManifest(entries=tuple(entries))
+    if check_paths:
+        require_files(path, manifest)
+    return manifest
+
+
+def require_files(path, manifest: CohortManifest) -> None:
+    """MissingFile for the first volume or mask of the manifest loaded from
+    path that is not a file."""
+    for lineno, e in enumerate(manifest.entries, start=2):
+        for p in (e.volume_path, e.mask_path):
+            if not os.path.isfile(p):
+                raise MissingFile(f"{path}:{lineno}: {p} does not exist")

@@ -32,7 +32,7 @@ from .features import extract_all
 from .features.catalog import FEATURE_NAMES
 from .learn.model import MODEL_KINDS, train_with_grid
 from .learn.split import stratified_split
-from .manifest import ContrastGroup, load_manifest
+from .manifest import ContrastGroup, load_manifest, require_files
 from .nifti import read_mask, read_nifti
 from .parallel import map_ordered
 from .rng import derive_seed, stream
@@ -75,12 +75,19 @@ def run_extract(cfg: RunConfig) -> dict:
         raise ConfigError("extract needs manifest = <path> in the config")
     t0 = time.monotonic()
     out = Path(cfg.out)
-    report_path, features_path = _clear_outputs(
-        [("--out", out / "extract_report.json"),
-         ("--features-csv", cfg.features_csv or out / "features.csv")],
-        [("--manifest", cfg.manifest)])
-    manifest = load_manifest(cfg.manifest)
+    outputs = [("--out", out / "extract_report.json"),
+               ("--features-csv", cfg.features_csv or out / "features.csv")]
+    inputs = [("--manifest", cfg.manifest), ("--config", cfg.config_path)]
+    try:
+        manifest = load_manifest(cfg.manifest, check_paths=False)
+    except CacradError:  # clear, so no earlier table outlives a failed run
+        _clear_outputs(outputs, inputs)
+        raise
     entries = sorted(manifest.entries, key=lambda e: e.subject_id)
+    listed = [(f"{kind} of {e.subject_id} in --manifest", path) for e in entries
+              for kind, path in (("the volume", e.volume_path), ("the mask", e.mask_path))]
+    report_path, features_path = _clear_outputs(outputs, inputs + listed)
+    require_files(cfg.manifest, manifest)
 
     def extract_one(entry):
         """(feature values, None), or (None, exclusion record)."""
@@ -166,7 +173,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
                    else ("--features-csv", cfg.features_csv))
     report_path, metrics_path = _clear_outputs(
         [("--out", out / "run_report.json"), ("--out", out / "metrics.csv")],
-        [("--manifest", cfg.manifest), table_input])
+        [("--manifest", cfg.manifest), table_input, ("--config", cfg.config_path)])
     manifest = load_manifest(cfg.manifest, check_paths=False)
     table, provenance, coverage = _load_table(cfg, manifest)
 

@@ -89,8 +89,8 @@ class FeatureTable:
 def writable_path(path) -> Path:
     """path, cleared for a new file: its directory made and an earlier
     file there removed. IoFailure when write_text_atomic could not write
-    there. Every command calls it on each of its outputs before it reads
-    an input, so a run refuses a bad path before any work, and a run that
+    there. Every command calls it on each of its outputs before an input
+    can fail it, so a run refuses a bad path before any work, and a run that
     fails leaves no earlier run's output beside its own."""
     path = Path(path)
     try:

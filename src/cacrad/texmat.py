@@ -1,15 +1,16 @@
 """Gray-level texture matrices as whole-array passes over the ROI's box grid.
 
 All five families share one neighborhood definition: the 26-neighborhood,
-collapsed to 13 unique directions (sign folded). ``forward_pairs`` yields
-each direction's grid overlap once for GLCM, GLSZM and GLDM; GLRLM reads
-the grid's lines along each direction laid end to end, and NGTDM sums
-each voxel's 26 neighbours as one 3x3x3 box sum. Counts go through
-``np.bincount`` over a flat index into the matrix. GLCM and GLRLM count
-one direction's pairs or runs at a time, so they hold one direction's
-lists, never all 13. Matrices hold raw integer counts; normalization is
-the feature layer's job so these stay exactly comparable against
-brute-force oracles.
+collapsed to 13 unique directions (sign folded). ``flat_steps`` flattens
+the grid inside a zero border, where each direction is one flat step:
+GLCM, GLSZM and GLDM compare the flat grid with itself shifted by that
+step, and GLRLM reads the lines along it as the columns of the flat grid
+cut into rows of that step. NGTDM sums each voxel's 26 neighbours as one
+3x3x3 box sum. Counts go through ``np.bincount`` over a flat index into
+the matrix. GLCM and GLRLM count one direction's pairs or runs at a
+time, so they hold one direction's lists, never all 13. Matrices hold
+raw integer counts; normalization is the feature layer's job so these
+stay exactly comparable against brute-force oracles.
 """
 
 import math
@@ -27,24 +28,18 @@ from .preprocess import DiscretizedRoi
 MAX_MATRIX_BYTES = 1 << 28
 
 
-def unique_directions():
-    """The 13 offsets of the 26-neighborhood with first nonzero component positive."""
-    return tuple(d for d in product((-1, 0, 1), repeat=3) if d > (0, 0, 0))
-
-
-DIRECTIONS_13 = unique_directions()
+# The 13 offsets of the 26-neighborhood with first nonzero component positive.
+DIRECTIONS_13 = tuple(d for d in product((-1, 0, 1), repeat=3) if d > (0, 0, 0))
 
 
 @dataclass(frozen=True)
 class Glcm:
-    counts: np.ndarray  # (n_dirs, ng, ng), symmetric per direction
-    directions: tuple
+    counts: np.ndarray  # (13, ng, ng), symmetric per direction, in DIRECTIONS_13 order
 
 
 @dataclass(frozen=True)
 class Glrlm:
-    counts: np.ndarray  # (n_dirs, ng, max_run_length)
-    directions: tuple
+    counts: np.ndarray  # (13, ng, max_run_length), in DIRECTIONS_13 order
 
 
 @dataclass(frozen=True)
@@ -70,21 +65,19 @@ class Ngtdm:
         return self.n / self.valid_count
 
 
-def forward_pairs(shape, distance: int = 1):
-    """Yield (src, dst) for each direction d_k of DIRECTIONS_13, in order.
+def flat_steps(grid, distance: int = 1):
+    """The grid inside a zero border distance cells wide, flattened in C
+    order, and for each direction d of DIRECTIONS_13, in order, its flat
+    step: the positive offset of distance * d in the flattened grid.
 
-    src and dst are slice tuples into a grid of the given shape such that
-    ``grid[dst]`` holds the neighbours at offset ``distance * d_k`` of
-    ``grid[src]``; both are empty when the offset does not fit. Every
-    unordered neighbour pair appears exactly once.
+    Where ``flat[i]`` is a grid cell, ``flat[i + step]`` is its neighbour
+    at distance * d, a border 0 where that neighbour is off the grid; every
+    other ``flat[i]`` is a border 0. So ``flat[:-step]`` and ``flat[step:]``
+    pair each two grid cells at that offset exactly once.
     """
-    for d in DIRECTIONS_13:
-        src, dst = [], []
-        for n, c in zip(shape, d):
-            fwd, back = max(c * distance, 0), max(-c * distance, 0)
-            src.append(slice(back, max(n - fwd, 0)))
-            dst.append(slice(fwd, max(n - back, 0)))
-        yield tuple(src), tuple(dst)
+    padded = np.pad(grid, distance)
+    strides = np.array(padded.strides) // padded.itemsize
+    return padded.ravel(), [distance * int(strides @ d) for d in DIRECTIONS_13]
 
 
 def _bounded(shape, name):
@@ -107,40 +100,23 @@ def _counts(index, shape):
 def compute_glcm(roi: DiscretizedRoi, distance: int = 1) -> Glcm:
     """Symmetric co-occurrence counts at the given offset distance, per direction."""
     ng = roi.ng
-    grid = roi.grid
     counts = np.empty(_bounded((len(DIRECTIONS_13), ng, ng), "GLCM"), dtype=np.int64)
-    for k, (src, dst) in enumerate(forward_pairs(grid.shape, distance)):
-        a, b = grid[src], grid[dst]
+    flat, steps = flat_steps(roi.grid, distance)
+    for k, step in enumerate(steps):
+        a, b = flat[:-step], flat[step:]
         valid = (a > 0) & (b > 0)
         counts[k] = _counts((a[valid] - 1) * ng + b[valid] - 1, (ng, ng))
         counts[k] += counts[k].T  # numpy buffers the overlap
-    return Glcm(counts=counts, directions=DIRECTIONS_13)
+    return Glcm(counts=counts)
 
 
-def _lines_along(grid, d):
-    """The grid's lines along d laid end to end, each followed by a 0: a
-    shear puts line (u, v) in row (u, v), indexed by the position t on the
-    shortest of d's nonzero axes. Runs along -d are the runs along d, so d
-    is negated where needed for t to step +1 on that axis; the layout then
-    holds at most about 4 (na + 1) / na times the grid's cells, where a
-    first-axis layout grows with the cube of that axis."""
-    a = min((j for j in range(3) if d[j]), key=lambda j: grid.shape[j])
-    if d[a] < 0:
-        d = tuple(-x for x in d)
-    (nb, db), (nc, dc) = [(grid.shape[j], d[j]) for j in range(3) if j != a]
-    na = grid.shape[a]
-    rows = np.zeros((nb + (na - 1) * abs(db), nc + (na - 1) * abs(dc), na + 1), grid.dtype)
-    b0, c0 = (na - 1) * (db == 1), (na - 1) * (dc == 1)
-    for t, plane in enumerate(np.moveaxis(grid, a, 0)):
-        rows[b0 - db * t:b0 - db * t + nb, c0 - dc * t:c0 - dc * t + nc, t] = plane
-    return rows.ravel()
-
-
-def _runs_along(grid, d):
-    """Level and length of each maximal same-level run along d. With the
-    lines along d laid end to end, each separated by a 0, the runs are the
-    stretches of equal nonzero level between two changes."""
-    v = _lines_along(grid, d)
+def _runs_along(flat, step):
+    """Level and length of each maximal same-level run along the direction
+    of a flat step of flat_steps. Cut into rows of step cells, the flat
+    grid's columns are its lines along that direction; laid end to end,
+    they are kept apart by the zero border, and the runs are the stretches
+    of equal nonzero level between two changes."""
+    v = np.pad(flat, (0, -len(flat) % step)).reshape(-1, step).T.ravel()
     change = np.ones(len(v) + 1, dtype=bool)
     np.not_equal(v[1:], v[:-1], out=change[1:-1])
     cuts = np.flatnonzero(change)  # v is constant on each [cuts[k], cuts[k + 1])
@@ -161,8 +137,9 @@ def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
     """
     ng = roi.ng
     tallies, max_len = [], 1
-    for d in DIRECTIONS_13:
-        levels, lengths = _runs_along(roi.grid, d)
+    flat, steps = flat_steps(roi.grid)
+    for step in steps:
+        levels, lengths = _runs_along(flat, step)
         longest = int(lengths.max())
         max_len = max(max_len, longest)
         _bounded((len(DIRECTIONS_13), ng, max_len), "GLRLM")
@@ -174,7 +151,7 @@ def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
     direction = np.repeat(np.arange(len(DIRECTIONS_13)), [len(key) for key, _ in tallies])
     counts = np.zeros((len(DIRECTIONS_13), ng, max_len), dtype=np.int64)
     counts[direction, level, length] = n
-    return Glrlm(counts=counts, directions=DIRECTIONS_13)
+    return Glrlm(counts=counts)
 
 
 def compute_glszm(roi: DiscretizedRoi) -> Glszm:
@@ -187,14 +164,14 @@ def compute_glszm(roi: DiscretizedRoi) -> Glszm:
     still has a pair to another merges each round, so the number of
     rounds is logarithmic in the ROI size.
     """
-    grid = roi.grid
-    inside = grid > 0
-    ids = np.cumsum(inside).reshape(grid.shape) - 1  # 0..n-1 on ROI voxels
+    flat, steps = flat_steps(roi.grid)
+    inside = flat > 0
+    ids = np.cumsum(inside) - 1  # 0..n-1 on ROI voxels, in C order
     u, v = [], []
-    for src, dst in forward_pairs(grid.shape):
-        same = (grid[src] == grid[dst]) & inside[src]
-        u.append(ids[src][same])
-        v.append(ids[dst][same])
+    for step in steps:
+        same = (flat[:-step] == flat[step:]) & inside[:-step]
+        u.append(ids[:-step][same])
+        v.append(ids[step:][same])
     u, v = np.concatenate(u), np.concatenate(v)
     parent = np.arange(len(roi))
     while len(u):
@@ -214,14 +191,14 @@ def compute_glszm(roi: DiscretizedRoi) -> Glszm:
 
 def compute_gldm(roi: DiscretizedRoi, alpha: int = 0) -> Gldm:
     """Dependence counts over in-ROI 26-neighbors with |level diff| <= alpha."""
-    grid = roi.grid
-    dep = np.zeros(grid.shape, dtype=np.int64)
-    for src, dst in forward_pairs(grid.shape):
-        a, b = grid[src], grid[dst]
+    flat, steps = flat_steps(roi.grid)
+    dep = np.zeros(len(flat), dtype=np.int64)
+    for step in steps:
+        a, b = flat[:-step], flat[step:]
         ok = (a > 0) & (b > 0) & (np.abs(a - b) <= alpha)
-        dep[dst] += ok
-        dep[src] += ok
-    deps = dep[grid > 0]
+        dep[step:] += ok
+        dep[:-step] += ok
+    deps = dep[flat > 0]  # C order, as roi.levels
     width = int(deps.max()) + 1
     counts = _counts((roi.levels - 1) * width + deps, (roi.ng, width))
     return Gldm(counts=counts)

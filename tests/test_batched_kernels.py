@@ -51,7 +51,7 @@ from cacrad.texmat import (
     compute_glrlm,
     compute_glszm,
     compute_ngtdm,
-    forward_pairs,
+    flat_steps,
 )
 
 from conftest import disc_from_grid, renumber
@@ -236,17 +236,17 @@ def ref_max_per_slice(levels, points):
 
 
 def ref_ngtdm(roi):
-    grid = roi.grid
-    nb_sum = np.zeros(grid.shape, dtype=np.int64)
-    nb_cnt = np.zeros(grid.shape, dtype=np.int64)
-    for src, dst in forward_pairs(grid.shape):
-        a, b = grid[src], grid[dst]
-        nb_sum[dst] += a
-        nb_cnt[dst] += a > 0
-        nb_sum[src] += b
-        nb_cnt[src] += b > 0
-    cnt = nb_cnt[grid > 0]
-    tot = nb_sum[grid > 0]
+    flat, steps = flat_steps(roi.grid)
+    nb_sum = np.zeros(len(flat), dtype=np.int64)
+    nb_cnt = np.zeros(len(flat), dtype=np.int64)
+    for step in steps:
+        a, b = flat[:-step], flat[step:]
+        nb_sum[step:] += a
+        nb_cnt[step:] += a > 0
+        nb_sum[:-step] += b
+        nb_cnt[:-step] += b > 0
+    cnt = nb_cnt[flat > 0]
+    tot = nb_sum[flat > 0]
     has_nb = cnt > 0
     levels = roi.levels[has_nb]
     diffs = np.abs(levels - tot[has_nb] / cnt[has_nb])
@@ -352,7 +352,7 @@ def test_glcm_blocks_of_any_size_give_the_same_bits(monkeypatch):
     counts = rng.integers(0, 4, size=(13, 12, 12))
     counts = counts + counts.transpose(0, 2, 1)
     counts[[2, 3, 7, 11]] = 0
-    m = Glcm(counts=counts, directions=DIRECTIONS_13)
+    m = Glcm(counts=counts)
     want = ref_glcm_features(m)
     for matrices in (1, 2, 5, 13):
         monkeypatch.setattr(texture, "STACK_BYTES", matrices * 8 * 12 * 12)
@@ -369,7 +369,7 @@ def test_mcc_groups_directions_with_different_present_levels():
             levels = levels[:1]  # one present level: MCC is 1
         sub = rng.integers(0, 5, size=(len(levels), len(levels)))
         counts[k][np.ix_(levels, levels)] = sub + sub.T + 1
-    m = Glcm(counts=counts, directions=DIRECTIONS_13)
+    m = Glcm(counts=counts)
     present = [tuple(np.flatnonzero(counts[k].sum(axis=1))) for k in range(13)]
     assert 3 <= len(set(present)) < 13  # some shared sets, some not
     p = counts / counts.sum(axis=(1, 2))[:, None, None]
@@ -393,7 +393,7 @@ def test_glrlm_zero_count_directions_are_skipped():
     rng = np.random.default_rng(811)
     counts = rng.integers(0, 3, size=(13, 5, 7))
     counts[[0, 4, 12]] = 0
-    m = Glrlm(counts=counts, directions=DIRECTIONS_13)
+    m = Glrlm(counts=counts)
     assert_same(glrlm_features(m), ref_glrlm_features(m), "zero directions")
 
 
@@ -443,7 +443,7 @@ def test_glcm_features_peak_memory_at_1500_levels_is_no_higher_than_per_directio
         a, b = rng.choice(levels, size=(2, 20000))
         np.add.at(counts[k], (a, b), 1)
         counts[k] += counts[k].T
-    m = Glcm(counts=counts, directions=DIRECTIONS_13[:2])
+    m = Glcm(counts=counts)
     assert 8 * ng * ng > texture.STACK_BYTES
     assert _glcm_peak(glcm_features, m) <= _glcm_peak(ref_glcm_features, m)
 

@@ -615,3 +615,65 @@ def test_a_path_that_is_an_input_and_an_output_exits_2_before_any_removal(
         assert main(argv) == 2, argv
         assert f"config error: {flags} name the same file: {kept}" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in (c / "manifest.csv", *o.rglob("*.*"))} == before
+
+
+def assert_refused_before_any_removal(root, capsys, cases):
+    """Each (argv, kept, flags) exits 2 naming both flags and kept, and
+    every file under root stays as it was."""
+    for argv, kept, flags in cases:
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        assert kept in before
+        assert main(argv) == 2, argv
+        assert f"config error: {flags} name the same file: {kept}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+
+
+def test_an_output_that_is_a_listed_volume_or_mask_exits_2(
+        cli_cohort, tmp_path, capsys, monkeypatch):
+    # the volume and the mask used to be deleted (exit 3)
+    monkeypatch.setattr(pipeline, "map_ordered", no_work)
+    shutil.copy(cli_cohort / "manifest.csv", tmp_path / "manifest.csv")
+    for folder in ("volumes", "masks"):
+        shutil.copytree(cli_cohort / folder, tmp_path / folder)
+    manifest = str(tmp_path / "manifest.csv")
+    vol = tmp_path / "volumes" / "phantom_000_vol.nii.gz"
+    mask = tmp_path / "masks" / "phantom_003_mask.nii.gz"
+    assert_refused_before_any_removal(tmp_path, capsys, (
+        (["extract", "--manifest", manifest, "--features-csv", str(vol),
+          "--out", str(tmp_path / "o")],
+         vol, "--features-csv and the volume of phantom_000 in --manifest"),
+        (["extract", "--manifest", manifest, "--out", str(mask.parent),
+          "--features-csv", str(mask)],
+         mask, "--features-csv and the mask of phantom_003 in --manifest")))
+
+
+def test_an_output_that_is_the_config_file_exits_2(cli_cohort, tmp_path, capsys, monkeypatch):
+    # the config file used to be deleted (exit 3)
+    monkeypatch.setattr(pipeline, "map_ordered", no_work)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n")
+    (tmp_path / "t").mkdir()
+    shutil.copy(cfg, tmp_path / "t" / "metrics.csv")
+    assert_refused_before_any_removal(tmp_path, capsys, (
+        (["extract", "--config", str(cfg), "--manifest", str(tmp_path / "missing.csv"),
+          "--features-csv", str(cfg), "--out", str(tmp_path / "o2")],
+         cfg, "--features-csv and --config"),
+        (["train-eval", "--config", str(tmp_path / "t" / "metrics.csv"),
+          "--manifest", str(cli_cohort / "manifest.csv"), "--out", str(tmp_path / "t")],
+         tmp_path / "t" / "metrics.csv", "--out and --config")))
+
+
+def test_an_extract_whose_manifest_cannot_be_read_leaves_no_earlier_table(
+        finished, tmp_path, capsys):
+    out = tmp_path / "run"
+    unparsable = tmp_path / "manifest.csv"
+    unparsable.write_text("subject,volume\n")
+    for manifest, said in ((unparsable, "expected header"),
+                           (tmp_path / "missing.csv", "No such file")):
+        out.mkdir(exist_ok=True)
+        for name in ("features.csv", "extract_report.json"):
+            shutil.copy(finished / name, out / name)
+        assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 3
+        assert said in capsys.readouterr().err
+        assert not (out / "features.csv").exists()
+        assert not (out / "extract_report.json").exists()

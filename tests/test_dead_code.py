@@ -28,8 +28,6 @@ TEST_ONLY = {
                      "fit-loop tests check the training step against",
     "LESION_MARGIN": "the phantom's 130 HU contract: lesion-free ROIs stay below "
                      "TISSUE_HU + LESION_MARGIN and lesions reach it (test_phantom.py)",
-    "directions": "the offset of each GLCM and GLRLM slice, which the count oracles "
-                  "take to rebuild the matrices (criterion 1)",
 }
 
 

@@ -12,8 +12,7 @@ from cacrad.texmat import (
     compute_glrlm,
     compute_glszm,
     compute_ngtdm,
-    forward_pairs,
-    unique_directions,
+    flat_steps,
 )
 
 import oracles
@@ -29,7 +28,7 @@ def test_direction_set_matches_independent_enumeration():
 
 
 def test_directions_first_nonzero_positive():
-    for d in unique_directions():
+    for d in DIRECTIONS_13:
         first = next(c for c in d if c != 0)
         assert first > 0
 
@@ -45,15 +44,15 @@ def test_glcm_checkerboard_hand_counts():
     m = compute_glcm(disc)
     total = m.counts.sum()
     assert total == 12  # 4 axis pairs + 2 diagonal pairs, doubled by symmetry
-    for k, d in enumerate(m.directions):
+    for k, d in enumerate(DIRECTIONS_13):
         mat = m.counts[k]
         assert np.array_equal(mat, mat.T)
     # axis-aligned in-plane directions see only (1,2) pairs
-    kx = list(m.directions).index((1, 0, 0))
+    kx = DIRECTIONS_13.index((1, 0, 0))
     assert m.counts[kx, 0, 0] == 0 and m.counts[kx, 1, 1] == 0
     assert m.counts[kx, 0, 1] == 2 and m.counts[kx, 1, 0] == 2
     # in-plane diagonal sees the equal-level pair
-    kd = list(m.directions).index((1, 1, 0))
+    kd = DIRECTIONS_13.index((1, 1, 0))
     assert m.counts[kd, 0, 0] + m.counts[kd, 1, 1] == 2
 
 
@@ -61,13 +60,13 @@ def test_glrlm_checkerboard_hand_counts():
     grid, disc = checkerboard_disc()
     m = compute_glrlm(disc)
     # no two equal neighbors along any axis direction: all runs have length 1
-    for k, d in enumerate(m.directions):
+    for k, d in enumerate(DIRECTIONS_13):
         mat = m.counts[k]
         if d in ((1, 1, 0), (1, -1, 0)):
             continue  # diagonals pair equal levels into runs of 2
         assert mat[:, 0].sum() == 4
         assert mat[:, 1:].sum() == 0
-    kd = list(m.directions).index((1, 1, 0))
+    kd = DIRECTIONS_13.index((1, 1, 0))
     assert m.counts[kd][:, 1].sum() >= 1
 
 
@@ -105,11 +104,11 @@ def test_matrices_match_exhaustive_oracle(trial):
 
     m = compute_glcm(disc)
     assert oracles.same_counts(
-        m.counts, oracles.glcm_counts(grid, ng, list(m.directions)))
+        m.counts, oracles.glcm_counts(grid, ng, list(DIRECTIONS_13)))
 
     r = compute_glrlm(disc)
     assert oracles.same_counts(
-        r.counts, oracles.glrlm_counts(grid, ng, list(r.directions)))
+        r.counts, oracles.glrlm_counts(grid, ng, list(DIRECTIONS_13)))
 
     z = compute_glszm(disc)
     assert oracles.same_counts(z.counts, oracles.glszm_counts(grid, ng))
@@ -158,7 +157,38 @@ def test_glcm_distance_two(rng):
     disc = disc_from_grid(grid)
     m = compute_glcm(disc, distance=2)
     assert oracles.same_counts(
-        m.counts, oracles.glcm_counts(grid, disc.ng, list(m.directions), distance=2))
+        m.counts, oracles.glcm_counts(grid, disc.ng, list(DIRECTIONS_13), distance=2))
+
+
+def box_filling_grid(rng, shape, ng=4):
+    """Random levels with a few holes on a grid the ROI's box fills: a
+    voxel in two opposite corners touches all six faces, so a neighbour
+    offset that wraps past a row end, rather than meeting the zero border,
+    pairs two ROI voxels that are not neighbours."""
+    grid = rng.integers(1, ng + 1, size=shape) * (rng.random(shape) < 0.85)
+    grid[0, 0, 0] = grid[-1, -1, -1] = 1
+    return renumber(grid)
+
+
+@pytest.mark.parametrize("shape", [(5, 6, 7), (7, 3, 4), (4, 9, 5)])
+@pytest.mark.parametrize("distance", [2, 3])
+def test_glcm_at_longer_distances_on_box_filling_rois_matches_oracle(shape, distance):
+    grid = box_filling_grid(np.random.default_rng(sum(shape) + distance), shape)
+    disc = disc_from_grid(grid)
+    assert disc.grid.shape == shape
+    m = compute_glcm(disc, distance=distance)
+    assert np.array_equal(
+        m.counts, oracles.glcm_counts(grid, disc.ng, list(DIRECTIONS_13), distance=distance))
+
+
+@pytest.mark.parametrize("shape", [(5, 6, 7), (7, 3, 4), (4, 9, 5)])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_gldm_with_tolerance_on_box_filling_rois_matches_oracle(shape, alpha):
+    grid = box_filling_grid(np.random.default_rng(sum(shape) + 10 * alpha), shape, ng=6)
+    disc = disc_from_grid(grid)
+    assert disc.grid.shape == shape
+    d = compute_gldm(disc, alpha=alpha)
+    assert np.array_equal(d.counts, oracles.gldm_counts(grid, disc.ng, alpha=alpha))
 
 
 # --- vectorized kernels against the voxel-by-voxel oracles ----------------
@@ -223,7 +253,7 @@ def assert_zones_and_runs_match_oracle(grid):
     assert np.array_equal(z.counts, oracles.glszm_counts(grid, disc.ng))
     r = compute_glrlm(disc)
     assert np.array_equal(r.counts,
-                          oracles.glrlm_counts(grid, disc.ng, list(r.directions)))
+                          oracles.glrlm_counts(grid, disc.ng, list(DIRECTIONS_13)))
     return z, r
 
 
@@ -280,12 +310,16 @@ def test_large_random_rois_match_oracle(trial):
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 2), (4, 3, 2), (2, 5, 1)])
 @pytest.mark.parametrize("distance", [1, 2, 3])
-def test_forward_pairs_cover_each_neighbour_pair_once(shape, distance):
-    ids = np.arange(np.prod(shape)).reshape(shape)
+def test_flat_steps_cover_each_neighbour_pair_once(shape, distance):
+    ids = np.arange(1, np.prod(shape) + 1).reshape(shape)  # 0 marks only the border
+    flat, steps = flat_steps(ids, distance)
+    assert np.array_equal(flat[flat > 0], ids.ravel())  # the grid's cells, in C order
+    assert len(steps) == len(DIRECTIONS_13) and min(steps) > 0
     got = []
-    for k, (src, dst) in enumerate(forward_pairs(shape, distance)):
-        assert ids[src].shape == ids[dst].shape
-        got += [(k, int(a), int(b)) for a, b in zip(ids[src].ravel(), ids[dst].ravel())]
+    for k, step in enumerate(steps):
+        a, b = flat[:-step], flat[step:]
+        both = (a > 0) & (b > 0)
+        got += [(k, int(x), int(y)) for x, y in zip(a[both], b[both])]
     want = []
     for k, d in enumerate(DIRECTIONS_13):
         for p in np.ndindex(*shape):
@@ -343,8 +377,9 @@ def _glrlm_peak(grid):
 
 
 def test_glrlm_layout_does_not_grow_with_a_long_first_axis():
-    # lines run along each direction's shortest nonzero axis: a (100, 3, 3)
-    # box costs about what the same box laid out as (3, 3, 100) costs
+    # each direction's lines are one copy of the flat grid, whichever axis
+    # is long: a (100, 3, 3) box costs about what the same box laid out as
+    # (3, 3, 100) costs
     rng = np.random.default_rng(5)
     grid = renumber(rng.integers(0, 3, size=(100, 3, 3)))
     r, peak = _glrlm_peak(grid)
