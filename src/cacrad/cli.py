@@ -2,7 +2,7 @@
 
 Subcommands: extract, train-eval, phantom, stats, catalog. Exit codes:
 0 success, 2 configuration problem, 3 data problem, 4 degenerate cohort.
-Flags override config-file values; a missing config file is fine when
+Flags override config-file values; no config file is needed when
 the flags alone describe the run.
 """
 
@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import _FIELD_PARSERS, RunConfig, apply_overrides, load_config
+from .config import _FIELD_PARSERS, COMPOSITIONS, MODES, RunConfig, load_config
 from .errors import CacradError, ConfigError, DegenerateCohortError
 from .features.catalog import catalog_text
 from .phantom import generate_cohort
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", help="master seed")
         sp.add_argument("--out", help="output directory")
         if with_mode:
-            sp.add_argument("--mode", choices=("radiomics", "embeddings"))
+            sp.add_argument("--mode", choices=MODES)
 
     sp = sub.add_parser("extract", help="compute the feature table for a cohort")
     add_common(sp, with_mode=False)
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train-eval", help="split, select, tune, fit, and score")
     add_common(sp)
     sp.add_argument("--train-composition", dest="train_composition",
-                    choices=("mixed", "noncontrast"))
+                    choices=COMPOSITIONS)
     sp.add_argument("--features-csv", dest="features_csv")
     sp.add_argument("--embeddings-csv", dest="embeddings_csv")
     sp.add_argument("--n-seeds", dest="n_seeds")
@@ -75,18 +75,14 @@ def _config_from_args(args) -> RunConfig:
     as the config line of the same key is."""
     cfg = load_config(args.config) if args.config else RunConfig()
     given = {}
-    for name in ("manifest", "seed", "out", "mode", "train_composition", "features_csv",
-                 "embeddings_csv", "n_seeds", "label_shuffle", "models"):
-        text = getattr(args, name, None)
-        if text is None:
+    for name, text in vars(args).items():
+        if name not in _FIELD_PARSERS or text is None:
             continue
         try:
-            given[name] = _FIELD_PARSERS[name](text)
+            given[name] = _FIELD_PARSERS[name](text.strip())
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad value for --{name.replace('_', '-')}: {text!r}") from exc
-    # a path flag of "none" unsets the path, which apply_overrides would skip
-    cfg = replace(cfg, **{name: None for name, value in given.items() if value is None})
-    return apply_overrides(cfg, **given)
+    return replace(cfg, **given)
 
 
 def main(argv=None) -> int:

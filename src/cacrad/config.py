@@ -1,8 +1,10 @@
 """Flat key=value run configuration.
 
 The format is deliberately primitive: one ``key = value`` per line, ``#``
-comments, no sections. The raw text is echoed verbatim into run reports
-so a report always carries the exact configuration that produced it.
+comments, no sections. A report's ``config_text`` is the config file's
+text, verbatim, or "" when there is none: flags and defaults are not in
+it, so only a run that sets everything in its file can be read back from
+its report (ROADMAP item 4). A flag's text is parsed as its key's line.
 Grid overrides use dotted keys: ``grid.random_forest.n_trees = 100,300``.
 """
 
@@ -43,7 +45,9 @@ class RunConfig(ExtractionConfig):
     raw_text: str = field(default="", compare=False)
     config_path: Optional[str] = field(default=None, compare=False)  # the file load_config read
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
+        """Every way of making a RunConfig (a config file, flags, replace or
+        a direct call) checks the whole of it here, once."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.train_composition not in COMPOSITIONS:
@@ -79,7 +83,6 @@ class RunConfig(ExtractionConfig):
             if model not in MODEL_KINDS:
                 raise ConfigError(f"grid override for unknown model {model!r}")
             _check_grid(model, params)
-        return self
 
     def grid_for(self, kind: str) -> HyperGrid:
         for model, params in self.grid_overrides:
@@ -180,7 +183,7 @@ def parse_config_text(text: str) -> RunConfig:
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     overrides = tuple((model, tuple(params)) for model, params in sorted(grid.items()))
-    return RunConfig(raw_text=text, grid_overrides=overrides, **values).validate()
+    return RunConfig(raw_text=text, grid_overrides=overrides, **values)
 
 
 def load_config(path) -> RunConfig:
@@ -189,10 +192,3 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     return replace(parse_config_text(path.read_text()), config_path=str(path))
 
-
-def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """CLI flags win over file values; None means not given."""
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    if not changes:
-        return cfg
-    return replace(cfg, **changes).validate()

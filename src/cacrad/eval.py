@@ -7,7 +7,7 @@ continued fraction so the whole panel stays dependency-free.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ class ConfusionCounts:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    plain_accuracy: float
+    accuracy: float
     balanced_accuracy: Optional[float]
     sensitivity: Optional[float]
     specificity: Optional[float]
@@ -43,19 +43,11 @@ class MetricsReport:
     f1: Optional[float]
     npv: Optional[float]
 
-    CSV_COLUMNS = ("accuracy", "balanced_accuracy", "sensitivity",
-                   "specificity", "ppv", "f1", "npv")
-
     def as_row(self) -> dict:
-        return {
-            "accuracy": self.plain_accuracy,
-            "balanced_accuracy": self.balanced_accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "ppv": self.ppv,
-            "f1": self.f1,
-            "npv": self.npv,
-        }
+        return asdict(self)
+
+
+METRIC_COLUMNS = tuple(f.name for f in fields(MetricsReport))
 
 
 def metric_cell(value) -> str:
@@ -83,7 +75,7 @@ def metrics(c: ConfusionCounts) -> MetricsReport:
     else:
         f1 = None
     return MetricsReport(
-        plain_accuracy=(c.tp + c.tn) / c.total,
+        accuracy=(c.tp + c.tn) / c.total,
         balanced_accuracy=balanced,
         sensitivity=sens,
         specificity=spec,

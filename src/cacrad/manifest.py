@@ -48,8 +48,9 @@ class CohortManifest:
 _COLUMNS = ["subject_id", "volume", "mask", "contrast", "cac_score"]
 
 
-def load_manifest(path, check_paths: bool = True) -> CohortManifest:
-    """Load and validate a cohort manifest CSV."""
+def load_manifest(path) -> CohortManifest:
+    """Load and validate a cohort manifest CSV; an error names its path and
+    the row's line. require_files checks that the volumes and masks exist."""
     base = os.path.dirname(os.path.abspath(path))
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -58,13 +59,13 @@ def load_manifest(path, check_paths: bool = True) -> CohortManifest:
                 raise DataError(
                     f"{path}: expected header {','.join(_COLUMNS)}, got {reader.fieldnames}"
                 )
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise MissingFile(f"{path}: {exc}") from exc
 
     entries = []
     seen = set()
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         sid = (row["subject_id"] or "").strip()
         if not sid:
             raise DataError(f"{path}:{lineno}: empty subject_id")
@@ -100,16 +101,13 @@ def load_manifest(path, check_paths: bool = True) -> CohortManifest:
                 cac_score=score,
             )
         )
-    manifest = CohortManifest(entries=tuple(entries))
-    if check_paths:
-        require_files(path, manifest)
-    return manifest
+    return CohortManifest(entries=tuple(entries))
 
 
-def require_files(path, manifest: CohortManifest) -> None:
-    """MissingFile for the first volume or mask of the manifest loaded from
-    path that is not a file."""
-    for lineno, e in enumerate(manifest.entries, start=2):
+def require_files(manifest: CohortManifest) -> None:
+    """MissingFile, naming the subject, for the first volume or mask of the
+    manifest that is not a file."""
+    for e in manifest.entries:
         for p in (e.volume_path, e.mask_path):
             if not os.path.isfile(p):
-                raise MissingFile(f"{path}:{lineno}: {p} does not exist")
+                raise MissingFile(f"subject {e.subject_id!r}: {p} does not exist")

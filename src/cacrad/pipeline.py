@@ -2,7 +2,9 @@
 
 Each entry point takes a RunConfig, writes its artifacts under the
 configured output directory, and returns the report dictionary it wrote.
-Reports embed the raw config text so every artifact is self-describing.
+Reports embed the config file's text as ``config_text``; settings given
+as flags or left at their defaults are not in it, so a report names its
+whole run only when its file set every setting (ROADMAP item 4).
 Wall-clock timing lives in a single top-level "timing" key; everything
 else in a report is a pure function of (inputs, config, seed).
 Subjects and seeds are independent items that ``map_ordered`` spreads
@@ -27,7 +29,7 @@ from .errors import (
     TooFewPairs,
     TooFewRows,
 )
-from .eval import MetricsReport, confusion_from_predictions, metric_cell, metrics, paired_t_test
+from .eval import METRIC_COLUMNS, confusion_from_predictions, metric_cell, metrics, paired_t_test
 from .features import extract_all
 from .features.catalog import FEATURE_NAMES
 from .learn.model import MODEL_KINDS, train_with_grid
@@ -79,7 +81,7 @@ def run_extract(cfg: RunConfig) -> dict:
                ("--features-csv", cfg.features_csv or out / "features.csv")]
     inputs = [("--manifest", cfg.manifest), ("--config", cfg.config_path)]
     try:
-        manifest = load_manifest(cfg.manifest, check_paths=False)
+        manifest = load_manifest(cfg.manifest)
     except CacradError:  # clear, so no earlier table outlives a failed run
         _clear_outputs(outputs, inputs)
         raise
@@ -87,7 +89,7 @@ def run_extract(cfg: RunConfig) -> dict:
     listed = [(f"{kind} of {e.subject_id} in --manifest", path) for e in entries
               for kind, path in (("the volume", e.volume_path), ("the mask", e.mask_path))]
     report_path, features_path = _clear_outputs(outputs, inputs + listed)
-    require_files(cfg.manifest, manifest)
+    require_files(manifest)
 
     def extract_one(entry):
         """(feature values, None), or (None, exclusion record)."""
@@ -174,7 +176,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
     report_path, metrics_path = _clear_outputs(
         [("--out", out / "run_report.json"), ("--out", out / "metrics.csv")],
         [("--manifest", cfg.manifest), table_input, ("--config", cfg.config_path)])
-    manifest = load_manifest(cfg.manifest, check_paths=False)
+    manifest = load_manifest(cfg.manifest)
     table, provenance, coverage = _load_table(cfg, manifest)
 
     if cfg.train_composition == "noncontrast":
@@ -253,12 +255,12 @@ def run_train_eval(cfg: RunConfig) -> dict:
     }
     _write_json(report_path, report)
 
-    lines = ["model,seed," + ",".join(MetricsReport.CSV_COLUMNS)]
+    lines = ["model,seed," + ",".join(METRIC_COLUMNS)]
     for run in runs:
         for kind in cfg.models:
             row = run["models"][kind]["metrics"]
             cells = [kind, str(run["seed"])]
-            cells += [metric_cell(row[c]) for c in MetricsReport.CSV_COLUMNS]
+            cells += [metric_cell(row[c]) for c in METRIC_COLUMNS]
             lines.append(",".join(cells))
     write_text_atomic(metrics_path, "\n".join(lines) + "\n")
     return report

@@ -148,17 +148,17 @@ def read_features_csv(path):
         names = tuple(header[1:])
         if len(set(names)) != len(names):
             raise SchemaMismatch("duplicate feature columns")
-        for lineno, row in enumerate(rows, start=2):
+        for row in rows:
             if not row:
                 continue
             if len(row) != len(names) + 1:
-                raise RaggedRow(f"{path}:{lineno}: expected {len(names) + 1} cells, got {len(row)}")
+                raise RaggedRow(f"{path}:{rows.line_num}: expected {len(names) + 1} cells, got {len(row)}")
             try:
                 vals = np.array([float(v) for v in row[1:]], dtype=np.float64)
             except ValueError as exc:
-                raise NonFiniteValue(f"{path}:{lineno}: {exc}") from exc
+                raise NonFiniteValue(f"{path}:{rows.line_num}: {exc}") from exc
             if not np.isfinite(vals).all():
-                raise NonFiniteValue(f"{path}:{lineno}: non-finite value")
+                raise NonFiniteValue(f"{path}:{rows.line_num}: non-finite value")
             ids.append(row[0])
             data.append(vals)
     if len(set(ids)) != len(ids):

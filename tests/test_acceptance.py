@@ -355,7 +355,7 @@ def test_leakage_guard(tmp_path):
                 == run_b["models"][kind]["hyperparams"])
 
     # the standardizer fitted on training rows is equally untouched
-    cohort = load_manifest(manifest, check_paths=False)
+    cohort = load_manifest(manifest)
     fitted = []
     for path in (features, features2):
         ids, names, matrix = read_features_csv(path)

@@ -1,13 +1,20 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cacrad import phantom, pipeline
-from cacrad.cli import main
+from cacrad.cli import _build_parser, _config_from_args, main
+from cacrad.config import _FIELD_PARSERS, parse_config_text
+from cacrad.errors import ConfigError
 from cacrad.embeddings import write_embeddings
 from cacrad.features.catalog import FEATURE_NAMES
 from cacrad.learn.grid import MAX_COUNT
@@ -677,3 +684,69 @@ def test_an_extract_whose_manifest_cannot_be_read_leaves_no_earlier_table(
         assert said in capsys.readouterr().err
         assert not (out / "features.csv").exists()
         assert not (out / "extract_report.json").exists()
+
+
+def _from_flags(argv):
+    return _config_from_args(_build_parser().parse_args(argv))
+
+
+def _run_options():
+    """(command, flag, dest, action) of each option of extract and
+    train-eval but --help and --config."""
+    [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(command, a.option_strings[-1], a.dest, a)
+            for command in ("extract", "train-eval") for a in sub.choices[command]._actions
+            if a.dest not in ("help", "config")]
+
+
+_TEXT_OPTIONS = [option for option in _run_options() if option[3].nargs != 0]
+
+
+def test_every_run_flag_is_a_config_key():
+    assert {command for command, _, _, _ in _run_options()} == {"extract", "train-eval"}
+    for command, flag, dest, _ in _run_options():
+        assert dest in _FIELD_PARSERS, (command, flag)
+    assert _from_flags(["train-eval", "--label-shuffle"]) == parse_config_text(
+        "label_shuffle = true\n")
+
+
+def _result(make):
+    """What make returns, or the message of the ConfigError it raises."""
+    try:
+        return make()
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(option=st.sampled_from(_TEXT_OPTIONS),
+       text=(st.sampled_from(["", " ", "none", "None", "0", "1", "-1", " 7 ", "1e3", "x",
+                              "radiomics", " embeddings", "noncontrast", "gbt", "gbt,gbt",
+                              " random_forest , mlp ", "1" * 5000, "a = b"])
+             | st.text(max_size=12)).filter(
+                 lambda t: "#" not in t and "".join(t.splitlines()) == t))
+@example(option=next(o for o in _TEXT_OPTIONS if o[2] == "out"), text=" elsewhere ")
+@example(option=next(o for o in _TEXT_OPTIONS if o[2] == "n_seeds"), text="0")
+def test_a_flag_gives_what_its_config_line_gives(option, text):
+    command, flag, dest, action = option
+    line = _result(lambda: parse_config_text(f"{dest} = {text}\n"))
+    argv = [command, f"{flag}={text}"]
+    if action.choices is not None and text not in action.choices:
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        return
+    got = _result(lambda: _from_flags(argv))
+    if isinstance(line, str) and line.startswith(f"line 1: bad value for {dest}: "):
+        assert got == f"bad value for {flag}: {text!r}"
+    else:
+        assert got == line
+
+
+def test_a_flag_leaves_the_other_config_lines_as_they_are(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\n")
+    got = _from_flags(["train-eval", "--config", str(cfg), "--out", "elsewhere"])
+    assert got.seed == 5
+    assert got.out == "elsewhere"
+    assert got.raw_text == "seed = 5\n"

@@ -1,16 +1,12 @@
 import math
+from dataclasses import replace
 
 import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacrad.config import (
-    RunConfig,
-    apply_overrides,
-    load_config,
-    parse_config_text,
-)
+from cacrad.config import RunConfig, load_config, parse_config_text
 from cacrad.errors import ConfigError
 from cacrad.learn.grid import DEFAULT_GRIDS, MAX_COUNT, HyperGrid
 from cacrad.learn.model import MODEL_KINDS, build_model
@@ -18,7 +14,6 @@ from cacrad.learn.model import MODEL_KINDS, build_model
 
 def test_defaults_validate():
     cfg = RunConfig()
-    cfg.validate()
     assert cfg.mode == "radiomics"
     assert cfg.selection_threshold == 0.90
     assert cfg.bin_width == 25.0
@@ -100,7 +95,7 @@ def test_repeated_model_is_rejected():
     with pytest.raises(ConfigError, match="line 2: bad value for models"):
         parse_config_text("seed = 1\nmodels = gbt, random_forest,gbt\n")
     with pytest.raises(ConfigError, match="each once"):
-        apply_overrides(RunConfig(), models=("gbt", "gbt"))
+        replace(RunConfig(), models=("gbt", "gbt"))
 
 
 def test_malformed_lines():
@@ -172,7 +167,9 @@ def test_validation_errors():
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
-            apply_overrides(RunConfig(), **kw)
+            replace(RunConfig(), **kw)
+        with pytest.raises(ConfigError):
+            RunConfig(**kw)
 
 
 def test_run_counts_are_bounded():
@@ -182,7 +179,7 @@ def test_run_counts_are_bounded():
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key} = {bad}\n")
         with pytest.raises(ConfigError, match=key):
-            apply_overrides(RunConfig(), **{key: MAX_COUNT + 1})
+            replace(RunConfig(), **{key: MAX_COUNT + 1})
         for ok in (low, MAX_COUNT):
             assert getattr(parse_config_text(f"{key} = {ok}\n"), key) == ok
 
@@ -190,16 +187,9 @@ def test_run_counts_are_bounded():
 def test_zero_test_fraction_rejected():
     # zero test rows would fail only after the whole grid search
     with pytest.raises(ConfigError, match="test_fraction"):
-        apply_overrides(RunConfig(), test_fraction=0.0)
+        replace(RunConfig(), test_fraction=0.0)
     with pytest.raises(ConfigError, match="test_fraction"):
         parse_config_text("test_fraction = 0\n")
-
-
-def test_apply_overrides_skips_none():
-    base = RunConfig(seed=5)
-    out = apply_overrides(base, seed=None, out="elsewhere")
-    assert out.seed == 5
-    assert out.out == "elsewhere"
 
 
 def test_load_config(tmp_path):
@@ -266,7 +256,7 @@ def _config_line(draw):
 @hypothesis.example(lines=["grid.mlp.hidden_size = 100000000"])
 def test_parse_config_fuzz_raises_only_config_errors(lines):
     try:
-        cfg = parse_config_text("\n".join(lines)).validate()
+        cfg = parse_config_text("\n".join(lines))
     except ConfigError:
         return
     # an accepted config is usable as it stands: nothing it holds fails later

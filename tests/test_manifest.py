@@ -1,9 +1,10 @@
 import os
+import re
 
 import pytest
 
 from cacrad.errors import BadLabel, DataError, DuplicateSubject, MissingFile
-from cacrad.manifest import CacLabel, ContrastGroup, load_manifest
+from cacrad.manifest import CacLabel, ContrastGroup, load_manifest, require_files
 
 HEADER = "subject_id,volume,mask,contrast,cac_score\n"
 
@@ -81,11 +82,11 @@ def test_bad_score(tmp_path):
 def test_missing_referenced_file(tmp_path):
     path = write_manifest(tmp_path, [("s1", "a.nii", "b.nii", "contrast", "0")],
                           make_files=False)
-    with pytest.raises(MissingFile):
-        load_manifest(path)
-    # check_paths=False skips the existence probe
-    m = load_manifest(path, check_paths=False)
+    # load_manifest only parses; require_files is the one existence check
+    m = load_manifest(path)
     assert len(m) == 1
+    with pytest.raises(MissingFile, match="subject 's1': .*a.nii does not exist"):
+        require_files(m)
 
 
 def test_missing_manifest_file(tmp_path):
@@ -104,4 +105,25 @@ def test_empty_subject_id(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(HEADER + ",a.nii,b.nii,contrast,0\n")
     with pytest.raises(DataError):
-        load_manifest(str(path), check_paths=False)
+        load_manifest(str(path))
+
+
+def test_errors_name_the_line_of_the_row_after_a_blank_line(tmp_path):
+    # the rows were numbered by their index among the records, and
+    # DictReader skips blank lines, so these named m.csv:2
+    path = tmp_path / "m.csv"
+    path.write_text(HEADER + "\ns1,a.nii,b.nii,arterial,0\n")
+    with pytest.raises(BadLabel, match=f"^{re.escape(str(path))}:3: contrast"):
+        load_manifest(str(path))
+    path.write_text(HEADER + "\ns0,,,contrast,0\ns0,a.nii,b.nii,contrast,0\n")
+    with pytest.raises(DuplicateSubject, match=f"^{re.escape(str(path))}:4: subject 's0'"):
+        load_manifest(str(path))
+
+
+def test_a_missing_volume_after_a_blank_line_names_its_subject(tmp_path):
+    path = tmp_path / "m.csv"
+    (tmp_path / "b.nii").write_bytes(b"")
+    path.write_text(HEADER + "\ns1,va.nii,b.nii,contrast,0\n")
+    with pytest.raises(MissingFile) as exc:
+        require_files(load_manifest(str(path)))
+    assert str(exc.value) == f"subject 's1': {tmp_path / 'va.nii'} does not exist"

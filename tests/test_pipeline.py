@@ -193,6 +193,19 @@ def test_extract_leaves_no_earlier_report_beside_a_new_table(extracted, tmp_path
     assert (out / "features.csv").read_bytes() != (first / "features.csv").read_bytes()
 
 
+def test_a_bad_setting_made_in_code_is_a_config_error_before_any_output_is_cleared(
+        extracted, tmp_path):
+    # a RunConfig built in code went unchecked: bin_width = 0 cleared the
+    # outputs, excluded every subject as NonPositiveWidth and raised TooFewRows
+    root, manifest, first, _ = extracted
+    out = tmp_path / "out"
+    shutil.copytree(first, out)
+    with pytest.raises(ConfigError, match="bin_width"):
+        run_extract(RunConfig(manifest=str(manifest), out=str(out), bin_width=0))
+    for name in ("features.csv", "extract_report.json"):
+        assert (out / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_train_eval_leaves_no_earlier_metrics_beside_a_new_report(extracted, tmp_path,
                                                                   monkeypatch):
     root, manifest, features, _ = extracted

@@ -127,6 +127,10 @@ def test_read_errors(tmp_path):
             path.write_text(f"subject_id,e0,e1\ns1,1.0,2.0\n{row}\n")
             with pytest.raises(error, match=re.escape(f"{path}:3:")):
                 read(path)
+            # a quoted cell that spans two lines moves the bad row to line 4
+            path.write_text(f'subject_id,e0,e1\n"s\n1",1.0,2.0\n{row}\n')
+            with pytest.raises(error, match=re.escape(f"{path}:4:")):
+                read(path)
 
 
 def test_table_invariants():
