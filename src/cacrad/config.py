@@ -10,11 +10,11 @@ Grid overrides use dotted keys: ``grid.random_forest.n_trees = 100,300``.
 
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
 from .features import ExtractionConfig
+from .files import read_text
 from .learn.grid import DEFAULT_GRIDS, MAX_COUNT, HyperGrid
 from .learn.model import MODEL_KINDS, build_model
 
@@ -48,6 +48,10 @@ class RunConfig(ExtractionConfig):
     def __post_init__(self):
         """Every way of making a RunConfig (a config file, flags, replace or
         a direct call) checks the whole of it here, once."""
+        for key in ("manifest", "out", "features_csv", "embeddings_csv"):
+            path = getattr(self, key)
+            if path is not None and (not path or "\0" in path):
+                raise ConfigError(f"{key} must be a path, got {path!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.train_composition not in COMPOSITIONS:
@@ -187,8 +191,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return replace(parse_config_text(path.read_text()), config_path=str(path))
+    """The RunConfig of a config file; ConfigError when it cannot be read."""
+    return replace(parse_config_text(read_text(path, "config file", ConfigError)),
+                   config_path=str(path))
 

@@ -53,7 +53,8 @@ class DuplicateSubject(DataError):
 
 
 class MissingFile(DataError):
-    """Referenced volume or mask path does not exist."""
+    """A manifest or feature CSV that cannot be read, or a volume or mask
+    path that does not exist."""
 
 
 class BadLabel(DataError):

@@ -6,12 +6,13 @@ Relative volume/mask paths are resolved against the manifest's directory.
 equals 0.
 """
 
-import csv
 import enum
+import math
 import os
 from dataclasses import dataclass
 
-from .errors import BadLabel, DataError, DuplicateSubject, MissingFile
+from .errors import BadLabel, DataError, DuplicateSubject, MissingFile, RaggedRow
+from .files import csv_rows
 
 
 class CacLabel(enum.Enum):
@@ -50,53 +51,50 @@ _COLUMNS = ["subject_id", "volume", "mask", "contrast", "cac_score"]
 
 def load_manifest(path) -> CohortManifest:
     """Load and validate a cohort manifest CSV; an error names its path and
-    the row's line. require_files checks that the volumes and masks exist."""
+    the row's line, and MissingFile says it cannot be read. require_files
+    checks that the volumes and masks exist."""
     base = os.path.dirname(os.path.abspath(path))
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != _COLUMNS:
-                raise DataError(
-                    f"{path}: expected header {','.join(_COLUMNS)}, got {reader.fieldnames}"
-                )
-            rows = [(reader.line_num, row) for row in reader]
-    except OSError as exc:
-        raise MissingFile(f"{path}: {exc}") from exc
+    rows = csv_rows(path, "manifest", MissingFile)
+    header = next(rows, (0, None))[1]
+    if header is None or [c.strip() for c in header] != _COLUMNS:
+        raise DataError(f"{path}: expected header {','.join(_COLUMNS)}, got {header}")
 
     entries = []
     seen = set()
-    for lineno, row in rows:
-        sid = (row["subject_id"] or "").strip()
+    for lineno, cells in rows:
+        if len(cells) != len(_COLUMNS):
+            raise RaggedRow(f"{path}:{lineno}: expected {len(_COLUMNS)} cells, got {len(cells)}")
+        sid, volume, mask, contrast, cac_score = cells
+        sid = sid.strip()
         if not sid:
             raise DataError(f"{path}:{lineno}: empty subject_id")
         if sid in seen:
             raise DuplicateSubject(f"{path}:{lineno}: subject {sid!r} repeated")
         seen.add(sid)
 
-        contrast_raw = (row["contrast"] or "").strip().lower()
         try:
-            contrast = ContrastGroup(contrast_raw)
+            group = ContrastGroup(contrast.strip().lower())
         except ValueError:
             raise BadLabel(
-                f"{path}:{lineno}: contrast must be contrast|noncontrast, got {row['contrast']!r}"
+                f"{path}:{lineno}: contrast must be contrast|noncontrast, got {contrast!r}"
             ) from None
 
         try:
-            score = float(row["cac_score"])
-        except (TypeError, ValueError):
-            raise BadLabel(f"{path}:{lineno}: cac_score {row['cac_score']!r} is not a number") from None
-        if not score >= 0:
-            raise BadLabel(f"{path}:{lineno}: cac_score must be >= 0, got {score}")
+            score = float(cac_score)
+        except ValueError:
+            raise BadLabel(f"{path}:{lineno}: cac_score {cac_score!r} is not a number") from None
+        if not 0 <= score < math.inf:
+            raise BadLabel(f"{path}:{lineno}: cac_score must be finite and >= 0, got {score}")
         label = CacLabel.ZERO if score == 0 else CacLabel.NONZERO
+        if "\0" in volume + mask:
+            raise DataError(f"{path}:{lineno}: a volume or mask path holds a NUL character")
 
-        vol_path = os.path.join(base, row["volume"]) if not os.path.isabs(row["volume"]) else row["volume"]
-        mask_path = os.path.join(base, row["mask"]) if not os.path.isabs(row["mask"]) else row["mask"]
         entries.append(
             ManifestEntry(
                 subject_id=sid,
-                volume_path=vol_path,
-                mask_path=mask_path,
-                contrast=contrast,
+                volume_path=os.path.join(base, volume),
+                mask_path=os.path.join(base, mask),
+                contrast=group,
                 cac_label=label,
                 cac_score=score,
             )

@@ -21,6 +21,9 @@ import multiprocessing
 import os
 import signal
 
+from .errors import DataError
+from .files import read_text
+
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 # (getter, setter) names of the thread count in the OpenBLAS builds numpy
@@ -44,11 +47,11 @@ def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS loaded in this
     process, or None when none is loaded or it exports neither pair."""
     try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(None, 5)[5].strip() for line in maps
-                            if "openblas" in line.lower() and ".so" in line})
-    except OSError:
+        maps = read_text("/proc/self/maps", "memory map", DataError)
+    except DataError:
         return None
+    paths = sorted({line.split(None, 5)[5].strip() for line in maps.splitlines()
+                    if "openblas" in line.lower() and ".so" in line})
     for path in paths:
         try:
             lib = ctypes.CDLL(path)

@@ -32,6 +32,7 @@ from .errors import (
 from .eval import METRIC_COLUMNS, confusion_from_predictions, metric_cell, metrics, paired_t_test
 from .features import extract_all
 from .features.catalog import FEATURE_NAMES
+from .files import read_text
 from .learn.model import MODEL_KINDS, train_with_grid
 from .learn.split import stratified_split
 from .manifest import ContrastGroup, load_manifest, require_files
@@ -271,12 +272,12 @@ _STATS_METRICS = {"accuracy": "accuracy", "f1": "F1-score"}
 
 
 def _load_report(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaMismatch(f"report not found: {path}")
+    """A train-eval report with every key and value run_stats reads checked;
+    SchemaMismatch when it cannot be read, parsed or used."""
+    text = read_text(path, "report", SchemaMismatch)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, a long int or deep nesting
         raise SchemaMismatch(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list) \
             or not isinstance(doc.get("seeds"), list):

@@ -24,6 +24,7 @@ from .errors import (
     SchemaMismatch,
     UnknownColumn,
 )
+from .files import csv_rows
 from .manifest import CacLabel, CohortManifest, ContrastGroup
 
 
@@ -134,35 +135,30 @@ def write_features_csv(path, subject_ids, feature_names, matrix) -> None:
 def read_features_csv(path):
     """Returns (subject_ids, feature_names, matrix) of a subject_id x column
     CSV. Each row is parsed to float64 as it is read; a row of the wrong
-    width or with a non-number or non-finite cell names its path:line."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"feature csv not found: {path}")
-    ids = []
+    width, with a non-number or non-finite cell or a repeated subject id
+    names its path:line, and MissingFile says the file cannot be read."""
+    rows = csv_rows(path, "feature csv", MissingFile)
+    header = next(rows, (0, None))[1]
+    if not header or header[0] != "subject_id":
+        raise SchemaMismatch(f"feature csv must start with a subject_id header: {path}")
+    names = tuple(header[1:])
+    if len(set(names)) != len(names):
+        raise SchemaMismatch("duplicate feature columns")
+    ids = {}  # the subject ids, in file order
     data = []
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if not header or header[0] != "subject_id":
-            raise SchemaMismatch(f"feature csv must start with a subject_id header: {path}")
-        names = tuple(header[1:])
-        if len(set(names)) != len(names):
-            raise SchemaMismatch("duplicate feature columns")
-        for row in rows:
-            if not row:
-                continue
-            if len(row) != len(names) + 1:
-                raise RaggedRow(f"{path}:{rows.line_num}: expected {len(names) + 1} cells, got {len(row)}")
-            try:
-                vals = np.array([float(v) for v in row[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise NonFiniteValue(f"{path}:{rows.line_num}: {exc}") from exc
-            if not np.isfinite(vals).all():
-                raise NonFiniteValue(f"{path}:{rows.line_num}: non-finite value")
-            ids.append(row[0])
-            data.append(vals)
-    if len(set(ids)) != len(ids):
-        raise DuplicateSubject(f"duplicate subject ids in {path}")
+    for line, row in rows:
+        if len(row) != len(names) + 1:
+            raise RaggedRow(f"{path}:{line}: expected {len(names) + 1} cells, got {len(row)}")
+        if row[0] in ids:
+            raise DuplicateSubject(f"{path}:{line}: subject {row[0]!r} repeated")
+        try:
+            vals = np.array([float(v) for v in row[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise NonFiniteValue(f"{path}:{line}: {exc}") from exc
+        if not np.isfinite(vals).all():
+            raise NonFiniteValue(f"{path}:{line}: non-finite value")
+        ids[row[0]] = None
+        data.append(vals)
     return tuple(ids), names, np.array(data, dtype=np.float64).reshape(len(ids), len(names))
 
 

@@ -73,7 +73,7 @@ def test_bad_contrast_label(tmp_path):
 
 
 def test_bad_score(tmp_path):
-    for score in ("abc", "-3"):
+    for score in ("abc", "-3", "nan", "inf"):
         path = write_manifest(tmp_path, [("s1", "a.nii", "b.nii", "contrast", score)])
         with pytest.raises(BadLabel):
             load_manifest(path)
