@@ -23,6 +23,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class GradientBoostedTrees:
+    nested = ("n_rounds",)  # the parameter prefix takes
+
     def __init__(self, n_rounds: int = 100, learning_rate: float = 0.1,
                  max_depth: int = 3):
         self.n_rounds = count_param("n_rounds", n_rounds)

@@ -17,6 +17,8 @@ from .tree import grow_classification_forest, grow_classification_tree  # noqa: 
 
 
 class RandomForest:
+    nested = ("n_trees", "max_depth")  # the parameters prefix takes
+
     def __init__(self, n_trees: int = 100, max_depth: Optional[int] = None,
                  bootstrap: bool = True):
         self.n_trees = count_param("n_trees", n_trees)

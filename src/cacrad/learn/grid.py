@@ -76,54 +76,51 @@ def grid_search_cv(fit, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
                    k: int = 5, seed: int = 0, nested: tuple = ()):
     """Mean balanced accuracy over k stratified folds for every grid point.
 
-    fit(params, x, y, seed) -> fitted model with predict_score, called
-    once per fold on that fold's training rows, for every kind. Returns
-    (best_params, scores) where scores[i] aligns with the i-th canonical
-    grid point. Fold membership is shared across grid points;
+    fit(params, x, y, seed) -> fitted model with predict_score, called on
+    each fold's training rows. Returns (best_params, scores): scores[i]
+    aligns with the i-th canonical grid point, and best_params is the first
+    point with the highest score. Folds are shared across grid points;
     per-(point, fold) training seeds derive from the master seed.
 
-    nested names parameters whose smaller values give prefixes of a fit
-    at their largest values (None, no bound, counts as largest), whatever
-    the seed: model.prefix(**values) of nested names must return the model
-    a fit at those values would. When the grid lists every nested name,
-    grid points that differ only in them share one fit per fold, at the
-    grid's largest values, with the fold seeds of the group's first point,
-    and the fits are dropped once the group's last point has its prefixes.
+    Points are searched one group at a time, and a group's fits are dropped
+    before the next group is fitted. nested names parameters whose smaller
+    values give prefixes of a fit at their largest values (None, no bound,
+    counts as largest), whatever the seed: model.prefix(**values) of nested
+    names must return the model a fit at those values would. When the grid
+    lists every nested name, a group is the points that differ only in
+    them, fitted once per fold at the grid's largest nested values with the
+    fold seeds of its first point; otherwise each point is its own group.
     """
     folds = [np.array(fold, dtype=np.int64)
              for fold in stratified_kfold(y, k, derive_seed(seed, "cv-folds"))]
     all_rows = np.arange(len(y))
     trains = [np.setdiff1d(all_rows, val) for val in folds]
+    points = list(grid.points())
     values = dict(grid.params)
     if not all(name in values for name in nested):
         nested = ()
     top = {name: None if None in values[name] else max(values[name]) for name in nested}
-    group = {gi: tuple(v for name, v in params.items() if name not in top)
-             for gi, params in enumerate(grid.points())}
-    last = {key: gi for gi, key in group.items()}
-    shared = {}
-    scores = []
-    best = None
-    for gi, params in enumerate(grid.points()):
-        seeds = [derive_seed(seed, "grid", gi, "fold", fi) for fi in range(len(folds))]
-        if not top:
-            models = [fit(params, x[rows], y[rows], s) for rows, s in zip(trains, seeds)]
-        else:
-            key = group[gi]
-            if key not in shared:
-                shared[key] = [fit({**params, **top}, x[rows], y[rows], s)
-                               for rows, s in zip(trains, seeds)]
-            models = [model.prefix(**{name: params[name] for name in top})
-                      for model in shared[key]]
-            if last[key] == gi:
-                del shared[key]
-        fold_scores = []
-        for model, val in zip(models, folds):
-            pred = (model.predict_score(x[val]) >= 0.5).astype(np.int64)
-            rep = metrics(confusion_from_predictions(y[val], pred))
-            fold_scores.append(rep.balanced_accuracy)
-        mean_score = float(np.mean(fold_scores))
-        scores.append(mean_score)
-        if best is None or mean_score > best[0]:
-            best = (mean_score, params)
-    return best[1], scores
+    groups = {}
+    for gi, params in enumerate(points):
+        key = tuple(v for name, v in params.items() if name not in top) if top else gi
+        groups.setdefault(key, []).append(gi)
+    scores = [0.0] * len(points)
+    for members in groups.values():
+        first = members[0]
+        seeds = [derive_seed(seed, "grid", first, "fold", fi) for fi in range(len(folds))]
+        fits = [fit({**points[first], **top}, x[rows], y[rows], s)
+                for rows, s in zip(trains, seeds)]
+        for gi in members:
+            at = {name: points[gi][name] for name in top}
+            scores[gi] = _cv_score([f.prefix(**at) if at else f for f in fits], x, y, folds)
+        del fits
+    return points[max(range(len(points)), key=scores.__getitem__)], scores
+
+
+def _cv_score(models, x, y, folds) -> float:
+    """Mean balanced accuracy of each fold's model on that fold's rows."""
+    fold_scores = []
+    for model, val in zip(models, folds):
+        pred = (model.predict_score(x[val]) >= 0.5).astype(np.int64)
+        fold_scores.append(metrics(confusion_from_predictions(y[val], pred)).balanced_accuracy)
+    return float(np.mean(fold_scores))

@@ -59,6 +59,8 @@ def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, hidden: int):
 
 
 class Mlp:
+    nested = ()  # no prefix: each epoch count is its own fit
+
     def __init__(self, hidden_size: int = 16, learning_rate: float = 0.1,
                  epochs: int = 300):
         self.hidden_size = count_param("hidden_size", hidden_size)

@@ -30,14 +30,6 @@ _CLASSES = {
     "mlp": Mlp,
 }
 
-# Parameters in which a kind's fits nest: a gbt fit's first n trees are
-# the n-round fit, a forest's first n trees cut at a depth are the fit
-# with those counts, and an svm's weights after e epochs are the e-epoch
-# fit, so a grid search fits each fold once per other params.
-_NESTED = {"gbt": ("n_rounds",), "random_forest": ("n_trees", "max_depth"),
-           "linear_svm": ("epochs",)}
-
-
 def build_model(kind: str, params: dict):
     if kind not in _CLASSES:
         raise ConfigError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
@@ -120,7 +112,7 @@ def train_with_grid(kind: str, x: np.ndarray, y: np.ndarray, feature_names,
         grid = DEFAULT_GRIDS[kind]
     best, scores = grid_search_cv(
         lambda params, x, y, seed: build_model(kind, params).fit(x, y, seed),
-        x, y, grid, k=k, seed=seed, nested=_NESTED.get(kind, ()))
+        x, y, grid, k=k, seed=seed, nested=getattr(_CLASSES.get(kind), "nested", ()))
     final = build_model(kind, best).fit(x, y, derive_seed(seed, "final-fit"))
     model = TrainedModel(kind=kind, hyperparams=best, inner=final,
                          feature_names=tuple(feature_names), seed=seed)

@@ -69,6 +69,8 @@ def _platt_fit(margins: np.ndarray, y01: np.ndarray):
 
 
 class LinearSvm:
+    nested = ("epochs",)  # the parameter prefix takes
+
     def __init__(self, lam: float = 1e-2, epochs: int = 20):
         self.lam = positive_param("lam", lam)
         self.epochs = count_param("epochs", epochs)

@@ -13,6 +13,7 @@ computed on the voxel grid with its spacing.
 """
 
 import gzip
+import io
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedDatatype,
 )
+from .table import write_atomic
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -34,7 +36,7 @@ VOX_OFFSET = 352
 # gzip's default 9 on int16 CT volumes, for files a few percent larger;
 # the voxel payload, and so everything read back, is the same.
 GZIP_LEVEL = 1
-# Voxels of a mask converted at a time: an 8 MiB float64 block.
+# Voxels of a scaled mask converted at a time: an 8 MiB float64 block.
 MASK_BLOCK = 1 << 20
 
 # NIfTI-1 datatype code -> (numpy dtype char, bitpix)
@@ -174,11 +176,12 @@ def _read_stored(path):
 
 
 def _intensities(stored: np.ndarray, scale) -> np.ndarray:
-    """Stored voxels as float64, scaled when the header asks for it."""
+    """Stored voxels as stored, or as float64 scaled as the header asks."""
+    if scale is None:
+        return stored
     data = stored.astype(np.float64)
-    if scale is not None:
-        data *= np.float64(scale[0])
-        data += np.float64(scale[1])
+    data *= np.float64(scale[0])
+    data += np.float64(scale[1])
     return data
 
 
@@ -194,8 +197,8 @@ def read_nifti(path) -> Volume3D:
 
 def read_mask(path) -> MaskVolume:
     """The ROI of a NIfTI-1 label file: every voxel whose intensity, as
-    read_nifti gives it, is nonzero. Voxels are converted MASK_BLOCK at a
-    time, so no float64 copy of the whole volume is made."""
+    read_nifti gives it, is nonzero. Voxels are compared as stored, or scaled
+    MASK_BLOCK at a time, so no float64 copy of the whole volume is made."""
     stored, shape, scale, _ = _read_stored(path)
     labels = np.empty(len(stored), dtype=bool)
     for start in range(0, len(stored), MASK_BLOCK):
@@ -209,7 +212,8 @@ def write_nifti(vol: Volume3D, path, dtype: str = "float32", byteorder: str = "<
 
     read_nifti(write_nifti(vol)) reproduces dims and spacing exactly and
     intensities to storage precision (exact for dtype='float64'). The
-    sform is diag(spacing) with voxel (0, 0, 0) at the origin.
+    sform is diag(spacing) with voxel (0, 0, 0) at the origin. A failed
+    write leaves the old file or none, never a partial one (write_atomic).
     """
     if dtype not in _DTYPE_CODES:
         raise UnsupportedDatatype(f"writer dtype {dtype!r}")
@@ -240,16 +244,12 @@ def write_nifti(vol: Volume3D, path, dtype: str = "float32", byteorder: str = "<
     body = data.astype(byteorder + np_char).tobytes(order="F")
     payload = bytes(header) + b"\x00\x00\x00\x00" + body
 
-    try:
-        if str(path).endswith(".gz"):
-            # mtime pinned and no embedded filename: equal volumes always
-            # produce identical bytes, whatever path they are written to
-            with open(path, "wb") as raw_fh:
-                with gzip.GzipFile(filename="", fileobj=raw_fh, mode="wb",
-                                   compresslevel=GZIP_LEVEL, mtime=0) as fh:
-                    fh.write(payload)
-        else:
-            with open(path, "wb") as fh:
-                fh.write(payload)
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    if str(path).endswith(".gz"):
+        # mtime pinned and no embedded filename: equal volumes always
+        # produce identical bytes, whatever path they are written to
+        packed = io.BytesIO()
+        with gzip.GzipFile(filename="", fileobj=packed, mode="wb",
+                           compresslevel=GZIP_LEVEL, mtime=0) as fh:
+            fh.write(payload)
+        payload = packed.getvalue()
+    write_atomic(path, payload)

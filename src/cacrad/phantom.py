@@ -21,7 +21,7 @@ from .learn.grid import MAX_COUNT
 from .nifti import MaskVolume, Volume3D, write_nifti
 from .parallel import map_ordered
 from .rng import stream
-from .table import writable_path, write_text_atomic
+from .table import writable_path, write_atomic
 
 DEFAULT_SPACING = (0.49, 0.49, 1.41)  # mm
 DEFAULT_DIMS = (44, 44, 28)
@@ -159,5 +159,5 @@ def generate_cohort(out_dir, n_subjects: int, class_balance: float = 0.5,
     w = csv.writer(text)
     w.writerow(["subject_id", "volume", "mask", "contrast", "cac_score"])
     w.writerows(map_ordered(write_one, range(n_subjects)))
-    write_text_atomic(manifest_path, text.getvalue())
+    write_atomic(manifest_path, text.getvalue())
     return manifest_path

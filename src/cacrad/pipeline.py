@@ -40,12 +40,12 @@ from .nifti import read_mask, read_nifti
 from .parallel import map_ordered
 from .rng import derive_seed, stream
 from .selection import correlation_filter
-from .table import attach_cohort, read_features_csv, writable_path, write_features_csv, write_text_atomic
+from .table import attach_cohort, read_features_csv, writable_path, write_features_csv, write_atomic
 from .embeddings import load_embeddings
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _clear_outputs(outputs, inputs) -> list:
@@ -263,7 +263,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
             cells = [kind, str(run["seed"])]
             cells += [metric_cell(row[c]) for c in METRIC_COLUMNS]
             lines.append(",".join(cells))
-    write_text_atomic(metrics_path, "\n".join(lines) + "\n")
+    write_atomic(metrics_path, "\n".join(lines) + "\n")
     return report
 
 

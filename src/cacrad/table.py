@@ -89,7 +89,7 @@ class FeatureTable:
 
 def writable_path(path) -> Path:
     """path, cleared for a new file: its directory made and an earlier
-    file there removed. IoFailure when write_text_atomic could not write
+    file there removed. IoFailure when write_atomic could not write
     there. Every command calls it on each of its outputs before an input
     can fail it, so a run refuses a bad path before any work, and a run that
     fails leaves no earlier run's output beside its own."""
@@ -106,15 +106,16 @@ def writable_path(path) -> Path:
     return path
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write text beside path and move it into place, so an interrupted
-    run leaves the old file or the whole new one, never a partial one."""
+def write_atomic(path, data) -> None:
+    """Write data, a str as UTF-8 or bytes as given, beside path and move
+    it into place, so an interrupted run leaves the old file or the whole
+    new one, never a partial one. The one writer of every output."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         try:
-            with open(tmp, "w", newline="") as fh:
-                fh.write(text)
+            with open(tmp, "wb") as fh:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -129,7 +130,7 @@ def write_features_csv(path, subject_ids, feature_names, matrix) -> None:
     w.writerow(["subject_id", *feature_names])
     for sid, row in zip(subject_ids, matrix):
         w.writerow([sid, *[repr(float(v)) for v in row]])
-    write_text_atomic(path, buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def read_features_csv(path):

@@ -1,7 +1,8 @@
 """Text inputs are read in one place: cacrad.files opens them as UTF-8 and
 turns every read failure into a CacradError naming the file, so no module
-reads a text file its own way. nifti.py's binary reads and the writers
-(a "w" mode) are the exceptions."""
+reads a text file its own way. nifti.py's binary reads are the exception;
+opens in a write mode are table.write_atomic's, which
+tests/test_output_rule.py keeps the only writer."""
 
 import re
 from pathlib import Path

@@ -633,18 +633,22 @@ def test_svm_grid_fits_each_fold_once_per_nested_group():
 def test_grid_drops_a_group_fits_after_its_last_point():
     x, y = golden_matrix(True)
     k = 4
-    refs = []
+    for kind, grid, nested, groups in (
+            ("linear_svm", HyperGrid.of(lam=(1e-3, 1e-2, 1e-1), epochs=(2, 4)), ("epochs",), 3),
+            # the nested name first, as in the default gbt grid: groups interleave
+            ("gbt", HyperGrid.of(n_rounds=(3, 6), learning_rate=(0.1, 0.3),
+                                 max_depth=(2, 3)), ("n_rounds",), 4)):
+        refs = []
 
-    def fit_fn(params, xt, yt, seed):
-        # only the fits of the group being scored are alive
-        assert sum(ref() is not None for ref in refs) == len(refs) % k
-        model = LinearSvm(**params).fit(xt, yt, seed)
-        refs.append(weakref.ref(model))
-        return model
+        def fit_fn(params, xt, yt, seed):
+            # only the fits of the group being scored are alive
+            assert sum(ref() is not None for ref in refs) == len(refs) % k, kind
+            model = build_model(kind, params).fit(xt, yt, seed)
+            refs.append(weakref.ref(model))
+            return model
 
-    grid = HyperGrid.of(lam=(1e-3, 1e-2, 1e-1), epochs=(2, 4))
-    grid_search_cv(fit_fn, x, y, grid, k=k, seed=8, nested=("epochs",))
-    assert len(refs) == 3 * k
+        grid_search_cv(fit_fn, x, y, grid, k=k, seed=8, nested=nested)
+        assert len(refs) == groups * k
 
 
 def unfused_grad(theta, x, y, hidden):

@@ -1,6 +1,10 @@
 import gzip
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from cacrad.errors import (
     TruncatedFile,
     UnsupportedDatatype,
 )
+import cacrad
 from cacrad import nifti
 from cacrad.nifti import HEADER_SIZE, Volume3D, read_mask, read_nifti, write_nifti
 
@@ -248,6 +253,21 @@ def test_read_mask_is_read_nifti_nonzero(tmp_path, monkeypatch, dtype, byteorder
         assert np.array_equal(got, want), scale
 
 
+@pytest.mark.parametrize("dtype", ["int16", "float32"])
+@pytest.mark.parametrize("byteorder", ["<", ">"])
+def test_an_unscaled_mask_is_read_nifti_nonzero(tmp_path, monkeypatch, dtype, byteorder):
+    # stored voxels are compared with 0 as they are: NaN is nonzero, -0.0 is not
+    monkeypatch.setattr(nifti, "MASK_BLOCK", 7)
+    values = np.array([0.0, -0.0, float("nan"), 1.0, -1.0, 1e-30, -32768.0, 32767.0] * 3)
+    vol = Volume3D(dims=(2, 3, 4), spacing=(1, 1, 1),
+                   intensities=np.nan_to_num(values) if dtype == "int16" else values)
+    path = tmp_path / "m.nii"
+    write_nifti(vol, path, dtype=dtype, byteorder=byteorder)
+    got = read_mask(path).labels
+    assert np.array_equal(got, read_nifti(path).intensities != 0)
+    assert int(got.sum()) == 3 * (4 if dtype == "int16" else 6)
+
+
 def test_read_mask_makes_no_float64_copy(tmp_path, monkeypatch):
     monkeypatch.setattr(nifti, "MASK_BLOCK", 1 << 14)
     dims = (128, 128, 64)
@@ -266,6 +286,48 @@ def test_read_mask_makes_no_float64_copy(tmp_path, monkeypatch):
     # the file (2 bytes a voxel), the labels (1) and one block; a float64
     # volume alone would be 8 bytes a voxel
     assert peak < 4 * labels.size
+
+
+# Runs write_nifti with files limited to 1000 bytes, as a disk that fills
+# partway through a write; SIGXFSZ is ignored so the write fails with EFBIG.
+FULL_DISK = """
+import resource, signal, sys
+import numpy as np
+from cacrad.errors import IoFailure
+from cacrad.nifti import Volume3D, write_nifti
+vol = Volume3D(dims=(10, 10, 10), spacing=(1, 1, 1),
+               intensities=np.random.default_rng(0).normal(size=1000))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+for path in sys.argv[1:]:
+    try:
+        write_nifti(vol, path, dtype="float64")
+    except IoFailure:
+        continue
+    sys.exit(f"{path} was written")
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_FSIZE semantics")
+def test_a_write_that_fails_partway_leaves_the_old_file_or_none(tmp_path):
+    old = tmp_path / "old.nii.gz"
+    write_nifti(sample_volume(seed=4), old)
+    before = old.read_bytes()
+    env = dict(os.environ, PYTHONPATH=str(Path(cacrad.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    paths = [old, tmp_path / "new.nii.gz", tmp_path / "new.nii"]
+    proc = subprocess.run([sys.executable, "-c", FULL_DISK, *map(str, paths)], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.nii.gz"]
+
+
+def test_gzip_output_has_no_name_no_mtime_and_os_byte_ff(tmp_path):
+    path = tmp_path / "v.nii.gz"
+    write_nifti(sample_volume(), path)
+    # magic, deflate, no flags, mtime 0, fastest level, OS unknown
+    assert path.read_bytes()[:10] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"
 
 
 def test_header_size_constant_sanity():

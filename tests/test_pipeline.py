@@ -1,12 +1,15 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cacrad
 from cacrad.config import RunConfig, parse_config_text
 from cacrad.errors import (
     ConfigError,
@@ -169,16 +172,31 @@ def test_a_non_finite_feature_is_still_an_exclusion(cohort, tmp_path, monkeypatc
     assert not (out / "features.csv").exists()
 
 
+def test_extract_writes_utf8_in_an_ascii_locale(tmp_path):
+    # the outputs were written in the locale's encoding: a subject id that
+    # ASCII cannot hold ended extract in a UnicodeEncodeError
+    manifest = generate_cohort(tmp_path / "c", 4, 0.5, seed=5, dims=SMALL_DIMS)
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace("\nphantom_000,", "\nphantöm_000,"), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
+    env.update(LC_ALL="POSIX", PYTHONUTF8="0", PYTHONPATH=str(Path(cacrad.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "cacrad.cli", "extract",
+                           "--manifest", str(manifest), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert "phantöm_000" in read_features_csv(tmp_path / "o" / "features.csv")[0]
+
+
 def _fail_writing(monkeypatch, name):
     """Make cacrad.pipeline's atomic writes of the file called name fail."""
     import cacrad.pipeline
-    write = cacrad.pipeline.write_text_atomic
+    write = cacrad.pipeline.write_atomic
 
-    def failing(path, text):
+    def failing(path, data):
         if Path(path).name == name:
             raise IoFailure(f"cannot write {path}: disk full")
-        write(path, text)
-    monkeypatch.setattr(cacrad.pipeline, "write_text_atomic", failing)
+        write(path, data)
+    monkeypatch.setattr(cacrad.pipeline, "write_atomic", failing)
 
 
 def test_extract_leaves_no_earlier_report_beside_a_new_table(extracted, tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from cacrad.table import (
     attach_cohort,
     read_features_csv,
     write_features_csv,
-    write_text_atomic,
+    write_atomic,
 )
 
 
@@ -81,7 +81,7 @@ def test_failed_write_is_an_io_failure_naming_the_path(tmp_path):
     (tmp_path / "file").write_text("x")
     for path in (tmp_path / "missing" / "t.csv", tmp_path / "file" / "t.csv", tmp_path):
         with pytest.raises(IoFailure, match=re.escape(f"cannot write {path}")):
-            write_text_atomic(path, "text")
+            write_atomic(path, "text")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
