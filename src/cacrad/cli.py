@@ -85,30 +85,37 @@ def _config_from_args(args) -> RunConfig:
     return replace(cfg, **given)
 
 
+def _say(line: str) -> None:
+    """Print one line to stdout, escaping what its encoding cannot hold (a
+    subject id or path in an ASCII locale); a StringIO has no encoding."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "catalog":
-            print(catalog_text())
+            _say(catalog_text())
         elif args.command == "phantom":
             manifest = generate_cohort(args.out, args.n, args.balance, args.seed)
-            print(f"wrote {args.n} subjects, manifest {manifest}")
+            _say(f"wrote {args.n} subjects, manifest {manifest}")
         elif args.command == "extract":
             cfg = _config_from_args(args)
             report = run_extract(cfg)
-            print(f"extracted {report['n_extracted']}/{report['n_subjects']} subjects "
-                  f"-> {report['features_csv']}")
+            _say(f"extracted {report['n_extracted']}/{report['n_subjects']} subjects "
+                 f"-> {report['features_csv']}")
             for exc in report["excluded"]:
-                print(f"excluded {exc['subject_id']}: {exc['error']}: {exc['message']}")
+                _say(f"excluded {exc['subject_id']}: {exc['error']}: {exc['message']}")
         elif args.command == "train-eval":
             cfg = _config_from_args(args)
             report = run_train_eval(cfg)
-            print(f"{len(report['runs'])} run(s), models: {', '.join(report['models'])}, "
-                  f"reports under {cfg.out}")
+            _say(f"{len(report['runs'])} run(s), models: {', '.join(report['models'])}, "
+                 f"reports under {cfg.out}")
         elif args.command == "stats":
             doc = run_stats(args.report_a, args.report_b, out_dir=args.out)
             for line in doc["lines"]:
-                print(line)
+                _say(line)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,6 +17,7 @@ from .features import ExtractionConfig
 from .files import read_text
 from .learn.grid import DEFAULT_GRIDS, MAX_COUNT, HyperGrid
 from .learn.model import MODEL_KINDS, build_model
+from .rng import MAX_SEED
 
 MODES = ("radiomics", "embeddings")
 COMPOSITIONS = ("mixed", "noncontrast")
@@ -77,6 +78,8 @@ class RunConfig(ExtractionConfig):
             raise ConfigError(f"n_bins must be >= 1, got {self.n_bins}")
         if not 2 <= self.kfold <= MAX_COUNT:
             raise ConfigError(f"kfold must be from 2 to {MAX_COUNT}, got {self.kfold}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be from 0 to {MAX_SEED}, got {self.seed}")
         if not 1 <= self.n_seeds <= MAX_COUNT:
             raise ConfigError(f"n_seeds must be from 1 to {MAX_COUNT}, got {self.n_seeds}")
         bad = [m for m in self.models if m not in MODEL_KINDS]

@@ -73,7 +73,7 @@ class NonPositiveWidth(ConfigError):
 
 class BadRange(ConfigError):
     """A number outside its allowed range: the selection threshold, or the
-    phantom cohort's size and class balance."""
+    phantom cohort's size, class balance and seed."""
 
 
 class BadSpacing(ConfigError):

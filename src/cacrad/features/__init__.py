@@ -1,12 +1,12 @@
-"""Feature extraction: one volume + mask in, 107 ordered values out."""
+"""Feature extraction: one volume + mask in, 107 ordered float64 values out."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..errors import DimMismatch, EmptyMask, NonFiniteValue
-from ..nifti import MaskVolume, Volume3D
+from ..nifti import Volume3D
 from ..preprocess import (
     apply_mask,
     discretize_fixed_count,
@@ -34,7 +34,7 @@ from .texture import (
 
 __all__ = [
     "FEATURE_NAMES", "FAMILIES", "FAMILY_COUNTS", "catalog_text",
-    "ExtractionConfig", "FeatureVector", "extract_all",
+    "ExtractionConfig", "extract_all",
     "first_order", "shape_features",
     "glcm_features", "glrlm_features", "glszm_features",
     "gldm_features", "ngtdm_features",
@@ -50,35 +50,17 @@ class ExtractionConfig:
     gldm_alpha: int = 0
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (len(FEATURE_NAMES),):
-            raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            bad = [FEATURE_NAMES[k] for k in np.flatnonzero(~np.isfinite(v))]
-            raise NonFiniteValue(f"non-finite feature values: {bad}")
-        object.__setattr__(self, "values", v)
-
-    def as_dict(self) -> dict:
-        return dict(zip(FEATURE_NAMES, self.values.tolist()))
-
-    def __len__(self):
-        return len(self.values)
-
-
-def extract_all(vol: Volume3D, mask: MaskVolume, cfg: ExtractionConfig = ExtractionConfig()) -> FeatureVector:
-    """Full 107-feature vector; raises EmptyMask as the exclusion signal."""
-    if vol.dims != mask.dims:  # before resampling can round both grids alike
-        raise DimMismatch(f"volume {vol.dims} vs mask {mask.dims}")
+def extract_all(vol: Volume3D, mask, cfg: ExtractionConfig = ExtractionConfig()) -> np.ndarray:
+    """The 107 values of the ROI where mask, on vol's grid, is nonzero; raises
+    EmptyMask as the exclusion signal and NonFiniteValue naming bad columns."""
+    mask = np.asarray(mask, dtype=bool)
+    if vol.dims != mask.shape:  # before resampling can round both grids alike
+        raise DimMismatch(f"volume {vol.dims} vs mask {mask.shape}")
     if cfg.resample_spacing is not None:
         native = vol.spacing
         vol = resample_trilinear(vol, cfg.resample_spacing)
         mask = resample_mask_nearest(mask, native, cfg.resample_spacing)
-    if not mask.labels.any():
+    if not mask.any():
         raise EmptyMask("mask selects no voxels")
 
     roi = apply_mask(vol, mask)
@@ -103,4 +85,7 @@ def extract_all(vol: Volume3D, mask: MaskVolume, cfg: ExtractionConfig = Extract
         for name, _ in entries:
             values[pos] = got[name]
             pos += 1
-    return FeatureVector(values=values)
+    bad = [FEATURE_NAMES[k] for k in np.flatnonzero(~np.isfinite(values))]
+    if bad:
+        raise NonFiniteValue(f"non-finite feature values: {bad}")
+    return values

@@ -3,7 +3,7 @@
 Format: UTF-8 CSV with header ``subject_id,volume,mask,contrast,cac_score``.
 Relative volume/mask paths are resolved against the manifest's directory.
 ``cac_score`` is the raw calcium score; the binary label is Zero iff it
-equals 0.
+equals 0. A loaded manifest is a tuple of ManifestEntry, in file order.
 """
 
 import enum
@@ -35,21 +35,10 @@ class ManifestEntry:
     cac_score: float
 
 
-@dataclass(frozen=True)
-class CohortManifest:
-    entries: tuple
-
-    def __len__(self):
-        return len(self.entries)
-
-    def subject_ids(self):
-        return [e.subject_id for e in self.entries]
-
-
 _COLUMNS = ["subject_id", "volume", "mask", "contrast", "cac_score"]
 
 
-def load_manifest(path) -> CohortManifest:
+def load_manifest(path) -> tuple:
     """Load and validate a cohort manifest CSV; an error names its path and
     the row's line, and MissingFile says it cannot be read. require_files
     checks that the volumes and masks exist."""
@@ -99,13 +88,13 @@ def load_manifest(path) -> CohortManifest:
                 cac_score=score,
             )
         )
-    return CohortManifest(entries=tuple(entries))
+    return tuple(entries)
 
 
-def require_files(manifest: CohortManifest) -> None:
+def require_files(manifest: tuple) -> None:
     """MissingFile, naming the subject, for the first volume or mask of the
     manifest that is not a file."""
-    for e in manifest.entries:
+    for e in manifest:
         for p in (e.volume_path, e.mask_path):
             if not os.path.isfile(p):
                 raise MissingFile(f"subject {e.subject_id!r}: {p} does not exist")

@@ -3,7 +3,8 @@
 Scope is deliberately narrow: single-file ``.nii``/``.nii.gz``, datatypes
 int16/float32/float64, either byte order. Intensities are promoted to
 float64 on read so downstream texture code never sees storage precision;
-a mask is tested for nonzero voxels block by block, without that copy.
+a mask is a bool array, its nonzero voxels tested block by block, without
+that copy.
 
 Spacing comes from ``pixdim`` and is kept at 32-bit float precision
 because that is all the container can store; quantizing at construction
@@ -16,7 +17,7 @@ import gzip
 import io
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,20 +77,6 @@ class Volume3D:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "intensities", data)
-
-
-@dataclass(frozen=True)
-class MaskVolume:
-    """Boolean ROI on the same grid as a Volume3D."""
-
-    dims: tuple
-    labels: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        labels = np.asarray(self.labels, dtype=bool).reshape(dims)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
 
 
 def _read_bytes(path):
@@ -195,16 +182,17 @@ def read_nifti(path) -> Volume3D:
     )
 
 
-def read_mask(path) -> MaskVolume:
-    """The ROI of a NIfTI-1 label file: every voxel whose intensity, as
-    read_nifti gives it, is nonzero. Voxels are compared as stored, or scaled
-    MASK_BLOCK at a time, so no float64 copy of the whole volume is made."""
+def read_mask(path) -> np.ndarray:
+    """The ROI of a NIfTI-1 label file, a bool array of its grid's shape:
+    every voxel whose intensity, as read_nifti gives it, is nonzero. Voxels
+    are compared as stored, or scaled MASK_BLOCK at a time, so no float64
+    copy of the whole volume is made."""
     stored, shape, scale, _ = _read_stored(path)
     labels = np.empty(len(stored), dtype=bool)
     for start in range(0, len(stored), MASK_BLOCK):
         block = slice(start, start + MASK_BLOCK)
         np.not_equal(_intensities(stored[block], scale), 0.0, out=labels[block])
-    return MaskVolume(dims=shape, labels=labels.reshape(shape, order="F"))
+    return labels.reshape(shape, order="F")
 
 
 def write_nifti(vol: Volume3D, path, dtype: str = "float32", byteorder: str = "<"):

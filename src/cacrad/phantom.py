@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import BadRange
 from .learn.grid import MAX_COUNT
-from .nifti import MaskVolume, Volume3D, write_nifti
+from .nifti import Volume3D, write_nifti
 from .parallel import map_ordered
-from .rng import stream
+from .rng import MAX_SEED, stream
 from .table import writable_path, write_atomic
 
 DEFAULT_SPACING = (0.49, 0.49, 1.41)  # mm
@@ -37,7 +37,7 @@ LESION_MARGIN = 130.0
 class PhantomSubject:
     subject_id: str
     volume: Volume3D
-    mask: MaskVolume
+    mask: np.ndarray   # bool, on the volume's grid
     contrast: str      # "contrast" | "noncontrast"
     cac_score: float
 
@@ -102,7 +102,7 @@ def make_subject(index: int, label_nonzero: bool, contrast: str, seed: int,
     return PhantomSubject(
         subject_id=f"phantom_{index:03d}",
         volume=vol,
-        mask=MaskVolume(dims=dims, labels=region),
+        mask=region,
         contrast=contrast,
         cac_score=score,
     )
@@ -136,6 +136,8 @@ def generate_cohort(out_dir, n_subjects: int, class_balance: float = 0.5,
         raise BadRange(f"need 2 to {MAX_COUNT} subjects, got {n_subjects}")
     if not (0.0 <= class_balance <= 1.0):
         raise BadRange(f"class balance must be in [0, 1], got {class_balance}")
+    if not 0 <= seed <= MAX_SEED:
+        raise BadRange(f"seed must be from 0 to {MAX_SEED}, got {seed}")
     out = Path(out_dir)
     manifest_path = writable_path(out / "manifest.csv")
     files = [(f"volumes/phantom_{i:03d}_vol.nii.gz", f"masks/phantom_{i:03d}_mask.nii.gz")
@@ -149,8 +151,8 @@ def generate_cohort(out_dir, n_subjects: int, class_balance: float = 0.5,
         subj = make_subject(i, labels[i], contrast[i], seed, dims, spacing)
         vol_rel, mask_rel = files[i]
         write_nifti(subj.volume, out / vol_rel, dtype="int16")
-        mask_vol = Volume3D(dims=subj.mask.dims, spacing=spacing,
-                            intensities=subj.mask.labels.astype(np.float64))
+        mask_vol = Volume3D(dims=dims, spacing=spacing,
+                            intensities=subj.mask.astype(np.float64))
         write_nifti(mask_vol, out / mask_rel, dtype="int16")
         return (subj.subject_id, vol_rel, mask_rel, subj.contrast,
                 repr(float(subj.cac_score)))

@@ -86,7 +86,7 @@ def run_extract(cfg: RunConfig) -> dict:
     except CacradError:  # clear, so no earlier table outlives a failed run
         _clear_outputs(outputs, inputs)
         raise
-    entries = sorted(manifest.entries, key=lambda e: e.subject_id)
+    entries = sorted(manifest, key=lambda e: e.subject_id)
     listed = [(f"{kind} of {e.subject_id} in --manifest", path) for e in entries
               for kind, path in (("the volume", e.volume_path), ("the mask", e.mask_path))]
     report_path, features_path = _clear_outputs(outputs, inputs + listed)
@@ -97,7 +97,7 @@ def run_extract(cfg: RunConfig) -> dict:
         try:
             vol = read_nifti(entry.volume_path)
             mask = read_mask(entry.mask_path)
-            return extract_all(vol, mask, cfg).values, None
+            return extract_all(vol, mask, cfg), None
         except CacradError as exc:
             return None, {
                 "subject_id": entry.subject_id,
@@ -142,7 +142,7 @@ def _load_table(cfg: RunConfig, manifest):
         ids, names, matrix = load_embeddings(cfg.embeddings_csv)
         # the manifest's subjects, in its order; other rows are ignored
         pos = {s: k for k, s in enumerate(ids)}
-        covered = [s for s in manifest.subject_ids() if s in pos]
+        covered = [e.subject_id for e in manifest if e.subject_id in pos]
         if not covered:
             raise SchemaMismatch("no overlap between embedding rows and manifest subjects")
         table = attach_cohort(covered, names, matrix[[pos[s] for s in covered]], manifest)

@@ -20,7 +20,7 @@ from .errors import (
     NonPositiveWidth,
     TooManyGrayLevels,
 )
-from .nifti import MaskVolume, Volume3D
+from .nifti import Volume3D
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,18 @@ def bounding_box(labels: np.ndarray) -> tuple:
     return tuple(box)
 
 
-def apply_mask(vol: Volume3D, mask: MaskVolume) -> MaskedRoi:
-    """Crop the mask to its bounding box and take the raw intensities there.
+def apply_mask(vol: Volume3D, mask: np.ndarray) -> MaskedRoi:
+    """Crop the mask's nonzero voxels to their bounding box and take the
+    intensities there.
 
-    An all-false mask yields an empty MaskedRoi; exclusion policy is the
+    An all-zero mask yields an empty MaskedRoi; exclusion policy is the
     caller's decision.
     """
-    if vol.dims != mask.dims:
-        raise DimMismatch(f"volume {vol.dims} vs mask {mask.dims}")
-    box = bounding_box(mask.labels)
-    labels = mask.labels[box]
+    mask = np.asarray(mask, dtype=bool)  # an int mask would index, not select
+    if vol.dims != mask.shape:
+        raise DimMismatch(f"volume {vol.dims} vs mask {mask.shape}")
+    box = bounding_box(mask)
+    labels = mask[box]
     return MaskedRoi(mask=labels, corner=tuple(s.start for s in box),
                      values=vol.intensities[box][labels], spacing=vol.spacing)
 
@@ -188,14 +190,14 @@ def resample_trilinear(vol: Volume3D, target_spacing) -> Volume3D:
     return Volume3D(dims=new_dims, spacing=target, intensities=out)
 
 
-def resample_mask_nearest(mask: MaskVolume, spacing, target_spacing) -> MaskVolume:
-    """Nearest-neighbor companion to resample_trilinear for boolean masks."""
+def resample_mask_nearest(mask: np.ndarray, spacing, target_spacing) -> np.ndarray:
+    """Nearest-neighbor companion to resample_trilinear for bool masks."""
     target = tuple(float(t) for t in target_spacing)
-    new_dims = _target_dims(mask.dims, spacing, target)
+    new_dims = _target_dims(mask.shape, spacing, target)
     idx = []
     for ax in range(3):
         centers = (np.arange(new_dims[ax]) + 0.5) * target[ax]
         pos = np.rint(centers / spacing[ax] - 0.5).astype(int)
-        idx.append(np.clip(pos, 0, mask.dims[ax] - 1))
+        idx.append(np.clip(pos, 0, mask.shape[ax] - 1))
     ix, iy, iz = np.meshgrid(*idx, indexing="ij", sparse=True)
-    return MaskVolume(dims=new_dims, labels=mask.labels[ix, iy, iz])
+    return mask[ix, iy, iz]

@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 
+MAX_SEED = 2 ** 64 - 1  # a master seed is one of 0 .. MAX_SEED
+
 
 def _key_part(part) -> int:
     if isinstance(part, (int, np.integer)):
@@ -20,7 +22,7 @@ def _key_part(part) -> int:
 
 def seed_sequence(master_seed: int, *path) -> np.random.SeedSequence:
     return np.random.SeedSequence(
-        entropy=int(master_seed) & 0xFFFFFFFFFFFFFFFF,
+        entropy=int(master_seed) & MAX_SEED,
         spawn_key=tuple(_key_part(p) for p in path),
     )
 

@@ -25,7 +25,7 @@ from .errors import (
     UnknownColumn,
 )
 from .files import csv_rows
-from .manifest import CacLabel, CohortManifest, ContrastGroup
+from .manifest import CacLabel, ContrastGroup
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,9 @@ def read_features_csv(path):
     return tuple(ids), names, np.array(data, dtype=np.float64).reshape(len(ids), len(names))
 
 
-def attach_cohort(subject_ids, feature_names, matrix, manifest: CohortManifest) -> FeatureTable:
+def attach_cohort(subject_ids, feature_names, matrix, manifest: tuple) -> FeatureTable:
     """Join labels and contrast groups from the manifest onto feature rows."""
-    by_id = {e.subject_id: e for e in manifest.entries}
+    by_id = {e.subject_id: e for e in manifest}
     missing = [s for s in subject_ids if s not in by_id]
     if missing:
         raise SchemaMismatch(f"feature rows without manifest entries: {missing[:5]}")

@@ -28,7 +28,7 @@ from cacrad.features import ExtractionConfig, extract_all
 from cacrad.features.catalog import FEATURE_NAMES
 from cacrad.learn.mlp import Mlp, loss_and_grad
 from cacrad.manifest import load_manifest
-from cacrad.nifti import MaskVolume, Volume3D, read_nifti, write_nifti
+from cacrad.nifti import Volume3D, read_nifti, write_nifti
 from cacrad.preprocess import apply_mask, discretize_fixed_width
 from cacrad.selection import Standardizer, correlation_filter
 from cacrad.table import attach_cohort, read_features_csv
@@ -98,7 +98,7 @@ def test_texture_matrix_oracle_suite():
 
 def _feature_oracle(vol, mask):
     """All 107 values from literal formulas, keyed by catalog name."""
-    roi = apply_mask(vol, MaskVolume(dims=vol.dims, labels=mask))
+    roi = apply_mask(vol, mask)
     disc = discretize_fixed_width(roi, 25.0)
     dense = disc.grid
     ng = disc.ng
@@ -139,7 +139,7 @@ def test_feature_formula_oracle_suite():
         spacing = tuple(float(s) for s in rng.uniform(0.4, 2.0, size=3))
         vol = Volume3D(dims=grid.shape, spacing=spacing, intensities=values)
 
-        vec = extract_all(vol, MaskVolume(dims=grid.shape, labels=mask)).as_dict()
+        vec = dict(zip(FEATURE_NAMES, extract_all(vol, mask)))
         want, glcm_empty = _feature_oracle(vol, mask)
 
         for name in FEATURE_NAMES:
@@ -157,7 +157,7 @@ def test_feature_formula_oracle_suite():
     dims = (3, 3, 2)
     vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0),
                    intensities=np.full(dims, 50.0))
-    vec = extract_all(vol, MaskVolume(dims=dims, labels=np.ones(dims, bool))).as_dict()
+    vec = dict(zip(FEATURE_NAMES, extract_all(vol, np.ones(dims, bool))))
     assert all(np.isfinite(v) for v in vec.values())
     assert vec["firstorder_Variance"] == 0.0
     assert vec["firstorder_Skewness"] == 0.0

@@ -19,6 +19,7 @@ from cacrad.embeddings import write_embeddings
 from cacrad.features.catalog import FEATURE_NAMES
 from cacrad.learn.grid import MAX_COUNT
 from cacrad.nifti import read_nifti, write_nifti
+from cacrad.rng import MAX_SEED
 from cacrad.table import read_features_csv, write_features_csv
 
 SMALL_ARGS = None  # phantom subcommand uses default full-size volumes
@@ -454,6 +455,33 @@ def test_phantom_bad_balance(tmp_path, capsys):
     assert main(["phantom", "--n", "4", "--balance", "2.0",
                  "--out", str(tmp_path / "x")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(MAX_SEED + 1)])
+def test_a_seed_outside_64_bits_exits_2_before_any_output_is_cleared(
+        cli_cohort, finished, tmp_path, capsys, seed):
+    # a seed kept only its low 64 bits: --seed -1 wrote the cohort of
+    # --seed 2^64 - 1, and --seed 2^64 that of --seed 0
+    cohort, out = tmp_path / "cohort", tmp_path / "run"
+    assert main(["phantom", "--n", "2", "--seed", "0", "--out", str(cohort)]) == 0
+    out.mkdir()
+    for name in ("features.csv", "extract_report.json"):
+        shutil.copy(finished / name, out / name)
+    before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    capsys.readouterr()
+    assert main(["phantom", "--n", "2", "--seed", seed, "--out", str(cohort)]) == 2
+    assert main(["extract", "--manifest", str(cli_cohort / "manifest.csv"),
+                 "--seed", seed, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count(f"seed must be from 0 to {MAX_SEED}, got {seed}") == 2
+    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+
+
+def test_both_ends_of_the_seed_range_run(tmp_path):
+    for seed in ("0", str(MAX_SEED)):
+        assert main(["phantom", "--n", "2", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+        assert _from_flags(["extract", "--seed", seed]).seed == int(seed)
+    assert (tmp_path / "0" / "volumes" / "phantom_000_vol.nii.gz").read_bytes() != (
+        tmp_path / str(MAX_SEED) / "volumes" / "phantom_000_vol.nii.gz").read_bytes()
 
 
 FAST_SVM = ("models = linear_svm\nkfold = 2\ntest_fraction = 0.5\nn_seeds = 2\n"

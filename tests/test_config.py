@@ -10,6 +10,7 @@ from cacrad.config import RunConfig, load_config, parse_config_text
 from cacrad.errors import ConfigError
 from cacrad.learn.grid import DEFAULT_GRIDS, MAX_COUNT, HyperGrid
 from cacrad.learn.model import MODEL_KINDS, build_model
+from cacrad.rng import MAX_SEED
 
 
 def test_defaults_validate():
@@ -182,6 +183,20 @@ def test_run_counts_are_bounded():
             replace(RunConfig(), **{key: MAX_COUNT + 1})
         for ok in (low, MAX_COUNT):
             assert getattr(parse_config_text(f"{key} = {ok}\n"), key) == ok
+
+
+def test_seed_is_a_64_bit_count():
+    # streams keep a master seed's low 64 bits: seed -5 ran every stream of
+    # seed 2^64 - 5 while the report recorded -5
+    for bad in (-1, -5, MAX_SEED + 1):
+        with pytest.raises(ConfigError, match=f"seed must be from 0 to {MAX_SEED}, got {bad}"):
+            parse_config_text(f"seed = {bad}\n")
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(seed=bad)
+        with pytest.raises(ConfigError, match="seed"):
+            replace(RunConfig(), seed=bad)
+    for ok in (0, MAX_SEED):
+        assert parse_config_text(f"seed = {ok}\n").seed == ok
 
 
 def test_zero_test_fraction_rejected():

@@ -23,7 +23,6 @@ USERS = ("src/cacrad", "perfbench", "scripts")
 
 # Public names that only tests call, each with the reason it stays.
 TEST_ONLY = {
-    "as_dict": "name-keyed view of a FeatureVector; the feature oracles compare by name",
     "loss_and_grad": "the mlp loss and flat gradient that the finite-difference and "
                      "fit-loop tests check the training step against",
     "LESION_MARGIN": "the phantom's 130 HU contract: lesion-free ROIs stay below "

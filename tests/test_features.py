@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cacrad.errors import TooManyGrayLevels
-from cacrad.features import ExtractionConfig, FeatureVector, extract_all
+from cacrad.errors import NonFiniteValue, TooManyGrayLevels
+from cacrad.features import ExtractionConfig, extract_all
 from cacrad.features.catalog import FAMILIES, FAMILY_COUNTS, FEATURE_NAMES, catalog_text
 from cacrad.features.firstorder import first_order
 from cacrad.features.shape import shape_features
@@ -15,7 +15,7 @@ from cacrad.features.texture import (
     glszm_features,
     ngtdm_features,
 )
-from cacrad.nifti import MaskVolume, Volume3D
+from cacrad.nifti import Volume3D
 from cacrad.preprocess import discretize_fixed_width, resample_mask_nearest
 from cacrad.texmat import (
     compute_glcm,
@@ -103,11 +103,11 @@ def constant_roi_vector(value=50.0, dims=(3, 3, 2)):
     mask = np.ones(dims, dtype=bool)
     values = np.full(dims, value)
     vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0), intensities=values)
-    return extract_all(vol, MaskVolume(dims=dims, labels=mask))
+    return extract_all(vol, mask)
 
 
 def test_constant_roi_is_finite_with_documented_substitutions():
-    vec = constant_roi_vector().as_dict()
+    vec = dict(zip(FEATURE_NAMES, constant_roi_vector()))
     assert all(np.isfinite(v) for v in vec.values())
     assert vec["firstorder_Skewness"] == 0.0
     assert vec["firstorder_Kurtosis"] == 0.0
@@ -127,7 +127,7 @@ def test_single_voxel_roi_is_finite():
     mask[1, 1, 1] = True
     vol = Volume3D(dims=dims, spacing=(0.7, 0.7, 1.2),
                    intensities=np.full(dims, 123.0))
-    vec = extract_all(vol, MaskVolume(dims=dims, labels=mask)).as_dict()
+    vec = dict(zip(FEATURE_NAMES, extract_all(vol, mask)))
     assert all(np.isfinite(v) for v in vec.values())
     assert vec["glcm_Correlation"] == 1.0 and vec["glcm_MCC"] == 1.0
     assert vec["shape_Maximum3DDiameter"] == 0.0
@@ -144,8 +144,8 @@ def test_degenerate_line_roi_is_finite(line_axis):
     rng = np.random.default_rng(7)
     vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0),
                    intensities=rng.normal(size=dims) * 60)
-    vec = extract_all(vol, MaskVolume(dims=dims, labels=np.ones(dims, bool)))
-    assert all(np.isfinite(v) for v in vec.values)
+    vec = extract_all(vol, np.ones(dims, bool))
+    assert np.all(np.isfinite(vec))
 
 
 @pytest.mark.parametrize("cfg", [ExtractionConfig(bin_width=1e-4),
@@ -158,7 +158,7 @@ def test_too_many_gray_levels_fail_before_anything_of_size_ng(cfg):
     dims = (2, 1, 1)
     vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0),
                    intensities=np.array([0.0, 1000.0]).reshape(dims))
-    mask = MaskVolume(dims=dims, labels=np.ones(dims, bool))
+    mask = np.ones(dims, bool)
     tracemalloc.start()
     try:
         with pytest.raises(TooManyGrayLevels, match="gray levels"):
@@ -174,8 +174,8 @@ def test_degenerate_plane_roi_is_finite():
     rng = np.random.default_rng(8)
     vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0),
                    intensities=rng.normal(size=dims) * 60)
-    vec = extract_all(vol, MaskVolume(dims=dims, labels=np.ones(dims, bool)))
-    assert all(np.isfinite(v) for v in vec.values)
+    vec = extract_all(vol, np.ones(dims, bool))
+    assert np.all(np.isfinite(vec))
 
 
 def test_translation_invariance(rng):
@@ -189,7 +189,7 @@ def test_translation_invariance(rng):
         vals[sl] = values
         m[sl] = mask
         vol = Volume3D(dims=vol_dims, spacing=spacing, intensities=vals)
-        return extract_all(vol, MaskVolume(dims=vol_dims, labels=m)).values
+        return extract_all(vol, m)
 
     a = embedded((0, 0, 0))
     b = embedded((3, 2, 1))
@@ -210,7 +210,7 @@ def test_intensity_shift_moves_only_location_features(rng):
 
     def vec_for(vals):
         vol = Volume3D(dims=vol_dims, spacing=spacing, intensities=vals)
-        return extract_all(vol, MaskVolume(dims=vol_dims, labels=mask)).as_dict()
+        return dict(zip(FEATURE_NAMES, extract_all(vol, mask)))
 
     a = vec_for(values)
     b = vec_for(values + 100.0)
@@ -250,11 +250,28 @@ def test_catalog_text_lists_every_feature():
 def test_extraction_config_fixed_count_mode(rng):
     grid, mask, values, spacing = random_case(13)
     vol = Volume3D(dims=grid.shape, spacing=spacing, intensities=values)
-    mv = MaskVolume(dims=grid.shape, labels=mask)
-    a = extract_all(vol, mv, ExtractionConfig(n_bins=8))
-    b = extract_all(vol, mv, ExtractionConfig(n_bins=8))
-    assert np.array_equal(a.values, b.values)
-    assert isinstance(a, FeatureVector)
+    a = extract_all(vol, mask, ExtractionConfig(n_bins=8))
+    b = extract_all(vol, mask, ExtractionConfig(n_bins=8))
+    assert np.array_equal(a, b)
+    assert a.dtype == np.float64 and a.shape == (len(FEATURE_NAMES),)
+
+
+def test_a_mask_of_any_dtype_is_its_nonzero_voxels():
+    grid, mask, values, spacing = random_case(14)
+    vol = Volume3D(dims=grid.shape, spacing=spacing, intensities=values)
+    want = extract_all(vol, mask).tobytes()
+    for labels in (mask.astype(np.int16) * 3, mask.astype(np.float64)):
+        assert extract_all(vol, labels).tobytes() == want
+
+
+def test_a_non_finite_value_names_its_column(monkeypatch):
+    import cacrad.features
+
+    first_order = cacrad.features.first_order
+    monkeypatch.setattr(cacrad.features, "first_order",
+                        lambda roi, disc: {**first_order(roi, disc), "Median": np.nan})
+    with pytest.raises(NonFiniteValue, match=r"\['firstorder_Median'\]"):
+        constant_roi_vector()
 
 
 def test_empty_mask_raises():
@@ -262,7 +279,7 @@ def test_empty_mask_raises():
     dims = (3, 3, 3)
     vol = Volume3D(dims=dims, spacing=(1, 1, 1), intensities=np.zeros(dims))
     with pytest.raises(EmptyMask):
-        extract_all(vol, MaskVolume(dims=dims, labels=np.zeros(dims, bool)))
+        extract_all(vol, np.zeros(dims, bool))
 
 
 def test_extract_all_resamples_volume_and_mask():
@@ -270,18 +287,17 @@ def test_extract_all_resamples_volume_and_mask():
     dims = (10, 10, 8)
     vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0),
                    intensities=rng.normal(0.0, 80.0, size=dims))
-    labels = np.zeros(dims, dtype=bool)
-    labels[2:8, 2:8, 2:6] = True
-    mask = MaskVolume(dims=dims, labels=labels)
+    mask = np.zeros(dims, dtype=bool)
+    mask[2:8, 2:8, 2:6] = True
     native = extract_all(vol, mask)
     # a resample onto the native 1 mm grid changes no value
     same = extract_all(vol, mask, ExtractionConfig(resample_spacing=(1.0, 1.0, 1.0)))
-    assert native.values.tobytes() == same.values.tobytes()
+    assert native.tobytes() == same.tobytes()
     # at 2 mm, shape is measured on the nearest-neighbour mask in 2 mm voxels
     coarse = extract_all(vol, mask, ExtractionConfig(resample_spacing=(2.0, 2.0, 2.0)))
-    kept = resample_mask_nearest(mask, vol.spacing, (2.0, 2.0, 2.0)).labels
+    kept = resample_mask_nearest(mask, vol.spacing, (2.0, 2.0, 2.0))
     assert kept.shape == (5, 5, 4) and kept.sum() == 18
-    got = coarse.as_dict()
+    got = dict(zip(FEATURE_NAMES, coarse))
     assert got["shape_VoxelVolume"] == 8.0 * 18
     assert got["shape_Maximum3DDiameter"] == pytest.approx(2.0 * np.sqrt(4 + 4 + 1))
-    assert not np.array_equal(native.values, coarse.values)
+    assert not np.array_equal(native, coarse)

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from cacrad.errors import BadLabel, DataError, DuplicateSubject, MissingFile
-from cacrad.manifest import CacLabel, ContrastGroup, load_manifest, require_files
+from cacrad.manifest import CacLabel, ContrastGroup, ManifestEntry, load_manifest, require_files
 
 HEADER = "subject_id,volume,mask,contrast,cac_score\n"
 
@@ -29,9 +29,9 @@ def test_load_happy_path(tmp_path):
         ("s2", "vols/b.nii", "masks/b.nii", "noncontrast", "412.5"),
     ])
     m = load_manifest(path)
-    assert len(m) == 2
-    assert m.subject_ids() == ["s1", "s2"]
-    e1, e2 = m.entries
+    assert isinstance(m, tuple) and all(isinstance(e, ManifestEntry) for e in m)
+    assert [e.subject_id for e in m] == ["s1", "s2"]
+    e1, e2 = m
     assert e1.cac_label is CacLabel.ZERO
     assert e1.contrast is ContrastGroup.CONTRAST
     assert e2.cac_label is CacLabel.NONZERO
@@ -41,7 +41,7 @@ def test_load_happy_path(tmp_path):
 
 def test_relative_paths_resolve_against_manifest_dir(tmp_path):
     path = write_manifest(tmp_path, [("s1", "v.nii", "m.nii", "contrast", "1")])
-    entry = load_manifest(path).entries[0]
+    entry = load_manifest(path)[0]
     assert entry.volume_path == str(tmp_path / "v.nii")
     assert os.path.isabs(entry.volume_path)
 
@@ -53,7 +53,7 @@ def test_absolute_paths_kept(tmp_path):
     mask.write_bytes(b"")
     path = write_manifest(tmp_path, [("s1", str(vol), str(mask), "contrast", "1")],
                           make_files=False)
-    entry = load_manifest(path).entries[0]
+    entry = load_manifest(path)[0]
     assert entry.volume_path == str(vol)
 
 

@@ -43,11 +43,11 @@ def test_exact_balance_and_contrast_split(tmp_path):
     manifest = load_manifest(generate_cohort(tmp_path, 10, 0.3, seed=0,
                                              dims=SMALL_DIMS))
     assert len(manifest) == 10
-    labels = [e.cac_label for e in manifest.entries]
+    labels = [e.cac_label for e in manifest]
     assert labels.count(CacLabel.NONZERO) == 3
     # contrast tags are stratified half/half within each class
     for label in (CacLabel.ZERO, CacLabel.NONZERO):
-        members = [e for e in manifest.entries if e.cac_label is label]
+        members = [e for e in manifest if e.cac_label is label]
         n_con = sum(1 for e in members if e.contrast is ContrastGroup.CONTRAST)
         assert n_con == len(members) // 2
 
@@ -57,13 +57,13 @@ def test_roi_intensity_separation():
     for idx in range(4):
         subj = make_subject(idx, label_nonzero=False, contrast="contrast",
                             seed=5, dims=SMALL_DIMS)
-        roi_vals = subj.volume.intensities[subj.mask.labels]
+        roi_vals = subj.volume.intensities[subj.mask]
         assert roi_vals.max() < TISSUE_HU + LESION_MARGIN
         assert subj.cac_score == 0.0
     for idx in range(4):
         subj = make_subject(idx, label_nonzero=True, contrast="contrast",
                             seed=5, dims=SMALL_DIMS)
-        roi_vals = subj.volume.intensities[subj.mask.labels]
+        roi_vals = subj.volume.intensities[subj.mask]
         assert roi_vals.max() >= TISSUE_HU + LESION_MARGIN
         assert subj.cac_score > 0.0
 
@@ -72,13 +72,13 @@ def test_mask_carries_no_label_signal():
     # same (index, seed) gives the same tube whether or not lesions are added
     neg = make_subject(2, False, "contrast", seed=9, dims=SMALL_DIMS)
     pos = make_subject(2, True, "contrast", seed=9, dims=SMALL_DIMS)
-    assert np.array_equal(neg.mask.labels, pos.mask.labels)
+    assert np.array_equal(neg.mask, pos.mask)
 
 
 def test_written_volumes_parse_and_are_int_valued(tmp_path):
     manifest = load_manifest(generate_cohort(tmp_path, 4, 0.5, seed=2,
                                              dims=SMALL_DIMS))
-    for entry in manifest.entries:
+    for entry in manifest:
         vol = read_nifti(entry.volume_path)
         assert vol.dims == SMALL_DIMS
         assert np.all(vol.intensities == np.round(vol.intensities))
@@ -92,6 +92,10 @@ def test_generate_errors(tmp_path):
         generate_cohort(tmp_path, 1, 0.5, seed=0)
     with pytest.raises(BadRange):
         generate_cohort(tmp_path, 4, 1.5, seed=0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(BadRange, match="seed"):
+            generate_cohort(tmp_path, 4, 0.5, seed=seed)
+    assert not any(tmp_path.iterdir())
 
 
 def test_any_cpu_count_writes_the_same_tree(cpus, tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from cacrad.embeddings import write_embeddings
 from cacrad.features import ExtractionConfig, extract_all
 from cacrad.manifest import load_manifest
 from cacrad.nifti import Volume3D, read_mask, read_nifti, write_nifti
-from cacrad.phantom import generate_cohort
+from cacrad.phantom import DEFAULT_SPACING, generate_cohort
 from cacrad.pipeline import run_extract, run_stats, run_train_eval
 from cacrad.table import read_features_csv
 
@@ -173,18 +173,26 @@ def test_a_non_finite_feature_is_still_an_exclusion(cohort, tmp_path, monkeypatc
 
 
 def test_extract_writes_utf8_in_an_ascii_locale(tmp_path):
-    # the outputs were written in the locale's encoding: a subject id that
-    # ASCII cannot hold ended extract in a UnicodeEncodeError
+    # the outputs were written in the locale's encoding, and stdout's lines
+    # printed with it: a subject id that ASCII cannot hold ended extract in
+    # a UnicodeEncodeError
     manifest = generate_cohort(tmp_path / "c", 4, 0.5, seed=5, dims=SMALL_DIMS)
     text = manifest.read_text(encoding="utf-8")
-    manifest.write_text(text.replace("\nphantom_000,", "\nphantöm_000,"), encoding="utf-8")
+    for old, new in (("phantom_000", "phantöm_000"), ("phantom_001", "phantöm_001")):
+        text = text.replace(f"\n{old},", f"\n{new},")
+    manifest.write_text(text, encoding="utf-8")
+    empty = Volume3D(dims=SMALL_DIMS, spacing=DEFAULT_SPACING, intensities=np.zeros(SMALL_DIMS))
+    write_nifti(empty, manifest.parent / "masks" / "phantom_001_mask.nii.gz", dtype="int16")
     env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
     env.update(LC_ALL="POSIX", PYTHONUTF8="0", PYTHONPATH=str(Path(cacrad.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "cacrad.cli", "extract",
                            "--manifest", str(manifest), "--out", str(tmp_path / "o")],
                           env=env, capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    assert "phantöm_000" in read_features_csv(tmp_path / "o" / "features.csv")[0]
+    assert read_features_csv(tmp_path / "o" / "features.csv")[0] == (
+        "phantom_002", "phantom_003", "phantöm_000")
+    assert proc.stdout.decode("ascii").splitlines()[1:] == [
+        "excluded phant\\xf6m_001: EmptyMask: mask selects no voxels"]
 
 
 def _fail_writing(monkeypatch, name):
@@ -284,10 +292,10 @@ def test_extract_passes_every_extraction_setting(cohort, tmp_path, n_bins):
     report = run_extract(cfg)
     assert report["n_extracted"] == 12
     ids, _, matrix = read_features_csv(tmp_path / "features.csv")
-    entries = {e.subject_id: e for e in load_manifest(manifest).entries}
+    entries = {e.subject_id: e for e in load_manifest(manifest)}
     for sid, row in zip(ids, matrix):
         vol, mask = read_nifti(entries[sid].volume_path), read_mask(entries[sid].mask_path)
-        assert row.tobytes() == extract_all(vol, mask, want).values.tobytes()
+        assert row.tobytes() == extract_all(vol, mask, want).tobytes()
 
 
 def test_extract_requires_manifest(tmp_path):
@@ -427,12 +435,12 @@ def test_stats_schema_errors(extracted, tmp_path):
 
 def test_embeddings_mode(cohort, tmp_path):
     root, manifest = cohort
-    ids = load_manifest(manifest).subject_ids()
+    entries = load_manifest(manifest)
+    ids = [e.subject_id for e in entries]
     rng = np.random.default_rng(0)
     # informative coordinates plus a ghost row absent from the manifest
     from cacrad.manifest import CacLabel
 
-    entries = load_manifest(manifest).entries
     y = np.array([1.0 if e.cac_label is CacLabel.NONZERO else 0.0 for e in entries])
     mat = rng.normal(size=(len(ids), 4))
     mat[:, 0] += 3.0 * y
@@ -457,7 +465,7 @@ def test_embeddings_mode(cohort, tmp_path):
 
 def test_embeddings_mode_filter_drops_near_duplicate_columns(cohort, tmp_path):
     root, manifest = cohort
-    ids = load_manifest(manifest).subject_ids()
+    ids = [e.subject_id for e in load_manifest(manifest)]
     rng = np.random.default_rng(3)
     base = rng.normal(size=(len(ids), 2))
     noise = 1e-3 * rng.normal(size=(len(ids), 2))
@@ -487,7 +495,7 @@ def test_embeddings_mode_filter_drops_near_duplicate_columns(cohort, tmp_path):
 
 def test_embeddings_rows_follow_the_manifest(cohort, tmp_path):
     root, manifest = cohort
-    ids = load_manifest(manifest).subject_ids() + ["ghost0", "ghost1"]
+    ids = [e.subject_id for e in load_manifest(manifest)] + ["ghost0", "ghost1"]
     mat = np.random.default_rng(4).normal(size=(len(ids), 3))
     shuffled = np.random.default_rng(5).permutation(len(ids))
     assert list(shuffled[shuffled < 12]) != list(range(12))

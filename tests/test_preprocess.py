@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cacrad.errors import BadSpacing, DimMismatch, EmptyMask, NonPositiveWidth
-from cacrad.nifti import MaskVolume, Volume3D
+from cacrad.nifti import Volume3D
 from cacrad.preprocess import (
     MAX_RESAMPLED_VOXELS,
     _target_dims,
@@ -30,7 +30,7 @@ def test_apply_mask_selects_expected_voxels():
     vals = np.arange(8.0).reshape(2, 2, 2)
     mask = np.zeros((2, 2, 2), dtype=bool)
     mask[0, 0, 0] = mask[1, 1, 1] = True
-    roi = apply_mask(small_volume(vals), MaskVolume(dims=(2, 2, 2), labels=mask))
+    roi = apply_mask(small_volume(vals), mask)
     assert sorted(roi.values.tolist()) == [0.0, 7.0]
     assert len(roi) == 2
 
@@ -41,7 +41,11 @@ def test_apply_mask_crops_to_the_mask_box():
     labels = np.zeros(vals.shape, dtype=bool)
     labels[5:14, 3:9, 4:10] = rng.random((9, 6, 6)) < 0.4
     labels[5, 3, 4] = labels[13, 8, 9] = True
-    roi = apply_mask(small_volume(vals), MaskVolume(dims=vals.shape, labels=labels))
+    roi = apply_mask(small_volume(vals), labels)
+    for other in (labels.astype(np.int16) * 2, labels.astype(np.float32)):
+        same = apply_mask(small_volume(vals), other)
+        assert same.values.tobytes() == roi.values.tobytes()
+        assert same.mask.dtype == bool and np.array_equal(same.mask, roi.mask)
     assert roi.mask.shape == (9, 6, 6)
     assert roi.corner == (5, 3, 4)
     assert np.array_equal(np.argwhere(roi.mask) + roi.corner, np.argwhere(labels))
@@ -65,7 +69,7 @@ def test_bounding_box_is_the_index_range_of_the_mask():
 
 def test_apply_mask_of_an_all_false_mask_is_empty():
     roi = apply_mask(small_volume(np.ones((4, 3, 2))),
-                     MaskVolume(dims=(4, 3, 2), labels=np.zeros((4, 3, 2), bool)))
+                     np.zeros((4, 3, 2), bool))
     assert len(roi) == 0 and roi.mask.size == 0
     with pytest.raises(EmptyMask):
         discretize_fixed_width(roi, 25.0)
@@ -76,7 +80,7 @@ def test_apply_mask_of_an_all_false_mask_is_empty():
 def test_apply_mask_dim_mismatch():
     with pytest.raises(DimMismatch):
         apply_mask(small_volume(np.zeros((2, 2, 2))),
-                   MaskVolume(dims=(3, 3, 3), labels=np.ones((3, 3, 3), bool)))
+                   np.ones((3, 3, 3), bool))
 
 
 def test_fixed_width_binning_known_values():
@@ -176,15 +180,14 @@ def test_resample_linear_ramp_exact_interior():
 def test_resample_mask_preserves_large_structure():
     mask = np.zeros((8, 8, 8), dtype=bool)
     mask[2:6, 2:6, 2:6] = True
-    mv = MaskVolume(dims=(8, 8, 8), labels=mask)
-    out = resample_mask_nearest(mv, (1.0, 1.0, 1.0), (0.5, 0.5, 0.5))
-    assert out.dims == (16, 16, 16)
+    out = resample_mask_nearest(mask, (1.0, 1.0, 1.0), (0.5, 0.5, 0.5))
+    assert out.shape == (16, 16, 16) and out.dtype == bool
     # volume fraction is conserved up to boundary rounding
     frac_in = mask.mean()
-    frac_out = out.labels.mean()
+    frac_out = out.mean()
     assert abs(frac_in - frac_out) < 0.05
     with pytest.raises(BadSpacing):
-        resample_mask_nearest(mv, (1.0, 1.0, 1.0), (0.0, 1.0, 1.0))
+        resample_mask_nearest(mask, (1.0, 1.0, 1.0), (0.0, 1.0, 1.0))
 
 
 def test_resample_bad_spacing():
@@ -225,11 +228,11 @@ def dense_resample_trilinear(vol, target):
 def dense_resample_mask(mask, spacing, target):
     """resample_mask_nearest's body with full-volume meshgrid index grids."""
     new_dims = tuple(max(1, int(round(d * s / t)))
-                     for d, s, t in zip(mask.dims, spacing, target))
+                     for d, s, t in zip(mask.shape, spacing, target))
     idx = [np.clip(np.rint((np.arange(new_dims[ax]) + 0.5) * target[ax] / spacing[ax]
-                           - 0.5).astype(int), 0, mask.dims[ax] - 1) for ax in range(3)]
+                           - 0.5).astype(int), 0, mask.shape[ax] - 1) for ax in range(3)]
     ix, iy, iz = np.meshgrid(*idx, indexing="ij")
-    return mask.labels[ix, iy, iz]
+    return mask[ix, iy, iz]
 
 
 @pytest.mark.parametrize("target", [(1.0, 1.0, 1.5), (2.0, 2.5, 3.0), (0.7, 1.3, 2.0)])
@@ -238,19 +241,19 @@ def test_resamplers_equal_the_dense_meshgrid_body(target):
     dims, spacing = (23, 17, 11), (1.0, 1.0, 1.5)
     vol = Volume3D(dims=dims, spacing=spacing,
                    intensities=np.round(rng.normal(0.0, 300.0, size=dims), 1))
-    mask = MaskVolume(dims=dims, labels=rng.random(dims) < 0.4)
+    mask = rng.random(dims) < 0.4
     out = resample_trilinear(vol, target)
     assert out.intensities.tobytes() == dense_resample_trilinear(vol, target).tobytes()
-    labels = resample_mask_nearest(mask, spacing, target).labels
+    labels = resample_mask_nearest(mask, spacing, target)
     assert labels.tobytes() == dense_resample_mask(mask, spacing, target).tobytes()
 
 
 def test_resamplers_hold_no_full_volume_index_grids():
     dims = (64, 64, 32)
     vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0), intensities=np.zeros(dims))
-    mask = MaskVolume(dims=dims, labels=np.zeros(dims, dtype=bool))
+    mask = np.zeros(dims, dtype=bool)
     target = (0.8, 0.8, 0.8)
-    n_out = np.prod(resample_mask_nearest(mask, vol.spacing, target).dims)
+    n_out = np.prod(resample_mask_nearest(mask, vol.spacing, target).shape)
 
     def peak_per_voxel(fn):
         tracemalloc.start()
@@ -268,7 +271,7 @@ def test_resamplers_hold_no_full_volume_index_grids():
 def test_oversized_resampled_grid_is_refused():
     vol = Volume3D(dims=(44, 44, 28), spacing=(0.49, 0.49, 1.41),
                    intensities=np.zeros((44, 44, 28)))
-    mask = MaskVolume(dims=vol.dims, labels=np.ones(vol.dims, dtype=bool))
+    mask = np.ones(vol.dims, dtype=bool)
     for target in ((0.01, 0.01, 0.01), (1e-300, 1.0, 1.0)):
         with pytest.raises(BadSpacing, match="voxels"):
             resample_trilinear(vol, target)

@@ -16,7 +16,6 @@ from cacrad.errors import (
 )
 from cacrad.manifest import (
     CacLabel,
-    CohortManifest,
     ContrastGroup,
     ManifestEntry,
 )
@@ -168,11 +167,11 @@ def test_group_and_label_helpers():
 
 
 def test_attach_cohort_join():
-    manifest = CohortManifest(entries=(
+    manifest = (
         entry("a", ContrastGroup.CONTRAST, 0.0),
         entry("b", ContrastGroup.NONCONTRAST, 55.0),
         entry("zzz", ContrastGroup.CONTRAST, 1.0),
-    ))
+    )
     t = attach_cohort(["b", "a"], ["f0"], np.array([[1.0], [2.0]]), manifest)
     assert t.labels == (CacLabel.NONZERO, CacLabel.ZERO)
     assert t.groups == (ContrastGroup.NONCONTRAST, ContrastGroup.CONTRAST)

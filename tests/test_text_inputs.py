@@ -41,9 +41,9 @@ def chain(tmp_path_factory):
     m = load_manifest(manifest)
     manifest.write_text("subject_id,volume,mask,contrast,cac_score\n" + "".join(
         f"{e.subject_id},{e.volume_path},{e.mask_path},{e.contrast.value},{e.cac_score!r}\n"
-        for e in m.entries))
+        for e in m))
     (root / "run.cfg").write_text(ONE_POINT)
-    write_embeddings(root / "embeddings.csv", m.subject_ids(),
+    write_embeddings(root / "embeddings.csv", [e.subject_id for e in m],
                      np.random.default_rng(5).normal(size=(len(m), 8)))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["extract", "--manifest", str(manifest), "--out", str(root)]) == 0
