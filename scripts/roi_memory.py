@@ -10,10 +10,11 @@ one-voxel zones, every GLCM cell filled), or smooth, 8 bands of a slowly
 varying field (long runs, large zones, nearly every neighbour pair of
 equal level). For each texture, each of the five texmat.compute_*
 functions and the feature kernels first_order (on the levels as
-values), shape_features and glcm_features (on the ROI's GLCM), the
-script prints the tracemalloc peak of one call, in MiB and in bytes per
-cell of the ROI's box (the unit tests/test_texmat.py bounds it in), and
-the best wall time of --repeat untraced calls. It measures the working tree's src/ and, with
+values), shape_features, glcm_features (on the ROI's GLCM) and
+glszm_features (on the ROI's GLSZM), the script prints the tracemalloc
+peak of one call, in MiB and in bytes per cell of the ROI's box (the
+unit tests/test_texmat.py bounds it in), and the best wall time of
+--repeat untraced calls. It measures the working tree's src/ and, with
 --parent, also the src/ of that git revision, exported with git archive
 to a temporary directory; each side runs in its own interpreter.
 """
@@ -33,14 +34,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("glcm", "glrlm", "glszm", "gldm", "ngtdm")
-KERNELS = FAMILIES + ("first_order", "shape_features", "glcm_features")
+KERNELS = FAMILIES + ("first_order", "shape_features", "glcm_features", "glszm_features")
 TEXTURES = ("white", "smooth")
 
 
 def measure(n: int, repeat: int) -> dict:
     """{texture: {kernel: (peak MiB, best seconds)}} for the cacrad on sys.path."""
     from cacrad import texmat
-    from cacrad.features import first_order, glcm_features, shape_features
+    from cacrad.features import first_order, glcm_features, glszm_features, shape_features
     sys.path.insert(0, str(ROOT / "tests"))
     from conftest import ball_grid, disc_from_grid, roi_from_values
 
@@ -53,6 +54,7 @@ def measure(n: int, repeat: int) -> dict:
         calls["first_order"] = (first_order, masked, roi)
         calls["shape_features"] = (shape_features, masked.mask, masked.spacing, masked.corner)
         calls["glcm_features"] = (glcm_features, texmat.compute_glcm(roi))
+        calls["glszm_features"] = (glszm_features, texmat.compute_glszm(roi))
         row = {"voxels": len(roi), "box_cells": roi.grid.size, "ng": roi.ng}
         for kernel, (compute, *args) in calls.items():
             tracemalloc.start()

@@ -103,6 +103,23 @@ def _max_pairwise(points: np.ndarray, rows: int = 128) -> float:
     return float(np.sqrt(best))
 
 
+def _max_pairwise_pruned(points: np.ndarray) -> float:
+    """_max_pairwise over only the points that can end a farthest pair.
+
+    With r a point's distance to the centroid and R the largest r, no pair
+    with p is longer than r_p + R; L, the longest pair of the point
+    farthest from the centroid, is at most the maximum. So a point with
+    r_p + R < L can be dropped, here with a 1e-9 relative margin for
+    rounding, and the maximum stays the same, bit for bit.
+    """
+    centered = points - points.mean(axis=0)
+    r = np.sqrt((centered * centered).sum(axis=1))
+    far = np.argmax(r)
+    d = points - points[far]
+    reach = float(np.sqrt((d * d).sum(axis=1).max()))
+    return _max_pairwise(points[r + r[far] >= reach * (1.0 - 1e-9)])
+
+
 def _max_pairwise_per_slice(levels: np.ndarray, points: np.ndarray, cells: int = 1 << 18) -> float:
     """Largest distance between two rows of points on the same level.
 
@@ -155,7 +172,7 @@ def shape_features(labels: np.ndarray, spacing, corner=(0, 0, 0)) -> dict:
 
     surf = surface_voxels(labels) + corner
     inner = _line_interiors(surf)
-    max3d = _max_pairwise(surf[~inner.any(axis=0)] * sp)
+    max3d = _max_pairwise_pruned(surf[~inner.any(axis=0)] * sp)
     max2d = {}
     for plane, axis in (("XY", 2), ("XZ", 1), ("YZ", 0)):
         keep = [k for k in range(3) if k != axis]

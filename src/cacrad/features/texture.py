@@ -3,7 +3,9 @@
 Descriptors are computed for a stack of directions at once (GLSZM and
 GLDM are a stack of one) and arithmetically averaged over directions that
 contain counts; every reduction runs over a matrix's own contiguous axes,
-so each value is bit for bit the one a single-matrix computation gives.
+so each value is bit for bit the one a single-matrix computation gives
+over the family's occupied columns: the run, zone and dependence
+families drop the columns empty in every direction first.
 Degenerate 0/0 cases substitute 0, correlation-like cases substitute 1,
 and the NGTDM coarseness guard substitutes 1e6; every return value is
 finite.
@@ -114,12 +116,21 @@ def _glcm_block(p: np.ndarray) -> dict:
     imc1 = np.divide(hxy - hxy1, hx, out=np.zeros(b), where=hx > 0)
     imc2 = np.sqrt(_at_least_zero(1.0 - np.exp(-2.0 * (hxy2 - hxy))))
 
+    # products, not c ** 3 and c ** 4 (libm pow), built in place; freed so
+    # that the descriptors below hold no extra (b, ng, ng) stack
     c = ii + jj - 2 * mu[:, None, None]
+    c2 = c * c
+    tendency = (c2 * p).sum(axis=(1, 2))
+    c *= c2
+    shade = (c * p).sum(axis=(1, 2))
+    c2 *= c2
+    prominence = (c2 * p).sum(axis=(1, 2))
+    del c, c2
     return {
         "Autocorrelation": autoc,
-        "ClusterProminence": (c ** 4 * p).sum(axis=(1, 2)),
-        "ClusterShade": (c ** 3 * p).sum(axis=(1, 2)),
-        "ClusterTendency": (c ** 2 * p).sum(axis=(1, 2)),
+        "ClusterProminence": prominence,
+        "ClusterShade": shade,
+        "ClusterTendency": tendency,
         "Contrast": ((ii - jj) ** 2 * p).sum(axis=(1, 2)),
         "Correlation": corr,
         "DifferenceAverage": diff_avg,
@@ -155,18 +166,17 @@ def glcm_features(m: Glcm) -> dict:
     return _direction_means(blocks)
 
 
-def _weighted_family(mat: np.ndarray) -> dict:
+def _weighted_family(mat: np.ndarray, col_weights: np.ndarray) -> dict:
     """Shared algebra for run/zone/dependence families over a stack
-    mat (b, rows, cols) of count matrices, rows and columns weighted 1, 2, ...
+    mat (b, rows, cols) of count matrices, rows weighted 1, 2, ... and
+    columns by col_weights.
 
     Returns, per matrix, every entry a family reads. With ``nz`` the total
     entries and ``nw`` the total weighted mass (voxel count), the ratios
     ``gln_norm``, ``cln_norm`` and ``percentage`` are gln/nz, cln/nz and
     nz/nw, each taken per matrix.
     """
-    _, rows, cols = mat.shape
-    row_weights = np.arange(1, rows + 1, dtype=np.float64)
-    col_weights = np.arange(1, cols + 1, dtype=np.float64)
+    row_weights = np.arange(1, mat.shape[1] + 1, dtype=np.float64)
     nz = mat.sum(axis=(1, 2))
     i = row_weights[:, None]
     j = col_weights[None, :]
@@ -221,8 +231,13 @@ _WEIGHTED_NAMES = {
 
 def _weighted_features(counts: np.ndarray, family: str) -> dict:
     """The family's descriptors of a stack counts (n_dirs, ng, n): each
-    _weighted_family entry averaged over the directions that have counts."""
-    means = _direction_means([_weighted_family(counts[dirs].astype(np.float64))
+    _weighted_family entry averaged over the directions that have counts.
+    Column k weighs k + 1; only the columns with a count in some direction
+    are read, since the others add only zero terms."""
+    cols = np.flatnonzero(counts.any(axis=(0, 1)))
+    counts = counts[:, :, cols]
+    weights = (cols + 1).astype(np.float64)
+    means = _direction_means([_weighted_family(counts[dirs].astype(np.float64), weights)
                               for dirs, _ in _direction_blocks(counts)])
     return {name: means[key] for name, key in _WEIGHTED_NAMES[family]}
 

@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import BadRange
+
 MAX_SEED = 2 ** 64 - 1  # a master seed is one of 0 .. MAX_SEED
 
 
@@ -21,8 +23,12 @@ def _key_part(part) -> int:
 
 
 def seed_sequence(master_seed: int, *path) -> np.random.SeedSequence:
+    """SeedSequence of the component at path; BadRange for a master seed
+    outside 0 .. MAX_SEED, which would otherwise alias one inside it."""
+    if not 0 <= master_seed <= MAX_SEED:
+        raise BadRange(f"seed must be from 0 to {MAX_SEED}, got {master_seed}")
     return np.random.SeedSequence(
-        entropy=int(master_seed) & MAX_SEED,
+        entropy=int(master_seed),
         spawn_key=tuple(_key_part(p) for p in path),
     )
 

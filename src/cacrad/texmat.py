@@ -169,9 +169,10 @@ def compute_glszm(roi: DiscretizedRoi) -> Glszm:
     ids = np.cumsum(inside) - 1  # 0..n-1 on ROI voxels, in C order
     u, v = [], []
     for step in steps:
-        same = (flat[:-step] == flat[step:]) & inside[:-step]
-        u.append(ids[:-step][same])
-        v.append(ids[step:][same])
+        at = np.flatnonzero((flat[:-step] == flat[step:]) & inside[:-step])
+        u.append(ids[at])
+        at += step
+        v.append(ids[at])
     u, v = np.concatenate(u), np.concatenate(v)
     parent = np.arange(len(roi))
     while len(u):
@@ -183,7 +184,9 @@ def compute_glszm(roi: DiscretizedRoi) -> Glszm:
         u, v = parent[u], parent[v]
         apart = u != v
         u, v = u[apart], v[apart]
-    roots, sizes = np.unique(parent, return_counts=True)
+    sizes = np.bincount(parent)
+    roots = np.flatnonzero(sizes)
+    sizes = sizes[roots]
     shape = _bounded((roi.ng, int(sizes.max())), "GLSZM")
     counts = _counts((roi.levels[roots] - 1) * shape[1] + sizes - 1, shape)
     return Glszm(counts=counts)

@@ -5,7 +5,10 @@ uncached, per-fold, untrimmed and masked code they replaced.
 
 The references below are that code, kept here verbatim in what it
 computes, except the tree-split reference, which scores each candidate
-split in a loop. Every comparison is ``==`` on floats: the batched forms
+split in a loop, the cluster moments, taken as products of the centred
+sum c (c * c * c for c ** 3), and the run, zone and dependence
+references, which read only the family's occupied columns, each still
+weighted by its index + 1. Every comparison is ``==`` on floats: the batched forms
 must give the same bits, not close values.
 """
 
@@ -100,11 +103,13 @@ def ref_glcm_one(p, ng):
         lam = np.linalg.eigvalsh(p[np.ix_(present, present)] * r[:, None] * r[None, :])
         mcc = float(np.sqrt(np.sort(lam ** 2)[-2]))
 
+    c = ii + jj - 2 * mu
+    c2 = c * c
     return {
         "Autocorrelation": autoc,
-        "ClusterProminence": float(((ii + jj - 2 * mu) ** 4 * p).sum()),
-        "ClusterShade": float(((ii + jj - 2 * mu) ** 3 * p).sum()),
-        "ClusterTendency": float(((ii + jj - 2 * mu) ** 2 * p).sum()),
+        "ClusterProminence": float((c2 * c2 * p).sum()),
+        "ClusterShade": float((c2 * c * p).sum()),
+        "ClusterTendency": float((c2 * p).sum()),
         "Contrast": float(((ii - jj) ** 2 * p).sum()),
         "Correlation": corr,
         "DifferenceAverage": diff_avg,
@@ -141,10 +146,16 @@ def ref_glcm_features(m):
     return {key: float(np.mean([d[key] for d in per_dir])) for key in per_dir[0]}
 
 
-def ref_weighted_family(mat):
-    ng, nc = mat.shape
-    row_weights = np.arange(1, ng + 1, dtype=np.float64)
-    col_weights = np.arange(1, nc + 1, dtype=np.float64)
+def occupied(counts):
+    """Indices of the columns with a count in some matrix of the stack."""
+    return np.flatnonzero(counts.reshape(-1, counts.shape[-1]).any(axis=0))
+
+
+def ref_weighted_family(mat, cols):
+    """One matrix's family entries over the columns cols, column k weighted k + 1."""
+    mat = mat[:, cols]
+    row_weights = np.arange(1, mat.shape[0] + 1, dtype=np.float64)
+    col_weights = cols + 1.0
     nz = float(mat.sum())
     i = row_weights[:, None]
     j = col_weights[None, :]
@@ -172,16 +183,17 @@ def ref_weighted_family(mat):
     }
 
 
-def ref_family_features(mat, names):
+def ref_family_features(mat, names, cols):
     """One matrix's family descriptors under the family's names; the
     ratio entries are what the family functions derive from the shared ones."""
-    f = ref_weighted_family(mat)
+    f = ref_weighted_family(mat, cols)
     f.update(gln_n=f["gln"] / f["nz"], cln_n=f["cln"] / f["nz"], rp=f["nz"] / f["nw"])
     return {name: f[key] for key, name in names.items()}
 
 
 def ref_glrlm_features(m):
-    per_dir = [ref_family_features(m.counts[k].astype(np.float64), GLRLM_KEYS)
+    cols = occupied(m.counts)
+    per_dir = [ref_family_features(m.counts[k].astype(np.float64), GLRLM_KEYS, cols)
                for k in range(m.counts.shape[0]) if m.counts[k].sum() > 0]
     return {key: float(np.mean([d[key] for d in per_dir])) for key in per_dir[0]}
 
@@ -401,9 +413,11 @@ def test_zone_and_dependence_families_equal_one_matrix_reference():
     for label, grid in grids():
         disc = disc_from_grid(grid)
         z = compute_glszm(disc).counts.astype(np.float64)
-        assert_same(glszm_features(compute_glszm(disc)), ref_family_features(z, GLSZM_KEYS), label)
+        assert_same(glszm_features(compute_glszm(disc)),
+                    ref_family_features(z, GLSZM_KEYS, occupied(z)), label)
         d = compute_gldm(disc).counts.astype(np.float64)
-        assert_same(gldm_features(compute_gldm(disc)), ref_family_features(d, GLDM_KEYS), label)
+        assert_same(gldm_features(compute_gldm(disc)),
+                    ref_family_features(d, GLDM_KEYS, occupied(d)), label)
 
 
 def test_ngtdm_box_sums_and_bincount_equal_add_at_reference():

