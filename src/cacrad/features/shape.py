@@ -76,35 +76,47 @@ def _line_interiors(idx: np.ndarray) -> np.ndarray:
     return inner
 
 
-def _max_pairwise(points: np.ndarray, rows: int = 128) -> float:
-    """Largest distance between two rows of points; squares are summed in axis order.
+def _max_pairwise(levels: np.ndarray, points: np.ndarray, cells: int = 1 << 14) -> float:
+    """Largest distance between two rows of points whose levels, nonnegative
+    integers, are equal; 0.0 when no level has two points.
 
-    Each block of `rows` points is scored against itself and every later
-    point in two reused buffers, so no (n, n) array is ever built.
+    Levels of two points or more are taken smallest first, in blocks of
+    about `cells` pairs padded to the block's largest level with copies of
+    each level's first point, which add no distance. A level past the
+    budget on its own is a block alone, scanned in bands of rows against
+    the points from the band's first row on, so every pair is seen and no
+    temporary holds much more than `cells` entries. Squares are summed in
+    axis order and sqrt keeps order, so the bits are the full scan's.
     """
-    n = len(points)
-    cols = np.ascontiguousarray(points.T)
-    d2_buf = np.empty(min(rows, n) * n)
-    diff_buf = np.empty_like(d2_buf)
-    best = 0.0
-    for lo in range(0, n - 1, rows):
-        hi = min(lo + rows, n)
-        shape = (hi - lo, n - lo)
-        d2 = d2_buf[:shape[0] * shape[1]].reshape(shape)
-        diff = diff_buf[:d2.size].reshape(shape)
-        for axis, col in enumerate(cols):
-            np.subtract(col[lo:hi, None], col[None, lo:], out=diff)
-            if axis == 0:
-                np.multiply(diff, diff, out=d2)
-            else:
+    order = np.argsort(levels, kind="stable")
+    sizes = np.bincount(levels)
+    paired = np.flatnonzero(sizes > 1)
+    by_size = paired[sizes[paired].argsort(kind="stable")]
+    starts, sizes = (sizes.cumsum() - sizes)[by_size], sizes[by_size]
+    best, lo = 0.0, 0
+    while lo < len(sizes):
+        hi = lo + 1
+        while hi < len(sizes) and (hi + 1 - lo) * sizes[hi] ** 2 <= cells:
+            hi += 1
+        width = int(sizes[hi - 1])
+        t = np.arange(width)
+        at = order[starts[lo:hi, None] + np.where(t < sizes[lo:hi, None], t, 0)]
+        block = [col[at] for col in points.T]
+        rows = max(1, cells // width)
+        for top in range(0, width - 1, rows):
+            d2 = None
+            for col in block:
+                diff = col[:, top:top + rows, None] - col[:, None, top:]
                 np.multiply(diff, diff, out=diff)
-                np.add(d2, diff, out=d2)
-        best = max(best, float(d2.max()))
+                d2 = diff if d2 is None else np.add(d2, diff, out=d2)
+            best = max(best, float(d2.max()))
+        lo = hi
     return float(np.sqrt(best))
 
 
 def _max_pairwise_pruned(points: np.ndarray) -> float:
-    """_max_pairwise over only the points that can end a farthest pair.
+    """_max_pairwise over only the points that can end a farthest pair,
+    all on one level.
 
     With r a point's distance to the centroid and R the largest r, no pair
     with p is longer than r_p + R; L, the longest pair of the point
@@ -117,43 +129,8 @@ def _max_pairwise_pruned(points: np.ndarray) -> float:
     far = np.argmax(r)
     d = points - points[far]
     reach = float(np.sqrt((d * d).sum(axis=1).max()))
-    return _max_pairwise(points[r + r[far] >= reach * (1.0 - 1e-9)])
-
-
-def _max_pairwise_per_slice(levels: np.ndarray, points: np.ndarray, cells: int = 1 << 18) -> float:
-    """Largest distance between two rows of points on the same level.
-
-    Slices are taken smallest first, in blocks of about `cells` pairs padded
-    to the block's largest slice with copies of each slice's first point,
-    which add no distance; a slice past the budget on its own is scanned
-    by _max_pairwise. Squares are summed in axis order, as there.
-    """
-    order = np.argsort(levels, kind="stable")
-    levels, points = levels[order], points[order]
-    starts = np.flatnonzero(np.r_[True, levels[1:] != levels[:-1]])
-    sizes = np.diff(np.r_[starts, len(levels)])
-    by_size = np.argsort(sizes, kind="stable")
-    starts, sizes = starts[by_size], sizes[by_size]
-    best, lo = 0.0, 0
-    while lo < len(sizes):
-        if sizes[lo] ** 2 > cells:
-            best = max(best, _max_pairwise(points[starts[lo]:starts[lo] + sizes[lo]]))
-            lo += 1
-            continue
-        hi = lo + 1
-        while hi < len(sizes) and (hi + 1 - lo) * sizes[hi] ** 2 <= cells:
-            hi += 1
-        t = np.arange(sizes[hi - 1])
-        block = points[starts[lo:hi, None] + np.where(t < sizes[lo:hi, None], t, 0)]
-        d2 = None
-        for axis in range(points.shape[1]):
-            col = block[:, :, axis]
-            diff = col[:, :, None] - col[:, None, :]
-            np.multiply(diff, diff, out=diff)
-            d2 = diff if d2 is None else np.add(d2, diff, out=d2)
-        best = max(best, float(np.sqrt(d2.max())))
-        lo = hi
-    return best
+    kept = points[r + r[far] >= reach * (1.0 - 1e-9)]
+    return _max_pairwise(np.zeros(len(kept), dtype=np.intp), kept)
 
 
 def shape_features(labels: np.ndarray, spacing, corner=(0, 0, 0)) -> dict:
@@ -177,7 +154,7 @@ def shape_features(labels: np.ndarray, spacing, corner=(0, 0, 0)) -> dict:
     for plane, axis in (("XY", 2), ("XZ", 1), ("YZ", 0)):
         keep = [k for k in range(3) if k != axis]
         ends = surf[~inner[keep].any(axis=0)]
-        max2d[plane] = _max_pairwise_per_slice(ends[:, axis], ends[:, keep] * sp[keep])
+        max2d[plane] = _max_pairwise(ends[:, axis], ends[:, keep] * sp[keep])
 
     centers = (np.argwhere(labels) + corner).astype(np.float64) * sp
     centered = centers - centers.mean(axis=0)

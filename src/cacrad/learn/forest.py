@@ -1,7 +1,9 @@
 """Bagged Gini trees with vote-fraction scoring.
 
 fit grows all trees in lockstep through grow_classification_forest;
-grow_classification_tree stays exported as the one-tree entry point.
+grow_classification_tree is no entry point: no path of the program
+calls it, and it stays only because perfbench/spans.py wraps it until
+that wrap moves to grow_classification_forest (ROADMAP item 9).
 Every forest with fewer or shallower trees is a prefix of a fit
 (prefix), so a grid search grows each fold once.
 """

@@ -47,20 +47,13 @@ _MAX_CACHE_BYTES = 16 << 20
 
 @dataclass
 class Tree:
-    feature: list = field(default_factory=list)    # _LEAF marks a leaf
-    threshold: list = field(default_factory=list)  # x[f] <= thr goes left
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
+    """Flat node lists; a new Tree holds its root, node 0, as a leaf."""
+    feature: list = field(default_factory=lambda: [_LEAF])  # _LEAF marks a leaf
+    threshold: list = field(default_factory=lambda: [0.0])  # x[f] <= thr goes left
+    left: list = field(default_factory=lambda: [_LEAF])
+    right: list = field(default_factory=lambda: [_LEAF])
     # leaf payload (score/step); a forest's inner nodes hold theirs too
-    value: list = field(default_factory=list)
-
-    def _add_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(0.0)
-        return len(self.feature) - 1
+    value: list = field(default_factory=lambda: [0.0])
 
     def _split(self, node: int, feature: int, threshold: float):
         """Make a leaf an inner node with two new leaves; returns their indices."""
@@ -272,7 +265,7 @@ def grow_classification_forest(x: np.ndarray, y: np.ndarray, samples,
             level.append((t, node, rows, pos))
 
     for t, rows in enumerate(map(np.asarray, samples)):
-        place(t, trees[t]._add_node(), rows, 0, int(yp[rows].sum()))
+        place(t, 0, rows, 0, int(yp[rows].sum()))
     depth = 0
     while level:
         batch, level = level, []
@@ -335,7 +328,7 @@ def grow_regression_tree(x: np.ndarray, residual: np.ndarray, hessian: np.ndarra
     n_cols = x.shape[1]
     counts = np.arange(len(residual), dtype=np.float64)[:, None]
     tree = Tree()
-    stack = [(tree._add_node(), np.arange(len(residual)), 0)]
+    stack = [(0, np.arange(len(residual)), 0)]
     while stack:
         node, rows, depth = stack.pop()
         rs = residual.take(rows)

@@ -73,11 +73,15 @@ def flat_steps(grid, distance: int = 1):
     Where ``flat[i]`` is a grid cell, ``flat[i + step]`` is its neighbour
     at distance * d, a border 0 where that neighbour is off the grid; every
     other ``flat[i]`` is a border 0. So ``flat[:-step]`` and ``flat[step:]``
-    pair each two grid cells at that offset exactly once.
+    pair each two grid cells at that offset exactly once. No axis is padded
+    past its extent, and a direction whose offset leaves the grid along
+    some axis it moves on has no pair: its step is the flat grid's length.
     """
-    padded = np.pad(grid, distance)
+    reach = np.minimum(distance, np.shape(grid))
+    padded = np.pad(grid, [(r, r) for r in reach])
     strides = np.array(padded.strides) // padded.itemsize
-    return padded.ravel(), [distance * int(strides @ d) for d in DIRECTIONS_13]
+    return padded.ravel(), [distance * int(strides @ d) if (reach >= distance * np.abs(d)).all()
+                            else padded.size for d in DIRECTIONS_13]
 
 
 def _bounded(shape, name):

@@ -21,7 +21,6 @@ from cacrad.features import texture
 from cacrad.features.shape import (
     _line_interiors,
     _max_pairwise,
-    _max_pairwise_per_slice,
     shape_features,
     surface_voxels,
 )
@@ -468,23 +467,27 @@ def test_glcm_features_peak_memory_at_1500_levels_is_no_higher_than_per_directio
 def test_blocked_max_pairwise_equals_reference_across_block_edges(n):
     rng = np.random.default_rng(813 + n)
     pts = rng.integers(0, 40, size=(n, 3)) * np.array([0.7, 0.45, 1.3])
+    one_level = np.zeros(n, dtype=np.intp)
     want = ref_max_pairwise(pts)
+    # a level of n points is scanned in bands of cells // n rows, or whole
+    # once n * n fits
     for rows in (1, 7, 64, 128, 1000):
-        assert _max_pairwise(pts, rows) == want, rows
-    assert _max_pairwise(pts[:, :2]) == ref_max_pairwise(pts[:, :2])
+        assert _max_pairwise(one_level, pts, rows * max(n, 1)) == want, rows
+    assert _max_pairwise(one_level, pts[:, :2]) == ref_max_pairwise(pts[:, :2])
 
 
 def test_slice_batched_diameters_equal_per_slice_reference():
     rng = np.random.default_rng(814)
     for trial in range(30):
         n = int(rng.integers(1, 400))
-        levels = rng.integers(0, int(rng.integers(1, 30)), size=n)
+        # levels from 0 or from past some empty ones, as box corners give
+        levels = rng.integers(0, int(rng.integers(1, 30)), size=n) + 40 * (trial % 3)
         pts = rng.integers(0, 50, size=(n, 2)) * np.array([0.7, 2.5])
         want = ref_max_per_slice(levels, pts)
         # the default block, blocks of a few slices, and slices past the
-        # budget that fall back to the row scan
-        for cells in (1 << 18, 300, 20, 1):
-            assert _max_pairwise_per_slice(levels, pts, cells) == want, (trial, cells)
+        # budget scanned in bands
+        for cells in (1 << 14, 300, 20, 1):
+            assert _max_pairwise(levels, pts, cells) == want, (trial, cells)
 
 
 @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 0.45, 2.5)])
@@ -544,7 +547,7 @@ def ref_best_split(xb, target):
 
 def ref_grow_regression_tree(x, residual, hessian, max_depth, fitted):
     tree = Tree()
-    stack = [(tree._add_node(), np.arange(len(residual)), 0)]
+    stack = [(0, np.arange(len(residual)), 0)]
     while stack:
         node, rows, depth = stack.pop()
         rs = residual[rows]

@@ -451,6 +451,24 @@ def test_oversized_resample_spacing_excludes_the_subject(tmp_path, capsys):
     assert not (tmp_path / "fine" / "features.csv").exists()
 
 
+def test_a_glcm_distance_past_every_roi_extracts_the_no_pair_glcm_values(
+        cli_cohort, tmp_path, capsys):
+    """A distance longer than every ROI's box pairs no voxels: no padding
+    of that width is built, and each GLCM column takes its value for a
+    matrix without pairs."""
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("glcm_distance = 1000000\n")
+    assert main(["extract", "--config", str(cfg), "--manifest", str(cli_cohort / "manifest.csv"),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert "extracted 12/12 subjects" in capsys.readouterr().out
+    _, names, values = read_features_csv(tmp_path / "run" / "features.csv")
+    glcm = [(name, values[:, k]) for k, name in enumerate(names) if name.startswith("glcm_")]
+    assert len(glcm) == 24
+    for name, column in glcm:
+        want = 1.0 if name in ("glcm_Correlation", "glcm_MCC") else 0.0
+        assert (column == want).all(), name
+
+
 def test_phantom_bad_balance(tmp_path, capsys):
     assert main(["phantom", "--n", "4", "--balance", "2.0",
                  "--out", str(tmp_path / "x")]) == 2

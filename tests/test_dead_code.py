@@ -12,7 +12,8 @@ string. A field, an annotated name in a class body (a dataclass field)
 or an attribute a method assigns on ``self``, counts as used only where it
 is read off an object: as an attribute in Load context, or as a string.
 Imports and ``__all__`` only re-export a name, so they do not count, and
-neither do comments or docstrings.
+neither do comments or docstrings. A single-underscore function, method
+or class counts as used, by the same rules, only where src/cacrad uses it.
 """
 
 import ast
@@ -75,12 +76,27 @@ def _is_export(node) -> bool:
         and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
 
 
-def _uses():
+def _private_definitions() -> dict:
+    """Single-underscore function, method and class name -> [(location,
+    "function" or "method")]."""
+    defs = {}
+    for path, tree in _trees("src/cacrad"):
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if isinstance(node, _DEFS) and node.name.startswith("_") \
+                        and not node.name.startswith("__"):
+                    defs.setdefault(node.name, []).append(
+                        (f"{path.relative_to(ROOT)}:{node.lineno}",
+                         "method" if isinstance(parent, ast.ClassDef) else "function"))
+    return defs
+
+
+def _uses(*dirs):
     """(names used as bare names, names used as attributes or strings,
     names read as names or attributes or used as strings, names read as
-    attributes or used as strings)."""
+    attributes or used as strings) in dirs, by default USERS."""
     bare, used, read, fetched = set(), set(), set(), set()
-    for _, tree in _trees(*USERS):
+    for _, tree in _trees(*(dirs or USERS)):
         stack = [tree]
         while stack:
             node = stack.pop()
@@ -120,6 +136,14 @@ def test_every_public_name_is_used_outside_tests():
     dead = _unused(_definitions(), *_uses())
     dead = {name: where for name, where in dead.items() if name not in TEST_ONLY}
     assert not dead, f"defined but used only by tests, if at all: {dead}"
+
+
+def test_every_private_function_is_used_by_the_program():
+    """A single-underscore function, method or class that src/cacrad never
+    refers to is dead or a helper only tests call, so a kernel that the
+    program stopped using cannot stay behind for its tests."""
+    dead = _unused(_private_definitions(), *_uses("src/cacrad"))
+    assert not dead, f"private, and never used in src/cacrad: {dead}"
 
 
 def test_test_only_allowlist_is_current():

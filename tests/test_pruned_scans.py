@@ -4,8 +4,11 @@ The run, zone and dependence descriptors read only the columns that hold
 a count in some direction, so empty columns appended to a matrix leave
 every value as it was. The 3D diameter scan drops the points that cannot
 end a farthest pair before the pairwise scan, so its maximum equals the
-full scan's bit for bit.
+full scan's bit for bit, and its peak memory stays a few copies of the
+points when none can be dropped.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,16 +114,18 @@ offsets = st.sampled_from([0.0, 0.5, 1e4])
 @example(idx=_offset_blob(), spacing=(1.0, 1.0, 1.0), offset=0.0)
 def test_pruned_3d_diameter_equals_the_full_scan_bit_for_bit(idx, spacing, offset):
     pts = (np.asarray(idx, dtype=np.float64) + offset) * np.asarray(spacing)
-    assert _max_pairwise_pruned(pts) == _max_pairwise(pts)
+    assert _max_pairwise_pruned(pts) == _max_pairwise(np.zeros(len(pts), dtype=np.intp), pts)
 
 
 def _scanned_points(monkeypatch, pts):
-    """How many points the pruned diameter hands to the pairwise scan."""
+    """How many points the pruned diameter hands to the pairwise scan, all
+    on one level."""
     seen = []
 
-    def record(points, *args):
+    def record(levels, points, *args):
+        assert len(np.unique(levels)) == 1
         seen.append(len(points))
-        return _max_pairwise(points, *args)
+        return _max_pairwise(levels, points, *args)
 
     monkeypatch.setattr(shape, "_max_pairwise", record)
     _max_pairwise_pruned(pts)
@@ -132,3 +137,17 @@ def test_prune_keeps_a_sphere_shell_and_drops_most_of_a_filled_cube(monkeypatch)
     assert _scanned_points(monkeypatch, shell) == len(shell)
     cube = _cube_corners_and_inside()
     assert _scanned_points(monkeypatch, cube) < len(cube) // 2
+
+
+def test_a_20k_point_shell_scans_in_a_few_copies_of_its_points():
+    """Every point of a sphere shell survives the prune; the scan's bands
+    keep the traced peak to a few copies of the points, where 128-row
+    blocks against every later point held 41 MiB."""
+    shell = _sphere_shell(20000)
+    tracemalloc.start()
+    try:
+        _max_pairwise_pruned(shell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * shell.nbytes, peak

@@ -208,9 +208,11 @@ def test_line_ends_of_box_surface_are_its_corners():
 def test_max_pairwise_matches_full_scan_across_chunks():
     rng = np.random.default_rng(8)
     pts = rng.integers(0, 40, size=(300, 3)) * np.array([0.7, 0.45, 1.3])
-    for chunk in (7, 64, 2048):
-        assert _max_pairwise(pts, chunk) == full_scan(pts, chunk)
-    assert _max_pairwise(pts[:1]) == 0.0
+    one_level = np.zeros(len(pts), dtype=np.intp)
+    # one block; bands of 7 rows, the last of 6; bands of one row
+    for cells in (1 << 18, 7 * 300, 300, 1):
+        assert _max_pairwise(one_level, pts, cells) == full_scan(pts), cells
+    assert _max_pairwise(one_level[:1], pts[:1]) == 0.0
 
 
 @pytest.mark.parametrize("extent", [(6, 5, 4), (6, 1, 4), (1, 5, 4), (6, 5, 1)])
