@@ -180,7 +180,9 @@ def paired_t_test(a, b) -> TTestResult:
         raise TooFewPairs("paired t-test needs at least 2 pairs")
     d = a - b
     sd = float(d.std(ddof=1))
-    if sd == 0.0:
+    # differences equal within the rounding of the inputs have no spread to test
+    tol = 8 * np.finfo(np.float64).eps * max(np.abs(a).max(), np.abs(b).max())
+    if sd == 0.0 or np.ptp(d) <= tol:
         return TTestResult(t=None, p=None, df=n - 1, zero_variance=True)
     t = float(d.mean()) / (sd / math.sqrt(n))
     return TTestResult(t=t, p=t_sf_two_sided(t, n - 1), df=n - 1, zero_variance=False)

@@ -4,8 +4,9 @@ Parameters are stored as one flat vector, so loss_and_grad's analytic
 gradient can be checked against central finite differences. Its first
 (n_in + 1) * hidden entries are w1 and then b1, that is the block
 [w1; b1], so the first layer is one product of the inputs with a column
-of ones appended; fit steps views of the vector in place, with the same
-float operations. Standardization is internal, fitted on the training rows.
+of ones appended. The gradient is laid out as theta, so an epoch of fit
+is one step of the whole vector. Standardization is internal, fitted on
+the training rows.
 """
 
 import numpy as np
@@ -38,24 +39,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
-def _grads(w1b, w2, b2, x1, y):
-    """Gradient of loss_and_grad's loss as (g[w1; b1], gw2, gb2), and the
-    logits z that the loss is computed from."""
+def _grads(theta, x1, y, hidden):
+    """Gradient of loss_and_grad's loss, laid out as theta, and the logits
+    z that the loss is computed from."""
+    w1b, w2, b2 = _layers(theta, x1.shape[1] - 1, hidden)
     a, h, z = _forward(w1b, w2, b2, x1)
     dz = (_sigmoid(z) - y) / len(y)      # (n,)
-    gw2 = h.T @ dz[:, None]              # (h, 1)
-    gb2 = dz.sum(keepdims=True)
     da = dz[:, None] * w2.T
     da *= a > 0.0
-    return (x1.T @ da, gw2, gb2), z
+    return np.concatenate([(x1.T @ da).ravel(), (h.T @ dz[:, None]).ravel(),
+                           dz.sum(keepdims=True)]), z
 
 
 def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, hidden: int):
     """Mean cross-entropy of sigmoid(w2.relu(x w1 + b1) + b2) and its gradient."""
-    grads, z = _grads(*_layers(theta, x.shape[1], hidden), _with_ones(x), y)
+    grad, z = _grads(theta, _with_ones(x), y, hidden)
     # stable softplus cross-entropy: mean(softplus(z) - y*z)
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    return loss, np.concatenate([g.ravel() for g in grads])
+    return float(np.mean(np.logaddexp(0.0, z) - y * z)), grad
 
 
 class Mlp:
@@ -88,12 +88,8 @@ class Mlp:
         z = self.standardizer.apply(x)
         x1 = _with_ones(z)
         theta = self.init_params(z.shape[1], self.hidden_size, stream(seed, "mlp"))
-        # theta - learning_rate * grad, view by view in place
-        params = _layers(theta, z.shape[1], self.hidden_size)
         for _ in range(self.epochs):
-            grads, _ = _grads(*params, x1, y)
-            for param, grad in zip(params, grads):
-                param -= self.learning_rate * grad
+            theta -= self.learning_rate * _grads(theta, x1, y, self.hidden_size)[0]
         self.theta = theta
         return self
 

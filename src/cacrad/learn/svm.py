@@ -16,6 +16,7 @@ from ..errors import SingleClass
 from ..rng import stream
 from ..selection import Standardizer
 from .grid import count_param, positive_param
+from .mlp import _sigmoid, _with_ones
 
 
 def _platt_fit(margins: np.ndarray, y01: np.ndarray):
@@ -39,7 +40,7 @@ def _platt_fit(margins: np.ndarray, y01: np.ndarray):
     cur = loss(a, b)
     for _ in range(100):
         z = a * margins + b
-        p = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))  # current P(y=1)
+        p = _sigmoid(-z)  # current P(y=1)
         g = target - p  # d loss / d z
         ga = float(np.mean(g * margins))
         gb = float(np.mean(g))
@@ -89,8 +90,7 @@ class LinearSvm:
         if y01.min() == y01.max():
             raise SingleClass("svm needs both classes in the training set")
         self.standardizer = Standardizer.fit(x)
-        z = self.standardizer.apply(x)
-        z = np.hstack([z, np.ones((len(z), 1))])
+        z = _with_ones(self.standardizer.apply(x))
         ypm = np.where(y01 == 1, 1.0, -1.0)
 
         n, m = z.shape
@@ -143,10 +143,8 @@ class LinearSvm:
         self.platt_a, self.platt_b = _platt_fit(self._margins[-1], self._y01)
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
-        z = self.standardizer.apply(x)
-        return np.hstack([z, np.ones((len(z), 1))]) @ self.w
+        return _with_ones(self.standardizer.apply(x)) @ self.w
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
-        zed = self.platt_a * self.decision_function(x) + self.platt_b
-        return 1.0 / (1.0 + np.exp(np.clip(zed, -500, 500)))
+        return _sigmoid(-(self.platt_a * self.decision_function(x) + self.platt_b))
 

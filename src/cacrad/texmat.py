@@ -116,11 +116,11 @@ def compute_glcm(roi: DiscretizedRoi, distance: int = 1) -> Glcm:
 
 def _runs_along(flat, step):
     """Level and length of each maximal same-level run along the direction
-    of a flat step of flat_steps. Cut into rows of step cells, the flat
-    grid's columns are its lines along that direction; laid end to end,
-    they are kept apart by the zero border, and the runs are the stretches
-    of equal nonzero level between two changes."""
-    v = np.pad(flat, (0, -len(flat) % step)).reshape(-1, step).T.ravel()
+    of a flat step of flat_steps, in the flat grid zero-tailed to a multiple
+    of step. Cut into rows of step cells, its columns are the grid's lines
+    along that direction, kept apart by the zero border when laid end to
+    end; the runs are the stretches of equal nonzero level between changes."""
+    v = flat.reshape(-1, step).T.ravel()
     change = np.ones(len(v) + 1, dtype=bool)
     np.not_equal(v[1:], v[:-1], out=change[1:-1])
     cuts = np.flatnonzero(change)  # v is constant on each [cuts[k], cuts[k + 1])
@@ -142,8 +142,10 @@ def compute_glrlm(roi: DiscretizedRoi) -> Glrlm:
     ng = roi.ng
     tallies, max_len = [], 1
     flat, steps = flat_steps(roi.grid)
-    for step in steps:
-        levels, lengths = _runs_along(flat, step)
+    tails = [-len(flat) % step for step in steps]
+    tailed = np.pad(flat, (0, max(tails)))  # one zero tail; each direction reads a view
+    for step, tail in zip(steps, tails):
+        levels, lengths = _runs_along(tailed[:len(flat) + tail], step)
         longest = int(lengths.max())
         max_len = max(max_len, longest)
         _bounded((len(DIRECTIONS_13), ng, max_len), "GLRLM")
@@ -199,13 +201,13 @@ def compute_glszm(roi: DiscretizedRoi) -> Glszm:
 def compute_gldm(roi: DiscretizedRoi, alpha: int = 0) -> Gldm:
     """Dependence counts over in-ROI 26-neighbors with |level diff| <= alpha."""
     flat, steps = flat_steps(roi.grid)
-    dep = np.zeros(len(flat), dtype=np.int64)
+    inside = flat > 0
+    dep = np.zeros(len(flat), dtype=np.int8)  # at most 26 neighbours
     for step in steps:
-        a, b = flat[:-step], flat[step:]
-        ok = (a > 0) & (b > 0) & (np.abs(a - b) <= alpha)
+        ok = inside[:-step] & inside[step:] & (np.abs(flat[:-step] - flat[step:]) <= alpha)
         dep[step:] += ok
         dep[:-step] += ok
-    deps = dep[flat > 0]  # C order, as roi.levels
+    deps = dep[inside]  # C order, as roi.levels
     width = int(deps.max()) + 1
     counts = _counts((roi.levels - 1) * width + deps, (roi.ng, width))
     return Gldm(counts=counts)

@@ -135,6 +135,18 @@ def test_paired_matches_scipy_random():
         assert ours.p == pytest.approx(float(ref.pvalue), rel=1e-9, abs=1e-14)
 
 
+def test_differences_equal_but_for_rounding_have_zero_variance():
+    # 0.7 - 0.3 rounds one ulp below 0.9 - 0.5 and 0.8 - 0.4; a t of 7e15
+    # would be that ulp's
+    a, b = [0.9, 0.7, 0.8], [0.5, 0.3, 0.4]
+    assert len(set(np.subtract(a, b))) == 2
+    res = paired_t_test(a, b)
+    assert res.zero_variance and res.t is None and res.p is None and res.df == 2
+    # a spread of 1e-12, hundreds of times the rounding, is tested
+    res = paired_t_test([0.9, 0.7, 0.8 + 1e-12], b)
+    assert not res.zero_variance and res.p > 0.0
+
+
 def test_paired_degenerate():
     res = paired_t_test([1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
     assert res.zero_variance and res.t is None and res.p is None

@@ -7,7 +7,7 @@ import pytest
 from cacrad.errors import ConfigError, NonFiniteValue, SchemaMismatch, SingleClass
 from cacrad.learn.forest import RandomForest
 from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
-from cacrad.learn.mlp import Mlp, loss_and_grad
+from cacrad.learn.mlp import Mlp, _sigmoid, loss_and_grad
 from cacrad.learn.model import (
     MODEL_KINDS,
     build_model,
@@ -722,6 +722,31 @@ def test_svm_platt_scores_are_probabilistic():
     order = np.argsort(margins)
     assert np.all(np.diff(s[order]) >= 0)
     assert s[y == 1].mean() > 0.5 > s[y == 0].mean()
+
+
+def old_svm_link(z):
+    """The link the SVM wrote inline before it shared the MLP's."""
+    return 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
+
+
+def test_svm_link_is_the_mlp_sigmoid_of_minus_z_bit_for_bit():
+    edges = [0.0, -0.0, 1e308, -1e308, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-310,
+             -2.2e-310, 1e-300, -1e-300]
+    for v in (500.0, -500.0):
+        edges += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+    rng = np.random.default_rng(3)
+    z = np.concatenate([edges, rng.normal(size=2000) * 10.0 ** rng.integers(-8, 4, 2000)])
+    assert _sigmoid(-z).tobytes() == old_svm_link(z).tobytes()
+    x, y = blobs(seed=6, gap=4.0)
+    m = LinearSvm(lam=1e-3, epochs=5).fit(x, y, seed=0)
+    assert m.predict_score(x).tobytes() == old_svm_link(
+        m.platt_a * m.decision_function(x) + m.platt_b).tobytes()
+    with np.errstate(over="ignore"):  # 1e308 times a margin is inf, as it should be
+        for a, b in ((1e308, 0.0), (-1e308, 0.0), (5e-324, -0.0), (0.0, 500.0),
+                     (0.0, -500.0)):
+            m.platt_a, m.platt_b = a, b
+            assert m.predict_score(x).tobytes() == old_svm_link(
+                a * m.decision_function(x) + b).tobytes(), (a, b)
 
 
 def test_forest_scores_are_vote_fractions():
