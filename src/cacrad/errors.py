@@ -29,7 +29,9 @@ class BadMagic(DataError):
 
 
 class UnsupportedDatatype(DataError):
-    """Voxel datatype or data layout this reader does not handle."""
+    """Voxel datatype or data layout this reader does not handle, a grid of
+    more than nifti.MAX_VOXELS voxels, or more than nifti.MAX_TRAILING bytes
+    after the voxels."""
 
 
 class TruncatedFile(DataError):
@@ -78,7 +80,7 @@ class BadRange(ConfigError):
 
 class BadSpacing(ConfigError):
     """Resampling target spacing that is not > 0, or so fine that the
-    resampled grid would pass preprocess.MAX_RESAMPLED_VOXELS."""
+    resampled grid would pass nifti.MAX_VOXELS."""
 
 
 # --- features ---------------------------------------------------------------

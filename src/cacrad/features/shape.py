@@ -76,18 +76,20 @@ def _line_interiors(idx: np.ndarray) -> np.ndarray:
     return inner
 
 
-def _max_pairwise(levels: np.ndarray, points: np.ndarray, cells: int = 1 << 14) -> float:
+def _max_pairwise(levels, points: np.ndarray, cells: int = 1 << 14) -> float:
     """Largest distance between two rows of points whose levels, nonnegative
-    integers, are equal; 0.0 when no level has two points.
+    integers, are equal; 0.0 when no level has two points. One integer
+    for levels puts every point on that level.
 
     Levels of two points or more are taken smallest first, in blocks of
     about `cells` pairs padded to the block's largest level with copies of
     each level's first point, which add no distance. A level past the
-    budget on its own is a block alone, scanned in bands of rows against
-    the points from the band's first row on, so every pair is seen and no
-    temporary holds much more than `cells` entries. Squares are summed in
-    axis order and sqrt keeps order, so the bits are the full scan's.
+    budget on its own, or the one level of an integer, is a block alone.
+    Squares are summed in axis order and sqrt keeps order, so the bits are
+    the full scan's.
     """
+    if np.ndim(levels) == 0:
+        return float(np.sqrt(_block_max(np.ascontiguousarray(points.T), len(points), cells)))
     order = np.argsort(levels, kind="stable")
     sizes = np.bincount(levels)
     paired = np.flatnonzero(sizes > 1)
@@ -101,17 +103,27 @@ def _max_pairwise(levels: np.ndarray, points: np.ndarray, cells: int = 1 << 14) 
         width = int(sizes[hi - 1])
         t = np.arange(width)
         at = order[starts[lo:hi, None] + np.where(t < sizes[lo:hi, None], t, 0)]
-        block = [col[at] for col in points.T]
-        rows = max(1, cells // width)
-        for top in range(0, width - 1, rows):
-            d2 = None
-            for col in block:
-                diff = col[:, top:top + rows, None] - col[:, None, top:]
-                np.multiply(diff, diff, out=diff)
-                d2 = diff if d2 is None else np.add(d2, diff, out=d2)
-            best = max(best, float(d2.max()))
+        best = max(best, _block_max([col[at] for col in points.T], width, cells))
         lo = hi
     return float(np.sqrt(best))
+
+
+def _block_max(block, width: int, cells: int) -> float:
+    """Largest squared distance between two of the width points along the
+    last axis of block, one coordinate array per spatial axis; leading axes
+    hold separate point sets. Scanned in bands of rows against the points
+    from the band's first row on, so every pair is seen and no temporary
+    holds much more than `cells` entries."""
+    best = 0.0
+    rows = max(1, cells // width)
+    for top in range(0, width - 1, rows):
+        d2 = None
+        for col in block:
+            diff = col[..., top:top + rows, None] - col[..., None, top:]
+            np.multiply(diff, diff, out=diff)
+            d2 = diff if d2 is None else np.add(d2, diff, out=d2)
+        best = max(best, float(d2.max()))
+    return best
 
 
 def _max_pairwise_pruned(points: np.ndarray) -> float:
@@ -130,7 +142,7 @@ def _max_pairwise_pruned(points: np.ndarray) -> float:
     d = points - points[far]
     reach = float(np.sqrt((d * d).sum(axis=1).max()))
     kept = points[r + r[far] >= reach * (1.0 - 1e-9)]
-    return _max_pairwise(np.zeros(len(kept), dtype=np.intp), kept)
+    return _max_pairwise(0, kept)
 
 
 def shape_features(labels: np.ndarray, spacing, corner=(0, 0, 0)) -> dict:

@@ -112,7 +112,8 @@ def grid_search_cv(fit, x: np.ndarray, y: np.ndarray, grid: HyperGrid,
                 for rows, s in zip(trains, seeds)]
         for gi in members:
             at = {name: points[gi][name] for name in top}
-            scores[gi] = _cv_score([f.prefix(**at) if at else f for f in fits], x, y, folds)
+            scores[gi] = _cv_score([f if at == top else f.prefix(**at) for f in fits],
+                                   x, y, folds)
         del fits
     return points[max(range(len(points)), key=scores.__getitem__)], scores
 

@@ -1,10 +1,15 @@
 """Minimal NIfTI-1 single-file reader/writer.
 
 Scope is deliberately narrow: single-file ``.nii``/``.nii.gz``, datatypes
-int16/float32/float64, either byte order. Intensities are promoted to
-float64 on read so downstream texture code never sees storage precision;
-a mask is a bool array, its nonzero voxels tested block by block, without
-that copy.
+int16/float32/float64, either byte order. Unscaled int16 voxels are kept
+as stored, two bytes each, until preprocess.apply_mask takes the ROI's
+voxels as float64; float32, float64 and scaled files are read as float64.
+A mask is a bool array, its nonzero voxels tested block by block.
+
+A read holds the header, the voxels it declares and CHUNK bytes, whatever
+the file's size: a header of more than MAX_VOXELS voxels, or a file with
+more than MAX_TRAILING bytes after its voxels, is refused as
+UnsupportedDatatype before the rest is inflated.
 
 Spacing comes from ``pixdim`` and is kept at 32-bit float precision
 because that is all the container can store; quantizing at construction
@@ -39,6 +44,15 @@ VOX_OFFSET = 352
 GZIP_LEVEL = 1
 # Voxels of a scaled mask converted at a time: an 8 MiB float64 block.
 MASK_BLOCK = 1 << 20
+# Most voxels a grid may hold, read or resampled: a 512 x 512 x 512 grid
+# (2^27) fits, so any 512 x 512 scan of up to 512 slices does, while a
+# mistyped header or target spacing is refused before numpy allocates it.
+MAX_VOXELS = 2 ** 27
+# Bytes read at a time: into the voxel array, or dropped before and after it.
+CHUNK = 1 << 20
+# Most bytes a file may hold after the voxels its header declares. Writers
+# add none; reading on would let a few KiB of gzip inflate to any size.
+MAX_TRAILING = 1 << 16
 
 # NIfTI-1 datatype code -> (numpy dtype char, bitpix)
 _DTYPES = {4: ("i2", 16), 16: ("f4", 32), 64: ("f8", 64)}
@@ -54,7 +68,9 @@ class Volume3D:
     """A 3D scalar field in Hounsfield units on a regular grid.
 
     ``intensities`` is indexed ``[ix, iy, iz]`` (x fastest on disk);
-    ``spacing`` is the voxel size along x, y and z in mm.
+    ``spacing`` is the voxel size along x, y and z in mm. Integer
+    intensities keep their dtype (read_nifti's int16 voxels, as stored);
+    any other is converted to float64.
     """
 
     dims: tuple
@@ -68,7 +84,9 @@ class Volume3D:
         spacing = _f32(self.spacing)
         if any(s <= 0 for s in spacing):
             raise NonPositiveSpacing(f"spacing must be positive, got {self.spacing}")
-        data = np.asarray(self.intensities, dtype=np.float64)
+        data = np.asarray(self.intensities)
+        if data.dtype.kind not in "iu":
+            data = data.astype(np.float64, copy=False)
         if data.size != dims[0] * dims[1] * dims[2]:
             raise ValueError(
                 f"intensity count {data.size} != {dims[0]}*{dims[1]}*{dims[2]}"
@@ -79,24 +97,48 @@ class Volume3D:
         object.__setattr__(self, "intensities", data)
 
 
-def _read_bytes(path):
+def _skip(fh, count: int) -> int:
+    """Read and drop up to count bytes of fh, CHUNK at a time; how many."""
+    dropped = 0
+    while dropped < count:
+        got = len(fh.read(min(CHUNK, count - dropped)))
+        if not got:
+            break
+        dropped += got
+    return dropped
+
+
+def _fill(fh, buf: memoryview) -> int:
+    """Read fh into buf, CHUNK at a time, until buf is full or fh ends; how
+    many bytes."""
+    filled = 0
+    while filled < len(buf):
+        got = fh.readinto(buf[filled:filled + CHUNK])
+        if not got:
+            break
+        filled += got
+    return filled
+
+
+def _read_stored(path):
+    """Check a NIfTI-1 single file (optionally gzipped) and return its
+    stored voxels as a flat array in file order, the grid shape, the
+    (scl_slope, scl_inter) pair to apply or None, and the spacing.
+
+    The header is checked before any voxel is read. What follows the
+    voxels is still read, up to MAX_TRAILING, so a gzip stream's checksum
+    and length are checked."""
     try:
-        if str(path).endswith(".gz"):
-            with gzip.open(path, "rb") as fh:
-                return fh.read()
-        with open(path, "rb") as fh:
-            return fh.read()
+        with gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb") as fh:
+            return _read_open(path, fh)
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise TruncatedFile(f"{path}: truncated or corrupt gzip stream") from exc
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
 
 
-def _read_stored(path):
-    """Check a NIfTI-1 single file (optionally gzipped) and return its
-    stored voxels as a flat array in file order, the grid shape, the
-    (scl_slope, scl_inter) pair to apply or None, and the spacing."""
-    raw = _read_bytes(path)
+def _read_open(path, fh):
+    raw = fh.read(HEADER_SIZE)
     if len(raw) < 4:
         raise TruncatedFile(f"{path}: {len(raw)} bytes, no header")
     if struct.unpack_from("<i", raw, 0)[0] == HEADER_SIZE:
@@ -150,12 +192,19 @@ def _read_stored(path):
 
     dtype = np.dtype(bo + _DTYPES[datatype][0])
     nvox = shape[0] * shape[1] * shape[2]
+    if nvox > MAX_VOXELS:
+        raise UnsupportedDatatype(f"{path}: {shape} is {nvox} voxels, more than {MAX_VOXELS}")
     offset = max(int(vox_offset), HEADER_SIZE)
-    if len(raw) < offset + nvox * dtype.itemsize:
+    stored = np.empty(nvox, dtype=dtype)
+    have = HEADER_SIZE + _skip(fh, offset - HEADER_SIZE)
+    if have == offset:
+        have += _fill(fh, memoryview(stored).cast("B"))
+    if have < offset + stored.nbytes:
         raise TruncatedFile(
-            f"{path}: need {offset + nvox * dtype.itemsize} bytes for voxels, have {len(raw)}"
-        )
-    stored = np.frombuffer(raw, dtype=dtype, count=nvox, offset=offset)
+            f"{path}: need {offset + stored.nbytes} bytes for voxels, have {have}")
+    if _skip(fh, MAX_TRAILING + 1) > MAX_TRAILING:
+        raise UnsupportedDatatype(
+            f"{path}: more than {MAX_TRAILING} bytes follow the {nvox} voxels the header declares")
     scale = None
     if scl_slope != 0.0 and np.isfinite(scl_slope) and (scl_slope != 1.0 or scl_inter != 0.0):
         scale = (scl_slope, scl_inter)

@@ -20,7 +20,7 @@ from .errors import (
     NonPositiveWidth,
     TooManyGrayLevels,
 )
-from .nifti import Volume3D
+from .nifti import MAX_VOXELS, Volume3D
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def bounding_box(labels: np.ndarray) -> tuple:
 
 def apply_mask(vol: Volume3D, mask: np.ndarray) -> MaskedRoi:
     """Crop the mask's nonzero voxels to their bounding box and take the
-    intensities there.
+    intensities there, as float64; only these voxels are converted.
 
     An all-zero mask yields an empty MaskedRoi; exclusion policy is the
     caller's decision.
@@ -85,7 +85,8 @@ def apply_mask(vol: Volume3D, mask: np.ndarray) -> MaskedRoi:
     box = bounding_box(mask)
     labels = mask[box]
     return MaskedRoi(mask=labels, corner=tuple(s.start for s in box),
-                     values=vol.intensities[box][labels], spacing=vol.spacing)
+                     values=vol.intensities[box][labels].astype(np.float64, copy=False),
+                     spacing=vol.spacing)
 
 
 def _discretized(roi: MaskedRoi, levels: np.ndarray) -> DiscretizedRoi:
@@ -133,22 +134,16 @@ def discretize_fixed_count(roi: MaskedRoi, n_bins: int) -> DiscretizedRoi:
     return _discretized(roi, levels)
 
 
-# Most voxels a resampled grid may hold: a 512 x 512 x 300 scan at its own
-# spacing (78.6M) fits, a mistyped 0.01 mm spacing is refused before numpy
-# tries to allocate it.
-MAX_RESAMPLED_VOXELS = 2 ** 27
-
-
 def _target_dims(dims, spacing, target):
     if any(t <= 0 for t in target):
         raise BadSpacing(f"target spacing must be positive, got {target}")
     sizes = [d * s / t for d, s, t in zip(dims, spacing, target)]
     # each axis is bounded before rounding: round() fails on inf and nan
-    if not all(size <= MAX_RESAMPLED_VOXELS for size in sizes) or math.prod(
-            max(1, int(round(size))) for size in sizes) > MAX_RESAMPLED_VOXELS:
+    if not all(size <= MAX_VOXELS for size in sizes) or math.prod(
+            max(1, int(round(size))) for size in sizes) > MAX_VOXELS:
         raise BadSpacing(
             f"resampling {tuple(dims)} voxels of spacing {tuple(spacing)} to spacing "
-            f"{target} gives more than {MAX_RESAMPLED_VOXELS} voxels")
+            f"{target} gives more than {MAX_VOXELS} voxels")
     return tuple(max(1, int(round(size))) for size in sizes)
 
 

@@ -56,8 +56,9 @@ def correlation_filter(table: FeatureTable, threshold: float = 0.90) -> list:
         return []
     z = Standardizer.fit(x).apply(x)[:, live]
     corr = np.clip(z.T @ z / table.n_rows, -1.0, 1.0)
-    kept = []
+    kept, blocked = [], np.zeros(live.size, dtype=bool)
     for k in range(live.size):
-        if all(abs(corr[k, j]) < threshold for j in kept):
+        if not blocked[k]:
             kept.append(k)
+            blocked |= ~(np.abs(corr[:, k]) < threshold)  # NaN blocks too
     return [table.feature_names[live[k]] for k in kept]

@@ -430,3 +430,101 @@ def test_nonfinite_orientation_in_use_is_a_data_error(tmp_path, qform_code, sfor
     struct.pack_into("<2h", raw, 252, 0 if offset < 280 else 1, 0 if offset >= 280 else 1)
     path.write_bytes(bytes(raw))
     assert np.array_equal(read_nifti(path).intensities, intensities)
+
+
+def _whole_file_read(path):
+    """The reader this module had before it read by header: the whole file
+    in one bytes object, every voxel converted to float64."""
+    raw = gzip.decompress(path.read_bytes()) if path.suffix == ".gz" else path.read_bytes()
+    bo = "<" if struct.unpack_from("<i", raw)[0] == HEADER_SIZE else ">"
+    dim = struct.unpack_from(bo + "8h", raw, 40)
+    dtype = bo + {4: "i2", 16: "f4", 64: "f8"}[struct.unpack_from(bo + "h", raw, 70)[0]]
+    slope, inter = struct.unpack_from(bo + "2f", raw, 112)
+    offset = max(int(struct.unpack_from(bo + "f", raw, 108)[0]), HEADER_SIZE)
+    data = np.frombuffer(raw, dtype=dtype, count=dim[1] * dim[2] * dim[3], offset=offset)
+    data = data.astype(np.float64)
+    if slope != 0.0 and np.isfinite(slope) and (slope != 1.0 or inter != 0.0):
+        data = data * np.float64(slope) + np.float64(inter)
+    return data.reshape(dim[1:4], order="F")
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("dtype", ["int16", "float32", "float64"])
+@pytest.mark.parametrize("byteorder", ["<", ">"])
+@pytest.mark.parametrize("scale", [None, (0.0, 7.0), (2.5, -1024.0)])
+def test_a_read_as_float64_is_the_whole_file_read(tmp_path, suffix, dtype, byteorder, scale):
+    vol = Volume3D(dims=(7, 5, 3), spacing=(0.49, 0.49, 1.41), intensities=np.round(
+        np.random.default_rng(12).normal(0.0, 900.0, size=(7, 5, 3)), 2))
+    plain = tmp_path / "v.nii"
+    write_nifti(vol, plain, dtype=dtype, byteorder=byteorder)
+    if scale is not None:
+        raw = bytearray(plain.read_bytes())
+        struct.pack_into(byteorder + "2f", raw, 112, *scale)
+        plain.write_bytes(bytes(raw))
+    path = tmp_path / f"w{suffix}"
+    path.write_bytes(gzip.compress(plain.read_bytes()) if suffix == ".nii.gz" else plain.read_bytes())
+    got = read_nifti(path).intensities
+    unscaled_int = dtype == "int16" and scale in (None, (0.0, 7.0))
+    assert got.dtype == (np.dtype(byteorder + "i2") if unscaled_int else np.float64)
+    assert got.astype(np.float64).tobytes() == _whole_file_read(path).tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["int16", "float32", "float64"])
+def test_writing_a_read_int16_volume_writes_its_float64_voxels(tmp_path, dtype):
+    path = tmp_path / "v.nii"
+    write_nifti(sample_volume(seed=13), path, dtype="int16")
+    read = read_nifti(path)
+    as_float = Volume3D(dims=read.dims, spacing=read.spacing,
+                        intensities=read.intensities.astype(np.float64))
+    for vol, name in ((read, "a.nii"), (as_float, "b.nii")):
+        write_nifti(vol, tmp_path / name, dtype=dtype)
+    assert (tmp_path / "a.nii").read_bytes() == (tmp_path / "b.nii").read_bytes()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacradError) as caught:
+            call()
+        return caught.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_trailing_bytes_past_the_bound_are_refused_before_they_are_read(tmp_path, suffix):
+    # a 2 x 2 x 2 volume and 8 MiB of zeros: 8 KiB as gzip
+    small = tmp_path / "small.nii"
+    write_nifti(sample_volume(dims=(2, 2, 2)), small, dtype="int16")
+    raw = small.read_bytes()
+    path = tmp_path / f"v{suffix}"
+    for extra, readable in ((nifti.MAX_TRAILING, True), (8 << 20, False)):
+        body = raw + bytes(extra)
+        path.write_bytes(gzip.compress(body, 1, mtime=0) if suffix == ".nii.gz" else body)
+        if readable:
+            assert read_nifti(path).intensities.tobytes() == read_nifti(small).intensities.tobytes()
+            continue
+        for read in (read_nifti, read_mask):
+            exc, peak = _traced_peak(lambda: read(path))
+            assert isinstance(exc, UnsupportedDatatype) and "bytes follow" in str(exc)
+            assert peak < 16 + nifti.CHUNK, peak
+
+
+def test_a_header_past_max_voxels_is_refused_before_any_voxel_is_read(tmp_path, monkeypatch):
+    path = tmp_path / "v.nii.gz"
+    write_nifti(sample_volume(dims=(5, 4, 3)), path, dtype="int16")
+    raw = bytearray(gzip.decompress(path.read_bytes()))
+    struct.pack_into("<3h", raw, 42, 1024, 1024, 129)  # 2^27 + 2^20 voxels, 8 of them stored
+    path.write_bytes(gzip.compress(bytes(raw)))
+    for read in (read_nifti, read_mask):
+        exc, peak = _traced_peak(lambda: read(path))
+        assert isinstance(exc, UnsupportedDatatype) and "more than 134217728" in str(exc)
+        assert peak < nifti.CHUNK, peak
+    # the bound itself is allowed
+    path = tmp_path / "w.nii"
+    write_nifti(sample_volume(dims=(5, 4, 3)), path, dtype="int16")
+    monkeypatch.setattr(nifti, "MAX_VOXELS", 60)
+    assert read_nifti(path).dims == (5, 4, 3)
+    monkeypatch.setattr(nifti, "MAX_VOXELS", 59)
+    with pytest.raises(UnsupportedDatatype):
+        read_mask(path)

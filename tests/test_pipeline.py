@@ -103,7 +103,7 @@ def _first_volume_edited(cohort, tmp_path, edit, dtype="float32"):
         lines[k] = ",".join(cells)
     cells = lines[1].split(",")
     vol = read_nifti(cells[1])
-    hu = vol.intensities.copy()
+    hu = vol.intensities.astype(np.float64)
     edit(hu, [tuple(p) for p in np.argwhere(read_nifti(cells[2]).intensities != 0)])
     edited = tmp_path / "edited.nii"
     write_nifti(Volume3D(dims=vol.dims, spacing=vol.spacing, intensities=hu), edited, dtype)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cacrad.errors import BadSpacing, DimMismatch, EmptyMask, NonPositiveWidth
-from cacrad.nifti import Volume3D
+from cacrad.nifti import MAX_VOXELS, Volume3D
 from cacrad.preprocess import (
-    MAX_RESAMPLED_VOXELS,
     _target_dims,
     apply_mask,
     bounding_box,
@@ -279,4 +278,4 @@ def test_oversized_resampled_grid_is_refused():
             resample_mask_nearest(mask, vol.spacing, target)
     # a 512 x 512 x 300 scan fits at its own spacing
     assert _target_dims((512, 512, 300), (0.4, 0.4, 0.6), (0.4, 0.4, 0.6)) == (512, 512, 300)
-    assert np.prod((512, 512, 300)) <= MAX_RESAMPLED_VOXELS
+    assert np.prod((512, 512, 300)) <= MAX_VOXELS

@@ -121,6 +121,24 @@ def test_filter_matches_per_column_z_scores():
         assert np.clip(z.T @ z / n, -1.0, 1.0).tobytes() == corr.tobytes(), trial
 
 
+def test_filter_matches_the_keep_first_loop_at_thresholds_equal_to_a_correlation():
+    """Thresholds taken from the computed |r| themselves, so some pairs sit
+    exactly on the threshold (and are not below it); copies and negated
+    copies put |r| at 1.0 for threshold 1."""
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n, p = int(rng.integers(4, 40)), int(rng.integers(2, 60))
+        x = rng.normal(size=(n, p))
+        x[:, rng.integers(p, size=p // 4)] = x[:, rng.integers(p, size=p // 4)]
+        x[:, 0] = -x[:, -1]
+        t = table_from_matrix(x)
+        _, corr = reference_filter(x, t.feature_names, 1.0)
+        at = np.abs(corr[np.triu_indices(len(corr), 1)])
+        for threshold in [1.0, *rng.choice(at, size=min(5, at.size), replace=False)]:
+            want, _ = reference_filter(x, t.feature_names, threshold)
+            assert correlation_filter(t, threshold) == want, (trial, threshold)
+
+
 def test_standardizer_round_trip_and_apply():
     rng = np.random.default_rng(5)
     mat = rng.normal(loc=10.0, scale=4.0, size=(12, 3))
