@@ -1,11 +1,12 @@
 """Flat key=value run configuration.
 
 The format is deliberately primitive: one ``key = value`` per line, ``#``
-comments, no sections. A report's ``config_text`` is the config file's
-text, verbatim, or "" when there is none: flags and defaults are not in
-it, so only a run that sets everything in its file can be read back from
-its report (ROADMAP item 4). A flag's text is parsed as its key's line.
-Grid overrides use dotted keys: ``grid.random_forest.n_trees = 100,300``.
+comments, no sections. A flag's text is parsed as its key's line. Grid
+overrides use dotted keys: ``grid.random_forest.n_trees = 100,300``.
+``RunConfig.text`` renders a config back as such lines, every key and
+every model's grid, defaults included, and a report stores it as its
+``config_text``: ``parse_config_text(cfg.text()) == cfg``, so a report's
+config file reruns its run.
 """
 
 import math
@@ -42,17 +43,21 @@ class RunConfig(ExtractionConfig):
     label_shuffle: bool = False
     kfold: int = 5
     filter_embeddings: bool = False
-    grid_overrides: tuple = ()  # ((model, ((param, values), ...)), ...)
-    raw_text: str = field(default="", compare=False)
+    # ((model, ((param, values), ...)), ...); __post_init__ adds the default
+    # grid of each model not listed and sorts them by model
+    grid_overrides: tuple = ()
     config_path: Optional[str] = field(default=None, compare=False)  # the file load_config read
 
     def __post_init__(self):
         """Every way of making a RunConfig (a config file, flags, replace or
-        a direct call) checks the whole of it here, once."""
+        a direct call) checks the whole of it here, once. A path must be
+        one a config line can hold: text() writes it as its value."""
         for key in ("manifest", "out", "features_csv", "embeddings_csv"):
             path = getattr(self, key)
-            if path is not None and (not path or "\0" in path):
-                raise ConfigError(f"{key} must be a path, got {path!r}")
+            if path is not None and (path.splitlines() != [path] or path != path.strip()
+                                     or "#" in path or "\0" in path
+                                     or path.lower() == "none"):
+                raise ConfigError(f"{key} must be a path a config line can hold, got {path!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.train_composition not in COMPOSITIONS:
@@ -86,21 +91,47 @@ class RunConfig(ExtractionConfig):
         if bad or not self.models or len(set(self.models)) < len(self.models):
             raise ConfigError(
                 f"models must name some of {MODEL_KINDS}, each once, got {list(self.models)}")
-        for model, params in self.grid_overrides:
+        grids = dict(self.grid_overrides)
+        if len(grids) < len(self.grid_overrides):
+            raise ConfigError("a model has two grid overrides")
+        for model, params in grids.items():
             if model not in MODEL_KINDS:
                 raise ConfigError(f"grid override for unknown model {model!r}")
             _check_grid(model, params)
+        defaults = {kind: grid.params for kind, grid in DEFAULT_GRIDS.items()}
+        object.__setattr__(self, "grid_overrides", tuple(sorted({**defaults, **grids}.items())))
 
     def grid_for(self, kind: str) -> HyperGrid:
-        for model, params in self.grid_overrides:
-            if model == kind:
-                return HyperGrid(params=params)
-        return DEFAULT_GRIDS[kind]
+        return HyperGrid(params=dict(self.grid_overrides)[kind])
+
+    def text(self) -> str:
+        """Config lines of every key, sorted, then of every model's grid,
+        each model's parameters in grid order; parse_config_text reads this
+        RunConfig back from them."""
+        lines = [f"{key} = {_render(getattr(self, key))}" for key in sorted(_FIELD_PARSERS)]
+        lines += [f"grid.{model}.{param} = {_render(values)}"
+                  for model, params in self.grid_overrides for param, values in params]
+        return "\n".join(lines) + "\n"
+
+
+def _render(value) -> str:
+    """A value as its config line writes it."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ", ".join(map(_render, value))
+    return str(value)
 
 
 def _check_grid(model: str, params: tuple) -> None:
     """Every grid point builds a model, so a bad override fails before any
     work; the model constructors check each value's kind and range."""
+    if len({name for name, _ in params}) < len(params):
+        raise ConfigError(f"grid.{model}: a parameter is listed twice")
     try:
         for point in HyperGrid(params=params).points():
             build_model(model, point)
@@ -139,27 +170,39 @@ def _parse_models(token: str) -> tuple:
     return models
 
 
+def _optional(parse):
+    """parse, or None for the value none."""
+    return lambda v: None if v.strip().lower() == "none" else parse(v)
+
+
+def _parse_floats(token: str) -> tuple:
+    return tuple(float(t) for t in token.split(","))
+
+
+def _parse_bool(token: str) -> bool:
+    return {"true": True, "false": False}[token.strip().lower()]
+
+
 _FIELD_PARSERS = {
-    "manifest": str,
+    "manifest": _optional(str),
     "mode": str,
     "train_composition": str,
     "test_fraction": float,
     "selection_threshold": float,
     "bin_width": float,
-    "n_bins": lambda v: None if v.strip().lower() == "none" else int(v),
-    "resample_spacing": lambda v: (None if v.strip().lower() == "none"
-                                   else tuple(float(t) for t in v.split(","))),
+    "n_bins": _optional(int),
+    "resample_spacing": _optional(_parse_floats),
     "glcm_distance": int,
     "gldm_alpha": int,
     "models": _parse_models,
     "seed": int,
     "out": str,
-    "features_csv": lambda v: None if v.strip().lower() == "none" else v.strip(),
-    "embeddings_csv": lambda v: None if v.strip().lower() == "none" else v.strip(),
+    "features_csv": _optional(str),
+    "embeddings_csv": _optional(str),
     "n_seeds": int,
-    "label_shuffle": lambda v: {"true": True, "false": False}[v.strip().lower()],
+    "label_shuffle": _parse_bool,
     "kfold": int,
-    "filter_embeddings": lambda v: {"true": True, "false": False}[v.strip().lower()],
+    "filter_embeddings": _parse_bool,
 }
 
 
@@ -189,8 +232,7 @@ def parse_config_text(text: str) -> RunConfig:
             values[key] = _FIELD_PARSERS[key](value)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
-    overrides = tuple((model, tuple(params)) for model, params in sorted(grid.items()))
-    return RunConfig(raw_text=text, grid_overrides=overrides, **values)
+    return RunConfig(grid_overrides=tuple((m, tuple(p)) for m, p in grid.items()), **values)
 
 
 def load_config(path) -> RunConfig:

@@ -16,7 +16,7 @@ from ..rng import derive_seed
 from ..selection import Standardizer
 from .boosting import GradientBoostedTrees
 from .forest import RandomForest
-from .grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
+from .grid import HyperGrid, grid_search_cv
 from .mlp import Mlp
 from .svm import LinearSvm
 from .tree import Tree
@@ -106,10 +106,8 @@ class TrainedModel:
 
 
 def train_with_grid(kind: str, x: np.ndarray, y: np.ndarray, feature_names,
-                    seed: int, grid: HyperGrid = None, k: int = 5):
+                    seed: int, grid: HyperGrid, k: int = 5):
     """Grid search + refit on all rows. Returns (TrainedModel, best, scores)."""
-    if grid is None:
-        grid = DEFAULT_GRIDS[kind]
     best, scores = grid_search_cv(
         lambda params, x, y, seed: build_model(kind, params).fit(x, y, seed),
         x, y, grid, k=k, seed=seed, nested=getattr(_CLASSES.get(kind), "nested", ()))

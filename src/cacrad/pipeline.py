@@ -2,9 +2,9 @@
 
 Each entry point takes a RunConfig, writes its artifacts under the
 configured output directory, and returns the report dictionary it wrote.
-Reports embed the config file's text as ``config_text``; settings given
-as flags or left at their defaults are not in it, so a report names its
-whole run only when its file set every setting (ROADMAP item 4).
+Reports embed the run's RunConfig as ``config_text``, rendered by
+``RunConfig.text``: every setting, defaults and default grids included,
+however it was given, so that text as a config file reruns the run.
 Wall-clock timing lives in a single top-level "timing" key; everything
 else in a report is a pure function of (inputs, config, seed).
 Subjects and seeds are independent items that ``map_ordered`` spreads
@@ -118,7 +118,7 @@ def run_extract(cfg: RunConfig) -> dict:
 
     report = {
         "command": "extract",
-        "config_text": cfg.raw_text,
+        "config_text": cfg.text(),
         "n_subjects": len(entries),
         "n_extracted": len(ids),
         "n_features": len(FEATURE_NAMES),
@@ -243,7 +243,7 @@ def run_train_eval(cfg: RunConfig) -> dict:
 
     report = {
         "command": "train-eval",
-        "config_text": cfg.raw_text,
+        "config_text": cfg.text(),
         "mode": cfg.mode,
         "provenance": provenance,
         "coverage": coverage,

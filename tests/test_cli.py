@@ -795,4 +795,56 @@ def test_a_flag_leaves_the_other_config_lines_as_they_are(tmp_path):
     got = _from_flags(["train-eval", "--config", str(cfg), "--out", "elsewhere"])
     assert got.seed == 5
     assert got.out == "elsewhere"
-    assert got.raw_text == "seed = 5\n"
+    assert parse_config_text(got.text()) == got
+    assert {"seed = 5", "out = elsewhere"} <= set(got.text().splitlines())
+
+
+def test_the_report_says_the_seed_a_flag_gave(cli_cohort, finished, tmp_path):
+    # the report's config text was the file's, seed = 0, for a run of seed 5
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_SVM + "seed = 0\n")
+    assert main(["train-eval", "--config", str(cfg), "--seed", "5",
+                 "--manifest", str(cli_cohort / "manifest.csv"),
+                 "--features-csv", str(finished / "features.csv"),
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = json.loads((tmp_path / "out" / "run_report.json").read_text())[
+        "config_text"].splitlines()
+    assert "seed = 5" in lines and "seed = 0" not in lines
+
+
+def _artifacts(root):
+    """Every file under root, a JSON report without its timing."""
+    return {str(p.relative_to(root)): (json.loads(p.read_text()) | {"timing": None}
+                                       if p.suffix == ".json" else p.read_bytes())
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_each_report_reruns_its_run_from_its_config_text(tmp_path):
+    # the benchmark's cohort chain, its settings given as flags: each
+    # report's config_text, as the only setting, rewrites every artifact
+    cohort, run = tmp_path / "cohort", tmp_path / "run"
+    phantom.generate_cohort(cohort, 16, 0.5, seed=9, dims=(24, 24, 12))
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("seed = 0\nkfold = 2\n"
+                    "grid.random_forest.n_trees = 5, 10\n"
+                    "grid.random_forest.max_depth = 4, none\n"
+                    "grid.gbt.n_rounds = 5, 10\ngrid.gbt.max_depth = 2\n")
+    train = ["train-eval", "--config", str(grid), "--manifest", str(cohort / "manifest.csv"),
+             "--features-csv", str(run / "features.csv"), "--seed", "7",
+             "--train-composition", "noncontrast", "--n-seeds", "2",
+             "--models", "random_forest,gbt"]
+    stages = [("extract_report.json", ["extract", "--manifest", str(cohort / "manifest.csv"),
+                                       "--out", str(run)]),
+              ("real/run_report.json", train + ["--out", str(run / "real")]),
+              ("null/run_report.json", train + ["--out", str(run / "null"),
+                                                "--label-shuffle"])]
+    for k, (report, argv) in enumerate(stages):
+        assert main(argv) == 0, argv
+        first = _artifacts(run)
+        config = tmp_path / f"rerun{k}.cfg"
+        config.write_text(json.loads((run / report).read_text())["config_text"])
+        assert main([argv[0], "--config", str(config)]) == 0, argv
+        assert _artifacts(run) == first, argv
+    assert sorted(first) == ["extract_report.json", "features.csv", "null/metrics.csv",
+                             "null/run_report.json", "real/metrics.csv", "real/run_report.json"]
+

@@ -48,7 +48,7 @@ kfold = 3
     assert cfg.n_seeds == 10
     assert cfg.label_shuffle is True
     assert cfg.kfold == 3
-    assert cfg.raw_text == text
+    assert parse_config_text(cfg.text()) == cfg
 
 
 def test_parse_grid_overrides():
@@ -293,3 +293,93 @@ def test_parse_config_fuzz_raises_only_config_errors(lines):
             for name, v in point.items():
                 got = getattr(model, name)
                 assert got == v and isinstance(got, bool) == isinstance(v, bool)
+
+
+# --- text(): a config rendered as config lines ------------------------------
+
+_PATH = st.text(min_size=1, max_size=12).filter(
+    lambda p: p.splitlines() == [p] and p == p.strip() and "#" not in p
+    and "\0" not in p and p.lower() != "none")
+_COUNT = st.integers(1, MAX_COUNT)
+_POSITIVE = st.floats(0, 1e6, exclude_min=True) | st.integers(1, 100)
+_GRID_VALUES = {
+    "random_forest": {"n_trees": _COUNT, "max_depth": _COUNT | st.none(),
+                      "bootstrap": st.booleans()},
+    "gbt": {"n_rounds": _COUNT, "learning_rate": _POSITIVE, "max_depth": _COUNT},
+    "linear_svm": {"lam": _POSITIVE, "epochs": _COUNT},
+    "mlp": {"hidden_size": _COUNT, "learning_rate": _POSITIVE, "epochs": _COUNT},
+}
+
+
+@st.composite
+def _grid(draw, model):
+    """(model, params): some of its parameters in any order, 1-3 values each."""
+    names = draw(st.permutations(list(_GRID_VALUES[model])))[:draw(st.integers(1, 3))]
+    return model, tuple(
+        (name, tuple(draw(st.lists(_GRID_VALUES[model][name], min_size=1, max_size=3))))
+        for name in names)
+
+
+_FINITE = st.floats(0, exclude_min=True, allow_infinity=False)
+_CONFIGS = st.builds(
+    RunConfig,
+    manifest=st.none() | _PATH, out=_PATH, features_csv=st.none() | _PATH,
+    embeddings_csv=st.none() | _PATH,
+    mode=st.sampled_from(["radiomics", "embeddings"]),
+    train_composition=st.sampled_from(["mixed", "noncontrast"]),
+    test_fraction=st.floats(0, 1, exclude_min=True, exclude_max=True),
+    selection_threshold=st.floats(0, 1, exclude_min=True),
+    bin_width=_FINITE, n_bins=st.none() | st.integers(1, 2**40),
+    resample_spacing=st.none() | st.tuples(_FINITE, _FINITE, _FINITE),
+    glcm_distance=st.integers(1, 2**40), gldm_alpha=st.integers(0, 2**40),
+    models=st.lists(st.sampled_from(MODEL_KINDS), min_size=1, unique=True).map(tuple),
+    seed=st.integers(0, MAX_SEED), n_seeds=st.integers(1, MAX_COUNT),
+    label_shuffle=st.booleans(), kfold=st.integers(2, MAX_COUNT),
+    filter_embeddings=st.booleans(),
+    grid_overrides=st.lists(st.sampled_from(MODEL_KINDS), unique=True).flatmap(
+        lambda models: st.tuples(*(_grid(m) for m in models))))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(cfg=_CONFIGS)
+@hypothesis.example(cfg=RunConfig())
+@hypothesis.example(cfg=RunConfig(seed=MAX_SEED, test_fraction=0.1 + 0.2, bin_width=1e-300,
+                                  grid_overrides=(("mlp", (("epochs", (5, 1)),
+                                                           ("learning_rate", (1e20,)))),)))
+def test_text_parses_back_to_the_same_config(cfg):
+    assert parse_config_text(cfg.text()) == cfg
+
+
+def test_text_writes_every_key_and_every_default_grid():
+    text = RunConfig().text()
+    keys = [line.split(" = ")[0] for line in text.splitlines()]
+    assert keys[:3] == ["bin_width", "embeddings_csv", "features_csv"]
+    assert "manifest = none" in text.splitlines()
+    assert keys[-1] == "grid.random_forest.max_depth"
+    assert "grid.random_forest.max_depth = 4, 8, none" in text.splitlines()
+    assert "grid.linear_svm.lam = 0.0001, 0.001, 0.01, 0.1" in text.splitlines()
+    for kind, grid in DEFAULT_GRIDS.items():
+        assert [k.split(".")[2] for k in keys if k.startswith(f"grid.{kind}.")] == [
+            name for name, _ in grid.params]
+
+
+def test_an_override_keeps_its_parameter_order_and_the_other_grids_are_defaults():
+    cfg = RunConfig(grid_overrides=(("mlp", (("epochs", (5,)), ("hidden_size", (2, 1)))),))
+    assert cfg.grid_for("mlp") == HyperGrid(params=(("epochs", (5,)), ("hidden_size", (2, 1))))
+    assert [kind for kind, _ in cfg.grid_overrides] == sorted(MODEL_KINDS)
+    assert cfg == RunConfig(grid_overrides=cfg.grid_overrides)
+    assert cfg == parse_config_text("grid.mlp.epochs = 5\ngrid.mlp.hidden_size = 2, 1\n")
+    with pytest.raises(ConfigError, match="two grid overrides"):
+        RunConfig(grid_overrides=(("gbt", (("n_rounds", (5,)),)),
+                                  ("gbt", (("n_rounds", (6,)),))))
+    with pytest.raises(ConfigError, match="listed twice"):
+        RunConfig(grid_overrides=(("gbt", (("n_rounds", (5,)), ("n_rounds", (6,)))),))
+
+
+@pytest.mark.parametrize("key", ["manifest", "features_csv", "embeddings_csv"])
+def test_none_unsets_every_optional_path(key):
+    # manifest = none named a file called none
+    for text in ("none", "None", " NONE "):
+        assert getattr(parse_config_text(f"{key} = {text}\n"), key) is None
+    assert getattr(parse_config_text(f"{key} = nonesuch\n"), key) == "nonesuch"
+

@@ -162,9 +162,15 @@ def test_an_empty_out_or_manifest_exits_2_before_anything_is_cleared(chain, tmp_
     assert rc == 2 and "out must be a path" in err
     rc, err = _run(["extract", "--manifest", "", "--out", "o"])
     assert rc == 2 and "manifest must be a path" in err
+    # --out a#b ran, and its report's config line out = a#b reads out = a;
+    # --manifest none cleared the outputs and then read a file called none
+    rc, err = _run(["train-eval", "--manifest", str(chain / "manifest.csv"), "--out", "a#b"])
+    assert rc == 2 and "out must be a path" in err
+    rc, err = _run(["train-eval", "--manifest", "none", "--out", "."])
+    assert rc == 2 and "train-eval needs manifest" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "run_report.json"]
     for key in ("manifest", "out", "features_csv", "embeddings_csv"):
-        for bad in ("", "a\0b"):
+        for bad in ("", "a\0b", "a#b", " x", "x\t", "a\nb", "a\x85b", "none", "None"):
             with pytest.raises(ConfigError, match=f"^{key} must be a path"):
                 replace(RunConfig(), **{key: bad})
 
