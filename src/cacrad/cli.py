@@ -79,7 +79,7 @@ def _config_from_args(args) -> RunConfig:
         if name not in _FIELD_PARSERS or text is None:
             continue
         try:
-            given[name] = _FIELD_PARSERS[name](text.strip())
+            given[name] = _FIELD_PARSERS[name].read(text.strip())
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad value for --{name.replace('_', '-')}: {text!r}") from exc
     return replace(cfg, **given)

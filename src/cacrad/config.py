@@ -11,13 +11,14 @@ config file reruns its run.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigError
 from .features import ExtractionConfig
 from .files import read_text
 from .learn.grid import DEFAULT_GRIDS, MAX_COUNT, HyperGrid
 from .learn.model import MODEL_KINDS, build_model
+from .nifti import MAX_VOXELS
 from .rng import MAX_SEED
 
 MODES = ("radiomics", "embeddings")
@@ -50,47 +51,21 @@ class RunConfig(ExtractionConfig):
 
     def __post_init__(self):
         """Every way of making a RunConfig (a config file, flags, replace or
-        a direct call) checks the whole of it here, once. A path must be
-        one a config line can hold: text() writes it as its value."""
-        for key in ("manifest", "out", "features_csv", "embeddings_csv"):
-            path = getattr(self, key)
-            if path is not None and (path.splitlines() != [path] or path != path.strip()
-                                     or "#" in path or "\0" in path
-                                     or path.lower() == "none"):
-                raise ConfigError(f"{key} must be a path a config line can hold, got {path!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.train_composition not in COMPOSITIONS:
-            raise ConfigError(
-                f"train_composition must be one of {COMPOSITIONS}, got {self.train_composition!r}")
-        if not (0.0 < self.test_fraction < 1.0):
-            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if not (0.0 < self.selection_threshold <= 1.0):
-            raise ConfigError(
-                f"selection_threshold must be in (0, 1], got {self.selection_threshold}")
-        if not 0 < self.bin_width < math.inf:
-            raise ConfigError(f"bin_width must be a finite number > 0, got {self.bin_width}")
-        if self.resample_spacing is not None and (
-                len(self.resample_spacing) != 3
-                or not all(0 < s < math.inf for s in self.resample_spacing)):
-            raise ConfigError("resample_spacing must be none or three finite numbers > 0, "
-                              f"got {self.resample_spacing}")
-        if self.glcm_distance < 1:
-            raise ConfigError(f"glcm_distance must be >= 1, got {self.glcm_distance}")
-        if self.gldm_alpha < 0:
-            raise ConfigError(f"gldm_alpha must be >= 0, got {self.gldm_alpha}")
-        if self.n_bins is not None and self.n_bins < 1:
-            raise ConfigError(f"n_bins must be >= 1, got {self.n_bins}")
-        if not 2 <= self.kfold <= MAX_COUNT:
-            raise ConfigError(f"kfold must be from 2 to {MAX_COUNT}, got {self.kfold}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ConfigError(f"seed must be from 0 to {MAX_SEED}, got {self.seed}")
-        if not 1 <= self.n_seeds <= MAX_COUNT:
-            raise ConfigError(f"n_seeds must be from 1 to {MAX_COUNT}, got {self.n_seeds}")
-        bad = [m for m in self.models if m not in MODEL_KINDS]
-        if bad or not self.models or len(set(self.models)) < len(self.models):
-            raise ConfigError(
-                f"models must name some of {MODEL_KINDS}, each once, got {list(self.models)}")
+        a direct call) checks the whole of it here, once. Each value must be
+        one its own config line holds: the line text() writes for it reads
+        back, as parse_config_text reads it, as the same value, and that
+        value is stored (bin_width = 5 as 5.0)."""
+        for key, rule in _FIELD_PARSERS.items():
+            value = getattr(self, key)
+            try:
+                [(_, _, text)] = _settings(f"{key} = {_render(value)}")
+                back = rule.read(text)
+                if rule.ok(back) and back == value:
+                    object.__setattr__(self, key, back)
+                    continue
+            except (ValueError, KeyError, ConfigError):
+                pass
+            raise ConfigError(f"{key} must {rule.must}, got {value!r}")
         grids = dict(self.grid_overrides)
         if len(grids) < len(self.grid_overrides):
             raise ConfigError("a model has two grid overrides")
@@ -144,18 +119,13 @@ def _parse_scalar(token: str):
     low = token.lower()
     if low in ("none", ""):
         return None
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
+    if low in ("true", "false"):
+        return low == "true"
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
     return token
 
 
@@ -170,46 +140,66 @@ def _parse_models(token: str) -> tuple:
     return models
 
 
-def _optional(parse):
-    """parse, or None for the value none."""
-    return lambda v: None if v.strip().lower() == "none" else parse(v)
+class _Rule(NamedTuple):
+    """What a key holds: read parses its line's text (ValueError or KeyError
+    when not of the key's kind), ok tests the range, must says what ok asks."""
+    read: Callable
+    must: str
+    ok: Callable
 
 
-def _parse_floats(token: str) -> tuple:
-    return tuple(float(t) for t in token.split(","))
+def _integer(lo: int, hi: int) -> _Rule:
+    return _Rule(int, f"be from {lo} to {hi}", lambda v: lo <= v <= hi)
 
 
-def _parse_bool(token: str) -> bool:
-    return {"true": True, "false": False}[token.strip().lower()]
+def _names(names: tuple) -> _Rule:
+    return _Rule(str, f"be one of {names}", lambda v: v in names)
 
+
+def _optional(rule: _Rule) -> _Rule:
+    """rule, or None for the value none."""
+    return _Rule(lambda t: None if t.strip().lower() == "none" else rule.read(t), rule.must,
+                 lambda v: v is None or rule.ok(v))
+
+
+# A line holding "#", a line break or surrounding spaces reads back as
+# another path, so only the empty path, NUL and the word none need a test.
+_PATH = _Rule(str, "be a path a config line can hold",
+              lambda p: p != "" and "\0" not in p and p.lower() != "none")
+_BOOL = _Rule(lambda t: {"true": True, "false": False}[t.strip().lower()],
+              "be true or false", lambda v: True)
 
 _FIELD_PARSERS = {
-    "manifest": _optional(str),
-    "mode": str,
-    "train_composition": str,
-    "test_fraction": float,
-    "selection_threshold": float,
-    "bin_width": float,
-    "n_bins": _optional(int),
-    "resample_spacing": _optional(_parse_floats),
-    "glcm_distance": int,
-    "gldm_alpha": int,
-    "models": _parse_models,
-    "seed": int,
-    "out": str,
-    "features_csv": _optional(str),
-    "embeddings_csv": _optional(str),
-    "n_seeds": int,
-    "label_shuffle": _parse_bool,
-    "kfold": int,
-    "filter_embeddings": _parse_bool,
+    "manifest": _optional(_PATH),
+    "mode": _names(MODES),
+    "train_composition": _names(COMPOSITIONS),
+    "test_fraction": _Rule(float, "be in (0, 1)", lambda v: 0 < v < 1),
+    "selection_threshold": _Rule(float, "be in (0, 1]", lambda v: 0 < v <= 1),
+    "bin_width": _Rule(float, "be a finite number > 0", lambda v: 0 < v < math.inf),
+    # the level count fixed-width bins stop at too, since the level grid is int32
+    "n_bins": _optional(_integer(1, 2 ** 31 - 2)),
+    "resample_spacing": _optional(_Rule(
+        lambda t: tuple(map(float, t.split(","))), "be none or three finite numbers > 0",
+        lambda s: len(s) == 3 and all(0 < x < math.inf for x in s))),
+    # no grid axis is longer, and a longer distance pairs no voxels either
+    "glcm_distance": _integer(1, MAX_VOXELS),
+    "gldm_alpha": _Rule(int, "be >= 0", lambda v: v >= 0),
+    "models": _Rule(_parse_models, f"name some of {MODEL_KINDS}, each once",
+                    lambda ms: ms and all(m in MODEL_KINDS for m in ms)),
+    "seed": _integer(0, MAX_SEED),
+    "out": _PATH,
+    "features_csv": _optional(_PATH),
+    "embeddings_csv": _optional(_PATH),
+    "n_seeds": _integer(1, MAX_COUNT),
+    "label_shuffle": _BOOL,
+    "kfold": _integer(2, MAX_COUNT),
+    "filter_embeddings": _BOOL,
 }
 
 
-def parse_config_text(text: str) -> RunConfig:
-    values = {}
-    grid: dict = {}
-    seen = {}
+def _settings(text: str):
+    """(line number, key, value text) of each setting of config text: the
+    comment cut, spaces stripped, blank lines skipped."""
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -217,6 +207,14 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {rawline!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
+def parse_config_text(text: str) -> RunConfig:
+    values = {}
+    grid: dict = {}
+    seen = {}
+    for lineno, key, value in _settings(text):
         if key in seen:
             raise ConfigError(f"line {lineno}: {key} is already set on line {seen[key]}")
         seen[key] = lineno
@@ -229,7 +227,7 @@ def parse_config_text(text: str) -> RunConfig:
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _FIELD_PARSERS[key](value)
+            values[key] = _FIELD_PARSERS[key].read(value)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return RunConfig(grid_overrides=tuple((m, tuple(p)) for m, p in grid.items()), **values)

@@ -4,7 +4,7 @@ Scope is deliberately narrow: single-file ``.nii``/``.nii.gz``, datatypes
 int16/float32/float64, either byte order. Unscaled int16 voxels are kept
 as stored, two bytes each, until preprocess.apply_mask takes the ROI's
 voxels as float64; float32, float64 and scaled files are read as float64.
-A mask is a bool array, its nonzero voxels tested block by block.
+A mask is a bool array, its voxels tested as they are read.
 
 A read holds the header, the voxels it declares and CHUNK bytes, whatever
 the file's size: a header of more than MAX_VOXELS voxels, or a file with
@@ -42,14 +42,15 @@ VOX_OFFSET = 352
 # gzip's default 9 on int16 CT volumes, for files a few percent larger;
 # the voxel payload, and so everything read back, is the same.
 GZIP_LEVEL = 1
-# Voxels of a scaled mask converted at a time: an 8 MiB float64 block.
-MASK_BLOCK = 1 << 20
 # Most voxels a grid may hold, read or resampled: a 512 x 512 x 512 grid
 # (2^27) fits, so any 512 x 512 scan of up to 512 slices does, while a
 # mistyped header or target spacing is refused before numpy allocates it.
 MAX_VOXELS = 2 ** 27
 # Bytes read at a time: into the voxel array, or dropped before and after it.
 CHUNK = 1 << 20
+# Bytes a voxel read asks of the file per call: gzip holds about four times
+# what one call returns while it inflates.
+READ_SIZE = 1 << 16
 # Most bytes a file may hold after the voxels its header declares. Writers
 # add none; reading on would let a few KiB of gzip inflate to any size.
 MAX_TRAILING = 1 << 16
@@ -109,35 +110,36 @@ def _skip(fh, count: int) -> int:
 
 
 def _fill(fh, buf: memoryview) -> int:
-    """Read fh into buf, CHUNK at a time, until buf is full or fh ends; how
-    many bytes."""
+    """Read fh into buf, READ_SIZE at a time, until buf is full or fh ends;
+    how many bytes."""
     filled = 0
     while filled < len(buf):
-        got = fh.readinto(buf[filled:filled + CHUNK])
+        got = fh.readinto(buf[filled:filled + READ_SIZE])
         if not got:
             break
         filled += got
     return filled
 
 
-def _read_stored(path):
-    """Check a NIfTI-1 single file (optionally gzipped) and return its
-    stored voxels as a flat array in file order, the grid shape, the
-    (scl_slope, scl_inter) pair to apply or None, and the spacing.
+def _read_stored(path, voxels):
+    """Check a NIfTI-1 single file (optionally gzipped) and return what
+    voxels(fh, dtype, count, scale) makes of its voxels, read in file order,
+    the grid shape, the (scl_slope, scl_inter) pair to apply or None, and
+    the spacing. voxels also returns how many bytes it read.
 
     The header is checked before any voxel is read. What follows the
     voxels is still read, up to MAX_TRAILING, so a gzip stream's checksum
     and length are checked."""
     try:
         with gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb") as fh:
-            return _read_open(path, fh)
+            return _read_open(path, fh, voxels)
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise TruncatedFile(f"{path}: truncated or corrupt gzip stream") from exc
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
 
 
-def _read_open(path, fh):
+def _read_open(path, fh, voxels):
     raw = fh.read(HEADER_SIZE)
     if len(raw) < 4:
         raise TruncatedFile(f"{path}: {len(raw)} bytes, no header")
@@ -194,21 +196,44 @@ def _read_open(path, fh):
     nvox = shape[0] * shape[1] * shape[2]
     if nvox > MAX_VOXELS:
         raise UnsupportedDatatype(f"{path}: {shape} is {nvox} voxels, more than {MAX_VOXELS}")
-    offset = max(int(vox_offset), HEADER_SIZE)
-    stored = np.empty(nvox, dtype=dtype)
-    have = HEADER_SIZE + _skip(fh, offset - HEADER_SIZE)
-    if have == offset:
-        have += _fill(fh, memoryview(stored).cast("B"))
-    if have < offset + stored.nbytes:
-        raise TruncatedFile(
-            f"{path}: need {offset + stored.nbytes} bytes for voxels, have {have}")
-    if _skip(fh, MAX_TRAILING + 1) > MAX_TRAILING:
-        raise UnsupportedDatatype(
-            f"{path}: more than {MAX_TRAILING} bytes follow the {nvox} voxels the header declares")
     scale = None
     if scl_slope != 0.0 and np.isfinite(scl_slope) and (scl_slope != 1.0 or scl_inter != 0.0):
         scale = (scl_slope, scl_inter)
-    return stored, tuple(shape), scale, tuple(spacing)
+    offset = max(int(vox_offset), HEADER_SIZE)
+    need = offset + nvox * dtype.itemsize
+    have = HEADER_SIZE + _skip(fh, offset - HEADER_SIZE)
+    if have == offset:
+        data, got = voxels(fh, dtype, nvox, scale)
+        have += got
+    if have < need:
+        raise TruncatedFile(f"{path}: need {need} bytes for voxels, have {have}")
+    if _skip(fh, MAX_TRAILING + 1) > MAX_TRAILING:
+        raise UnsupportedDatatype(
+            f"{path}: more than {MAX_TRAILING} bytes follow the {nvox} voxels the header declares")
+    return data, tuple(shape), scale, tuple(spacing)
+
+
+def _stored(fh, dtype, count, scale):
+    """count voxels of dtype, as stored, and how many bytes were read."""
+    stored = np.empty(count, dtype=dtype)
+    return stored, _fill(fh, memoryview(stored).cast("B"))
+
+
+def _nonzero(fh, dtype, count, scale):
+    """Which of count voxels of dtype are nonzero as read_nifti gives them,
+    and how many bytes were read: CHUNK bytes at a time into one buffer,
+    which _fill fills unless fh ends, so a full one holds whole voxels."""
+    labels = np.empty(count, dtype=bool)
+    buf = np.empty(min(count, max(1, CHUNK // dtype.itemsize)), dtype=dtype)
+    have = 0
+    for start in range(0, count, len(buf)):
+        part = buf[:count - start]
+        got = _fill(fh, memoryview(part).cast("B"))
+        have += got
+        if got < part.nbytes:
+            break
+        np.not_equal(_intensities(part, scale), 0.0, out=labels[start:start + len(part)])
+    return labels, have
 
 
 def _intensities(stored: np.ndarray, scale) -> np.ndarray:
@@ -223,7 +248,7 @@ def _intensities(stored: np.ndarray, scale) -> np.ndarray:
 
 def read_nifti(path) -> Volume3D:
     """Parse a NIfTI-1 single file (optionally gzipped) into a Volume3D."""
-    stored, shape, scale, spacing = _read_stored(path)
+    stored, shape, scale, spacing = _read_stored(path, _stored)
     return Volume3D(
         dims=shape,
         spacing=spacing,
@@ -234,13 +259,9 @@ def read_nifti(path) -> Volume3D:
 def read_mask(path) -> np.ndarray:
     """The ROI of a NIfTI-1 label file, a bool array of its grid's shape:
     every voxel whose intensity, as read_nifti gives it, is nonzero. Voxels
-    are compared as stored, or scaled MASK_BLOCK at a time, so no float64
-    copy of the whole volume is made."""
-    stored, shape, scale, _ = _read_stored(path)
-    labels = np.empty(len(stored), dtype=bool)
-    for start in range(0, len(stored), MASK_BLOCK):
-        block = slice(start, start + MASK_BLOCK)
-        np.not_equal(_intensities(stored[block], scale), 0.0, out=labels[block])
+    are compared as they are read, so neither the stored mask nor a float64
+    copy of it is held whole."""
+    labels, shape, _, _ = _read_stored(path, _nonzero)
     return labels.reshape(shape, order="F")
 
 

@@ -1,7 +1,9 @@
 import math
+import re
 from dataclasses import replace
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from cacrad.config import RunConfig, load_config, parse_config_text
 from cacrad.errors import ConfigError
 from cacrad.learn.grid import DEFAULT_GRIDS, MAX_COUNT, HyperGrid
 from cacrad.learn.model import MODEL_KINDS, build_model
+from cacrad.nifti import MAX_VOXELS
 from cacrad.rng import MAX_SEED
 
 
@@ -173,6 +176,28 @@ def test_validation_errors():
             RunConfig(**kw)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5), ("kfold", 2.5), ("bin_width", True), ("n_bins", True),
+    ("glcm_distance", True), ("gldm_alpha", False), ("n_seeds", True), ("label_shuffle", 1),
+    ("filter_embeddings", 0), ("models", ["gbt"]), ("resample_spacing", [1.0, 1.0, 1.0])])
+def test_a_value_its_config_line_cannot_hold_is_refused(key, value):
+    # each was accepted, and parse_config_text then refused the text() of it
+    with pytest.raises(ConfigError, match=f"^{key} must .*, got {re.escape(repr(value))}$"):
+        RunConfig(**{key: value})
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        replace(RunConfig(), **{key: value})
+
+
+def test_a_value_is_stored_as_its_config_line_reads_it():
+    cfg = RunConfig(bin_width=5, seed=np.int64(5), n_bins=np.int32(8),
+                    resample_spacing=(1, 2, 3))
+    assert (cfg.bin_width, cfg.seed, cfg.n_bins, cfg.resample_spacing) == (
+        5.0, 5, 8, (1.0, 2.0, 3.0))
+    assert [type(v) for v in (cfg.bin_width, cfg.seed, cfg.n_bins, *cfg.resample_spacing)] == [
+        float, int, int, float, float, float]
+    assert parse_config_text(cfg.text()) == cfg
+
+
 def test_run_counts_are_bounded():
     # n_seeds = 10^11 derived seed after seed and never returned, and
     # kfold = 10^9 allocated a billion fold lists before any class check
@@ -329,9 +354,9 @@ _CONFIGS = st.builds(
     train_composition=st.sampled_from(["mixed", "noncontrast"]),
     test_fraction=st.floats(0, 1, exclude_min=True, exclude_max=True),
     selection_threshold=st.floats(0, 1, exclude_min=True),
-    bin_width=_FINITE, n_bins=st.none() | st.integers(1, 2**40),
+    bin_width=_FINITE, n_bins=st.none() | st.integers(1, 2**31 - 2),
     resample_spacing=st.none() | st.tuples(_FINITE, _FINITE, _FINITE),
-    glcm_distance=st.integers(1, 2**40), gldm_alpha=st.integers(0, 2**40),
+    glcm_distance=st.integers(1, MAX_VOXELS), gldm_alpha=st.integers(0, 2**40),
     models=st.lists(st.sampled_from(MODEL_KINDS), min_size=1, unique=True).map(tuple),
     seed=st.integers(0, MAX_SEED), n_seeds=st.integers(1, MAX_COUNT),
     label_shuffle=st.booleans(), kfold=st.integers(2, MAX_COUNT),

@@ -234,9 +234,9 @@ def test_read_mask_binarizes(tmp_path):
 @pytest.mark.parametrize("dtype", ["int16", "float32", "float64"])
 @pytest.mark.parametrize("byteorder", ["<", ">"])
 def test_read_mask_is_read_nifti_nonzero(tmp_path, monkeypatch, dtype, byteorder):
-    # blocks of 7 voxels end mid-column; the scalings send a stored value
+    # chunks of 7 voxels end mid-column; the scalings send a stored value
     # to 0, underflow, overflow or turn every voxel nonzero
-    monkeypatch.setattr(nifti, "MASK_BLOCK", 7)
+    monkeypatch.setattr(nifti, "CHUNK", 7 * np.dtype(dtype).itemsize)
     values = np.arange(-3.0, 3.0).repeat(10)[np.random.default_rng(9).permutation(60)]
     vol = Volume3D(dims=(5, 4, 3), spacing=(1, 1, 1), intensities=values)
     path = tmp_path / "m.nii"
@@ -257,7 +257,7 @@ def test_read_mask_is_read_nifti_nonzero(tmp_path, monkeypatch, dtype, byteorder
 @pytest.mark.parametrize("byteorder", ["<", ">"])
 def test_an_unscaled_mask_is_read_nifti_nonzero(tmp_path, monkeypatch, dtype, byteorder):
     # stored voxels are compared with 0 as they are: NaN is nonzero, -0.0 is not
-    monkeypatch.setattr(nifti, "MASK_BLOCK", 7)
+    monkeypatch.setattr(nifti, "CHUNK", 7 * np.dtype(dtype).itemsize)
     values = np.array([0.0, -0.0, float("nan"), 1.0, -1.0, 1e-30, -32768.0, 32767.0] * 3)
     vol = Volume3D(dims=(2, 3, 4), spacing=(1, 1, 1),
                    intensities=np.nan_to_num(values) if dtype == "int16" else values)
@@ -268,8 +268,7 @@ def test_an_unscaled_mask_is_read_nifti_nonzero(tmp_path, monkeypatch, dtype, by
     assert int(got.sum()) == 3 * (4 if dtype == "int16" else 6)
 
 
-def test_read_mask_makes_no_float64_copy(tmp_path, monkeypatch):
-    monkeypatch.setattr(nifti, "MASK_BLOCK", 1 << 14)
+def test_read_mask_makes_no_float64_copy(tmp_path):
     dims = (128, 128, 64)
     labels = np.zeros(dims)
     labels[40:90, 30:70, 10:30] = 3.0
@@ -283,9 +282,27 @@ def test_read_mask_makes_no_float64_copy(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.array_equal(mask, labels != 0)
-    # the file (2 bytes a voxel), the labels (1) and one block; a float64
-    # volume alone would be 8 bytes a voxel
+    # the labels (1 byte a voxel) and one chunk; a float64 volume alone
+    # would be 8 bytes a voxel
     assert peak < 4 * labels.size
+
+
+def test_read_mask_holds_no_stored_copy(tmp_path):
+    # the int16 mask (2 bytes a voxel) was read whole before it was tested
+    dims = (256, 256, 64)
+    labels = np.zeros(dims)
+    labels[40:90, 30:70, 10:30] = 3.0
+    path = tmp_path / "m.nii.gz"
+    write_nifti(Volume3D(dims=dims, spacing=(1, 1, 1), intensities=labels), path,
+                dtype="int16")
+    tracemalloc.start()
+    try:
+        mask = read_mask(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mask, labels != 0)
+    assert peak < mask.nbytes + 2 * nifti.CHUNK, peak
 
 
 # Runs write_nifti with files limited to 1000 bytes, as a disk that fills
@@ -452,9 +469,11 @@ def _whole_file_read(path):
 @pytest.mark.parametrize("dtype", ["int16", "float32", "float64"])
 @pytest.mark.parametrize("byteorder", ["<", ">"])
 @pytest.mark.parametrize("scale", [None, (0.0, 7.0), (2.5, -1024.0)])
-def test_a_read_as_float64_is_the_whole_file_read(tmp_path, suffix, dtype, byteorder, scale):
-    vol = Volume3D(dims=(7, 5, 3), spacing=(0.49, 0.49, 1.41), intensities=np.round(
-        np.random.default_rng(12).normal(0.0, 900.0, size=(7, 5, 3)), 2))
+def test_a_read_as_float64_is_the_whole_file_read(tmp_path, monkeypatch, suffix, dtype,
+                                                  byteorder, scale):
+    values = np.round(np.random.default_rng(12).normal(0.0, 900.0, size=(7, 5, 3)), 2)
+    values[values < -700] = 0.0  # about a fifth, so a mask read has both kinds
+    vol = Volume3D(dims=(7, 5, 3), spacing=(0.49, 0.49, 1.41), intensities=values)
     plain = tmp_path / "v.nii"
     write_nifti(vol, plain, dtype=dtype, byteorder=byteorder)
     if scale is not None:
@@ -467,6 +486,9 @@ def test_a_read_as_float64_is_the_whole_file_read(tmp_path, suffix, dtype, byteo
     unscaled_int = dtype == "int16" and scale in (None, (0.0, 7.0))
     assert got.dtype == (np.dtype(byteorder + "i2") if unscaled_int else np.float64)
     assert got.astype(np.float64).tobytes() == _whole_file_read(path).tobytes()
+    # 32-byte chunks of 16, 8 or 4 voxels: the last of the 105 is short
+    monkeypatch.setattr(nifti, "CHUNK", 32)
+    assert np.array_equal(read_mask(path), _whole_file_read(path) != 0)
 
 
 @pytest.mark.parametrize("dtype", ["int16", "float32", "float64"])

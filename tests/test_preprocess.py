@@ -112,7 +112,7 @@ def test_discretize_errors():
         discretize_fixed_width(empty, 25.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(
     vals=st.lists(st.floats(-1000, 2000, allow_nan=False), min_size=1, max_size=40),
     width=st.floats(0.5, 200, allow_nan=False),
@@ -132,7 +132,7 @@ def test_fixed_width_levels_property(vals, width):
     assert np.all(np.diff(disc.levels[order]) >= 0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(
     vals=st.lists(st.floats(-500, 500, allow_nan=False), min_size=1, max_size=40),
     n_bins=st.integers(1, 16),
