@@ -1,17 +1,17 @@
-"""Uniform wrapper over the four classifier kinds.
+"""The four classifier kinds: build one, fit it by grid search, fingerprint it.
 
-A TrainedModel knows its feature schema and training provenance. Its
-canonical JSON document holds those and the fitted model's document; its
-fingerprint, a sha256 over it, is used by leakage and determinism checks.
+train_with_grid returns the fitted model itself; every kind scores rows
+with predict_score. A fit's fingerprint is the sha256 of a canonical JSON
+of its kind, grid point, training columns, seed and document(model), and
+the leakage and determinism checks tell fits apart by it.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, NonFiniteValue, SchemaMismatch
+from ..errors import ConfigError
 from ..rng import derive_seed
 from ..selection import Standardizer
 from .boosting import GradientBoostedTrees
@@ -67,51 +67,24 @@ def _encode(value):
     return value
 
 
-@dataclass(frozen=True)
-class TrainedModel:
-    kind: str
-    hyperparams: dict
-    inner: object
-    feature_names: tuple
-    seed: int
-
-    def predict(self, x: np.ndarray, feature_names=None):
-        """Per-row (label, score); label NonZero=1 iff score >= 0.5."""
-        if feature_names is not None and tuple(feature_names) != self.feature_names:
-            raise SchemaMismatch(
-                f"model trained on {len(self.feature_names)} columns "
-                f"{self.feature_names[:3]}..., got {tuple(feature_names)[:3]}...")
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != len(self.feature_names):
-            raise SchemaMismatch(
-                f"expected (n, {len(self.feature_names)}) matrix, got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteValue("prediction input contains non-finite values")
-        score = self.inner.predict_score(x)
-        return (score >= 0.5).astype(np.int64), score
-
-    def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "hyperparams": {k: v for k, v in sorted(self.hyperparams.items())},
-            "feature_names": list(self.feature_names),
-            "seed": self.seed,
-            "parameters": document(self.inner),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @property
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+def fingerprint(kind: str, hyperparams: dict, feature_names, seed: int, model) -> str:
+    """The sha256 of a fit's canonical JSON: its kind, grid point, training
+    columns, seed and document(model)."""
+    doc = {
+        "kind": kind,
+        "hyperparams": hyperparams,
+        "feature_names": list(feature_names),
+        "seed": seed,
+        "parameters": document(model),
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def train_with_grid(kind: str, x: np.ndarray, y: np.ndarray, feature_names,
-                    seed: int, grid: HyperGrid, k: int = 5):
-    """Grid search + refit on all rows. Returns (TrainedModel, best, scores)."""
+def train_with_grid(kind: str, x: np.ndarray, y: np.ndarray, seed: int,
+                    grid: HyperGrid, k: int = 5):
+    """Grid search + refit on all rows. Returns (fitted model, best, scores)."""
     best, scores = grid_search_cv(
         lambda params, x, y, seed: build_model(kind, params).fit(x, y, seed),
         x, y, grid, k=k, seed=seed, nested=getattr(_CLASSES.get(kind), "nested", ()))
-    final = build_model(kind, best).fit(x, y, derive_seed(seed, "final-fit"))
-    model = TrainedModel(kind=kind, hyperparams=best, inner=final,
-                         feature_names=tuple(feature_names), seed=seed)
+    model = build_model(kind, best).fit(x, y, derive_seed(seed, "final-fit"))
     return model, best, scores

@@ -33,7 +33,7 @@ from .eval import METRIC_COLUMNS, confusion_from_predictions, metric_cell, metri
 from .features import extract_all
 from .features.catalog import FEATURE_NAMES
 from .files import read_text
-from .learn.model import MODEL_KINDS, train_with_grid
+from .learn.model import MODEL_KINDS, fingerprint, train_with_grid
 from .learn.split import stratified_split
 from .manifest import ContrastGroup, load_manifest, require_files
 from .nifti import read_mask, read_nifti
@@ -215,19 +215,17 @@ def run_train_eval(cfg: RunConfig) -> dict:
 
         model_blocks = {}
         for kind in cfg.models:
+            model_seed = derive_seed(run_seed, "model", kind)
             model, best, cv_scores = train_with_grid(
-                kind, x_train, y_train, kept,
-                derive_seed(run_seed, "model", kind),
-                grid=cfg.grid_for(kind), k=cfg.kfold)
-            y_pred, _score = model.predict(x_test, kept)
-            conf = confusion_from_predictions(y_test, y_pred)
+                kind, x_train, y_train, model_seed, grid=cfg.grid_for(kind), k=cfg.kfold)
+            conf = confusion_from_predictions(y_test, model.predict_score(x_test) >= 0.5)
             rep = metrics(conf)
             model_blocks[kind] = {
                 "hyperparams": best,
                 "cv_mean_scores": [float(s) for s in cv_scores],
                 "confusion": {"tp": conf.tp, "fn": conf.fn, "fp": conf.fp, "tn": conf.tn},
                 "metrics": rep.as_row(),
-                "fingerprint": model.fingerprint,
+                "fingerprint": fingerprint(kind, best, kept, model_seed, model),
             }
         return {
             "seed": run_seed,

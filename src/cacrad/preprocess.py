@@ -98,11 +98,12 @@ def _discretized(roi: MaskedRoi, levels: np.ndarray) -> DiscretizedRoi:
 def _value_range(roi: MaskedRoi):
     """The least and greatest intensity of a nonempty ROI; NonFiniteValue
     when their difference is not finite (a NaN or infinite intensity, or a
-    range past float64), since no bin would hold every voxel."""
+    range past float64), since no bin would hold every voxel. They are
+    Python floats, whose arithmetic overflows to inf without a warning."""
     if len(roi) == 0:
         raise EmptyMask("cannot discretize an empty ROI")
-    lo, hi = roi.values.min(), roi.values.max()
-    if not np.isfinite(hi - lo):
+    lo, hi = float(roi.values.min()), float(roi.values.max())
+    if not math.isfinite(hi - lo):
         raise NonFiniteValue(f"ROI intensities from {lo} to {hi} have no finite range")
     return lo, hi
 
@@ -112,7 +113,7 @@ def discretize_fixed_width(roi: MaskedRoi, bin_width: float) -> DiscretizedRoi:
     if bin_width <= 0:
         raise NonPositiveWidth(f"bin_width must be > 0, got {bin_width}")
     lo, hi = _value_range(roi)
-    if not (hi - lo) / bin_width < 2 ** 31 - 2:  # past int32, the level grid would wrap
+    if not (hi - lo) / float(bin_width) < 2 ** 31 - 2:  # past int32, the level grid would wrap
         raise TooManyGrayLevels(
             f"bins of width {bin_width} split the ROI's {lo:g} to {hi:g} into more gray "
             "levels than a texture matrix may hold; widen bin_width or set n_bins")

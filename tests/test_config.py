@@ -285,8 +285,7 @@ def _config_line(draw):
     return f"{key} {draw(st.sampled_from(['=', ' = ', '=='])) } {value}"
 
 
-@hypothesis.seed(20261018)
-@settings(max_examples=400, deadline=None, database=None)
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(lines=st.lists(_config_line(), max_size=8))
 @hypothesis.example(lines=["grid.random_forest.bootstrap = 0.5"])
 @hypothesis.example(lines=["grid.linear_svm.lam = true"])

@@ -13,6 +13,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cacrad
 from cacrad.cli import main
 from cacrad.config import _FIELD_PARSERS
 from cacrad.embeddings import write_embeddings
@@ -150,6 +153,24 @@ def test_the_bounds_themselves_extract(cohort):
     for key, value in (("glcm_distance", MAX_VOXELS), ("n_bins", 2 ** 31 - 2)):
         [(rc, err), _] = _run_each(root, extract, train, {key: str(value)})
         assert rc in (0, 4), err
+
+
+def test_a_subnormal_bin_width_exits_4_without_a_warning(cohort, tmp_path):
+    # each extracting process printed numpy's "overflow encountered in
+    # scalar divide" before its subjects were excluded; helpers print to
+    # the process's stderr, so the command runs in a child python
+    root, extract, _ = cohort
+    cfg = tmp_path / "extract.cfg"
+    lines = {**extract, "out": str(tmp_path / "out"), "bin_width": "5e-324"}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(cacrad.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "cacrad.cli", "extract",
+                           "--config", str(cfg)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 4, proc.stderr
+    assert "TooManyGrayLevels" in proc.stderr and "RuntimeWarning" not in proc.stderr, (
+        proc.stderr)
 
 
 def _finite(text: str):

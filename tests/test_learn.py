@@ -1,10 +1,9 @@
-import json
 import weakref
 
 import numpy as np
 import pytest
 
-from cacrad.errors import ConfigError, NonFiniteValue, SchemaMismatch, SingleClass
+from cacrad.errors import ConfigError, SingleClass
 from cacrad.learn.forest import RandomForest
 from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
 from cacrad.learn.mlp import Mlp, _sigmoid, loss_and_grad
@@ -12,6 +11,7 @@ from cacrad.learn.model import (
     MODEL_KINDS,
     build_model,
     document,
+    fingerprint,
     train_with_grid,
 )
 from cacrad.learn.svm import LinearSvm
@@ -49,11 +49,9 @@ def blobs(n_per=20, d=4, gap=6.0, seed=0):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_separable_blobs_all_kinds(kind):
     x, y = blobs(seed=3)
-    names = tuple(f"f{k}" for k in range(x.shape[1]))
-    model, best, scores = train_with_grid(kind, x, y, names, seed=9,
-                                          grid=SMALL_GRIDS[kind], k=3)
-    pred, score = model.predict(x)
-    assert np.array_equal(pred, y), kind
+    model, best, scores = train_with_grid(kind, x, y, seed=9, grid=SMALL_GRIDS[kind], k=3)
+    score = model.predict_score(x)
+    assert np.array_equal(score >= 0.5, y == 1), kind
     assert np.all((score >= 0.0) & (score <= 1.0))
     assert len(scores) == len(list(SMALL_GRIDS[kind].points()))
 
@@ -62,26 +60,26 @@ def test_separable_blobs_all_kinds(kind):
 def test_fit_is_deterministic(kind):
     x, y = blobs(seed=5)
     names = tuple(f"f{k}" for k in range(x.shape[1]))
-    m1, _, _ = train_with_grid(kind, x, y, names, seed=4, grid=SMALL_GRIDS[kind], k=3)
-    m2, _, _ = train_with_grid(kind, x, y, names, seed=4, grid=SMALL_GRIDS[kind], k=3)
-    assert m1.fingerprint == m2.fingerprint
-    assert m1.to_json() == m2.to_json()
+    m1, best1, _ = train_with_grid(kind, x, y, seed=4, grid=SMALL_GRIDS[kind], k=3)
+    m2, best2, _ = train_with_grid(kind, x, y, seed=4, grid=SMALL_GRIDS[kind], k=3)
+    assert best1 == best2
+    assert fingerprint(kind, best1, names, 4, m1) == fingerprint(kind, best2, names, 4, m2)
+    assert document(m1) == document(m2)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_fingerprint_hashes_every_public_attribute(kind):
     x, y = blobs(seed=8)
     names = tuple(f"f{k}" for k in range(x.shape[1]))
-    model, _, _ = train_with_grid(kind, x, y, names, seed=1,
-                                  grid=SMALL_GRIDS[kind], k=3)
-    before = model.fingerprint
+    model, best, _ = train_with_grid(kind, x, y, seed=1, grid=SMALL_GRIDS[kind], k=3)
+    before = fingerprint(kind, best, names, 1, model)
     # fit-time state that predictions do not read stays out
-    model.inner._scratch = np.arange(3.0)
-    assert model.fingerprint == before
+    model._scratch = np.arange(3.0)
+    assert fingerprint(kind, best, names, 1, model) == before
     # a new public attribute enters the document, its float exact
-    model.inner.extra = [0.1, 2.0]
-    assert json.loads(model.to_json())["parameters"]["extra"] == ["0.1", "2.0"]
-    assert model.fingerprint != before
+    model.extra = [0.1, 2.0]
+    assert document(model)["extra"] == ["0.1", "2.0"]
+    assert fingerprint(kind, best, names, 1, model) != before
 
 
 def test_document_writes_floats_exactly_and_keeps_ints():
@@ -98,28 +96,6 @@ def test_document_writes_floats_exactly_and_keeps_ints():
     assert doc["epochs"] == 2 and doc["lam"] == "0.01"
     assert doc["w"] == [repr(v) for v in svm.w.tolist()]
     assert doc["mean"] == svm.standardizer.to_dict()["mean"]
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_predict_refuses_non_finite_input(bad):
-    x, y = blobs(seed=2)
-    names = tuple(f"f{k}" for k in range(x.shape[1]))
-    model, _, _ = train_with_grid("gbt", x, y, names, seed=0,
-                                  grid=SMALL_GRIDS["gbt"], k=3)
-    x[3, 1] = bad
-    with pytest.raises(NonFiniteValue):
-        model.predict(x)
-
-
-def test_predict_schema_checks():
-    x, y = blobs(seed=2)
-    names = tuple(f"f{k}" for k in range(x.shape[1]))
-    model, _, _ = train_with_grid("linear_svm", x, y, names, seed=0,
-                                  grid=SMALL_GRIDS["linear_svm"], k=3)
-    with pytest.raises(SchemaMismatch):
-        model.predict(x, feature_names=("wrong",) * x.shape[1])
-    with pytest.raises(SchemaMismatch):
-        model.predict(x[:, :2])
 
 
 def test_build_model_unknown_kind():
@@ -478,9 +454,9 @@ def golden_matrix(shuffle):
 def assert_golden(kind, shuffle, grid, golden):
     x, y = golden_matrix(shuffle)
     names = tuple(f"f{k}" for k in range(x.shape[1]))
-    model, _, scores = train_with_grid(kind, x, y, names, seed=11, grid=grid, k=4)
-    fingerprint, golden_scores = golden
-    assert model.fingerprint == fingerprint
+    model, best, scores = train_with_grid(kind, x, y, seed=11, grid=grid, k=4)
+    golden_fingerprint, golden_scores = golden
+    assert fingerprint(kind, best, names, 11, model) == golden_fingerprint
     assert scores == golden_scores
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacrad.errors import BadSpacing, DimMismatch, EmptyMask, NonPositiveWidth
+from cacrad.errors import BadSpacing, DimMismatch, EmptyMask, NonPositiveWidth, TooManyGrayLevels
 from cacrad.nifti import MAX_VOXELS, Volume3D
 from cacrad.preprocess import (
     _target_dims,
@@ -110,6 +110,25 @@ def test_discretize_errors():
     empty = roi_from_values(vals, np.zeros((1, 1, 2), bool))
     with pytest.raises(EmptyMask):
         discretize_fixed_width(empty, 25.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1024.0, 3071.0), (-0.5, 1e-300)])
+def test_fixed_width_decides_the_int32_bound_as_a_float64_division(lo, hi):
+    # widths a few ulps either side of (hi - lo) / (2**31 - 2); the range
+    # is divided in Python floats, which round as numpy's float64 scalars
+    roi = roi_from_values(np.array([lo, hi]).reshape(2, 1, 1), np.ones((2, 1, 1), bool))
+    width = (hi - lo) / (2 ** 31 - 2)
+    decisions = set()
+    for k in range(-4, 5):
+        w = width * (1 + k * 2.0 ** -52)
+        refused = not (np.float64(hi) - np.float64(lo)) / np.float64(w) < 2 ** 31 - 2
+        decisions.add(refused)
+        if refused:
+            with pytest.raises(TooManyGrayLevels):
+                discretize_fixed_width(roi, float(w))
+        else:
+            assert discretize_fixed_width(roi, float(w)).ng <= 2 ** 31 - 2
+    assert decisions == {False, True}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
