@@ -2,8 +2,12 @@
 
 Plain Friedman boosting with Newton leaf values: round t fits a
 least-squares tree to residuals y - p and steps F by the shrunken leaf
-value sum(residual)/sum(hessian). Training is fully deterministic (no
-subsampling), so the seed parameter only keeps the fit signature uniform.
+value sum(residual)/sum(hessian), where p is F through the logistic link
+the mlp defines. Round t breaks split ties by the t-th column order drawn
+from one fixed stream, the same for every fit, so a column that separates
+the training rows by chance does not win every tie. Training is otherwise
+deterministic (no subsampling), so the seed parameter only keeps the fit
+signature uniform.
 """
 
 import math
@@ -11,15 +15,10 @@ import math
 import numpy as np
 
 from ..errors import SingleClass
+from ..rng import stream
 from .grid import count_param, positive_param
+from .mlp import _sigmoid
 from .tree import RowSetCache, grow_regression_tree
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))  # never overflows
-    p = e / (1 + e)
-    np.divide(1, 1 + e, out=p, where=z >= 0)
-    return p
 
 
 class GradientBoostedTrees:
@@ -43,11 +42,13 @@ class GradientBoostedTrees:
         f = np.full(len(y), self.f0)
         fitted = np.empty(len(y))
         cache = RowSetCache()
+        # not keyed on seed: every fit sees the same orders, so prefix holds
+        orders = stream(0, "gbt-columns")
         self.trees = []
         for _ in range(self.n_rounds):
             p = _sigmoid(f)
             tree = grow_regression_tree(x, y - p, p * (1.0 - p), self.max_depth, fitted,
-                                        cache)
+                                        cache, orders.permutation(x.shape[1]))
             f += self.learning_rate * fitted
             self.trees.append(tree)
         return self

@@ -4,8 +4,9 @@ One implementation serves two roles: Gini classification (forest base
 learner) and least-squares regression with Newton leaf values (boosting
 base learner). Nodes live in flat parallel lists so trees serialize to
 JSON directly. Splits use midpoint thresholds between consecutive
-distinct values; ties prefer the lowest feature index then the lowest
-threshold, which keeps growth deterministic for a fixed candidate set.
+distinct values. Gini ties prefer the lowest candidate column, least
+squares ties the first column of the order the caller gives, and then
+both the lowest threshold, which keeps growth deterministic.
 
 Both kinds rank a node's splits by one score, head**2 / k + (total -
 head)**2 / (n - k), where head sums the target over the k rows left of
@@ -136,14 +137,15 @@ def _sort_rows(x: np.ndarray, rows: np.ndarray):
 
 
 def _sse_best_split(target: np.ndarray, order: np.ndarray, xs: np.ndarray,
-                    ties: np.ndarray, counts: np.ndarray):
+                    ties: np.ndarray, counts: np.ndarray, columns: np.ndarray):
     """Best (column, sorted position, midpoint threshold) by the split
     score, the least summed squared error, for all columns at once.
 
     order, xs and ties are a node's sort (_sort_rows) over n >= 2 rows and
     target is indexed by rows of x; counts is the float column 0, 1, ...,
-    m-1 for some m >= n, made once per tree. Ties prefer the lowest column,
-    then the lowest threshold; None when no column has two distinct values.
+    m-1 for some m >= n, made once per tree. columns is a permutation of
+    the columns: ties prefer the first of them in that order, then the
+    lowest threshold; None when no column has two distinct values.
     """
     n = len(order)
     k = counts[1:n]            # left side sizes 1 .. n-1
@@ -157,12 +159,13 @@ def _sse_best_split(target: np.ndarray, order: np.ndarray, xs: np.ndarray,
     right /= rest
     score += right
     np.putmask(score, ties, -np.inf)
-    # the transposed flat argmax scans column by column, so ties resolve to
-    # the lowest column and then the lowest threshold
-    by_col = score.T
+    # the flat argmax scans column by column in the given order, so ties
+    # resolve to the first of those columns and then the lowest threshold
+    by_col = score.T[columns]
     f, i = divmod(int(by_col.argmax()), n - 1)
     if not by_col[f, i] > -math.inf:
         return None
+    f = int(columns[f])
     return f, i, _midpoint(*xs[i:i + 2, f].tolist())
 
 
@@ -314,7 +317,7 @@ def grow_classification_tree(x: np.ndarray, y: np.ndarray,
 
 def grow_regression_tree(x: np.ndarray, residual: np.ndarray, hessian: np.ndarray,
                          max_depth: Optional[int], fitted: np.ndarray,
-                         cache: RowSetCache) -> Tree:
+                         cache: RowSetCache, columns: np.ndarray) -> Tree:
     """Least-squares tree on residuals; leaf value is the Newton step
     sum(residual)/sum(hessian) with a zero guard for saturated leaves.
 
@@ -323,6 +326,9 @@ def grow_regression_tree(x: np.ndarray, residual: np.ndarray, hessian: np.ndarra
     they have in x: the cumulative sums of the split scores depend on it.
     cache serves every tree grown on this x: a node whose rows an earlier
     node had sorts nothing, and a split seen before partitions nothing.
+    Every node breaks split ties by columns, a permutation of x's columns
+    (_sse_best_split); the sorts and partitions cache keeps do not depend
+    on it.
     """
     x = np.ascontiguousarray(x)
     n_cols = x.shape[1]
@@ -337,7 +343,7 @@ def grow_regression_tree(x: np.ndarray, residual: np.ndarray, hessian: np.ndarra
                 and rs.min() != rs.max():
             key = rows.tobytes()
             sort = cache.get(key) or cache.keep(key, _sort_rows(x, rows))
-            got = _sse_best_split(residual, *sort, counts)
+            got = _sse_best_split(residual, *sort, counts, columns)
         if got is None:
             h = float(hessian.take(rows).sum())
             value = float(rs.sum()) / h if h > 1e-12 else 0.0

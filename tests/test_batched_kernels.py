@@ -1,7 +1,7 @@
 """Batched descriptors, bincount matrices, blocked diameter scans, the lean
-regression-tree node and its per-fit row-set cache, fold-lockstep forests
-and the boosting sigmoid against the one-direction, one-slice, scatter-add,
-uncached, per-fold, untrimmed and masked code they replaced.
+regression-tree node and its per-fit row-set cache and fold-lockstep
+forests against the one-direction, one-slice, scatter-add, uncached,
+per-fold and untrimmed code they replaced.
 
 The references below are that code, kept here verbatim in what it
 computes, except the tree-split reference, which scores each candidate
@@ -33,8 +33,9 @@ from cacrad.features.texture import (
 )
 from cacrad.learn import boosting
 from cacrad.learn import tree as tree_module
-from cacrad.learn.boosting import GradientBoostedTrees, _sigmoid
+from cacrad.learn.boosting import GradientBoostedTrees
 from cacrad.learn.forest import RandomForest
+from cacrad.learn.mlp import _sigmoid
 from cacrad.learn.model import document
 from cacrad.learn.split import stratified_kfold
 from cacrad.learn.tree import (
@@ -44,6 +45,7 @@ from cacrad.learn.tree import (
     _sse_best_split,
     grow_regression_tree,
 )
+from cacrad.rng import stream
 from cacrad.texmat import (
     DIRECTIONS_13,
     Glcm,
@@ -522,13 +524,14 @@ def ref_midpoint(lo, hi):
     return np.where(mid >= hi, lo, mid)
 
 
-def ref_best_split(xb, target):
+def ref_best_split(xb, target, columns=None):
     """(column, threshold) of the first strict maximum of the split score
-    over columns, then positions between two distinct sorted values; None
-    when there is none. Overflowing scores are +inf, and the first wins."""
+    over columns, in their given order or else ascending, then positions
+    between two distinct sorted values; None when there is none.
+    Overflowing scores are +inf, and the first wins."""
     n, n_cols = xb.shape
     best, got = -np.inf, None
-    for f in range(n_cols):
+    for f in (range(n_cols) if columns is None else columns.tolist()):
         order = np.argsort(xb[:, f], kind="stable")
         xs, ts = xb[order, f].tolist(), target[order].tolist()
         total = 0
@@ -545,7 +548,7 @@ def ref_best_split(xb, target):
     return got
 
 
-def ref_grow_regression_tree(x, residual, hessian, max_depth, fitted):
+def ref_grow_regression_tree(x, residual, hessian, max_depth, fitted, columns=None):
     tree = Tree()
     stack = [(0, np.arange(len(residual)), 0)]
     while stack:
@@ -554,7 +557,7 @@ def ref_grow_regression_tree(x, residual, hessian, max_depth, fitted):
         got = None
         if (max_depth is None or depth < max_depth) and len(rows) >= 2 \
                 and rs.min() != rs.max():
-            got = ref_best_split(x[rows], rs)
+            got = ref_best_split(x[rows], rs, columns)
         if got is None:
             h = float(hessian[rows].sum())
             value = float(rs.sum()) / h if h > 1e-12 else 0.0
@@ -569,12 +572,15 @@ def ref_grow_regression_tree(x, residual, hessian, max_depth, fitted):
     return tree
 
 
-def sse_best_split(xb, target, spare=0):
+def sse_best_split(xb, target, spare=0, columns=None):
     """(column, threshold) of _sse_best_split on the sort of every row of
-    xb, with the per-tree constants of a tree of len(xb) + spare rows."""
+    xb, with the per-tree constants of a tree of len(xb) + spare rows, its
+    ties broken by columns, ascending unless given."""
     counts = np.arange(len(xb) + spare, dtype=np.float64)[:, None]
     sort = _sort_rows(xb, np.arange(len(xb)))
-    got = _sse_best_split(target, *sort, counts)
+    if columns is None:
+        columns = np.arange(xb.shape[1])
+    got = _sse_best_split(target, *sort, counts, columns)
     return None if got is None else (got[0], got[2])
 
 
@@ -631,7 +637,8 @@ def test_regression_tree_equals_reference(max_depth):
         residual = tree_target(rng, n) if rng.random() < 0.9 else rng.normal(size=n) * 1e-3
         hessian = rng.uniform(0.0, 0.25, size=n)
         fitted, ref_fitted = np.empty(n), np.empty(n)
-        got = grow_regression_tree(x, residual, hessian, max_depth, fitted, RowSetCache())
+        got = grow_regression_tree(x, residual, hessian, max_depth, fitted, RowSetCache(),
+                                   np.arange(x.shape[1]))
         want = ref_grow_regression_tree(x, residual, hessian, max_depth, ref_fitted)
         assert document(got) == document(want), trial
         assert fitted.tobytes() == ref_fitted.tobytes(), trial
@@ -644,7 +651,7 @@ def test_regression_tree_accepts_a_column_view():
     residual = rng.normal(size=30)
     hessian = np.full(30, 0.2)
     got = grow_regression_tree(wide[:, ::2], residual, hessian, 3, np.empty(30),
-                               RowSetCache())
+                               RowSetCache(), np.arange(6))
     want = ref_grow_regression_tree(np.ascontiguousarray(wide[:, ::2]), residual,
                                     hessian, 3, np.empty(30))
     assert document(got) == document(want)
@@ -652,8 +659,9 @@ def test_regression_tree_accepts_a_column_view():
 
 @pytest.mark.parametrize("max_depth", [1, 2, 3, None])
 def test_boosting_rounds_sharing_one_cache_equal_reference_trees(max_depth):
-    # later rounds take their sorts and partitions from the cache; each
-    # round's tree and leaf values must still be the reference's
+    # later rounds take their sorts and partitions from the cache, and each
+    # breaks ties by its own column order, as a boosting fit draws them;
+    # each round's tree and leaf values must still be the reference's
     rng = np.random.default_rng(47)
     for trial in range(25):
         n = int(rng.integers(2, 41))
@@ -661,12 +669,16 @@ def test_boosting_rounds_sharing_one_cache_equal_reference_trees(max_depth):
         y = (rng.random(n) < 0.5).astype(np.float64)
         f = np.zeros(n)
         cache = RowSetCache()
+        orders = stream(0, "gbt-columns")
         fitted, ref_fitted = np.empty(n), np.empty(n)
         for round_ in range(int(rng.integers(1, 31))):
             p = _sigmoid(f)
             residual, hessian = y - p, p * (1.0 - p)
-            got = grow_regression_tree(x, residual, hessian, max_depth, fitted, cache)
-            want = ref_grow_regression_tree(x, residual, hessian, max_depth, ref_fitted)
+            columns = orders.permutation(x.shape[1])
+            got = grow_regression_tree(x, residual, hessian, max_depth, fitted, cache,
+                                       columns)
+            want = ref_grow_regression_tree(x, residual, hessian, max_depth, ref_fitted,
+                                            columns)
             assert document(got) == document(want), (trial, round_)
             assert fitted.tobytes() == ref_fitted.tobytes(), (trial, round_)
             f += 0.5 * fitted
@@ -735,22 +747,3 @@ def test_fold_lockstep_forests_equal_per_fold_fits(bootstrap, max_depth):
         f_ordered = RandomForest(**params).fit(np.asfortranarray(x[rows]), y[rows], 1000 + i)
         assert len(f_ordered.trees) == 7
         assert document(f_ordered) == document(c_ordered)
-
-
-def ref_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def test_sigmoid_equals_masked_reference():
-    rng = np.random.default_rng(46)
-    for trial in range(3000):
-        n = int(rng.integers(1, 65))
-        z = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3.5, size=n)
-        z[rng.random(n) < 0.1] = 0.0
-        z[rng.random(n) < 0.1] = -0.0
-        assert _sigmoid(z).tobytes() == ref_sigmoid(z).tobytes(), trial

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cacrad.errors import ConfigError, SingleClass
+from cacrad.learn.boosting import GradientBoostedTrees
 from cacrad.learn.forest import RandomForest
 from cacrad.learn.grid import DEFAULT_GRIDS, HyperGrid, grid_search_cv
 from cacrad.learn.mlp import Mlp, _sigmoid, loss_and_grad
@@ -225,14 +226,17 @@ def test_sse_split_is_cost_optimal():
 
 
 def test_duplicate_column_tie_picks_first_feature():
+    # Gini ties go to the lowest column; least-squares ties to the first
+    # column of the order given
     rng = np.random.default_rng(4)
     col = rng.normal(size=12)
     x = np.stack([col, col], axis=1)
     y = (col > 0).astype(np.int64)
     f, _ = ref_best_split(x, y)
     assert f == 0
-    f2, _ = sse_best_split(x, y.astype(np.float64))
-    assert f2 == 0
+    for columns in ([0, 1], [1, 0]):
+        f2, _ = sse_best_split(x, y.astype(np.float64), columns=np.array(columns))
+        assert f2 == columns[0]
 
 
 def test_split_none_on_constant_block():
@@ -252,7 +256,7 @@ def test_adjacent_doubles_split_with_finite_leaves():
     gini = grow_classification_tree(x, y, None, None, stream(0, "tree", 0))
     fitted = np.empty(len(y))
     sse = grow_regression_tree(x, y - 0.5, np.full(len(y), 0.25), None, fitted,
-                               RowSetCache())
+                               RowSetCache(), np.arange(1))
     for tree in (gini, sse):
         assert tree.threshold[0] == a
         assert len(tree.value) == 3 and np.all(np.isfinite(tree.value))
@@ -269,7 +273,8 @@ def test_split_between_values_whose_sum_overflows():
     y = (rng.random(40) < 0.5).astype(np.int64)
     forest = RandomForest(n_trees=5, max_depth=3).fit(x, y, seed=0)
     fitted = np.empty(len(y))
-    sse = grow_regression_tree(x, y - 0.5, np.full(len(y), 0.25), 3, fitted, RowSetCache())
+    sse = grow_regression_tree(x, y - 0.5, np.full(len(y), 0.25), 3, fitted, RowSetCache(),
+                               np.arange(3))
     for tree in (*forest.trees, sse):
         inner = [thr for f, thr in zip(tree.feature, tree.threshold) if f != -1]
         assert inner and np.all(np.isfinite(inner))
@@ -282,7 +287,7 @@ def test_unbounded_fit_on_values_whose_sum_overflows_ends():
     y = np.array([0, 1, 0, 1])
     gini = grow_classification_tree(x, y, None, None, stream(0, "tree", 0))
     sse = grow_regression_tree(x, y - 0.5, np.full(len(y), 0.25), None, np.empty(len(y)),
-                               RowSetCache())
+                               RowSetCache(), np.arange(1))
     for tree in (gini, sse):
         assert tree.threshold[0] == -1.7e308 and len(tree.value) == 3
     assert gini.predict(x).tolist() == [0.0, 1.0, 0.0, 1.0]
@@ -331,7 +336,7 @@ def test_regression_tree_reports_training_leaf_values():
     residual = y - np.linspace(0.2, 0.8, len(y))
     fitted = np.empty(len(y))
     tree = grow_regression_tree(x, residual, np.full(len(y), 0.21), 3, fitted,
-                                RowSetCache())
+                                RowSetCache(), np.arange(x.shape[1]))
     assert fitted.tobytes() == tree.predict(x).tobytes()
 
 
@@ -342,6 +347,25 @@ def test_gbt_prefix_is_the_shorter_fit():
     assert document(long.prefix(4)) == document(short)
     with pytest.raises(ValueError):
         short.prefix(5)
+
+
+def test_gbt_rounds_spread_tied_splits_over_duplicate_columns():
+    # columns 0 and 1 both separate the classes: each round's column order
+    # picks one, so no one column wins every tie
+    rng = np.random.default_rng(12)
+    col = rng.normal(size=30)
+    x = np.stack([col, col, rng.normal(size=30)], axis=1)
+    y = (col > 0).astype(np.int64)
+    model = GradientBoostedTrees(n_rounds=20, max_depth=1).fit(x, y)
+    assert {t.feature[0] for t in model.trees} == {0, 1}
+
+
+def test_gbt_score_is_the_mlp_link_of_its_decision_function():
+    x, y = golden_matrix(False)
+    model = GradientBoostedTrees(n_rounds=8, max_depth=2).fit(x, y)
+    f = model.decision_function(x)
+    assert f.min() < 0.0 < f.max()
+    assert model.predict_score(x).tobytes() == _sigmoid(f).tobytes()
 
 
 def test_forest_prefix_is_the_smaller_fit():
@@ -415,6 +439,10 @@ def test_forest_grid_fits_each_fold_once_per_nested_group():
 # goldens were recorded again when splits began to be ranked by
 # head**2 / k + (total - head)**2 / (n - k) in place of the summed squared
 # error: near-tied splits round differently, so some trees split elsewhere.
+# They were recorded once more when each boosting round began to break
+# split ties by a column order drawn from one fixed stream, and to take
+# the mlp's logistic link, which can differ from the old one by 2 ulp
+# where F < 0.
 GOLDEN_GRIDS = {
     "random_forest": HyperGrid.of(n_trees=(4, 7), max_depth=(2, None)),
     "gbt": HyperGrid.of(n_rounds=(3, 8, 5), learning_rate=(0.1, 0.3), max_depth=(2, 3)),
@@ -428,14 +456,13 @@ GOLDEN = {
         "e43c7760b76d650ca9df675833794b293954493b60aa525fdb0955b07fad649f",
         [0.575, 0.55, 0.45, 0.575]),
     ("gbt", False): (
-        "d99582585482b4d724da7be7c58b7ef770ef6789440f4a0b31d74f2e41b3cf60",
-        [0.675, 0.725, 0.675, 0.7000000000000001, 0.675, 0.675,
-         0.7250000000000001, 0.7000000000000001, 0.65, 0.7000000000000001,
-         0.7000000000000001, 0.675]),
+        "53400be0f89e87bb880ff4c2f3c9f467c552781d1c1a8c5a34a0ae638c462ba0",
+        [0.675, 0.725, 0.675, 0.7000000000000001, 0.65, 0.65, 0.7250000000000001,
+         0.65, 0.625, 0.675, 0.7000000000000001, 0.6]),
     ("gbt", True): (
-        "a54cf06d13f6972f715a9db0ad589bc2859539f868e720a31177cfb59bbaf97e",
-        [0.55, 0.525, 0.575, 0.475, 0.55, 0.475, 0.5, 0.44999999999999996,
-         0.5, 0.525, 0.5, 0.45]),
+        "15870129bceca97a9d6d83a5b5ac5db5a80144e1805a41f59e8aa09b665422f8",
+        [0.575, 0.55, 0.575, 0.525, 0.575, 0.5, 0.5, 0.47500000000000003,
+         0.525, 0.525, 0.525, 0.47500000000000003]),
 }
 
 
