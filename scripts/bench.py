@@ -1,26 +1,32 @@
 """Benchmark a change against its parent commit and write BENCH_<number>.json.
 
     python3 scripts/bench.py --number 9 --title "what the change does" \
-        --seeds cohort-experiment=9001-9010 --seeds embeddings-wide=9011-9016 \
+        --seeds cohort-experiment=9001..9010 --seeds embeddings-wide=9011..9016 \
         --claim cohort-experiment:total_s --traced-seed 9099
 
-Both sides are exported into one new directory under the system
-temporary directory (TMPDIR moves it): the parent as `git archive` of
---parent (default HEAD), the change as --change (default: the working
-tree's tracked and untracked files that .gitignore does not exclude).
-For every workload and seed, perfbench/run.py runs once in each copy for
-the run_seconds that BENCHMARK.json sets, and the copy that runs first
-alternates from pair to pair. Copies run
-without compiled .pyc files, so every fresh-interpreter set-up compiles
-the package on both sides. With --traced-seed, each copy also makes one
-`--trace 1` run per workload pinned to CPU 0 with taskset, which gives
-per-layer metrics that cover every subject. The result file, with the
-per-pair values, medians, quartiles and the environment record, is
-written at the repository root; notes on what the runs show are added by
-hand. Use seeds that were not used while writing the change.
+Seeds are single seeds and A..B ranges, comma-separated (parse_seeds). A
+malformed seed list, a workload given twice, or a --claim on a workload
+without seeds or on a metric that is not an end_to_end name in
+BENCHMARK.json exits 2 before anything is exported. `sides` exports both
+sides into one new directory under the system temporary directory
+(TMPDIR moves it): the parent as `git archive` of --parent (default
+HEAD), the change as --change (default: the working tree's tracked and
+untracked files that .gitignore does not exclude). For every workload
+and seed, perfbench/run.py runs once in each copy for the run_seconds
+that BENCHMARK.json sets, and the copy that runs first alternates from
+pair to pair. `run_in` runs a command in a copy without compiled .pyc
+files, so every fresh-interpreter set-up compiles the package on both
+sides. With --traced-seed, each copy also makes one `--trace 1` run per
+workload pinned to CPU 0 with taskset, which gives per-layer metrics
+that cover every subject. The result file, with the per-pair values,
+medians, quartiles and the environment record, is written at the
+repository root; notes on what the runs show are added by hand. Use
+seeds that were not used while writing the change. scripts/sweep.py and
+scripts/roi_memory.py export and run their sides with this module too.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -55,18 +61,49 @@ def export(rev: str, dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
+@contextlib.contextmanager
+def sides(parent: str, change: str):
+    """{"parent": copy, "change": copy}, both exported into one new
+    temporary directory that is removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="cacrad-sides-", ignore_cleanup_errors=True) as work:
+        copies = {"parent": Path(work) / "parent", "change": Path(work) / "change"}
+        export(parent, copies["parent"])
+        export(change, copies["change"])
+        yield copies
+
+
+def run_in(copy: Path, cmd: list) -> str:
+    """The stdout of cmd run in copy without writing .pyc files;
+    RuntimeError with the tail of its stderr if it exits non-zero."""
+    proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {copy} exited with {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return proc.stdout
+
+
+def parse_seeds(text: str) -> list:
+    """The seeds of "1..50,127": ranges and single seeds, in the order
+    given, each once. ValueError on anything else."""
+    seeds = []
+    for part in text.split(","):
+        lo, dots, hi = part.strip().partition("..")
+        first = int(lo)
+        last = int(hi) if dots else first
+        if not 0 <= first <= last:
+            raise ValueError(f"seed range {part!r} is not A..B with 0 <= A <= B")
+        seeds.extend(range(first, last + 1))
+    return list(dict.fromkeys(seeds))
+
+
 def run(copy: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in a copy; returns the record of what it reported."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     if trace:
         cmd = ["taskset", "-c", "0", *cmd]
-    proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {copy} exited with {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
-    lines = proc.stdout.splitlines()
+    lines = run_in(copy, cmd).splitlines()
     result = json.loads(lines[-1])
     detail = json.loads((copy / ".perfbench_work" / "results"
                          / f"{workload}-seed{seed}-trace{trace}.json").read_text())
@@ -107,22 +144,14 @@ def summarize(pairs, metrics) -> dict:
     return out
 
 
-def seed_range(text: str) -> list:
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--number", required=True, help="the number in BENCH_<number>.json")
     ap.add_argument("--title", default="", help="one line: what the change does")
     ap.add_argument("--parent", default="HEAD")
     ap.add_argument("--change", default=WORKTREE, help=f"a git revision or {WORKTREE}")
-    ap.add_argument("--seeds", action="append", required=True, metavar="WORKLOAD=SEEDS",
-                    help="seeds of one workload, such as cohort-experiment=9001-9010")
+    ap.add_argument("--seeds", action="append", required=True, metavar="WORKLOAD=A..B",
+                    help="seeds of one workload, such as cohort-experiment=9001..9010")
     ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
     ap.add_argument("--traced-seed", type=int, default=None)
     args = ap.parse_args(argv)
@@ -135,13 +164,22 @@ def main(argv=None) -> int:
         workload, _, seeds = item.partition("=")
         if workload not in {w["name"] for w in spec["workloads"]}:
             ap.error(f"unknown workload {workload!r}")
-        plan[workload] = seed_range(seeds)
+        if workload in plan:
+            ap.error(f"--seeds given twice for {workload}")
+        try:
+            plan[workload] = parse_seeds(seeds)
+        except ValueError as exc:
+            ap.error(f"--seeds {item}: {exc}")
+    claim = None
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in plan:
+            ap.error(f"--claim {args.claim}: no --seeds for {workload!r}")
+        if metric not in metrics:
+            ap.error(f"--claim {args.claim}: {metric!r} is not one of {', '.join(metrics)}")
+        claim = {"workload": workload, "metric": metric}
 
-    work = Path(tempfile.mkdtemp(prefix="cacrad-bench-"))
-    copies = {"parent": work / "parent", "change": work / "change"}
-    try:
-        export(args.parent, copies["parent"])
-        export(args.change, copies["change"])
+    with sides(args.parent, args.change) as copies:
         env = None
         workloads, traced = {}, {}
         for workload, seeds in plan.items():
@@ -168,8 +206,6 @@ def main(argv=None) -> int:
                             "parent first, then change",
                     **{side: run(copies[side], workload, args.traced_seed, seconds, 1)
                        for side in ("parent", "change")}}
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
 
     doc = {
         "title": args.title,
@@ -186,9 +222,8 @@ def main(argv=None) -> int:
         "environment": env,
         "workloads": workloads,
     }
-    if args.claim:
-        workload, _, metric = args.claim.partition(":")
-        doc["claim"] = {"workload": workload, "metric": metric}
+    if claim:
+        doc["claim"] = claim
     if traced:
         doc["traced"] = traced
     out = ROOT / f"BENCH_{args.number}.json"

@@ -14,25 +14,23 @@ values), shape_features, glcm_features (on the ROI's GLCM) and
 glszm_features (on the ROI's GLSZM), the script prints the tracemalloc
 peak of one call, in MiB and in bytes per cell of the ROI's box (the
 unit tests/test_texmat.py bounds it in), and the best wall time of
---repeat untraced calls. It measures the working tree's src/ and, with
---parent, also the src/ of that git revision, exported with git archive
-to a temporary directory; each side runs in its own interpreter.
+--repeat untraced calls. It measures the working tree's src/ in place
+and, with --parent, also that revision's, exported by scripts/bench.py's
+export; each side runs in its own interpreter through bench's run_in,
+which raises with the stderr tail of a side that fails.
 """
 
 import argparse
-import io
 import json
 import math
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
+from bench import ROOT, export, run_in
 
-ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("glcm", "glrlm", "glszm", "gldm", "ngtdm")
 KERNELS = FAMILIES + ("first_order", "shape_features", "glcm_features", "glszm_features")
 TEXTURES = ("white", "smooth")
@@ -71,11 +69,10 @@ def measure(n: int, repeat: int) -> dict:
     return out
 
 
-def run_side(src: Path, n: int, repeat: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, __file__, "--n", str(n), "--repeat", str(repeat), "--src", str(src)],
-        check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout)
+def run_side(copy: Path, n: int, repeat: int) -> dict:
+    """measure() of the src/ of copy, run by this script in copy."""
+    return json.loads(run_in(copy, [sys.executable, __file__, "--n", str(n),
+                                    "--repeat", str(repeat), "--src", str(copy / "src")]))
 
 
 def main(argv=None) -> int:
@@ -94,12 +91,9 @@ def main(argv=None) -> int:
     sides = {}
     with tempfile.TemporaryDirectory(prefix="cacrad-roi-memory-") as tmp:
         if args.parent is not None:
-            tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
-                                  args.parent, "src"], check=True, capture_output=True).stdout
-            with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-                archive.extractall(tmp, filter="data")
-            sides[f"parent {args.parent}"] = run_side(Path(tmp) / "src", args.n, args.repeat)
-        sides["working tree"] = run_side(ROOT / "src", args.n, args.repeat)
+            export(args.parent, Path(tmp) / "parent")
+            sides[f"parent {args.parent}"] = run_side(Path(tmp) / "parent", args.n, args.repeat)
+        sides["working tree"] = run_side(ROOT, args.n, args.repeat)
 
     for texture in TEXTURES:
         first = next(iter(sides.values()))[texture]

@@ -3,15 +3,12 @@ of each model's mean balanced accuracy and real-against-null p per seed.
 
     python3 scripts/sweep.py --seeds 1..50,127,227,1816510650 --out SWEEP.json
 
---seeds takes comma-separated single seeds and A..B ranges, both ends
-included. Both sides are exported with scripts/bench.py's export into one
-new directory under the system temporary directory (TMPDIR moves it):
-the parent as `git archive` of --parent (default HEAD), the change as
-the working tree's tracked and untracked files that .gitignore does not
-exclude. For each seed and side, one fresh interpreter in that side's
-copy builds the cohort-experiment inputs with the copy's
-perfbench/inputs.py and issues the argv of the copy's
-perfbench/workloads.py cohort_stages: extract, the real and the
+--seeds is parsed, and both sides are exported and run, by
+scripts/bench.py's parse_seeds, sides and run_in: the parent is --parent
+(default HEAD), the change the working tree. For each seed and side, one
+fresh interpreter in that side's copy builds the cohort-experiment
+inputs with the copy's perfbench/inputs.py and issues the argv of the
+copy's perfbench/workloads.py cohort_stages: extract, the real and the
 label-shuffled train-eval arms, and stats. The sweep records each
 model's mean real-arm balanced accuracy and the real-against-null p for
 accuracy and F1 from stats.json. Its summary gives, per side and model,
@@ -22,14 +19,11 @@ differ at all. Cohorts run one at a time, a few seconds each.
 
 import argparse
 import json
-import os
 import shutil
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from bench import ROOT, WORKTREE, export, git
+from bench import ROOT, WORKTREE, git, parse_seeds, run_in, sides
 
 FLOOR = 0.95   # criterion 6's mean balanced accuracy
 ALPHA = 0.05   # criterion 6's p against the null arm
@@ -52,20 +46,6 @@ for stage, argv in workloads.cohort_stages(work / "inputs", work / "run", seed):
 """
 
 
-def parse_seeds(text: str) -> list:
-    """The seeds of "1..50,127": ranges and single seeds, in the order
-    given, each once. ValueError on anything else."""
-    seeds = []
-    for part in text.split(","):
-        lo, dots, hi = part.strip().partition("..")
-        first = int(lo)
-        last = int(hi) if dots else first
-        if not 0 <= first <= last:
-            raise ValueError(f"seed range {part!r} is not A..B with 0 <= A <= B")
-        seeds.extend(range(first, last + 1))
-    return list(dict.fromkeys(seeds))
-
-
 def cohort_record(report: dict, stats: dict) -> dict:
     """Per model of one cohort: the mean balanced accuracy over the runs of
     the real arm's report (None if a run has none), and the p of stats.json
@@ -80,8 +60,8 @@ def cohort_record(report: dict, stats: dict) -> dict:
     return out
 
 
-def summarize(sides: dict) -> dict:
-    """sides maps a side's name to {seed: cohort_record}, the same seeds
+def summarize(by_side: dict) -> dict:
+    """by_side maps a side's name to {seed: cohort_record}, the same seeds
     on every side. Per side and model: the seeds below FLOOR, their count,
     and the seeds whose p for accuracy or F1 is missing or not below
     ALPHA; per model, the seeds whose records differ between the sides."""
@@ -91,10 +71,10 @@ def summarize(sides: dict) -> dict:
     def not_significant(rec):
         return any(p is None or p >= ALPHA for p in (rec["p_accuracy"], rec["p_f1"]))
 
-    first = next(iter(sides.values()))
+    first = next(iter(by_side.values()))
     models = sorted({model for rec in first.values() for model in rec})
     out = {}
-    for side, records in sides.items():
+    for side, records in by_side.items():
         out[side] = {}
         for model in models:
             low = [seed for seed, rec in records.items() if below(rec[model])]
@@ -105,19 +85,15 @@ def summarize(sides: dict) -> dict:
     out["differing_seeds"] = {
         model: [seed for seed in first
                 if any(records[seed][model] != first[seed][model]
-                       for records in sides.values())]
+                       for records in by_side.values())]
         for model in models}
     return out
 
 
-def run_cohort(copy: Path, seed: int, work: Path) -> dict:
+def run_cohort(copy: Path, seed: int) -> dict:
     """The cohort_record of one seed's chain in a copy."""
-    proc = subprocess.run([sys.executable, "-c", CHAIN, str(seed), str(work)], cwd=copy,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    if proc.returncode != 0:
-        raise RuntimeError(f"seed {seed} in {copy} exited with {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
+    work = copy / f"cohort-{seed}"
+    run_in(copy, [sys.executable, "-c", CHAIN, str(seed), str(work)])
     run = work / "run"
     record = cohort_record(json.loads((run / "real" / "run_report.json").read_text()),
                            json.loads((run / "stats" / "stats.json").read_text()))
@@ -133,22 +109,16 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="the JSON to write, under the repository")
     args = ap.parse_args(argv)
 
-    work = Path(tempfile.mkdtemp(prefix="cacrad-sweep-"))
-    copies = {"parent": work / "parent", "change": work / "change"}
-    sides = {side: {} for side in copies}
-    try:
-        export(args.parent, copies["parent"])
-        export(WORKTREE, copies["change"])
+    records = {"parent": {}, "change": {}}
+    with sides(args.parent, WORKTREE) as copies:
         for seed in args.seeds:
             for side, copy in copies.items():
-                record = sides[side][seed] = run_cohort(copy, seed, work / f"{side}-{seed}")
+                record = records[side][seed] = run_cohort(copy, seed)
                 print(f"seed {seed} {side}: " + ", ".join(
                     f"{model} {rec['balanced_accuracy']}"
                     for model, rec in sorted(record.items())), file=sys.stderr)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
 
-    summary = summarize(sides)
+    summary = summarize(records)
     doc = {
         "parent_commit": git("rev-parse", args.parent).decode().strip(),
         "change": WORKTREE,
@@ -158,12 +128,12 @@ def main(argv=None) -> int:
                   "the argv of perfbench/workloads.py cohort_stages, in exported copies "
                   "of the parent commit and of the change",
         "seeds": args.seeds,
-        "sides": sides,
+        "sides": records,
         "summary": summary,
     }
     out = ROOT / args.out
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    for side in copies:
+    for side in records:
         for model, s in summary[side].items():
             print(f"{side} {model}: {s[f'n_below_{FLOOR}']} seeds below {FLOOR} "
                   f"{s[f'below_{FLOOR}']}, p not below {ALPHA} on "

@@ -1,7 +1,10 @@
-"""scripts/sweep.py's seed parser and its summary, on hand-made reports;
-the sweep itself runs outside the suite."""
+"""The parent-against-change scripts: the seed parser, argument checks
+and side runner that scripts/bench.py shares with the others, sweep.py's
+summary on hand-made reports, and one small roi_memory.py run; the
+benchmark and the sweep themselves run outside the suite."""
 
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,19 @@ def sweep(monkeypatch):
     return importlib.import_module("sweep")
 
 
+@pytest.fixture
+def bench(monkeypatch):
+    """scripts/bench.py, with export failing the test if anything calls it."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    module = importlib.import_module("bench")
+
+    def export(rev, dest):
+        pytest.fail(f"exported {rev} to {dest}")
+
+    monkeypatch.setattr(module, "export", export)
+    return module
+
+
 def test_seeds_are_ranges_and_single_seeds_each_once(sweep):
     assert sweep.parse_seeds("1..3,127,2,1816510650") == [1, 2, 3, 127, 1816510650]
     assert sweep.parse_seeds("5") == [5]
@@ -22,12 +38,45 @@ def test_seeds_are_ranges_and_single_seeds_each_once(sweep):
 
 
 @pytest.mark.parametrize("text", ["", "3..1", "-1", "1..", "a", "1-3", "1..2..3"])
-def test_malformed_seeds_are_refused(sweep, text):
+def test_malformed_seeds_are_refused(sweep, bench, text):
     with pytest.raises(ValueError):
         sweep.parse_seeds(text)
     with pytest.raises(SystemExit) as exc:
         sweep.main(["--seeds", text, "--out", "unused.json"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--number", "x", "--seeds", f"cohort-experiment={text}"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--seeds", "cohort-experiment=3..4"],
+    ["--claim", "embeddings-wide:total_s"],
+    ["--claim", "cohort-experiment:stage.extract_s"],
+], ids=["seeds-twice", "claim-without-seeds", "claim-per-layer-metric"])
+def test_bench_refuses_arguments_it_would_drop(bench, extra):
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--number", "x", "--seeds", "cohort-experiment=1..2", *extra])
+    assert exc.value.code == 2
+
+
+def test_run_in_returns_stdout_and_raises_with_the_stderr_tail(bench, tmp_path):
+    assert bench.run_in(tmp_path, [sys.executable, "-c", "import os; print(os.getcwd())"]) \
+        == f"{tmp_path}\n"
+    with pytest.raises(RuntimeError, match="exited with 1:\nboom"):
+        bench.run_in(tmp_path, [sys.executable, "-c", "import sys; sys.exit('boom')"])
+
+
+def test_roi_memory_measures_the_parent_and_the_working_tree(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    roi_memory = importlib.import_module("roi_memory")
+    assert roi_memory.main(["--n", "12", "--repeat", "1", "--parent", "HEAD"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for texture in roi_memory.TEXTURES:
+        start = next(i for i, line in enumerate(lines) if f"{texture} levels" in line)
+        block = lines[start + 1:start + 1 + len(roi_memory.KERNELS)]
+        assert [line.split()[0] for line in block] == list(roi_memory.KERNELS)
+        assert all("parent HEAD:" in line and "working tree:" in line for line in block)
 
 
 def real_report(bal):
